@@ -7,6 +7,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use soma_bench::{run_lab, LabEvent};
@@ -94,15 +95,40 @@ pub struct ColdRun {
     /// Call until the first cell's search starts.
     pub setup_s: f64,
     pub cells: Vec<CellOutcome>,
-    /// Per cell, `Started` until its row landed (`Finished`), in ms.
+    /// Per cell, its own search and append time in ms ([`own_cell_ms`]).
     pub miss_ms: Vec<f64>,
 }
 
+/// A lab event with when and on which thread the observer saw it.
+type Seen = (Instant, ThreadId, LabEvent);
+
+/// Each cell's own time: from its `Started` to the next event its worker
+/// thread emits. `run_lab` calls the observer on the thread that runs the
+/// cell, and a worker emits nothing between a cell's start and the end of
+/// its search and append: its next event is either that row landing or
+/// the start of its next cell. So the figure excludes the wait for an
+/// earlier cell's row, which `Started`→`Finished` would include. A
+/// worker's last cell whose row waits on another thread's cell has no
+/// such event and is left out.
+fn own_cell_ms(events: &[Seen]) -> Vec<f64> {
+    events
+        .iter()
+        .enumerate()
+        .filter(|(_, (_, _, ev))| matches!(ev, LabEvent::Started { .. }))
+        .filter_map(|(i, (start, thread, _))| {
+            let (end, ..) = events[i + 1..].iter().find(|(_, t, _)| t == thread)?;
+            Some((*end - *start).as_secs_f64() * 1e3)
+        })
+        .collect()
+}
+
 pub fn cold(spec: &ExperimentSpec, ledger: &Path) -> Result<ColdRun, String> {
-    let mut events: Vec<(Instant, LabEvent)> = Vec::new();
+    let mut events: Vec<Seen> = Vec::new();
     let t0 = Instant::now();
-    let summary = run_lab(spec, ledger, |ev| events.push((Instant::now(), ev.clone())))
-        .map_err(|e| format!("cold campaign: {e}"))?;
+    let summary = run_lab(spec, ledger, |ev| {
+        events.push((Instant::now(), std::thread::current().id(), ev.clone()));
+    })
+    .map_err(|e| format!("cold campaign: {e}"))?;
     let wall_s = t0.elapsed().as_secs_f64();
     let n = spec.cells().len();
     if summary.misses != n || summary.hits != 0 || summary.failed != 0 || summary.stopped {
@@ -111,23 +137,16 @@ pub fn cold(spec: &ExperimentSpec, ledger: &Path) -> Result<ColdRun, String> {
             summary.misses, summary.hits, summary.failed
         ));
     }
-    let mut started: BTreeMap<&str, Instant> = BTreeMap::new();
-    let mut miss_ms = Vec::new();
-    let mut first_start = None;
-    for (t, ev) in &events {
-        match ev {
-            LabEvent::Started { cell } => {
-                first_start.get_or_insert(*t);
-                started.insert(cell, *t);
-            }
-            LabEvent::Finished { cell, .. } => {
-                let s = started.get(cell.as_str()).ok_or("Finished before Started")?;
-                miss_ms.push((*t - *s).as_secs_f64() * 1e3);
-            }
-            _ => {}
-        }
+    let first_start = events
+        .iter()
+        .find(|(_, _, ev)| matches!(ev, LabEvent::Started { .. }))
+        .ok_or("no cell started")?
+        .0;
+    let setup_s = (first_start - t0).as_secs_f64();
+    let miss_ms = own_cell_ms(&events);
+    if miss_ms.is_empty() {
+        return Err("cold campaign: no cell's own time was observed".into());
     }
-    let setup_s = (first_start.ok_or("no cell started")? - t0).as_secs_f64();
     Ok(ColdRun { wall_s, setup_s, cells: outcomes(&summary), miss_ms })
 }
 
@@ -421,4 +440,44 @@ pub fn ledger_layer(path: &Path, keys: &[String]) -> Result<LedgerLayer, String>
         decodes: ledger.outcome_decodes(),
         bytes,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn own_cell_time_ends_at_the_workers_next_event() {
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        let a = std::thread::current().id();
+        let b = std::thread::spawn(|| std::thread::current().id()).join().unwrap();
+        let started = |cell: &str| LabEvent::Started { cell: cell.into() };
+        let finished = |cell: &str| LabEvent::Finished {
+            cell: cell.into(),
+            hash: String::new(),
+            cost: 1.0,
+            latency_cycles: 1,
+            evals: 1,
+        };
+        let events = vec![
+            (at(0), a, started("c0")),
+            (at(1), b, started("c1")),
+            // c1 ends first but waits for c0; its worker starts c2.
+            (at(5), b, started("c2")),
+            // c0's worker writes c0 and the waiting c1.
+            (at(20), a, finished("c0")),
+            (at(20), a, finished("c1")),
+            // c2 ends on b but waits for nothing: its own row lands.
+            (at(30), b, finished("c2")),
+            (at(31), a, started("c3")),
+            // c3's row waits on nothing either.
+            (at(40), a, finished("c3")),
+        ];
+        // c0 20 ms, c1 4 ms (not 19 ms to its row), c2 25 ms, c3 9 ms.
+        let ms: Vec<f64> = own_cell_ms(&events).iter().map(|m| m.round()).collect();
+        assert_eq!(ms, vec![20.0, 4.0, 25.0, 9.0]);
+        // A worker's last cell with no later event of its own is left out.
+        assert_eq!(own_cell_ms(&events[..2]), Vec::<f64>::new());
+    }
 }

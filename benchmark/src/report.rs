@@ -21,7 +21,7 @@ pub const END_TO_END: &[(&str, &str)] = &[
 ];
 
 /// Per-layer metrics (traced runs), with units. A layer a workload does
-/// not exercise reports 0.
+/// not exercise reports 0 ([`Report::unexercised`]).
 pub const PER_LAYER: &[(&str, &str)] = &[
     ("lab.cells", "count"),
     ("lab.hits", "count"),
@@ -102,6 +102,18 @@ impl Report {
         self.values.insert(name.into(), value);
     }
 
+    pub fn get(&self, name: &str) -> Option<f64> {
+        self.values.get(name).copied()
+    }
+
+    /// Reports 0 for every per-layer metric of a layer (`prefix`, such as
+    /// `serve.`) the workload does not exercise.
+    pub fn unexercised(&mut self, prefix: &str) {
+        for (name, _) in PER_LAYER.iter().filter(|(n, _)| n.starts_with(prefix)) {
+            self.set(*name, 0.0);
+        }
+    }
+
     /// The median of per-repetition or per-window figures, with their
     /// count.
     pub fn median(&mut self, name: &str, values: &[f64]) {
@@ -132,11 +144,7 @@ impl Report {
         }
         let mut metrics = String::new();
         for (i, (name, unit)) in table.iter().enumerate() {
-            let value = match self.values.get(*name) {
-                Some(v) => *v,
-                None if traced => 0.0,
-                None => return Err(format!("metric {name} was not measured")),
-            };
+            let value = *self.values.get(*name).ok_or(format!("metric {name} was not measured"))?;
             if !value.is_finite() {
                 return Err(format!("metric {name} is not finite: {value}"));
             }
@@ -152,5 +160,36 @@ impl Report {
             self.attempted.max(1)
         );
         Ok((samples, line))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_missing_metric_is_an_error_in_both_modes() {
+        for (traced, table) in [(false, END_TO_END), (true, PER_LAYER)] {
+            let mut r = Report::default();
+            for (name, _) in &table[1..] {
+                r.set(*name, 1.0);
+            }
+            let err = r.render(traced).unwrap_err();
+            assert!(err.contains(table[0].0), "{err}");
+            r.set(table[0].0, 1.0);
+            assert!(r.render(traced).is_ok());
+        }
+    }
+
+    #[test]
+    fn unexercised_layers_report_zero() {
+        let mut r = Report::default();
+        for (name, _) in PER_LAYER.iter().filter(|(n, _)| !n.starts_with("serve.")) {
+            r.set(*name, 1.0);
+        }
+        assert!(r.render(true).is_err());
+        r.unexercised("serve.");
+        let (_, line) = r.render(true).unwrap();
+        assert!(line.contains("\"serve.connect_ms\": {\"value\": 0.0"), "{line}");
     }
 }
