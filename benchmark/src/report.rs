@@ -13,7 +13,7 @@ pub const END_TO_END: &[(&str, &str)] = &[
     ("campaign_s", "s"),
     ("evals_per_s", "1/s"),
     ("req_per_s", "1/s"),
-    ("best_cost_geomean", "J*s"),
+    ("best_cost_geomean", "J.s"),
     ("sim_latency_geomean_cycles", "cycles"),
     ("hit_p50_ms", "ms"),
     ("miss_p50_ms", "ms"),

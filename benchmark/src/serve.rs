@@ -44,8 +44,13 @@ pub fn hot_campaign() -> Campaign {
     }
 }
 
-pub fn hot_spec(seed: u64) -> Result<soma_spec::ExperimentSpec, String> {
-    let mut spec = hot_campaign().spec("serve-hot", seed)?;
+/// Seed of the hot cells, the same at every run seed: a hit's payload, and
+/// so its cost, does not change with the run seed. The run seed sets the
+/// request mix and the misses.
+pub const HOT_SEED: u64 = crate::DEFAULT_SEED;
+
+pub fn hot_spec() -> Result<soma_spec::ExperimentSpec, String> {
+    let mut spec = hot_campaign().spec("serve-hot", HOT_SEED)?;
     spec.config.seed = SearchConfig::default().seed;
     Ok(spec)
 }
@@ -162,13 +167,13 @@ pub struct Req {
 /// with a seed no earlier request used; hits pick a hot cell uniformly.
 pub struct Mix {
     rng: StdRng,
-    hot_seed: u64,
+    run_seed: u64,
     fresh: u64,
 }
 
 impl Mix {
     pub fn new(seed: u64) -> Self {
-        Self { rng: StdRng::seed_from_u64(seed ^ 0x5e5e_5e5e), hot_seed: seed, fresh: 0 }
+        Self { rng: StdRng::seed_from_u64(seed ^ 0x5e5e_5e5e), run_seed: seed, fresh: 0 }
     }
 
     pub fn batch(&mut self) -> Vec<Req> {
@@ -177,12 +182,12 @@ impl Mix {
                 if self.rng.gen_range(0..MISS_ONE_IN) == 0 {
                     self.fresh += 1;
                     let scenario = MISS[self.rng.gen_range(0..MISS.len())].to_string();
-                    // High half from the run seed, low half a counter:
-                    // never equal to the hot seed or an earlier miss.
-                    Req { scenario, seed: (self.hot_seed << 32) | self.fresh, hot: false }
+                    // High half from the run seed, low half a counter from
+                    // 2: never equal to the hot seed or an earlier miss.
+                    Req { scenario, seed: (self.run_seed << 32) | (self.fresh + 1), hot: false }
                 } else {
                     let scenario = HOT[self.rng.gen_range(0..HOT.len())].to_string();
-                    Req { scenario, seed: self.hot_seed, hot: true }
+                    Req { scenario, seed: HOT_SEED, hot: true }
                 }
             })
             .collect()

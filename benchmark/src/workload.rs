@@ -4,6 +4,8 @@
 
 use std::time::{Duration, Instant};
 
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 use soma_serve::{Client, StatsSnapshot};
 use soma_spec::ledger::cell_key;
 use soma_spec::registry;
@@ -24,8 +26,10 @@ const EXPECTED: &str = include_str!("../expected.txt");
 
 /// Warm replays of each finished campaign ledger.
 const WARM_REPLAYS: usize = 10;
-/// Minimum cold repetitions of a campaign.
-const MIN_REPS: usize = 3;
+/// Seeds a campaign run searches with ([`campaign_seeds`]).
+const CAMPAIGN_SEEDS: usize = 4;
+/// Minimum cold repetitions of a campaign at each of its seeds.
+const MIN_ROUNDS: usize = 2;
 /// Daemon launches per serve run; `setup_s` is their median.
 const SETUP_LAUNCHES: usize = 15;
 /// Serve batches per measurement window; every serve end-to-end figure
@@ -122,61 +126,99 @@ pub fn untraced(ctx: &Ctx) -> Result<Report, String> {
     }
 }
 
+/// The campaign seeds of a run: the run seed first, then seeds drawn from
+/// it. Averaging over several seeds keeps one seed's search work from
+/// setting a run's figures.
+fn campaign_seeds(seed: u64) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xca4a_1697);
+    std::iter::once(seed).chain((1..CAMPAIGN_SEEDS).map(|_| u64::from(rng.next_u32()))).collect()
+}
+
+/// Per campaign seed: its outcomes and each repetition's figures.
+struct SeedReps {
+    cells: Vec<CellOutcome>,
+    walls: Vec<f64>,
+    miss_ms: Vec<f64>,
+}
+
 fn campaign_untraced(ctx: &Ctx, name: &str) -> Result<Report, String> {
     let def = campaign_def(name);
-    let spec = def.spec(name, ctx.seed)?;
+    let specs = campaign_seeds(ctx.seed)
+        .into_iter()
+        .map(|s| def.spec(name, s))
+        .collect::<Result<Vec<_>, _>>()?;
     let n = def.scenarios.len();
-    let (mut walls, mut setups, mut warm_walls) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut miss_ms, mut hit_ms) = (Vec::new(), Vec::new());
-    let mut first: Option<Vec<CellOutcome>> = None;
+    let (mut setups, mut warm_walls, mut hit_ms) = (Vec::new(), Vec::new(), Vec::new());
+    let mut peak_rss_mb = Vec::new();
+    let mut per_seed: Vec<Option<SeedReps>> = specs.iter().map(|_| None).collect();
     let history = ctx.work.join("history.ledger");
     campaign::add_history(&history, ctx.seed, CAMPAIGN_HISTORY_ROWS)?;
-    // `peak_rss_mb` is the campaigns' peak, not the history build's.
-    std::fs::write("/proc/self/clear_refs", "5").map_err(|e| format!("resetting VmHWM: {e}"))?;
     let start = Instant::now();
-    while walls.len() < MIN_REPS || start.elapsed().as_secs_f64() < ctx.seconds {
+    // Round-robin over the seeds. Each seed's figures are its own median,
+    // so a last, partial round weighs no seed more than another.
+    let mut reps = 0;
+    while reps < MIN_ROUNDS * specs.len() || start.elapsed().as_secs_f64() < ctx.seconds {
         if start.elapsed() > MAX_MEASURE {
-            return Err(format!(
-                "only {} of {MIN_REPS} repetitions fit the time limit",
-                walls.len()
-            ));
+            return Err(format!("only {reps} repetitions fit the time limit"));
         }
-        let path = ctx.work.join(format!("rep{}.ledger", walls.len()));
+        let (spec, slot) = (&specs[reps % specs.len()], &mut per_seed[reps % specs.len()]);
+        let path = ctx.work.join(format!("rep{reps}.ledger"));
         campaign::copy_ledger(&history, &path)?;
-        let cold = campaign::cold(&spec, &path)?;
-        match &first {
-            None => check_expected(name, ctx.seed, &cold.cells)?,
-            Some(cells) if *cells != cold.cells => {
-                return Err("cell outcomes differ between repetitions of one seed".into())
+        // Each repetition's own peak: the run-wide peak moved with how
+        // the two threads' allocations happened to interleave.
+        std::fs::write("/proc/self/clear_refs", "5")
+            .map_err(|e| format!("resetting VmHWM: {e}"))?;
+        let cold = campaign::cold(spec, &path)?;
+        match slot {
+            None if reps == 0 => check_expected(name, ctx.seed, &cold.cells)?,
+            Some(s) if s.cells != cold.cells => {
+                return Err(format!(
+                    "cell outcomes at seed {} differ between repetitions",
+                    spec.config.seed
+                ))
             }
-            Some(_) => {}
+            _ => {}
         }
         for _ in 0..WARM_REPLAYS {
-            let warm = campaign::warm(&spec, &path, &cold.cells)?;
+            let warm = campaign::warm(spec, &path, &cold.cells)?;
             hit_ms.push(median(&warm.hit_ms));
             warm_walls.push(warm.wall_s);
         }
+        peak_rss_mb.push(vm_hwm_mb("/proc/self/status")?);
         std::fs::remove_dir_all(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        walls.push(cold.wall_s);
         setups.push(cold.setup_s);
-        miss_ms.push(median(&cold.miss_ms));
-        first.get_or_insert(cold.cells);
+        let s = slot.get_or_insert(SeedReps { cells: cold.cells, walls: vec![], miss_ms: vec![] });
+        s.walls.push(cold.wall_s);
+        s.miss_ms.push(median(&cold.miss_ms));
+        reps += 1;
     }
-    let cells = first.expect("at least one repetition");
-    eprintln!("[bench] {name}: {} cold repetitions, campaign_s {walls:?}", walls.len());
+    let seeds: Vec<SeedReps> = per_seed.into_iter().map(|s| s.expect("every seed ran")).collect();
+    for (spec, s) in specs.iter().zip(&seeds) {
+        eprintln!("[bench] {name} seed {}: campaign_s {:?}", spec.config.seed, s.walls);
+    }
 
+    // Per seed, the median over its repetitions; then the mean over seeds.
+    let mean_of_medians = |f: fn(&SeedReps) -> &[f64]| {
+        seeds.iter().map(|s| median(f(s))).sum::<f64>() / seeds.len() as f64
+    };
+    let campaign_s = mean_of_medians(|s| &s.walls);
+    let miss_ms = mean_of_medians(|s| &s.miss_ms);
+    let cells: Vec<CellOutcome> = seeds.into_iter().flat_map(|s| s.cells).collect();
+    let evals: u64 = cells.iter().map(|c| c.evals).sum();
     let mut r = Report::default();
-    let campaign_s = median(&walls);
-    r.set("setup_s", median(&setups));
+    r.median("setup_s", &setups);
     r.set("campaign_s", campaign_s);
-    r.set("evals_per_s", cells.iter().map(|c| c.evals).sum::<u64>() as f64 / campaign_s);
-    r.set("req_per_s", n as f64 / median(&warm_walls));
+    r.set("evals_per_s", evals as f64 / (campaign_s * specs.len() as f64));
+    // Warm replays run in short bursts between cold campaigns, and host
+    // speed changes from burst to burst: a median over replays flipped
+    // with the share of fast bursts, so these two are means over them.
+    r.set("req_per_s", (warm_walls.len() * n) as f64 / warm_walls.iter().sum::<f64>());
     set_quality(&mut r, &cells);
-    // One sample per replay or repetition: its median cell.
-    r.median("hit_p50_ms", &hit_ms);
-    r.median("miss_p50_ms", &miss_ms);
-    r.set("peak_rss_mb", vm_hwm_mb("/proc/self/status")?);
-    r.attempted = (walls.len() * n * (1 + WARM_REPLAYS)) as u64;
+    // Per replay its median cell, then the mean over replays.
+    r.set("hit_p50_ms", hit_ms.iter().sum::<f64>() / hit_ms.len() as f64);
+    r.set("miss_p50_ms", miss_ms);
+    r.median("peak_rss_mb", &peak_rss_mb);
+    r.attempted = (reps * n * (1 + WARM_REPLAYS)) as u64;
     Ok(r)
 }
 
@@ -287,9 +329,9 @@ fn session(ctx: &Ctx, daemon: &Daemon, hot: &serve::HotAnswers) -> Result<Sessio
 
 fn serve_untraced(ctx: &Ctx) -> Result<Report, String> {
     let paths = serve::Paths::new(&ctx.work);
-    let spec = serve::hot_spec(ctx.seed)?;
+    let spec = serve::hot_spec()?;
     let cold = campaign::cold(&spec, &paths.ledger)?;
-    check_expected("serve-mixed", ctx.seed, &cold.cells)?;
+    check_expected("serve-mixed", serve::HOT_SEED, &cold.cells)?;
     let hot = serve::hot_answers(&spec, &paths.ledger)?;
     campaign::add_history(&paths.ledger, ctx.seed, serve::HISTORY_ROWS)?;
 
@@ -370,7 +412,7 @@ fn cold_and_traced(
         }
     }
     let cold = campaign::cold(spec, &paths[0])?;
-    check_expected(name, ctx.seed, &cold.cells)?;
+    check_expected(name, spec.seeds[0], &cold.cells)?;
     let t = campaign::traced(spec, traced_path, trace)?;
     let again = campaign::cold(spec, &paths[1])?;
     if t.cells != cold.cells || again.cells != cold.cells {
@@ -463,7 +505,7 @@ fn check_split(name: &str, r: &Report) -> Result<(), String> {
 
 fn serve_traced(ctx: &Ctx, trace: &mut Trace, r: &mut Report) -> Result<(), String> {
     let paths = serve::Paths::new(&ctx.work);
-    let spec = serve::hot_spec(ctx.seed)?;
+    let spec = serve::hot_spec()?;
     let (cold, untraced_s, t) =
         cold_and_traced("serve-mixed", ctx, &spec, None, &paths.ledger, trace)?;
     set_lab(r, trace, &t, untraced_s);
@@ -539,4 +581,22 @@ fn set_walk(r: &mut Report, ph: &WalkPhases) {
     r.set("dlsa.propose_ns", ph.propose.mean_ns());
     r.set("dlsa.simulate_cost_ns", ph.dlsa_simulate.mean_ns());
     r.set("dlsa.undo_ns", ph.undo.mean_ns());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn campaign_seeds_start_at_the_run_seed_and_repeat() {
+        let seeds = campaign_seeds(7);
+        assert_eq!(seeds.len(), CAMPAIGN_SEEDS);
+        assert_eq!(seeds[0], 7);
+        assert_eq!(seeds, campaign_seeds(7));
+        assert_ne!(seeds[1..], campaign_seeds(8)[1..]);
+        let mut distinct = seeds.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), CAMPAIGN_SEEDS);
+    }
 }
