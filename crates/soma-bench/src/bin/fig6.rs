@@ -42,7 +42,7 @@ fn row(
         r.avg_buffer,
         r.peak_buffer,
         plan.n_lgs(),
-        plan.flgs.len(),
+        plan.n_flgs(),
         plan.tiles.len(),
         plan.dram_tensors.len()
     )

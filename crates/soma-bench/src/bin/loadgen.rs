@@ -163,7 +163,7 @@ fn once(flags: &Flags) -> ExitCode {
 
 /// Prints the daemon's counters as one JSON line on stdout — the CI
 /// chaos gate asserts the failure counters (`panics`, `cancelled`,
-/// `quarantined`) from this output.
+/// `quarantined`, `append_failed`) from this output.
 fn stats(flags: &Flags) -> ExitCode {
     let Some(listen) = &flags.connect else {
         eprintln!("loadgen: --stats needs --connect");
@@ -184,7 +184,7 @@ fn stats(flags: &Flags) -> ExitCode {
             println!(
                 "{{\"inflight\":{},\"served\":{},\"cache_hits\":{},\"rejected\":{},\
                  \"ledger_rows\":{},\"cancelled\":{},\"panics\":{},\"quarantined\":{},\
-                 \"uptime_ms\":{}}}",
+                 \"append_failed\":{},\"uptime_ms\":{}}}",
                 s.inflight,
                 s.served,
                 s.cache_hits,
@@ -193,6 +193,7 @@ fn stats(flags: &Flags) -> ExitCode {
                 s.cancelled,
                 s.panics,
                 s.quarantined,
+                s.append_failed,
                 s.uptime_ms
             );
             ExitCode::SUCCESS

@@ -63,7 +63,7 @@ pub fn csv_rows(rows: &[ExperimentRow]) -> String {
                 r.outcome.evals,
                 r.outcome.rejected,
                 plan.n_lgs(),
-                plan.flgs.len(),
+                plan.n_flgs(),
                 plan.tiles.len(),
                 plan.dram_tensors.len()
             );

@@ -15,6 +15,8 @@
 //! 1. [`parse_lfa`] turns the LFA into a [`ComputePlan`]: the full tile
 //!    sequence (the COMPUTE row of Fig. 4), every tensor requiring DRAM
 //!    interaction, and the on-chip buffer residency of fused feature maps.
+//!    A [`SegmentMemo`] gives the same plans while re-using each fusion
+//!    group's tiles across parses (the stage-1 search path).
 //! 2. A [`Dlsa`] assigns each DRAM tensor its queue position and living
 //!    duration; [`lifetime::buffer_profile`] then yields per-tile buffer
 //!    occupancy and the simulator in `soma-sim` derives exact timing.
@@ -46,9 +48,9 @@ pub use encoding::{Encoding, Lfa};
 pub use error::ParseError;
 pub use ir::{lower, Instr, Program};
 pub use lifetime::OccupancyProfile;
-pub use plan::{parse_lfa, ComputePlan, DramKind, DramTensor, OnchipInterval, Tile};
+pub use plan::{parse_lfa, ComputePlan, DramKind, DramTensor, OnchipInterval, SegmentMemo, Tile};
 pub use scheme::{read_scheme, write_scheme, SchemeError};
-pub use tiles::{FlgLayout, TileGrid, TileShape};
+pub use tiles::{TileGrid, TileShape};
 
 /// A fully parsed schedule: the compute plan plus a validated DLSA.
 ///

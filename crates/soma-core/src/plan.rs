@@ -1,11 +1,27 @@
 //! Stage-1 parsing: LFA -> compute plan (paper Fig. 4(a)).
+//!
+//! A parse splits into two kinds of work. Each FLG's *segment* — every
+//! layer's tile prototype (ops, shape, in/out bytes) and every input's
+//! per-tile bytes — depends only on the FLG's layers (a slice of the
+//! computing order) and its tiling number. Everything else depends on
+//! neighbouring groups and is derived on every parse: FLG and LG indices,
+//! tile positions, which inputs cross an LG, which ofmaps are stored, and
+//! the on-chip intervals.
+//!
+//! [`parse_lfa`] builds every segment afresh. A [`SegmentMemo`] keeps
+//! segments across parses, so a stage-1 proposal, which changes one or
+//! two FLGs, builds only those. Both run the same validation and the
+//! same assembly, so they return identical plans and identical errors
+//! (`tests/segment_equiv.rs` checks this on random mutation chains).
+
+use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 use soma_model::{LayerId, Network, Src};
 
 use crate::encoding::Lfa;
 use crate::error::ParseError;
-use crate::tiles::{FlgLayout, TileShape};
+use crate::tiles::{input_tile_bytes, tile_shapes, TileShape};
 
 /// Largest admissible tiling number (paper schedules never approach this;
 /// it bounds plan size so invalid SA moves stay cheap to reject).
@@ -96,7 +112,7 @@ pub struct OnchipInterval {
 }
 
 /// The result of stage-1 parsing: tile sequence, DRAM tensor set (in
-/// canonical need-order), on-chip buffer residency and the group layouts.
+/// canonical need-order), on-chip buffer residency and group membership.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ComputePlan {
     /// All computing tiles, in execution order.
@@ -107,20 +123,21 @@ pub struct ComputePlan {
     pub dram_tensors: Vec<DramTensor>,
     /// On-chip fused-fmap residency intervals.
     pub onchip: Vec<OnchipInterval>,
-    /// Per-FLG tiling layouts.
-    pub flgs: Vec<FlgLayout>,
     /// FLG index of each layer (indexed by `LayerId`).
     pub flg_of: Vec<u32>,
     /// LG index of each FLG.
     pub lg_of_flg: Vec<u32>,
-    /// Global tile positions of each layer (indexed by `LayerId`).
-    pub tile_pos: Vec<Vec<u32>>,
 }
 
 impl ComputePlan {
     /// Number of tiles in the plan.
     pub fn n_tiles(&self) -> u32 {
         self.tiles.len() as u32
+    }
+
+    /// Number of FLGs.
+    pub fn n_flgs(&self) -> usize {
+        self.lg_of_flg.len()
     }
 
     /// Number of LGs.
@@ -142,12 +159,116 @@ impl ComputePlan {
 /// Parses the layer-fusion-related attributes into a [`ComputePlan`]
 /// (the paper's first parsing stage, Sec. IV-A1).
 ///
+/// Builds every FLG's segment afresh; [`SegmentMemo::parse`] returns the
+/// same plan while re-using the segments of earlier parses.
+///
 /// # Errors
 ///
 /// Returns a [`ParseError`] when the order is not a topological
 /// permutation, cut/tiling attributes are malformed, or a full-input
 /// consumer shares an FLG with its producer.
 pub fn parse_lfa(net: &Network, lfa: &Lfa) -> Result<ComputePlan, ParseError> {
+    let groups = validate(net, lfa)?;
+    let segments: Vec<Segment> = groups
+        .ranges
+        .iter()
+        .zip(&lfa.tiling)
+        .map(|(&(start, end), &tiling)| Segment::build(net, &lfa.order[start..end], tiling))
+        .collect();
+    Ok(assemble(net, lfa, groups, |g| &segments[g]))
+}
+
+/// Entry cap of a [`SegmentMemo`]. A stage-1 search holds a few hundred
+/// segments per network.
+const SEGMENT_MEMO_CAP: usize = 4096;
+
+/// Stage-1 parsing with segment re-use, bound to one network.
+///
+/// A stage-1 proposal changes one or two FLGs of the current LFA, so
+/// nearly every (layers, tiling) pair it parses was parsed before. The
+/// memo keeps each pair's segment — the tile prototypes and per-input
+/// tile bytes, which depend on nothing else — and builds only new ones;
+/// everything that depends on neighbouring groups is derived afresh on
+/// every parse, exactly as [`parse_lfa`] does, so both return identical
+/// plans and identical errors. The memo is cleared before a parse that
+/// would take it past its entry cap.
+#[derive(Debug)]
+pub struct SegmentMemo<'n> {
+    net: &'n Network,
+    cap: usize,
+    /// Segment index by (FLG layers in computing order, tiling number).
+    index: HashMap<(Vec<LayerId>, u32), u32>,
+    segments: Vec<Segment>,
+    /// Lookup key scratch, re-used so a hit allocates nothing.
+    key: (Vec<LayerId>, u32),
+    /// Segment of each FLG of the parse under way.
+    picked: Vec<u32>,
+}
+
+impl<'n> SegmentMemo<'n> {
+    /// An empty memo for `net`.
+    pub fn new(net: &'n Network) -> Self {
+        Self::with_cap(net, SEGMENT_MEMO_CAP)
+    }
+
+    fn with_cap(net: &'n Network, cap: usize) -> Self {
+        Self {
+            net,
+            cap,
+            index: HashMap::new(),
+            segments: Vec::new(),
+            key: (Vec::new(), 0),
+            picked: Vec::new(),
+        }
+    }
+
+    /// Parses `lfa` like [`parse_lfa`], building only the segments this
+    /// memo has not seen.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the [`ParseError`] [`parse_lfa`] returns for `lfa`.
+    pub fn parse(&mut self, lfa: &Lfa) -> Result<ComputePlan, ParseError> {
+        let groups = validate(self.net, lfa)?;
+        if self.segments.len() + groups.ranges.len() > self.cap {
+            self.index.clear();
+            self.segments.clear();
+        }
+        self.picked.clear();
+        for (&(start, end), &tiling) in groups.ranges.iter().zip(&lfa.tiling) {
+            let layers = &lfa.order[start..end];
+            self.key.0.clear();
+            self.key.0.extend_from_slice(layers);
+            self.key.1 = tiling;
+            let id = match self.index.get(&self.key) {
+                Some(&id) => id,
+                None => {
+                    let id = self.segments.len() as u32;
+                    self.segments.push(Segment::build(self.net, layers, tiling));
+                    self.index.insert(self.key.clone(), id);
+                    id
+                }
+            };
+            self.picked.push(id);
+        }
+        let (segments, picked) = (&self.segments, &self.picked);
+        Ok(assemble(self.net, lfa, groups, |g| &segments[picked[g] as usize]))
+    }
+}
+
+/// The FLG structure of a validated LFA.
+struct Groups {
+    /// FLG boundaries as half-open ranges over order positions.
+    ranges: Vec<(usize, usize)>,
+    /// FLG index of each layer.
+    flg_of: Vec<u32>,
+    /// LG index of each FLG.
+    lg_of_flg: Vec<u32>,
+}
+
+/// Checks every structural rule of `lfa` and derives its group
+/// membership.
+fn validate(net: &Network, lfa: &Lfa) -> Result<Groups, ParseError> {
     let n = net.len();
 
     // --- Computing order: permutation + topological. ---
@@ -199,8 +320,10 @@ pub fn parse_lfa(net: &Network, lfa: &Lfa) -> Result<ComputePlan, ParseError> {
     let mut flg_of = vec![0u32; n];
     let mut lg_of_flg = Vec::with_capacity(ranges.len());
     let mut lg = 0u32;
+    // Both sets are sorted and DRAM cuts are FLCs: walk them in step.
+    let mut dram_cuts = lfa.dram_cuts.iter().peekable();
     for (g, &(start, end)) in ranges.iter().enumerate() {
-        if g > 0 && lfa.dram_cuts.contains(&start) {
+        if g > 0 && dram_cuts.next_if_eq(&&start).is_some() {
             lg += 1;
         }
         lg_of_flg.push(lg);
@@ -208,7 +331,6 @@ pub fn parse_lfa(net: &Network, lfa: &Lfa) -> Result<ComputePlan, ParseError> {
             flg_of[lfa.order[p].index()] = g as u32;
         }
     }
-    let lg_of = |id: LayerId| lg_of_flg[flg_of[id.index()] as usize];
 
     // --- Full-input aggregation rule. ---
     for (cid, layer) in net.iter() {
@@ -221,36 +343,50 @@ pub fn parse_lfa(net: &Network, lfa: &Lfa) -> Result<ComputePlan, ParseError> {
         }
     }
 
-    // --- Layouts, tiles, positions. ---
-    let prec = u64::from(net.precision());
-    let mut flgs = Vec::with_capacity(ranges.len());
-    let mut tiles = Vec::new();
-    let mut tile_pos: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (g, &(start, end)) in ranges.iter().enumerate() {
-        let layers: Vec<LayerId> = lfa.order[start..end].to_vec();
-        let layout = FlgLayout::build(net, &layers, lfa.tiling[g]);
-        let t_count = lfa.tiling[g];
+    Ok(Groups { ranges, flg_of, lg_of_flg })
+}
+
+/// The part of one FLG's parse that depends only on its layers (a
+/// computing-order slice) and its tiling number.
+#[derive(Debug)]
+struct Segment {
+    /// Tile prototype of each layer, in computing order (`tile_idx`,
+    /// `flg` and `lg` are set when the plan is assembled).
+    protos: Vec<Tile>,
+    /// Per-tile bytes of every input of every layer, layer by layer.
+    input_bytes: Vec<u64>,
+    /// Where each layer's run starts in `input_bytes`.
+    input_off: Vec<u32>,
+}
+
+impl Segment {
+    fn build(net: &Network, layers: &[LayerId], tiling: u32) -> Self {
+        let prec = u64::from(net.precision());
+        let shapes = tile_shapes(net, layers, tiling);
+        let mut input_bytes = Vec::new();
+        let mut input_off = Vec::with_capacity(layers.len());
         // Per-layer tile quantities are identical across tile indices:
         // compute them once per layer.
-        let protos: Vec<Tile> = layers
+        let protos = layers
             .iter()
-            .enumerate()
-            .map(|(j, &id)| {
+            .zip(shapes)
+            .map(|(&id, shape)| {
                 let layer = net.layer(id);
-                let shape = layout.shapes[j];
                 let ops = ((net.layer_ops(id) as u128 * shape.elems() as u128)
                     / layer.ofmap.elems() as u128) as u64;
-                let in_bytes: u64 = (0..layer.inputs.len())
-                    .map(|idx| layout.input_tile_bytes(net, j, idx, false))
-                    .sum();
+                let first = input_bytes.len();
+                input_off.push(first as u32);
+                input_bytes.extend(
+                    (0..layer.inputs.len()).map(|idx| input_tile_bytes(net, id, &shape, idx)),
+                );
                 Tile {
                     layer: id,
                     tile_idx: 0,
-                    flg: g as u32,
-                    lg: lg_of_flg[g],
+                    flg: 0,
+                    lg: 0,
                     ops,
                     shape,
-                    in_bytes,
+                    in_bytes: input_bytes[first..].iter().sum(),
                     weight_bytes: layer.weight_bytes,
                     out_bytes: shape.elems() * prec,
                     out_bytes_nom: shape.elems_nom() * prec,
@@ -258,122 +394,148 @@ pub fn parse_lfa(net: &Network, lfa: &Lfa) -> Result<ComputePlan, ParseError> {
                 }
             })
             .collect();
-        for &id in &layers {
-            tile_pos[id.index()] = Vec::with_capacity(t_count as usize);
-        }
-        tiles.reserve(t_count as usize * layers.len());
-        for i in 0..t_count {
-            for proto in &protos {
-                let pos = tiles.len() as u32;
-                tile_pos[proto.layer.index()].push(pos);
-                tiles.push(Tile { tile_idx: i, ..*proto });
-            }
-        }
-        flgs.push(layout);
+        Self { protos, input_bytes, input_off }
     }
+}
+
+/// Concatenates the segments of a validated LFA into its plan and derives
+/// everything that depends on neighbouring groups: FLG and LG indices,
+/// tile positions, which inputs cross an LG, which ofmaps are stored, and
+/// the on-chip intervals. `segment(g)` is FLG `g`'s segment.
+fn assemble<'s>(
+    net: &Network,
+    lfa: &Lfa,
+    groups: Groups,
+    segment: impl Fn(usize) -> &'s Segment,
+) -> ComputePlan {
+    let Groups { ranges, flg_of, lg_of_flg } = groups;
+    let n = net.len();
+    let lg_of = |id: LayerId| lg_of_flg[flg_of[id.index()] as usize];
+
+    // --- Tiles: each FLG's prototypes, interleaved tile by tile. ---
+    // A tile's position is arithmetic: FLG base + tile index x group
+    // size + position in the group.
+    let mut flg_base = Vec::with_capacity(ranges.len());
+    let mut in_group = vec![0u32; n];
+    let n_tiles: usize =
+        ranges.iter().zip(&lfa.tiling).map(|(&(s, e), &t)| (e - s) * t as usize).sum();
+    let mut tiles = Vec::with_capacity(n_tiles);
+    for (g, &(start, end)) in ranges.iter().enumerate() {
+        flg_base.push(tiles.len() as u32);
+        for (j, &id) in lfa.order[start..end].iter().enumerate() {
+            in_group[id.index()] = j as u32;
+        }
+        let (flg, lg) = (g as u32, lg_of_flg[g]);
+        for tile_idx in 0..lfa.tiling[g] {
+            tiles.extend(segment(g).protos.iter().map(|p| Tile { tile_idx, flg, lg, ..*p }));
+        }
+    }
+    let group_size = |g: usize| (ranges[g].1 - ranges[g].0) as u32;
+    let row = |g: usize, tile_idx: u32| flg_base[g] + tile_idx * group_size(g);
+    let pos = |id: LayerId, tile_idx: u32| {
+        row(flg_of[id.index()] as usize, tile_idx) + in_group[id.index()]
+    };
+    let last_pos = |id: LayerId| pos(id, lfa.tiling[flg_of[id.index()] as usize] - 1);
 
     // --- DRAM tensors in canonical need-order, plus on-chip intervals. ---
     // Pre-derive, per layer: which inputs cross an LG boundary (with their
-    // per-tile load bytes) and whether its ofmap must be stored.
-    struct LayerDram {
-        crossing_inputs: Vec<(u32, u64)>, // (input index, bytes per tile)
-        stores: bool,
-    }
-    let mut per_layer: Vec<LayerDram> = Vec::with_capacity(n);
+    // per-tile load bytes; layer `i`'s run is `crossing[cross_off[i]..
+    // cross_off[i + 1]]`) and whether its ofmap must be stored.
+    let mut crossing: Vec<(u32, u64)> = Vec::new();
+    let mut cross_off = Vec::with_capacity(n + 1);
+    let mut stores = Vec::with_capacity(n);
+    let mut n_tensors = 0usize;
+    cross_off.push(0);
     for (id, layer) in net.iter() {
         let g = flg_of[id.index()] as usize;
-        let layout = &flgs[g];
-        let j = layout.layers.iter().position(|&l| l == id).expect("layer belongs to its FLG");
-        let crossing_inputs = layer
-            .inputs
-            .iter()
-            .enumerate()
-            .filter(|&(_, &src)| match src {
+        let seg = segment(g);
+        let bytes = &seg.input_bytes[seg.input_off[in_group[id.index()] as usize] as usize..];
+        for (idx, &src) in layer.inputs.iter().enumerate() {
+            let crosses = match src {
                 Src::External(_) => true,
                 Src::Layer(p) => lg_of(p) != lg_of(id),
-            })
-            .map(|(idx, _)| (idx as u32, layout.input_tile_bytes(net, j, idx, false)))
-            .collect();
-        let stores = net.is_output(id) || net.consumers(id).iter().any(|&c| lg_of(c) != lg_of(id));
-        per_layer.push(LayerDram { crossing_inputs, stores });
+            };
+            if crosses {
+                crossing.push((idx as u32, bytes[idx]));
+            }
+        }
+        let store = net.is_output(id) || net.consumers(id).iter().any(|&c| lg_of(c) != lg_of(id));
+        let per_tile = crossing.len() - cross_off[id.index()] + usize::from(store);
+        n_tensors += usize::from(layer.weight_bytes > 0) + per_tile * lfa.tiling[g] as usize;
+        cross_off.push(crossing.len());
+        stores.push(store);
     }
-    let mut dram_tensors = Vec::new();
-    for (pos, tile) in tiles.iter().enumerate() {
-        let pos = pos as u32;
+    let mut dram_tensors = Vec::with_capacity(n_tensors);
+    for (at, tile) in tiles.iter().enumerate() {
+        let at = at as u32;
         let id = tile.layer;
-        let ld = &per_layer[id.index()];
         // Weights load at the layer's first tile.
         if tile.tile_idx == 0 && tile.weight_bytes > 0 {
-            let positions = &tile_pos[id.index()];
             dram_tensors.push(DramTensor {
                 kind: DramKind::Weight(id),
                 bytes: tile.weight_bytes,
                 is_load: true,
-                anchor: positions[0],
-                last_use: *positions.last().expect("layer has at least one tile"),
+                anchor: at,
+                last_use: last_pos(id),
             });
         }
         // Ifmap loads for LG-crossing or external inputs.
-        for &(idx, bytes) in &ld.crossing_inputs {
+        for &(idx, bytes) in &crossing[cross_off[id.index()]..cross_off[id.index() + 1]] {
             dram_tensors.push(DramTensor {
                 kind: DramKind::Ifmap { layer: id, tile: tile.tile_idx, input: idx },
                 bytes,
                 is_load: true,
-                anchor: pos,
-                last_use: pos,
+                anchor: at,
+                last_use: at,
             });
         }
         // Ofmap store if the output leaves the LG (or the network).
-        if ld.stores {
+        if stores[id.index()] {
             dram_tensors.push(DramTensor {
                 kind: DramKind::Ofmap { layer: id, tile: tile.tile_idx },
                 bytes: tile.out_bytes_nom,
                 is_load: false,
-                anchor: pos,
-                last_use: pos,
+                anchor: at,
+                last_use: at,
             });
         }
     }
 
-    // On-chip residency, from the producer side.
+    // On-chip residency, from the producer side: over the consumers in
+    // the producer's LG, whether all share its FLG, the furthest
+    // in-group position and the latest last tile.
     let mut onchip = Vec::new();
     for (pid, _) in net.iter() {
-        let same_lg: Vec<LayerId> =
-            net.consumers(pid).iter().copied().filter(|&c| lg_of(c) == lg_of(pid)).collect();
-        if same_lg.is_empty() {
+        let g = flg_of[pid.index()] as usize;
+        let (mut any, mut same_flg, mut reach, mut to) = (false, true, 0, 0);
+        for &c in net.consumers(pid) {
+            if lg_of(c) == lg_of(pid) {
+                any = true;
+                same_flg &= flg_of[c.index()] as usize == g;
+                reach = reach.max(in_group[c.index()]);
+                to = to.max(last_pos(c));
+            }
+        }
+        if !any {
             continue;
         }
-        let all_same_flg = same_lg.iter().all(|&c| flg_of[c.index()] == flg_of[pid.index()]);
-        let p_positions = &tile_pos[pid.index()];
-        if all_same_flg {
-            // Tile-wise hand-off within the FLG (Fig. 2 style).
-            let g = flg_of[pid.index()] as usize;
-            let layout = &flgs[g];
-            let j = layout.layers.iter().position(|&l| l == pid).expect("member");
-            let bytes = layout.shapes[j].elems() * prec;
-            for (i, &from) in p_positions.iter().enumerate() {
-                let to = same_lg
-                    .iter()
-                    .map(|&c| tile_pos[c.index()][i])
-                    .max()
-                    .expect("non-empty consumer set");
-                onchip.push(OnchipInterval { from, to, bytes });
+        if same_flg {
+            // Tile-wise hand-off within the FLG (Fig. 2 style): tile i of
+            // every consumer sits in the producer's row i.
+            let j = in_group[pid.index()];
+            let bytes = segment(g).protos[j as usize].out_bytes;
+            for tile_idx in 0..lfa.tiling[g] {
+                let base = row(g, tile_idx);
+                onchip.push(OnchipInterval { from: base + j, to: base + reach, bytes });
             }
         } else {
             // The full ofmap accumulates across an FLC (paper: the
             // producing FLG must aggregate before the consuming FLG runs).
-            let from = p_positions[0];
-            let to = same_lg
-                .iter()
-                .map(|&c| *tile_pos[c.index()].last().expect("tiles"))
-                .max()
-                .expect("non-empty consumer set");
-            let bytes = net.ofmap_bytes(pid);
-            onchip.push(OnchipInterval { from, to, bytes });
+            onchip.push(OnchipInterval { from: pos(pid, 0), to, bytes: net.ofmap_bytes(pid) });
         }
     }
 
-    Ok(ComputePlan { tiles, dram_tensors, onchip, flgs, flg_of, lg_of_flg, tile_pos })
+    ComputePlan { tiles, dram_tensors, onchip, flg_of, lg_of_flg }
 }
 
 #[cfg(test)]
@@ -477,6 +639,34 @@ mod tests {
         assert_eq!(w0.anchor, 0);
         assert_eq!(w0.last_use, 9); // layer 0's 4th tile sits at position 9
         assert!(w0.is_load);
+    }
+
+    #[test]
+    fn memo_cleared_at_its_cap_parses_like_parse_lfa() {
+        // Every FLC pattern of a 6-layer chain, with varied DRAM cuts and
+        // tilings: far more distinct segments than any cap below.
+        let net = zoo::chain(1, 16, 28, 6);
+        let n = net.len();
+        for cap in [1, 4, 16] {
+            let mut memo = SegmentMemo::with_cap(&net, cap);
+            let mut clears = 0;
+            for mask in 0..1usize << (n - 1) {
+                let mut lfa = Lfa::fully_fused(&net, 1);
+                lfa.flc = (1..n).filter(|p| mask & (1 << (p - 1)) != 0).collect();
+                lfa.dram_cuts = lfa.flc.iter().copied().filter(|p| (p + mask) % 3 == 0).collect();
+                lfa.tiling = (0..lfa.flg_count()).map(|g| 1 << ((mask + g) % 4)).collect();
+                let before = memo.segments.len();
+                let got = memo.parse(&lfa).unwrap();
+                let want = parse_lfa(&net, &lfa).unwrap();
+                assert_eq!(got.tiles, want.tiles, "cap {cap} mask {mask}");
+                assert_eq!(got.dram_tensors, want.dram_tensors, "cap {cap} mask {mask}");
+                assert_eq!(got.onchip, want.onchip, "cap {cap} mask {mask}");
+                assert_eq!(got.flg_of, want.flg_of, "cap {cap} mask {mask}");
+                assert_eq!(got.lg_of_flg, want.lg_of_flg, "cap {cap} mask {mask}");
+                clears += usize::from(memo.segments.len() < before);
+            }
+            assert!(clears > 0, "cap {cap} was never reached");
+        }
     }
 
     #[test]

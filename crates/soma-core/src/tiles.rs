@@ -80,110 +80,84 @@ impl TileShape {
     }
 }
 
-/// The complete tiling layout of one FLG: the grid, each layer's halo
-/// extension, and each layer's per-tile output shape.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FlgLayout {
-    /// Layers of the FLG in computing order.
-    pub layers: Vec<LayerId>,
-    /// Tiling number.
-    pub tiling: u32,
-    /// Chosen split of the tiling number.
-    pub grid: TileGrid,
-    /// Halo extension `(eh, ew)` of each layer (extra output elements each
-    /// tile must produce for downstream in-group consumers).
-    pub ext: Vec<(u32, u32)>,
-    /// Per-tile output shape of each layer.
-    pub shapes: Vec<TileShape>,
+/// Per-tile output shape of each layer of an FLG: `layers` is a
+/// contiguous computing-order segment tiled with tiling number `tiling`.
+///
+/// The grid reference is the layer with the largest ofmap spatial
+/// extent, so early high-resolution layers dominate the split choice.
+/// Each shape includes the layer's halo extension: the extra output
+/// elements its tiles must produce for downstream in-group consumers.
+pub(crate) fn tile_shapes(net: &Network, layers: &[LayerId], tiling: u32) -> Vec<TileShape> {
+    let reference = layers
+        .iter()
+        .map(|&id| net.layer(id).ofmap)
+        .max_by_key(|s| s.spatial())
+        .expect("FLG cannot be empty");
+    let grid = TileGrid::choose(tiling, reference.n, reference.h, reference.w);
+
+    // Backward halo accumulation: consumers inside the same FLG push
+    // their requirement through their own kernels.
+    let mut ext = vec![(0u32, 0u32); layers.len()];
+    let pos_of = |id: LayerId| layers.iter().position(|&l| l == id);
+    for i in (0..layers.len()).rev() {
+        let id = layers[i];
+        let mut eh = 0;
+        let mut ew = 0;
+        for &cons in net.consumers(id) {
+            if let Some(j) = pos_of(cons) {
+                if j <= i {
+                    continue; // within-order sanity; parse validates
+                }
+                let ck = net.layer(cons).kind;
+                let (kh, sh) = ck.spatial_h();
+                let (kw, sw) = ck.spatial_w();
+                eh = eh.max(back_extend(ext[j].0, kh, sh));
+                ew = ew.max(back_extend(ext[j].1, kw, sw));
+            }
+        }
+        ext[i] = (eh, ew);
+    }
+
+    layers
+        .iter()
+        .zip(&ext)
+        .map(|(&id, &(eh, ew))| {
+            let of = net.layer(id).ofmap;
+            let n = tile_extent(of.n, grid.tb.min(of.n));
+            let h_nom = tile_extent(of.h, grid.th.min(of.h));
+            let w_nom = tile_extent(of.w, grid.tw.min(of.w));
+            TileShape {
+                n,
+                c: of.c,
+                h: (h_nom + eh).min(of.h),
+                w: (w_nom + ew).min(of.w),
+                h_nom,
+                w_nom,
+            }
+        })
+        .collect()
 }
 
-impl FlgLayout {
-    /// Builds the layout for `layers` (a contiguous computing-order
-    /// segment) with tiling number `tiling`.
-    ///
-    /// The grid reference is the layer with the largest ofmap spatial
-    /// extent, so early high-resolution layers dominate the split choice.
-    pub fn build(net: &Network, layers: &[LayerId], tiling: u32) -> Self {
-        let reference = layers
-            .iter()
-            .map(|&id| net.layer(id).ofmap)
-            .max_by_key(|s| s.spatial())
-            .expect("FLG cannot be empty");
-        let grid = TileGrid::choose(tiling, reference.n, reference.h, reference.w);
-
-        // Backward halo accumulation: consumers inside the same FLG push
-        // their requirement through their own kernels.
-        let mut ext = vec![(0u32, 0u32); layers.len()];
-        let pos_of = |id: LayerId| layers.iter().position(|&l| l == id);
-        for i in (0..layers.len()).rev() {
-            let id = layers[i];
-            let mut eh = 0;
-            let mut ew = 0;
-            for &cons in net.consumers(id) {
-                if let Some(j) = pos_of(cons) {
-                    if j <= i {
-                        continue; // within-order sanity; parse validates
-                    }
-                    let ck = net.layer(cons).kind;
-                    let (kh, sh) = ck.spatial_h();
-                    let (kw, sw) = ck.spatial_w();
-                    eh = eh.max(back_extend(ext[j].0, kh, sh));
-                    ew = ew.max(back_extend(ext[j].1, kw, sw));
-                }
-            }
-            ext[i] = (eh, ew);
-        }
-
-        let shapes = layers
-            .iter()
-            .zip(&ext)
-            .map(|(&id, &(eh, ew))| {
-                let of = net.layer(id).ofmap;
-                let n = tile_extent(of.n, grid.tb.min(of.n));
-                let h_nom = tile_extent(of.h, grid.th.min(of.h));
-                let w_nom = tile_extent(of.w, grid.tw.min(of.w));
-                TileShape {
-                    n,
-                    c: of.c,
-                    h: (h_nom + eh).min(of.h),
-                    w: (w_nom + ew).min(of.w),
-                    h_nom,
-                    w_nom,
-                }
-            })
-            .collect();
-
-        Self { layers: layers.to_vec(), tiling, grid, ext, shapes }
+/// Bytes of the input region a tile of layer `id` with output `shape`
+/// needs from input source `input_idx`, under the network's precision
+/// (the whole batch-tiled operand for inputs the layer needs in full).
+pub(crate) fn input_tile_bytes(
+    net: &Network,
+    id: LayerId,
+    shape: &TileShape,
+    input_idx: usize,
+) -> u64 {
+    let l = net.layer(id);
+    let src = net.src_shape(l.inputs[input_idx]);
+    let prec = u64::from(net.precision());
+    if l.kind.needs_full_input(input_idx) {
+        return u64::from(shape.n) * u64::from(src.c) * u64::from(src.h) * u64::from(src.w) * prec;
     }
-
-    /// Bytes of the input region a tile of `layer_idx` (position within
-    /// this FLG) needs from input source `input_idx`, under the network's
-    /// precision. `full` requests the whole (batch-tiled) operand.
-    pub fn input_tile_bytes(
-        &self,
-        net: &Network,
-        layer_idx: usize,
-        input_idx: usize,
-        full: bool,
-    ) -> u64 {
-        let id = self.layers[layer_idx];
-        let l = net.layer(id);
-        let src = net.src_shape(l.inputs[input_idx]);
-        let shape = &self.shapes[layer_idx];
-        let prec = u64::from(net.precision());
-        if full || l.kind.needs_full_input(input_idx) {
-            return u64::from(shape.n)
-                * u64::from(src.c)
-                * u64::from(src.h)
-                * u64::from(src.w)
-                * prec;
-        }
-        let (kh, sh) = l.kind.spatial_h();
-        let (kw, sw) = l.kind.spatial_w();
-        let ih = in_extent(shape.h, kh, sh).min(src.h);
-        let iw = in_extent(shape.w, kw, sw).min(src.w);
-        u64::from(shape.n) * u64::from(src.c) * u64::from(ih) * u64::from(iw) * prec
-    }
+    let (kh, sh) = l.kind.spatial_h();
+    let (kw, sw) = l.kind.spatial_w();
+    let ih = in_extent(shape.h, kh, sh).min(src.h);
+    let iw = in_extent(shape.w, kw, sw).min(src.w);
+    u64::from(shape.n) * u64::from(src.c) * u64::from(ih) * u64::from(iw) * prec
 }
 
 #[cfg(test)]
@@ -216,24 +190,29 @@ mod tests {
         assert_eq!(g.th, 16);
     }
 
+    /// Halo extension `(h - h_nom, w - w_nom)` of each shape.
+    fn halo(shapes: &[TileShape]) -> Vec<(u32, u32)> {
+        shapes.iter().map(|s| (s.h - s.h_nom, s.w - s.w_nom)).collect()
+    }
+
     #[test]
     fn halo_accumulates_backwards() {
         // fig2: three 3x3 stride-1 convs fused; extensions 4, 2, 0.
         let net = zoo::fig2(1);
         let layers: Vec<_> = net.iter().map(|(id, _)| id).collect();
-        let layout = FlgLayout::build(&net, &layers, 4);
-        assert_eq!(layout.ext, vec![(4, 4), (2, 2), (0, 0)]);
+        let shapes = tile_shapes(&net, &layers, 4);
+        assert_eq!(halo(&shapes), vec![(4, 4), (2, 2), (0, 0)]);
         // 56x56 split 2x2 -> nominal 28, A's tile is 28+4 = 32.
-        assert_eq!(layout.shapes[0].h, 32);
-        assert_eq!(layout.shapes[0].h_nom, 28);
-        assert_eq!(layout.shapes[2].h, 28);
+        assert_eq!(shapes[0].h, 32);
+        assert_eq!(shapes[0].h_nom, 28);
+        assert_eq!(shapes[2].h, 28);
     }
 
     #[test]
     fn single_layer_flg_has_no_halo() {
         let net = zoo::fig2(1);
-        let layout = FlgLayout::build(&net, &[soma_model::LayerId(1)], 4);
-        assert_eq!(layout.ext, vec![(0, 0)]);
+        let shapes = tile_shapes(&net, &[soma_model::LayerId(1)], 4);
+        assert_eq!(halo(&shapes), vec![(0, 0)]);
     }
 
     #[test]
@@ -241,8 +220,7 @@ mod tests {
         let net = zoo::fig2(1);
         let layers: Vec<_> = net.iter().map(|(id, _)| id).collect();
         // Extreme tiling: tiles stay within the feature map.
-        let layout = FlgLayout::build(&net, &layers, 64);
-        for s in &layout.shapes {
+        for s in &tile_shapes(&net, &layers, 64) {
             assert!(s.h <= 56 && s.w <= 56);
             assert!(s.h >= s.h_nom);
         }
@@ -252,9 +230,9 @@ mod tests {
     fn input_bytes_include_receptive_field() {
         let net = zoo::fig2(1);
         let layers: Vec<_> = net.iter().map(|(id, _)| id).collect();
-        let layout = FlgLayout::build(&net, &layers, 4);
+        let shapes = tile_shapes(&net, &layers, 4);
         // Layer A tile: out 32x32 (halo), 3x3 s1 conv -> input 34x34 of 32ch.
-        let bytes = layout.input_tile_bytes(&net, 0, 0, false);
+        let bytes = input_tile_bytes(&net, layers[0], &shapes[0], 0);
         assert_eq!(bytes, 32 * 34 * 34);
     }
 }

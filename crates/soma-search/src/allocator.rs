@@ -61,7 +61,7 @@ impl SearchOutcome {
             .expect("best scheme parses by construction");
         SchemeShape {
             lgs: plan.n_lgs(),
-            flgs: plan.flgs.len(),
+            flgs: plan.n_flgs(),
             tiles: plan.tiles.len(),
             dram_tensors: plan.dram_tensors.len(),
         }

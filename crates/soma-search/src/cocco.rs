@@ -45,7 +45,12 @@ pub fn initial_cocco(net: &Network, hw: &HardwareConfig) -> Lfa {
 
 /// One Cocco mutation: move a layer, or add/delete a fused-group cut
 /// (FLC and DRAM cut always together).
-fn mutate_cocco(net: &Network, hw: &HardwareConfig, lfa: &Lfa, rng: &mut StdRng) -> Option<Lfa> {
+pub fn mutate_cocco(
+    net: &Network,
+    hw: &HardwareConfig,
+    lfa: &Lfa,
+    rng: &mut StdRng,
+) -> Option<Lfa> {
     let n = lfa.order.len();
     let mut out = match rng.gen_range(0..3u8) {
         // Change computing order (same as SoMa's operator).

@@ -1,9 +1,9 @@
 //! The optimisation objective: `Energy^n x Delay^m` with buffer-budget
 //! penalties.
 //!
-//! The objective owns the evaluation engine's shared state — the memoised
-//! core-array model and the [`SimScratch`] workspace — and exposes two
-//! families of entry points:
+//! The objective owns the evaluation engine's shared state — the stage-1
+//! [`SegmentMemo`], the memoised core-array model and the [`SimScratch`]
+//! workspace — and exposes two families of entry points:
 //!
 //! * **Full evaluations** ([`eval_parts`](Objective::eval_parts),
 //!   [`eval_lfa`](Objective::eval_lfa)) build a complete [`EvalReport`];
@@ -18,7 +18,7 @@
 
 use serde::{Deserialize, Serialize};
 use soma_arch::HardwareConfig;
-use soma_core::{lifetime, parse_lfa, ComputePlan, Dlsa, Encoding, Lfa};
+use soma_core::{lifetime, ComputePlan, Dlsa, Encoding, Lfa, SegmentMemo};
 use soma_model::Network;
 use soma_sim::{evaluate_parts, CompiledPlan, CoreArrayModel, EvalReport, SimScratch};
 
@@ -51,12 +51,15 @@ pub struct Evaluated {
 }
 
 /// Objective function bound to one network + hardware pair, owning the
-/// memoised core-array model and the engine scratch.
+/// stage-1 segment memo, the memoised core-array model and the engine
+/// scratch. One objective serves one search seed; nothing in it is
+/// shared.
 #[derive(Debug)]
 pub struct Objective<'a> {
     net: &'a Network,
     hw: &'a HardwareConfig,
     weights: CostWeights,
+    segments: SegmentMemo<'a>,
     model: CoreArrayModel<'a>,
     scratch: SimScratch,
     evals: u64,
@@ -70,6 +73,7 @@ impl<'a> Objective<'a> {
             net,
             hw,
             weights,
+            segments: SegmentMemo::new(net),
             model: CoreArrayModel::new(hw),
             scratch: SimScratch::new(),
             evals: 0,
@@ -102,7 +106,7 @@ impl<'a> Objective<'a> {
     }
 
     /// Compiles a frozen plan for the engine fast path. The memoised
-    /// core-array model is consulted once per tile here; subsequent
+    /// core-array model is consulted once per layer here; subsequent
     /// [`eval_compiled_with_peak`](Self::eval_compiled_with_peak) calls
     /// never touch it.
     pub fn compile(&mut self, plan: &ComputePlan) -> CompiledPlan {
@@ -166,6 +170,17 @@ impl<'a> Objective<'a> {
         Some((cost, report))
     }
 
+    /// Parses an LFA through the segment memo (only FLGs this objective
+    /// has not parsed before are built), counting a structurally invalid
+    /// LFA as rejected.
+    fn parse(&mut self, lfa: &Lfa) -> Option<ComputePlan> {
+        let plan = self.segments.parse(lfa).ok();
+        if plan.is_none() {
+            self.rejected += 1;
+        }
+        plan
+    }
+
     /// Parses and evaluates an LFA under the double-buffer DLSA (the
     /// stage-1 view), full report. Returns `None` for structurally
     /// invalid LFAs.
@@ -174,10 +189,7 @@ impl<'a> Objective<'a> {
         lfa: &Lfa,
         buffer_limit: u64,
     ) -> Option<(f64, ComputePlan, Dlsa, EvalReport)> {
-        let Ok(plan) = parse_lfa(self.net, lfa) else {
-            self.rejected += 1;
-            return None;
-        };
+        let plan = self.parse(lfa)?;
         let dlsa = Dlsa::double_buffer(&plan);
         let (cost, report) = self.eval_parts(&plan, &dlsa, buffer_limit)?;
         Some((cost, plan, dlsa, report))
@@ -188,10 +200,7 @@ impl<'a> Objective<'a> {
     /// peak from the shared scratch. Bit-identical to
     /// [`eval_lfa`](Self::eval_lfa)'s cost, without building the report.
     pub fn eval_lfa_cost(&mut self, lfa: &Lfa, buffer_limit: u64) -> Option<f64> {
-        let Ok(plan) = parse_lfa(self.net, lfa) else {
-            self.rejected += 1;
-            return None;
-        };
+        let plan = self.parse(lfa)?;
         let dlsa = Dlsa::double_buffer(&plan);
         let compiled = self.compile(&plan);
         match compiled.simulate_cost(&dlsa, &mut self.scratch) {

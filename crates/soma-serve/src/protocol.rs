@@ -306,6 +306,9 @@ pub struct StatsSnapshot {
     /// Corrupt ledger rows quarantined when the daemon loaded its
     /// ledger.
     pub quarantined: u64,
+    /// Fresh results whose ledger append failed: the client still got
+    /// the result, but it was not cached.
+    pub append_failed: u64,
     /// Milliseconds since the daemon started accepting connections
     /// (gauge — monotonically increasing, resets on restart).
     pub uptime_ms: u64,
@@ -411,6 +414,7 @@ impl Response {
                 o.push("cancelled", s.cancelled.into());
                 o.push("panics", s.panics.into());
                 o.push("quarantined", s.quarantined.into());
+                o.push("append_failed", s.append_failed.into());
                 o.push("uptime_ms", s.uptime_ms.into());
             }
             Response::Error { detail } => {
@@ -482,6 +486,7 @@ impl Response {
                 cancelled: v.get("cancelled").and_then(Value::as_u64).unwrap_or(0),
                 panics: v.get("panics").and_then(Value::as_u64).unwrap_or(0),
                 quarantined: v.get("quarantined").and_then(Value::as_u64).unwrap_or(0),
+                append_failed: v.get("append_failed").and_then(Value::as_u64).unwrap_or(0),
                 uptime_ms: v.get("uptime_ms").and_then(Value::as_u64).unwrap_or(0),
             })),
             "error" => Ok(Response::Error { detail: get_str(v, "detail")? }),
@@ -560,6 +565,7 @@ mod tests {
                 cancelled: 5,
                 panics: 6,
                 quarantined: 7,
+                append_failed: 9,
                 uptime_ms: 8,
             }),
             Response::Error { detail: "bad json".into() },
@@ -619,7 +625,10 @@ mod tests {
         let Response::Stats(s) = Response::from_json(&parse_line(line).unwrap()).unwrap() else {
             panic!("expected stats");
         };
-        assert_eq!((s.cancelled, s.panics, s.quarantined, s.uptime_ms), (0, 0, 0, 0));
+        assert_eq!(
+            (s.cancelled, s.panics, s.quarantined, s.append_failed, s.uptime_ms),
+            (0, 0, 0, 0, 0)
+        );
         assert_eq!(s.served, 9);
     }
 }

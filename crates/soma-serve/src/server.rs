@@ -92,6 +92,8 @@ struct Shared {
     panics: AtomicU64,
     /// Corrupt rows quarantined when the ledger loaded (fixed at start).
     quarantined: u64,
+    /// Fresh results whose ledger append failed.
+    append_failed: AtomicU64,
     /// When the daemon started accepting connections — the `uptime_ms`
     /// gauge in stats frames measures from here.
     started: Instant,
@@ -123,6 +125,7 @@ impl Shared {
             cancelled: self.cancelled.load(Ordering::SeqCst),
             panics: self.panics.load(Ordering::SeqCst),
             quarantined: self.quarantined,
+            append_failed: self.append_failed.load(Ordering::SeqCst),
             uptime_ms: self.started.elapsed().as_millis() as u64,
         }
     }
@@ -209,6 +212,7 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         cancelled: AtomicU64::new(0),
         panics: AtomicU64::new(0),
         quarantined: health.quarantined as u64,
+        append_failed: AtomicU64::new(0),
         started: Instant::now(),
         stop: AtomicBool::new(false),
         draining: AtomicBool::new(false),
@@ -531,8 +535,10 @@ fn handle_submit(writer: &mut Stream, shared: &Shared, submit: SubmitRequest) ->
         // the outcome is correct either way, the cache just won't have
         // it until someone recomputes — and the next load repairs any
         // torn tail the failure left behind.
-        if ledger.lookup(&hash).is_none() {
-            let _ = ledger.append(LedgerRow::new(&cell, &hash, outcome.clone()));
+        if ledger.lookup(&hash).is_none()
+            && ledger.append(LedgerRow::new(&cell, &hash, outcome.clone())).is_err()
+        {
+            shared.append_failed.fetch_add(1, Ordering::SeqCst);
         }
     }
     shared.served.fetch_add(1, Ordering::SeqCst);

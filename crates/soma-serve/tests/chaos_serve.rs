@@ -1,5 +1,6 @@
 //! Chaos suite for the serve daemon: injected connection drops, search
-//! panics, deadlines, client disconnects and pre-corrupted ledgers —
+//! panics, failed ledger appends, deadlines, client disconnects and
+//! pre-corrupted ledgers —
 //! every failure must be **typed, counted, isolated, and recoverable by
 //! a retrying client**, and results must stay bit-identical to a
 //! fault-free daemon's.
@@ -117,6 +118,35 @@ fn injected_search_panic_is_isolated_counted_and_the_daemon_survives() {
     let stats = handle.stats();
     assert_eq!(stats.panics, 1);
     assert_eq!(stats.served, 1);
+    handle.shutdown();
+}
+
+#[test]
+fn a_failed_ledger_append_still_answers_the_client_and_is_counted() {
+    // The first append fails outright; every later one is clean.
+    let plan = Arc::new(FaultPlan::scripted([(site::LEDGER_APPEND, 0, Fault::FsyncError)]));
+    let (handle, _ledger) = server("append-failed", Some(plan));
+    let mut client = Client::connect(handle.listen()).unwrap();
+
+    let first = client.submit(quick("unlucky", 5, None)).unwrap();
+    assert!(first.succeeded(), "{:?}", first.rejection);
+    assert!(!first.cached);
+    let stats = handle.stats();
+    assert_eq!(stats.append_failed, 1);
+    assert_eq!(stats.served, 1);
+    assert_eq!(stats.ledger_rows, 0, "a failed append caches nothing");
+
+    // The same request recomputes the same outcome and caches it.
+    let again = client.submit(quick("again", 5, None)).unwrap();
+    assert!(!again.cached);
+    assert_eq!(
+        outcome_to_string(again.outcome.as_ref().unwrap()),
+        outcome_to_string(first.outcome.as_ref().unwrap()),
+    );
+    let warm = client.submit(quick("warm", 5, None)).unwrap();
+    assert!(warm.cached);
+    let stats = handle.stats();
+    assert_eq!((stats.append_failed, stats.ledger_rows), (1, 1));
     handle.shutdown();
 }
 

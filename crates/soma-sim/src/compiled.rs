@@ -11,7 +11,10 @@
 //!
 //! [`CompiledPlan::compile`] hoists the invariants out once:
 //!
-//! * `tile_cost` / `tensor_dur` — flat arrays, no hashing on the hot path;
+//! * `tile_cost` / `tensor_dur` — flat arrays, no hashing on the hot path.
+//!   Compiling asks the memoised core-array model once per layer, not
+//!   once per tile (every tile of a layer shares one shape), because
+//!   stage 1 compiles a fresh plan for every proposal;
 //! * the *load* gate table in flat CSR layout (loads gate the tile of
 //!   their first use, which is plan-fixed; store gates move with the DLSA
 //!   and live in the scratch);
@@ -29,10 +32,10 @@
 //! on random mutation chains).
 
 use soma_arch::HardwareConfig;
-use soma_core::{lifetime, ComputePlan, Dlsa};
+use soma_core::{lifetime, ComputePlan, Dlsa, TileShape};
 use soma_model::Network;
 
-use crate::core_array::CoreArrayModel;
+use crate::core_array::{CoreArrayModel, TileCost};
 use crate::report::{EnergyBreakdown, EvalReport};
 use crate::timeline::{SimError, Timeline};
 
@@ -126,15 +129,13 @@ pub struct CompiledPlan {
     compute_busy: u64,
     /// Sum of DRAM transfer durations.
     dram_busy: u64,
-    /// Total network operations (for utilisation metrics).
-    net_ops: u64,
     /// Peak MAC throughput of the hardware, ops/cycle.
     peak_ops_per_cycle: u64,
 }
 
 impl CompiledPlan {
     /// Precomputes every plan-invariant quantity. The memoised
-    /// `model` is consulted once per tile; subsequent evaluations never
+    /// `model` is consulted once per layer; subsequent evaluations never
     /// touch it.
     pub fn compile(
         net: &Network,
@@ -145,13 +146,20 @@ impl CompiledPlan {
         let n_tiles = plan.tiles.len();
         let n_tensors = plan.dram_tensors.len();
 
-        // One memoised-model query per tile, feeding both the cost array
-        // and the energy sum (summed in the same tile order as
-        // `evaluate_parts`, so the float total is bit-identical).
+        // Every tile of a layer shares one shape, so the model (a hash
+        // lookup) is asked once per layer; the local memo is keyed on
+        // (layer, shape) like the model's own, so it holds for any plan.
+        // The costs feed both the cost array and the energy sum (summed
+        // tile by tile in plan order as in `evaluate_parts`, so the float
+        // total is bit-identical).
+        let mut by_layer: Vec<Option<(TileShape, TileCost)>> = vec![None; net.len()];
         let mut tile_cost = Vec::with_capacity(n_tiles);
         let mut core_pj = 0.0;
         for t in &plan.tiles {
-            let c = model.cost(t);
+            let c = match &mut by_layer[t.layer.index()] {
+                Some((shape, c)) if *shape == t.shape => *c,
+                slot => slot.insert((t.shape, model.cost(t))).1,
+            };
             tile_cost.push(c.cycles);
             core_pj += c.energy_pj;
         }
@@ -205,7 +213,6 @@ impl CompiledPlan {
             dram_pj,
             dram_read,
             dram_write,
-            net_ops: net.total_ops(),
             peak_ops_per_cycle: hw.peak_ops_per_cycle(),
         }
     }
@@ -378,13 +385,15 @@ impl CompiledPlan {
     /// Full evaluation through the compiled engine: bit-identical to
     /// [`evaluate_parts`](crate::evaluate_parts) on the same inputs (the
     /// cold path for initial/final schemes; annealers use
-    /// [`simulate_cost`](Self::simulate_cost)).
+    /// [`simulate_cost`](Self::simulate_cost)). `net` and `plan` are the
+    /// ones the plan was compiled from.
     ///
     /// # Errors
     ///
     /// Propagates [`SimError`] for deadlocked DRAM tensor orders.
     pub fn report(
         &self,
+        net: &Network,
         plan: &ComputePlan,
         dlsa: &Dlsa,
         scratch: &mut SimScratch,
@@ -392,12 +401,13 @@ impl CompiledPlan {
         let latency = self.simulate_into(dlsa, scratch)?;
         let tl = self.timeline(latency, scratch);
 
+        let net_ops = net.total_ops();
         let peak = self.peak_ops_per_cycle as f64;
         let util = |cycles: u64| -> f64 {
             if cycles == 0 {
                 0.0
             } else {
-                self.net_ops as f64 / (peak * cycles as f64)
+                net_ops as f64 / (peak * cycles as f64)
             }
         };
         let bound = tl.compute_busy.max(tl.dram_busy);
@@ -466,7 +476,7 @@ mod tests {
         let naive = evaluate_parts(&net, &plan, &dlsa, &hw, &mut m).unwrap();
         let cp = CompiledPlan::compile(&net, &plan, &hw, &mut m);
         let mut scratch = SimScratch::new();
-        let compiled = cp.report(&plan, &dlsa, &mut scratch).unwrap();
+        let compiled = cp.report(&net, &plan, &dlsa, &mut scratch).unwrap();
         assert_eq!(compiled, naive);
         assert_eq!(compiled.energy.total_pj().to_bits(), naive.energy.total_pj().to_bits());
     }

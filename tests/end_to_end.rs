@@ -47,7 +47,7 @@ fn ci_smoke_compiled_engine_matches_naive_on_fig2() {
         let mut model = CoreArrayModel::new(&hw);
         let compiled = soma::sim::CompiledPlan::compile(&net, &plan, &hw, &mut model);
         let mut scratch = SimScratch::new();
-        let engine_report = compiled.report(&plan, &dlsa, &mut scratch).unwrap();
+        let engine_report = compiled.report(&net, &plan, &dlsa, &mut scratch).unwrap();
         let naive_report = evaluate_parts(&net, &plan, &dlsa, &hw, &mut model).unwrap();
         assert_eq!(engine_report, naive_report, "{label}: report");
         assert_eq!(engine_report, report, "{label}: objective report");

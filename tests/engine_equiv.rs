@@ -81,7 +81,7 @@ fn check_chain(net: &Network, lfa: &Lfa, seed: u64, steps: usize) {
                 let naive_report =
                     evaluate_parts(net, &plan, &cand, &hw, &mut model).expect("simulated");
                 let engine_report =
-                    compiled.report(&plan, &engine_sim, &mut scratch).expect("simulated");
+                    compiled.report(net, &plan, &engine_sim, &mut scratch).expect("simulated");
                 assert_eq!(engine_report, naive_report, "step {step}: report");
 
                 naive = cand;

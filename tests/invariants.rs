@@ -56,18 +56,25 @@ proptest! {
         prop_assert_eq!(plan.tiles.len(), expected);
     }
 
-    /// Tile positions are a permutation of 0..n_tiles, consistent with
-    /// tile_pos.
+    /// Tile positions are a permutation of 0..n_tiles: tile `i` of the
+    /// `j`-th layer of an FLG sits at FLG base + `i` x group size + `j`.
     #[test]
     fn tile_positions_are_dense((net, lfa) in arb_lfa()) {
         let plan = parse_lfa(&net, &lfa).unwrap();
-        for (id, _) in net.iter() {
-            for (i, &pos) in plan.tile_pos[id.index()].iter().enumerate() {
-                let t = &plan.tiles[pos as usize];
-                prop_assert_eq!(t.layer, id);
-                prop_assert_eq!(t.tile_idx as usize, i);
+        let mut base = 0usize;
+        for (g, (&(start, end), &tiling)) in lfa.flg_ranges().iter().zip(&lfa.tiling).enumerate() {
+            let size = end - start;
+            for i in 0..tiling as usize {
+                for (j, &id) in lfa.order[start..end].iter().enumerate() {
+                    let t = &plan.tiles[base + i * size + j];
+                    prop_assert_eq!(t.layer, id);
+                    prop_assert_eq!(t.tile_idx as usize, i);
+                    prop_assert_eq!(t.flg as usize, g);
+                }
             }
+            base += size * tiling as usize;
         }
+        prop_assert_eq!(base, plan.tiles.len());
     }
 
     /// Fusing strictly reduces (or keeps) total DRAM bytes relative to the
