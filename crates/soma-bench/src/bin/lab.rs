@@ -4,20 +4,21 @@
 //! ```sh
 //! cargo run --release -p soma-bench --bin lab -- specs/fig2_edge.soma
 //! cargo run --release -p soma-bench --bin lab -- specs/fig2_edge.soma \
-//!     --ledger out/fig2.jsonl --require-hits
+//!     --ledger out/fig2.ledger --require-hits
 //! ```
 //!
 //! Stdout carries the same CSV the `run` binary prints (byte-identical
 //! for the same spec — pinned by the golden tests); commentary and the
 //! per-cell `LabEvent` stream go to stderr. Results are keyed into the
 //! **run ledger** (default `target/lab/<experiment-name>.ledger`, a
-//! binary shard directory; `--ledger-format json` switches the default
-//! to the JSONL debug surface, and `--ledger <path>` picks an explicit
-//! location): a rerun of an unchanged spec performs zero search
-//! work, an interrupted run resumes from the last completed cell, and
-//! editing the spec's search configuration invalidates exactly the
-//! affected cells (the key hashes scenario id, resolved hardware, full
-//! `SearchConfig`, seed portfolio and engine version).
+//! binary shard directory; `--ledger <dir>` picks an explicit
+//! location, and `ledger dump` renders it as JSON lines): a rerun of an
+//! unchanged spec performs zero search work, an interrupted run resumes
+//! from the last completed cell, and editing the spec's search
+//! configuration invalidates exactly the affected cells (the key hashes
+//! scenario id, resolved hardware, full `SearchConfig`, seed portfolio
+//! and engine version). A ledger row whose payload no longer decodes is
+//! re-searched, superseded and counted in the closing line.
 //!
 //! `--require-hits` exits with status 3 unless every cell was a ledger
 //! hit — the CI replay gate (`lab-smoke` runs the same spec twice and
@@ -46,8 +47,8 @@ use soma_spec::read_experiment;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: lab <experiment.soma> [--ledger <path>] [--ledger-format <binary|json>] \
-         [--require-hits] [--threads <auto|seq|N>] [--summary <out.json>] [--version]"
+        "usage: lab <experiment.soma> [--ledger <dir>] [--require-hits] \
+         [--threads <auto|seq|N>] [--summary <out.json>] [--version]"
     );
     ExitCode::from(2)
 }
@@ -67,7 +68,6 @@ fn main() -> ExitCode {
     let mut ledger_path: Option<PathBuf> = None;
     let mut summary_path: Option<PathBuf> = None;
     let mut require_hits = false;
-    let mut json_ledger = false;
     let mut threads_flag: Option<Parallelism> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -75,11 +75,6 @@ fn main() -> ExitCode {
             "--ledger" => match args.next() {
                 Some(p) => ledger_path = Some(PathBuf::from(p)),
                 None => return usage(),
-            },
-            "--ledger-format" => match args.next().as_deref() {
-                Some("binary") => json_ledger = false,
-                Some("json") => json_ledger = true,
-                _ => return usage(),
             },
             "--summary" => match args.next() {
                 Some(p) => summary_path = Some(PathBuf::from(p)),
@@ -121,14 +116,8 @@ fn main() -> ExitCode {
     if let Some(par) = threads_flag {
         spec.parallelism = par;
     }
-    // Default is the binary sharded ledger (`<name>.ledger` directory).
-    // `--ledger-format json` keeps the human-greppable JSONL debug
-    // surface; an explicit `--ledger` path wins either way, with its
-    // format detected from what exists (or the `.jsonl` extension).
-    let ledger = ledger_path.unwrap_or_else(|| {
-        let ext = if json_ledger { "jsonl" } else { "ledger" };
-        PathBuf::from("target/lab").join(format!("{}.{ext}", spec.name))
-    });
+    let ledger = ledger_path
+        .unwrap_or_else(|| PathBuf::from("target/lab").join(format!("{}.ledger", spec.name)));
 
     eprintln!(
         "[lab] {}: {} cell(s), {} seed(s), effort {}, threads {}, ledger {}",
@@ -213,10 +202,12 @@ fn main() -> ExitCode {
         );
     }
     eprintln!(
-        "[lab] {}: {} hit(s), {} searched, {} failed, ledger {}",
+        "[lab] {}: {} hit(s), {} searched ({} undecodable row(s) re-searched), {} failed, \
+         ledger {}",
         spec.name,
         summary.hits,
         summary.misses,
+        summary.undecodable,
         summary.failed,
         ledger.display()
     );

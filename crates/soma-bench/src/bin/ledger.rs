@@ -1,13 +1,19 @@
-//! Ledger toolbox: inspect, migrate and compact run ledgers without
-//! running a campaign.
+//! Ledger toolbox: inspect, dump, migrate and compact run ledgers
+//! without running a campaign.
 //!
 //! ```sh
-//! # Inspect: format, row count, health, per-shard breakdown. Always a
-//! # read-only load — `stat` on a live campaign is safe.
+//! # Inspect: row count, health, per-shard breakdown, and how many rows
+//! # no longer decode. Always a read-only load — `stat` on a live
+//! # campaign is safe.
 //! cargo run --release -p soma-bench --bin ledger -- stat target/lab/fig2.ledger
 //!
-//! # Migrate between formats (v1/v2 JSONL <-> binary v3). The target
-//! # must not exist; the source is never touched.
+//! # The JSON view: every row's v2 JSON line, in append order
+//! # (byte-identical to the lines of an older version's `.jsonl` ledger).
+//! cargo run --release -p soma-bench --bin ledger -- dump target/lab/fig2.ledger
+//!
+//! # Migrate a JSONL ledger from an older version (v1/v2 lines) into a
+//! # ledger directory. One-way; the target must not exist and the
+//! # source is never touched.
 //! cargo run --release -p soma-bench --bin ledger -- \
 //!     migrate target/lab/fig2.jsonl target/lab/fig2.ledger
 //!
@@ -16,51 +22,90 @@
 //! cargo run --release -p soma-bench --bin ledger -- compact target/lab/fig2.ledger
 //! ```
 //!
-//! Exit codes: `0` ok, `2` usage or I/O error.
+//! Exit codes: `0` ok, `1` `dump` skipped rows that do not decode, `2`
+//! usage or I/O error.
 
+use std::io::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 
 use soma_bench::lab::Ledger;
-use soma_spec::LedgerFormat;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: ledger stat <path> | ledger migrate <src> <dst> | ledger compact <path> \
-         | ledger --version"
+        "usage: ledger stat <dir> | ledger dump <dir> | ledger migrate <old.jsonl> <dir> \
+         | ledger compact <dir> | ledger --version"
     );
     ExitCode::from(2)
 }
 
+fn load_readonly(path: &Path) -> Result<Ledger, ExitCode> {
+    Ledger::load_readonly(path).map_err(|e| {
+        eprintln!("ledger: {}: {e}", path.display());
+        ExitCode::from(2)
+    })
+}
+
 fn stat(path: &Path) -> ExitCode {
-    let ledger = match Ledger::load_readonly(path) {
+    let ledger = match load_readonly(path) {
         Ok(ledger) => ledger,
-        Err(e) => {
-            eprintln!("ledger: {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
     let h = ledger.health();
-    println!("ledger:     {}", path.display());
-    println!("format:     {}", ledger.format());
-    println!("rows:       {}", ledger.len());
+    // Decode every row: an index-backed load trusts the index, so only
+    // a decode can tell a payload damaged after the index was synced.
+    let undecodable: Vec<_> = ledger.rows().iter().filter(|r| r.outcome().is_none()).collect();
+    let shadowed = undecodable
+        .iter()
+        .filter(|r| !ledger.lookup(&r.hash).is_some_and(|newest| std::ptr::eq(newest, **r)))
+        .count();
+    println!("ledger:      {}", path.display());
+    println!("rows:        {}", ledger.len());
     println!(
-        "health:     {} kept, {} quarantined, truncated: {}, {} duplicate(s)",
+        "health:      {} kept, {} quarantined, truncated: {}, {} duplicate(s)",
         h.kept, h.quarantined, h.truncated, h.duplicates
     );
-    if ledger.format() == LedgerFormat::Binary {
-        for (shard, sh) in ledger.shard_healths().iter().enumerate() {
-            if sh.kept == 0 && sh.quarantined == 0 && !sh.truncated {
-                continue;
-            }
-            println!(
-                "shard-{shard:x}:    {} kept, {} quarantined, truncated: {}",
-                sh.kept, sh.quarantined, sh.truncated
-            );
+    println!("undecodable: {} ({shadowed} shadowed by a newer row)", undecodable.len());
+    for (shard, sh) in ledger.shard_healths().iter().enumerate() {
+        if sh.kept == 0 && sh.quarantined == 0 && !sh.truncated {
+            continue;
         }
+        println!(
+            "shard-{shard:x}:     {} kept, {} quarantined, truncated: {}",
+            sh.kept, sh.quarantined, sh.truncated
+        );
     }
     if !h.is_clean() {
-        println!("quarantine: {}", soma_spec::quarantine_path(path).display());
+        println!("quarantine:  {}", soma_spec::quarantine_path(path).display());
+    }
+    ExitCode::SUCCESS
+}
+
+fn dump(path: &Path) -> ExitCode {
+    let ledger = match load_readonly(path) {
+        Ok(ledger) => ledger,
+        Err(code) => return code,
+    };
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    let mut skipped = 0usize;
+    for row in ledger.rows() {
+        match row.to_line() {
+            Some(line) => {
+                if writeln!(out, "{line}").is_err() {
+                    return ExitCode::from(2);
+                }
+            }
+            None => {
+                skipped += 1;
+                eprintln!("ledger: dump: row {} ({}) does not decode; skipped", row.hash, row.cell);
+            }
+        }
+    }
+    if out.flush().is_err() {
+        return ExitCode::from(2);
+    }
+    if skipped > 0 {
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }
@@ -69,12 +114,11 @@ fn migrate(src: &Path, dst: &Path) -> ExitCode {
     match Ledger::migrate(src, dst) {
         Ok(stats) => {
             eprintln!(
-                "[ledger] migrated {} row(s): {} ({}) -> {} ({})",
+                "[ledger] migrated {} row(s): {} -> {}; {} damaged line(s) skipped",
                 stats.rows,
                 src.display(),
-                stats.from,
                 dst.display(),
-                stats.to
+                stats.skipped
             );
             ExitCode::SUCCESS
         }
@@ -120,6 +164,7 @@ fn main() -> ExitCode {
     }
     match args.iter().map(String::as_str).collect::<Vec<_>>().as_slice() {
         ["stat", path] => stat(Path::new(path)),
+        ["dump", path] => dump(Path::new(path)),
         ["migrate", src, dst] => migrate(Path::new(src), Path::new(dst)),
         ["compact", path] => compact(Path::new(path)),
         _ => usage(),

@@ -163,7 +163,7 @@ fn once(flags: &Flags) -> ExitCode {
 
 /// Prints the daemon's counters as one JSON line on stdout — the CI
 /// chaos gate asserts the failure counters (`panics`, `cancelled`,
-/// `quarantined`, `append_failed`) from this output.
+/// `quarantined`, `append_failed`, `decode_failed`) from this output.
 fn stats(flags: &Flags) -> ExitCode {
     let Some(listen) = &flags.connect else {
         eprintln!("loadgen: --stats needs --connect");
@@ -184,7 +184,7 @@ fn stats(flags: &Flags) -> ExitCode {
             println!(
                 "{{\"inflight\":{},\"served\":{},\"cache_hits\":{},\"rejected\":{},\
                  \"ledger_rows\":{},\"cancelled\":{},\"panics\":{},\"quarantined\":{},\
-                 \"append_failed\":{},\"uptime_ms\":{}}}",
+                 \"append_failed\":{},\"decode_failed\":{},\"uptime_ms\":{}}}",
                 s.inflight,
                 s.served,
                 s.cache_hits,
@@ -194,6 +194,7 @@ fn stats(flags: &Flags) -> ExitCode {
                 s.panics,
                 s.quarantined,
                 s.append_failed,
+                s.decode_failed,
                 s.uptime_ms
             );
             ExitCode::SUCCESS
@@ -233,8 +234,8 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             let pid = std::process::id();
-            let ledger = dir.join(format!("{pid}.jsonl"));
-            let _ = std::fs::remove_file(&ledger);
+            let ledger = dir.join(format!("{pid}.ledger"));
+            let _ = std::fs::remove_dir_all(&ledger);
             let config = ServerConfig {
                 max_inflight: flags.clients.max(1),
                 ..ServerConfig::new(Listen::Unix(dir.join(format!("{pid}.sock"))), &ledger)

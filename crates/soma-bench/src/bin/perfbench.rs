@@ -5,10 +5,8 @@
 //! seed-portfolio run (outcomes asserted bit-identical across counts
 //! first; the `scaling` section reports wall-clock only; single-core
 //! hosts get a stderr warning and a `"warning"` stamp in the JSON),
-//! a `serve` saturation section (cold vs ledger-cached request
-//! storms against an in-process daemon, via `soma_bench::loadgen`),
-//! and a `ledger` format shoot-out (v2 JSONL vs v3 binary shards:
-//! on-disk size and cold-replay time over a synthetic campaign).
+//! and a `serve` saturation section (cold vs ledger-cached request
+//! storms against an in-process daemon, via `soma_bench::loadgen`).
 //!
 //! Prints a machine-readable JSON document to stdout (committed at the
 //! repo root as `BENCH_search.json`) and commentary to stderr. Both
@@ -260,8 +258,8 @@ fn lab_cold_warm(rc: &RunConfig, scenario_id: &str) -> String {
         },
         parallelism: soma_search::Parallelism::Sequential,
     };
-    let ledger = std::env::temp_dir().join(format!("{}.ledger.jsonl", spec.name));
-    let _ = std::fs::remove_file(&ledger);
+    let ledger = std::env::temp_dir().join(format!("{}.ledger", spec.name));
+    let _ = std::fs::remove_dir_all(&ledger);
 
     let start = Instant::now();
     let cold = soma_bench::run_lab(&spec, &ledger, |_| {}).expect("cold lab run");
@@ -281,7 +279,7 @@ fn lab_cold_warm(rc: &RunConfig, scenario_id: &str) -> String {
         cold.rows[0].outcome.best.cost.to_bits(),
         "{scenario_id}: cached outcome diverged"
     );
-    let _ = std::fs::remove_file(&ledger);
+    let _ = std::fs::remove_dir_all(&ledger);
 
     let speedup = if warm_s > 0.0 { cold_s / warm_s } else { 0.0 };
     eprintln!(
@@ -377,8 +375,8 @@ fn serve_section(rc: &RunConfig) -> String {
     let dir = std::env::temp_dir().join("soma-perfbench");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let pid = std::process::id();
-    let ledger = dir.join(format!("serve-{pid}.jsonl"));
-    let _ = std::fs::remove_file(&ledger);
+    let ledger = dir.join(format!("serve-{pid}.ledger"));
+    let _ = std::fs::remove_dir_all(&ledger);
     let (clients, requests) = (4usize, 8usize);
     let handle = start(ServerConfig {
         max_inflight: clients,
@@ -406,7 +404,7 @@ fn serve_section(rc: &RunConfig) -> String {
         "cache storm must be answered entirely from the ledger"
     );
     handle.shutdown();
-    let _ = std::fs::remove_file(&ledger);
+    let _ = std::fs::remove_dir_all(&ledger);
 
     eprintln!(
         "[perfbench] serve fig2@edge/b1: cold {:>7.1} req/s, cached {:>7.1} req/s \
@@ -420,90 +418,6 @@ fn serve_section(rc: &RunConfig) -> String {
          \x20   {},\n\x20   {}\n\x20   ]}}",
         cold.to_json("cold"),
         cached.to_json("cached")
-    )
-}
-
-/// Ledger format shoot-out: the same synthetic campaign written as v2
-/// JSONL and as the v3 binary shard directory, comparing on-disk size
-/// and cold-replay (load) time. The binary load must decode **zero**
-/// outcome payloads — replay cost is indexing, not parsing — which is
-/// asserted before any number is reported.
-fn ledger_section(rc: &RunConfig) -> String {
-    use soma_bench::lab::{Ledger, LedgerRow};
-    use soma_search::synthetic_outcome;
-
-    let n = ((100_000.0 * rc.effort_scale) as u64).max(1_000);
-    let dir = std::env::temp_dir().join("soma-perfbench");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let pid = std::process::id();
-    let jsonl = dir.join(format!("ledger-{pid}.jsonl"));
-    let binary = dir.join(format!("ledger-{pid}.ledger"));
-    let _ = std::fs::remove_file(&jsonl);
-    let _ = std::fs::remove_dir_all(&binary);
-
-    let synth = |i: u64| {
-        let hash = format!("{:016x}", i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        LedgerRow::from_parts(
-            &hash,
-            &format!("cell-{i}"),
-            "synthetic",
-            "edge",
-            1,
-            synthetic_outcome(rc.seed.wrapping_add(i), 4),
-        )
-    };
-    let rows: Vec<LedgerRow> = (0..n).map(synth).collect();
-
-    let mut led = Ledger::load(&jsonl).expect("jsonl ledger");
-    led.append_all(rows.to_vec()).expect("jsonl append");
-    drop(led);
-    let mut led = Ledger::load(&binary).expect("binary ledger");
-    led.append_all(rows).expect("binary append");
-    led.sync_index().expect("index sync");
-    drop(led);
-
-    let jsonl_bytes = std::fs::metadata(&jsonl).expect("jsonl size").len();
-    let binary_bytes: u64 = std::fs::read_dir(&binary)
-        .expect("binary dir")
-        .filter_map(Result::ok)
-        .filter_map(|e| e.metadata().ok())
-        .map(|m| m.len())
-        .sum();
-
-    let t = Instant::now();
-    let led = Ledger::load_readonly(&jsonl).expect("jsonl replay");
-    assert_eq!(led.len() as u64, n, "jsonl replay lost rows");
-    let jsonl_replay_s = t.elapsed().as_secs_f64();
-    drop(led);
-
-    let t = Instant::now();
-    let led = Ledger::load_readonly(&binary).expect("binary replay");
-    assert_eq!(led.len() as u64, n, "binary replay lost rows");
-    let binary_replay_s = t.elapsed().as_secs_f64();
-    assert_eq!(led.outcome_decodes(), 0, "an index-backed replay must decode zero payloads");
-    drop(led);
-
-    let _ = std::fs::remove_file(&jsonl);
-    let _ = std::fs::remove_dir_all(&binary);
-
-    let size_ratio = jsonl_bytes as f64 / binary_bytes.max(1) as f64;
-    let speedup = if binary_replay_s > 0.0 { jsonl_replay_s / binary_replay_s } else { 0.0 };
-    eprintln!(
-        "[perfbench] ledger {n} cells: jsonl {:.1} MiB / {:.0} ms replay, \
-         binary {:.1} MiB / {:.0} ms replay ({size_ratio:.2}x smaller, {speedup:.1}x faster)",
-        jsonl_bytes as f64 / (1024.0 * 1024.0),
-        jsonl_replay_s * 1e3,
-        binary_bytes as f64 / (1024.0 * 1024.0),
-        binary_replay_s * 1e3,
-    );
-    format!(
-        "    {{\"cells\": {n}, \
-         \"jsonl\": {{\"bytes\": {jsonl_bytes}, \"cold_replay_ms\": {:.3}}}, \
-         \"binary\": {{\"bytes\": {binary_bytes}, \"cold_replay_ms\": {:.3}, \
-         \"decodes_on_load\": 0}}, \
-         \"size_ratio\": {size_ratio:.3}, \"replay_speedup\": {speedup:.3}}}",
-        jsonl_replay_s * 1e3,
-        binary_replay_s * 1e3,
     )
 }
 
@@ -606,9 +520,6 @@ fn main() {
     println!("  ],");
     println!("  \"serve\": [");
     println!("{}", serve_section(&rc));
-    println!("  ],");
-    println!("  \"ledger\": [");
-    println!("{}", ledger_section(&rc));
     println!("  ]");
     println!("}}");
 }

@@ -8,7 +8,7 @@
 //! ```sh
 //! cargo run --release -p soma-bench --bin serve -- --listen unix:/tmp/soma.sock
 //! cargo run --release -p soma-bench --bin serve -- \
-//!     --listen tcp:127.0.0.1:7777 --ledger runs/serve.jsonl \
+//!     --listen tcp:127.0.0.1:7777 --ledger runs/serve.ledger \
 //!     --max-inflight 4 --budget 2000000
 //! ```
 //!
@@ -36,7 +36,7 @@ use soma_spec::fault::{FaultConfig, FaultPlan};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: serve --listen <unix:PATH|tcp:HOST:PORT> [--ledger <path>] \
+        "usage: serve --listen <unix:PATH|tcp:HOST:PORT> [--ledger <dir>] \
          [--max-inflight N] [--budget N] [--threads <auto|seq|N>] [--chaos <seed>] [--version]"
     );
     ExitCode::from(2)
@@ -49,7 +49,7 @@ fn main() -> ExitCode {
     }
 
     let mut listen: Option<Listen> = None;
-    let mut ledger = PathBuf::from("target/serve/ledger.jsonl");
+    let mut ledger = PathBuf::from("target/serve/serve.ledger");
     let mut max_inflight = 8usize;
     let mut budget = 0u64;
     let mut parallelism = Parallelism::Auto;

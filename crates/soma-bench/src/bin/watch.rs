@@ -3,8 +3,7 @@
 //!
 //! ```sh
 //! # Replay a finished campaign: final cell grid, hit-rate line,
-//! # per-scenario best-cost table. The ledger may be a binary shard
-//! # directory (`<name>.ledger`) or a JSONL file (`<name>.jsonl`).
+//! # per-scenario best-cost table, from its ledger directory.
 //! cargo run --release -p soma-bench --bin watch -- target/lab/fig-pair-edge.ledger
 //!
 //! # Attach to a running lab: ANSI repaint loop tailing the ledger.
@@ -128,9 +127,9 @@ fn parse_flags() -> Result<Flags, ExitCode> {
     }
 }
 
-/// Default campaign name: the ledger's file stem, minus a `.ledger`
-/// suffix if present (`runs/fig.ledger.jsonl` → `fig`), so names match
-/// the `lab` convention of `<campaign>.jsonl`.
+/// Default campaign name: the ledger directory's stem, minus a
+/// `.ledger` suffix if present (`runs/fig.ledger` → `fig`), so names
+/// match the `lab` convention of `<campaign>.ledger`.
 fn campaign_name(ledger: &Path) -> String {
     let stem = ledger.file_stem().and_then(|s| s.to_str()).unwrap_or("campaign");
     stem.strip_suffix(".ledger").unwrap_or(stem).to_string()

@@ -8,13 +8,16 @@
 //!   (scenario id, resolved hardware, [`SearchConfig`], seed portfolio,
 //!   [`soma_search::ENGINE_VERSION`]); cells whose key already sits in
 //!   the on-disk **run ledger** are served from it without any search
-//!   work ([`LabEvent::Cached`]).
+//!   work ([`LabEvent::Cached`]). A ledger row whose outcome does not
+//!   decode (a payload damaged on disk) is a miss, not a hit: the cell
+//!   re-searches and appends a row that supersedes the bad one (last
+//!   write wins), and [`LabSummary::undecodable`] counts it.
 //! * **Resumable** — each completed cell is appended to the ledger (one
-//!   JSON line per cell) *in cell order* as soon as all earlier cells
-//!   have been written, so an interrupted run leaves a valid prefix and
-//!   a rerun picks up exactly where it stopped. A partially written
-//!   trailing line (a kill mid-append) is detected and dropped on load.
-//!   The final ledger of an interrupted-then-resumed run is
+//!   checksummed frame per cell) *in cell order* as soon as all earlier
+//!   cells have been written, so an interrupted run leaves a valid
+//!   prefix and a rerun picks up exactly where it stopped. A partially
+//!   written trailing frame (a kill mid-append) is detected and dropped
+//!   on load. The final ledger of an interrupted-then-resumed run is
 //!   byte-identical to an uninterrupted one.
 //! * **Parallel with deterministic merge** — cell searches that miss the
 //!   ledger fan out across the threads selected by the spec's
@@ -60,6 +63,10 @@ pub struct LabSummary {
     pub hits: usize,
     /// Cells that ran a search (and were appended to the ledger).
     pub misses: usize,
+    /// Of the cells that missed, how many had a ledger row whose
+    /// outcome did not decode (a payload damaged on disk). They search
+    /// like any miss, and each new row supersedes the damaged one.
+    pub undecodable: usize,
     /// Cells whose search panicked ([`LabEvent::Failed`]): isolated,
     /// ledger-skipped, retried by the next run of the same spec.
     pub failed: usize,
@@ -143,8 +150,8 @@ impl InOrderFlush<'_, '_> {
 ///
 /// # Errors
 ///
-/// I/O errors loading or appending the ledger, or corrupt non-trailing
-/// ledger lines.
+/// I/O errors loading or appending the ledger (an existing regular
+/// file at `ledger_path` is refused — see [`Ledger::load`]).
 pub fn run_lab(
     spec: &ExperimentSpec,
     ledger_path: &Path,
@@ -170,8 +177,7 @@ pub fn run_lab(
 ///
 /// # Errors
 ///
-/// I/O errors loading or appending the ledger, or corrupt non-trailing
-/// ledger lines.
+/// As [`run_lab`].
 pub fn run_lab_until(
     spec: &ExperimentSpec,
     ledger_path: &Path,
@@ -205,8 +211,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// # Errors
 ///
-/// I/O errors loading or appending the ledger. Corrupt ledger rows are
-/// *not* errors: load quarantines them (see [`Ledger::load`]).
+/// I/O errors loading or appending the ledger. Corrupt ledger frames
+/// are *not* errors: load quarantines them (see [`Ledger::load`]), and
+/// a row whose payload does not decode re-searches.
 pub fn run_lab_chaos(
     spec: &ExperimentSpec,
     ledger_path: &Path,
@@ -237,16 +244,19 @@ pub fn run_lab_chaos(
     // served from the first occurrence, like any other cache hit.
     let mut duplicates: Vec<(usize, usize)> = Vec::new();
     let mut first_claim: HashMap<&str, usize> = HashMap::new();
+    let mut undecodable = 0;
     for (i, (cell, key)) in cells.iter().zip(&keys).enumerate() {
-        if let Some(row) = ledger.lookup(key) {
-            // A lazy row whose payload is corrupt decodes to `None`
-            // and simply counts as a miss (the cell re-searches).
-            outcomes[i] = row.outcome().cloned();
+        // A row whose payload is damaged decodes to `None`: that is a
+        // miss, never a hit without an outcome.
+        let row = ledger.lookup(key);
+        if let Some(outcome) = row.and_then(LedgerRow::outcome) {
+            outcomes[i] = Some(outcome.clone());
             observer(&LabEvent::Cached { cell: cell.id.clone(), hash: key.clone() });
         } else if let Some(&first) = first_claim.get(key.as_str()) {
             duplicates.push((i, first));
             observer(&LabEvent::Cached { cell: cell.id.clone(), hash: key.clone() });
         } else {
+            undecodable += usize::from(row.is_some());
             first_claim.insert(key, i);
             misses.push(i);
         }
@@ -383,7 +393,7 @@ pub fn run_lab_chaos(
             outcome.map(|outcome| ExperimentRow { cell, outcome })
         })
         .collect();
-    Ok(LabSummary { rows, hits, misses: appended, failed, stopped, health })
+    Ok(LabSummary { rows, hits, misses: appended, undecodable, failed, stopped, health })
 }
 
 #[cfg(test)]
@@ -400,14 +410,45 @@ mod tests {
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("soma-lab-unit");
         fs::create_dir_all(&dir).expect("temp dir");
-        dir.join(format!("{}-{name}", std::process::id()))
+        let path = dir.join(format!("{}-{name}", std::process::id()));
+        let _ = fs::remove_dir_all(&path);
+        path
+    }
+
+    /// Every file of a ledger directory with its bytes, sorted by name.
+    fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut out: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
+            .expect("ledger dir")
+            .map(|e| {
+                let e = e.expect("dir entry");
+                (e.file_name().into_string().expect("utf-8 name"), fs::read(e.path()).unwrap())
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// The ledger's JSON view (`ledger dump`).
+    fn dump(dir: &Path) -> String {
+        let ledger = Ledger::load_readonly(dir).expect("ledger loads");
+        ledger.rows().iter().map(|r| r.to_line().expect("row decodes") + "\n").collect()
+    }
+
+    /// The one shard file a single-cell ledger writes to.
+    fn only_shard(dir: &Path) -> PathBuf {
+        let shards: Vec<PathBuf> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "bin") && !p.ends_with("index.bin"))
+            .collect();
+        assert_eq!(shards.len(), 1, "{shards:?}");
+        shards[0].clone()
     }
 
     #[test]
     fn ledger_round_trips_rows() {
         let spec = read_experiment(SPEC).unwrap();
-        let path = tmp("roundtrip.jsonl");
-        let _ = fs::remove_file(&path);
+        let path = tmp("roundtrip.ledger");
         let first = run_lab(&spec, &path, |_| {}).unwrap();
         assert_eq!((first.hits, first.misses), (0, 1));
 
@@ -417,65 +458,75 @@ mod tests {
         assert_eq!(row.cell, "fig2@edge/b1");
         assert_eq!(row.workload, "fig2");
         assert_eq!(row.batch, 1);
-        let row_out = row.outcome().expect("resident outcome");
+        let row_out = row.outcome().expect("stored outcome decodes");
         assert_eq!(row_out.best.cost.to_bits(), first.rows[0].outcome.best.cost.to_bits());
-        // Line rendering is stable through a parse cycle.
-        let line = row.to_line();
-        assert_eq!(LedgerRow::from_line(&line).unwrap().to_line(), line);
     }
 
     #[test]
     fn second_run_is_all_hits() {
         let spec = read_experiment(SPEC).unwrap();
-        let path = tmp("hits.jsonl");
-        let _ = fs::remove_file(&path);
+        let path = tmp("hits.ledger");
         run_lab(&spec, &path, |_| {}).unwrap();
-        let before = fs::read(&path).unwrap();
+        let before = files(&path);
 
         let mut events = Vec::new();
         let warm = run_lab(&spec, &path, |ev| events.push(ev.clone())).unwrap();
         assert_eq!((warm.hits, warm.misses), (1, 0));
         assert!(events.iter().any(|e| matches!(e, LabEvent::Cached { .. })));
         assert!(!events.iter().any(|e| matches!(e, LabEvent::Started { .. })));
-        assert_eq!(fs::read(&path).unwrap(), before, "a warm run never writes");
+        assert_eq!(files(&path), before, "a warm run never writes");
     }
 
     #[test]
     fn torn_trailing_line_is_dropped_and_repaired() {
         let spec = read_experiment(SPEC).unwrap();
-        let path = tmp("torn.jsonl");
-        let _ = fs::remove_file(&path);
+        let path = tmp("torn.ledger");
         run_lab(&spec, &path, |_| {}).unwrap();
-        let intact = fs::read(&path).unwrap();
+        let intact = files(&path);
 
-        // Tear the tail off the only line: the ledger must load empty...
-        fs::write(&path, &intact[..intact.len() / 2]).unwrap();
+        // Tear the only frame in half and drop the index: the ledger
+        // must load empty...
+        let shard = only_shard(&path);
+        let bytes = fs::read(&shard).unwrap();
+        fs::write(&shard, &bytes[..bytes.len() / 2]).unwrap();
+        fs::remove_file(path.join("index.bin")).unwrap();
         let ledger = Ledger::load(&path).unwrap();
         assert!(ledger.is_empty());
-        assert_eq!(fs::read(&path).unwrap().len(), 0, "torn tail truncated");
+        assert!(ledger.health().truncated);
+        assert_eq!(fs::read(&shard).unwrap(), b"SOMALED3", "torn tail truncated");
 
-        // ...and a rerun reproduces the intact file byte-for-byte.
+        // ...and a rerun reproduces the intact ledger byte-for-byte.
         let again = run_lab(&spec, &path, |_| {}).unwrap();
         assert_eq!((again.hits, again.misses), (0, 1));
-        assert_eq!(fs::read(&path).unwrap(), intact);
+        assert_eq!(files(&path), intact);
     }
 
     #[test]
     fn corrupt_interior_lines_are_quarantined_and_the_run_proceeds() {
         let spec = read_experiment(SPEC).unwrap();
-        let path = tmp("corrupt.jsonl");
-        let qpath = soma_spec::quarantine_path(&path);
-        let _ = fs::remove_file(&qpath);
-        fs::write(&path, "garbage\n{\"v\":1}\n").unwrap();
+        let path = tmp("corrupt.ledger");
+        run_lab(&spec, &path, |_| {}).unwrap();
+        let want = dump(&path);
 
-        // The damaged rows move to the sidecar instead of aborting;
-        // the lab just sees an empty (clean) ledger and runs cold.
+        // Garbage ahead of the only frame, and no index to trust.
+        let shard = only_shard(&path);
+        let mut bytes = fs::read(&shard).unwrap();
+        bytes.splice(8..8, b"garbage".iter().copied());
+        fs::write(&shard, &bytes).unwrap();
+        fs::remove_file(path.join("index.bin")).unwrap();
+
+        // The damage moves to the sidecar instead of aborting; the
+        // frame behind it survives, so the rerun is a pure hit.
         let summary = run_lab(&spec, &path, |_| {}).unwrap();
-        assert_eq!((summary.hits, summary.misses, summary.failed), (0, 1, 0));
-        assert_eq!(fs::read_to_string(&qpath).unwrap(), "garbage\n{\"v\":1}\n");
-        assert_eq!(Ledger::load(&path).unwrap().len(), 1);
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(&qpath);
+        assert_eq!((summary.hits, summary.misses, summary.failed), (1, 0, 0));
+        assert_eq!(summary.health.quarantined, 1);
+        assert!(!soma_spec::quarantine_path(&path).exists(), "a pure replay never repairs");
+        // A writer repairs: it quarantines and compacts the shard.
+        let repaired = Ledger::load(&path).unwrap();
+        assert_eq!(repaired.health().quarantined, 1);
+        assert!(fs::read_to_string(soma_spec::quarantine_path(&path)).unwrap().contains("\"hex\""));
+        assert_eq!(dump(&path), want);
+        assert!(Ledger::load(&path).unwrap().health().is_clean());
     }
 
     #[test]
@@ -485,8 +536,7 @@ mod tests {
                     scenario fig4@edge/b1\nscenario fig2@edge/b4\nseeds 7\n\
                     effort 0.01\nthreads seq\nend\n";
         let spec = read_experiment(text).unwrap();
-        let path = tmp("panic.jsonl");
-        let _ = fs::remove_file(&path);
+        let path = tmp("panic.ledger");
 
         let plan = Arc::new(FaultPlan::scripted([(fault::site::LAB_CELL, 1, Fault::Panic)]));
         let mut events = Vec::new();
@@ -527,8 +577,7 @@ mod tests {
         let text = "soma-experiment v1\nname dup\nscenario fig2@edge/b1\n\
                     scenario fig2@edge/b1\nseeds 7\neffort 0.01\nend\n";
         let spec = read_experiment(text).unwrap();
-        let path = tmp("dup.jsonl");
-        let _ = fs::remove_file(&path);
+        let path = tmp("dup.ledger");
 
         let mut events = Vec::new();
         let cold = run_lab(&spec, &path, |ev| events.push(ev.clone())).unwrap();
@@ -553,14 +602,12 @@ mod tests {
                     effort 0.01\nthreads seq\nend\n";
         let spec = read_experiment(text).unwrap();
 
-        let golden_path = tmp("stop-golden.jsonl");
-        let _ = fs::remove_file(&golden_path);
+        let golden_path = tmp("stop-golden.ledger");
         run_lab(&spec, &golden_path, |_| {}).unwrap();
-        let golden = fs::read(&golden_path).unwrap();
+        let golden = files(&golden_path);
 
         // Raise the stop flag the moment the first cell finishes.
-        let path = tmp("stop.jsonl");
-        let _ = fs::remove_file(&path);
+        let path = tmp("stop.ledger");
         let stop = AtomicBool::new(false);
         let summary = run_lab_until(&spec, &path, &stop, |ev| {
             if matches!(ev, LabEvent::Finished { .. }) {
@@ -575,22 +622,20 @@ mod tests {
         // The interrupted ledger is a clean, loadable prefix of the
         // uninterrupted one...
         assert_eq!(Ledger::load(&path).unwrap().len(), 1);
-        let partial = fs::read(&path).unwrap();
-        assert!(golden.starts_with(&partial), "interrupted ledger is a byte prefix");
+        assert!(dump(&golden_path).starts_with(&dump(&path)), "interrupted ledger is a prefix");
 
         // ...and a rerun resumes from it, byte-identical to a run that
         // was never interrupted.
         let resumed = run_lab(&spec, &path, |_| {}).unwrap();
         assert!(!resumed.stopped);
         assert_eq!((resumed.hits, resumed.misses), (1, 2));
-        assert_eq!(fs::read(&path).unwrap(), golden);
+        assert_eq!(files(&path), golden);
     }
 
     #[test]
     fn config_changes_miss_the_ledger() {
         let spec = read_experiment(SPEC).unwrap();
-        let path = tmp("invalidate.jsonl");
-        let _ = fs::remove_file(&path);
+        let path = tmp("invalidate.ledger");
         run_lab(&spec, &path, |_| {}).unwrap();
 
         let retuned = read_experiment(&SPEC.replace("effort 0.01", "effort 0.02")).unwrap();

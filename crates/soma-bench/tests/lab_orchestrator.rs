@@ -8,7 +8,7 @@
 //!   `Scheduler` portfolio per cell), so the set uses the registry's
 //!   small figure workloads across *all* presets and batches, plus one
 //!   real CNN as a depth probe, keeping the suite fast.
-//! * **Resume** — an interrupted run (ledger truncated mid-spec) that is
+//! * **Resume** — an interrupted run (ledger cut back mid-spec) that is
 //!   rerun must produce a ledger byte-identical to an uninterrupted run,
 //!   serving the surviving prefix from the ledger (`LabEvent::Cached`,
 //!   never `Started`) without re-searching it.
@@ -16,19 +16,54 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use soma_bench::lab::cell_key;
 use soma_bench::{run_experiment, run_lab, ExperimentRow, LabEvent, Ledger};
 use soma_search::{Evaluated, Parallelism, SearchConfig};
 use soma_spec::registry::scenarios;
 use soma_spec::{read_experiment, ExperimentSpec};
 
-fn tmp(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_TARGET_TMPDIR")).join(name)
+fn fresh(name: &str) -> PathBuf {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = fs::remove_dir_all(&path);
+    path
 }
 
-fn fresh(name: &str) -> PathBuf {
-    let path = tmp(name);
-    let _ = fs::remove_file(&path);
-    path
+/// Every file of a ledger directory with its bytes, sorted by name.
+fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut out: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
+        .expect("ledger dir")
+        .map(|e| {
+            let e = e.expect("dir entry");
+            (e.file_name().into_string().expect("utf-8 name"), fs::read(e.path()).unwrap())
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// Cuts a finished two-cell ledger back to what a kill during the
+/// second cell's append leaves: the first row intact, the first `keep`
+/// bytes of the second row's frame, and no index (a run writes it only
+/// at the end).
+fn cut_second_row(dir: &Path, spec: &ExperimentSpec, keep: usize) {
+    let keys: Vec<String> =
+        spec.cells().iter().map(|c| cell_key(c, &spec.config, &spec.seeds)).collect();
+    let shard = |key: &str| dir.join(format!("shard-{}.bin", &key[..1]));
+    fs::remove_file(dir.join("index.bin")).expect("index written by the run");
+    let frame_len = |b: &[u8], at: usize| {
+        8 + u32::from_le_bytes(b[at + 4..at + 8].try_into().unwrap()) as usize
+    };
+    let second = shard(&keys[1]);
+    let bytes = fs::read(&second).expect("second row's shard");
+    // Shard header (8 bytes), then the first row's frame if it shares
+    // the shard.
+    let start = if shard(&keys[0]) == second { 8 + frame_len(&bytes, 8) } else { 8 };
+    assert!(keep < frame_len(&bytes, start), "cut inside the second frame");
+    if start == 8 && keep == 0 {
+        fs::remove_file(&second).expect("drop the shard the kill never created");
+    } else {
+        fs::write(&second, &bytes[..start + keep]).expect("cut");
+    }
 }
 
 fn assert_evaluated_eq(cell: &str, which: &str, a: &Evaluated, b: &Evaluated) {
@@ -78,7 +113,7 @@ fn lab_matches_sequential_run_experiment_bit_for_bit() {
     let spec = differential_spec();
     let sequential = run_experiment(&spec, |_| {});
 
-    let ledger_path = fresh("differential.ledger.jsonl");
+    let ledger_path = fresh("differential.ledger");
     let cold = run_lab(&spec, &ledger_path, |_| {}).expect("cold lab run");
     assert_eq!((cold.hits, cold.misses), (0, spec.cells().len()));
     assert_rows_eq(&sequential, &cold.rows);
@@ -111,19 +146,19 @@ fn multithreaded_lab_ledger_is_byte_identical_to_sequential() {
     // of order under Fixed(4); the in-order flusher must still append
     // rows in cell order, and every outcome must be bit-identical.
     let golden_spec = differential_spec();
-    let golden_path = fresh("threads-golden.ledger.jsonl");
+    let golden_path = fresh("threads-golden.ledger");
     let golden = run_lab(&golden_spec, &golden_path, |_| {}).expect("sequential golden run");
-    let golden_bytes = fs::read(&golden_path).expect("golden ledger");
+    let golden_bytes = files(&golden_path);
 
     for par in [Parallelism::Fixed(2), Parallelism::Fixed(4)] {
         let mut spec = differential_spec();
         spec.parallelism = par;
-        let path = fresh(&format!("threads-{par}.ledger.jsonl"));
+        let path = fresh(&format!("threads-{par}.ledger"));
         let got = run_lab(&spec, &path, |_| {}).expect("parallel lab run");
         assert_eq!((got.hits, got.misses), (0, spec.cells().len()), "{par}: all cold");
         assert_rows_eq(&golden.rows, &got.rows);
         assert_eq!(
-            fs::read(&path).expect("parallel ledger"),
+            files(&path),
             golden_bytes,
             "{par}: ledger bytes diverged from the sequential golden"
         );
@@ -142,18 +177,16 @@ fn interrupted_run_resumes_to_a_byte_identical_ledger() {
     let spec = fig_pair();
 
     // Reference: one uninterrupted run.
-    let intact_path = fresh("resume-intact.ledger.jsonl");
+    let intact_path = fresh("resume-intact.ledger");
     let intact = run_lab(&spec, &intact_path, |_| {}).expect("uninterrupted run");
     assert_eq!((intact.hits, intact.misses), (0, 2));
-    let intact_bytes = fs::read(&intact_path).expect("intact ledger");
+    let intact_bytes = files(&intact_path);
 
-    // "Interrupt" a second run after its first cell: truncate the ledger
-    // to its first line (exactly what a kill between cells leaves).
-    let resumed_path = fresh("resume-cut.ledger.jsonl");
+    // "Interrupt" a second run after its first cell: cut the ledger back
+    // to its first row (exactly what a kill between cells leaves).
+    let resumed_path = fresh("resume-cut.ledger");
     run_lab(&spec, &resumed_path, |_| {}).expect("run to interrupt");
-    let full = fs::read_to_string(&resumed_path).expect("ledger");
-    let first_line_end = full.find('\n').expect("at least one row") + 1;
-    fs::write(&resumed_path, &full.as_bytes()[..first_line_end]).expect("truncate");
+    cut_second_row(&resumed_path, &spec, 0);
 
     // Resume. The surviving cell must be served from the ledger (Cached,
     // never Started => not re-searched), the lost cell re-run.
@@ -176,37 +209,35 @@ fn interrupted_run_resumes_to_a_byte_identical_ledger() {
     );
 
     // The resumed ledger is byte-identical to the uninterrupted one.
-    assert_eq!(fs::read(&resumed_path).expect("resumed ledger"), intact_bytes);
+    assert_eq!(files(&resumed_path), intact_bytes);
     assert_rows_eq(&intact.rows, &resumed.rows);
 }
 
 #[test]
 fn kill_mid_append_resumes_cleanly() {
-    // Harsher interruption: the ledger is cut mid-line (a torn write).
+    // Harsher interruption: the second row's frame is torn mid-write.
     let spec = fig_pair();
-    let intact_path = fresh("torn-intact.ledger.jsonl");
+    let intact_path = fresh("torn-intact.ledger");
     run_lab(&spec, &intact_path, |_| {}).expect("reference run");
-    let intact_bytes = fs::read(&intact_path).expect("intact ledger");
+    let intact_bytes = files(&intact_path);
 
-    let torn_path = fresh("torn-cut.ledger.jsonl");
+    let torn_path = fresh("torn-cut.ledger");
     run_lab(&spec, &torn_path, |_| {}).expect("run to tear");
-    let full = fs::read(&torn_path).expect("ledger");
-    let first_line_end = full.iter().position(|&b| b == b'\n').expect("row") + 1;
-    // Keep the first complete row plus half of the second.
-    let cut = first_line_end + (full.len() - first_line_end) / 2;
-    fs::write(&torn_path, &full[..cut]).expect("tear");
+    // Keep the first complete row plus part of the second frame.
+    cut_second_row(&torn_path, &spec, 300);
 
     let resumed = run_lab(&spec, &torn_path, |_| {}).expect("resume after tear");
     assert_eq!((resumed.hits, resumed.misses), (1, 1), "torn row dropped, complete row kept");
-    assert_eq!(fs::read(&torn_path).expect("repaired ledger"), intact_bytes);
+    assert!(resumed.health.truncated, "the probe saw the torn tail");
+    assert_eq!(files(&torn_path), intact_bytes);
 }
 
 #[test]
 fn rerunning_a_finished_spec_does_zero_search_work() {
     let spec = fig_pair();
-    let path = fresh("replay.ledger.jsonl");
+    let path = fresh("replay.ledger");
     run_lab(&spec, &path, |_| {}).expect("cold run");
-    let bytes = fs::read(&path).expect("ledger");
+    let bytes = files(&path);
 
     let mut events = Vec::new();
     let warm = run_lab(&spec, &path, |ev| events.push(ev.clone())).expect("warm run");
@@ -218,5 +249,5 @@ fn rerunning_a_finished_spec_does_zero_search_work() {
         2,
         "{events:?}"
     );
-    assert_eq!(fs::read(&path).expect("ledger"), bytes, "a replay never writes");
+    assert_eq!(files(&path), bytes, "a replay never writes");
 }

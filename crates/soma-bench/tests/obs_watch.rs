@@ -1,8 +1,9 @@
 //! Observability end-to-end: the `watch` binary's headless replay frame
 //! and machine-readable campaign summary over the **committed** golden
-//! ledger are pinned byte-for-byte, and a live campaign (events observed
-//! as `run_lab` emits them) must render exactly the same final frame as
-//! an offline replay of the ledger it wrote.
+//! ledger (its JSON view, migrated into a ledger directory) are pinned
+//! byte-for-byte, and a live campaign (events observed as `run_lab`
+//! emits them) must render exactly the same final frame as an offline
+//! replay of the ledger it wrote.
 //!
 //! Regenerate the snapshots after an intentional behaviour change with:
 //!
@@ -13,6 +14,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::OnceLock;
 
 use soma_bench::lab::Ledger;
 use soma_bench::run_lab;
@@ -55,9 +57,21 @@ fn assert_golden(got: &[u8], golden: &str) {
     );
 }
 
-/// The committed campaign ledger every offline test replays.
+/// The committed campaign ledger every offline test replays: the
+/// golden JSON view migrated once into a ledger directory named like
+/// the campaign (the summary takes its name from the directory).
 fn committed_ledger() -> PathBuf {
-    golden_path("fig_pair_edge.ledger.jsonl")
+    static LEDGER: OnceLock<PathBuf> = OnceLock::new();
+    LEDGER
+        .get_or_init(|| {
+            let dir = tmp(&format!("obs-watch-{}", std::process::id()));
+            let _ = fs::remove_dir_all(&dir);
+            let ledger = dir.join("fig_pair_edge.ledger");
+            Ledger::migrate(&golden_path("fig_pair_edge.ledger.jsonl"), &ledger)
+                .expect("the committed golden migrates");
+            ledger
+        })
+        .clone()
 }
 
 fn watch(args: &[&str]) -> std::process::Output {
@@ -186,8 +200,8 @@ fn live_event_stream_matches_offline_replay() {
     )
     .expect("committed spec");
     let spec = read_experiment(&spec_text).expect("spec parses");
-    let ledger_path = tmp("obs-watch-live.jsonl");
-    let _ = fs::remove_file(&ledger_path);
+    let ledger_path = tmp("obs-watch-live.ledger");
+    let _ = fs::remove_dir_all(&ledger_path);
 
     let mut live = WatchModel::new();
     run_lab(&spec, &ledger_path, |ev| live.observe(ev)).expect("lab runs");

@@ -8,11 +8,10 @@
 //! 1. **[`stats`]** — the streaming statistics engine: constant-space
 //!    min/max/mean ([`StreamingStats`]), exact nearest-rank percentiles
 //!    ([`Sample`]), the P² streaming quantile estimator
-//!    ([`P2Quantile`]), fixed-range histograms ([`Histogram`]) and the
-//!    per-stage breakdown keyed by [`StageSpec`](soma_search::StageSpec)
-//!    names ([`StageBreakdown`]). Property-tested against a sort-based
-//!    oracle; the *single* percentile implementation in the workspace
-//!    (the serve load generator and perfbench both delegate here).
+//!    ([`P2Quantile`]) and the [`sparkline`] renderer. Property-tested
+//!    against a sort-based oracle; the *single* percentile
+//!    implementation in the workspace (the serve load generator and
+//!    perfbench both delegate here).
 //! 2. **[`summary`]** — the machine-readable [`CampaignSummary`] JSON
 //!    artifact (`specs/SUMMARY.md`): per-scenario best-cost / latency /
 //!    evals distributions, cache hit rate, failure counts and
@@ -41,10 +40,7 @@ pub mod watch;
 
 pub use drill::gantt_for_row;
 pub use event::LabEvent;
-pub use stats::{
-    percentile_nearest_rank, sparkline, stage_name, Histogram, P2Quantile, Sample, StageAgg,
-    StageBreakdown, StreamingStats,
-};
+pub use stats::{percentile_nearest_rank, sparkline, P2Quantile, Sample, StreamingStats};
 pub use summary::{
     CampaignSummary, CellOutcome, Dist, RunCounts, ScenarioSummary, SUMMARY_VERSION,
 };

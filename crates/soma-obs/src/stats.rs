@@ -8,19 +8,11 @@
 //!   campaign summary distributions).
 //! * [`P2Quantile`] — the P² (Jain & Chlamtac) streaming quantile
 //!   estimator for samples too large to keep.
-//! * [`Histogram`] — fixed-range linear-bucket counts with a sparkline
-//!   rendering.
-//! * [`StageBreakdown`] — per-stage cost/evals/wall-time aggregation
-//!   keyed by [`StageSpec`] stage names, fed from a
-//!   [`SearchEvent`] stream.
+//! * [`sparkline`] — a one-line unicode rendering of a series.
 //!
 //! Everything here is deterministic: the same observations in the same
 //! order produce bit-identical results, which is what lets the campaign
 //! summary be byte-stable.
-
-use std::collections::BTreeMap;
-
-use soma_search::{SearchEvent, StageSpec};
 
 /// Nearest-rank percentile of an **ascending-sorted** slice, `p` in
 /// `[0, 100]`. `0.0` on an empty slice. Rank is `ceil(p/100 · n)`
@@ -297,59 +289,6 @@ impl P2Quantile {
     }
 }
 
-/// A fixed-range linear-bucket histogram. Observations outside the
-/// range clamp into the edge buckets, so the total count is always the
-/// number of observations.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// `buckets` equal-width buckets spanning `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// If `buckets` is zero or the range is empty or inverted.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(buckets > 0, "a histogram needs at least one bucket");
-        assert!(hi > lo, "empty histogram range [{lo}, {hi})");
-        Self { lo, hi, counts: vec![0; buckets], total: 0 }
-    }
-
-    /// Folds one observation in (clamping into the edge buckets).
-    pub fn observe(&mut self, x: f64) {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        let i = ((x - self.lo) / w).floor();
-        let i = (i.max(0.0) as usize).min(self.counts.len() - 1);
-        self.counts[i] += 1;
-        self.total += 1;
-    }
-
-    /// Per-bucket counts, low bucket first.
-    #[must_use]
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total observations.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// The bucket counts as a one-line unicode sparkline.
-    #[must_use]
-    pub fn sparkline(&self) -> String {
-        let values: Vec<f64> = self.counts.iter().map(|&c| c as f64).collect();
-        sparkline(&values)
-    }
-}
-
 /// Renders values as a unicode block-element sparkline, one glyph per
 /// value, scaled to the value range (a flat series renders mid-height).
 /// Empty input renders an empty string.
@@ -373,114 +312,6 @@ pub fn sparkline(values: &[f64]) -> String {
             }
         })
         .collect()
-}
-
-/// The canonical display name of a pipeline stage — the same string
-/// [`SearchEvent::StageFinished`] carries (pinned against
-/// `StageSpec::instantiate().name()` by test).
-#[must_use]
-pub fn stage_name(spec: StageSpec) -> &'static str {
-    match spec {
-        StageSpec::Lfa => "lfa",
-        StageSpec::Dlsa => "dlsa",
-        StageSpec::CoccoLfa => "cocco",
-    }
-}
-
-/// Per-stage aggregate of a [`SearchEvent`] stream.
-#[derive(Debug, Clone, Default)]
-pub struct StageAgg {
-    /// `StageFinished` events observed for this stage.
-    pub finishes: u64,
-    /// Schedule evaluations attributed to this stage (deltas of the
-    /// cumulative counter between consecutive stage finishes).
-    pub evals: u64,
-    /// Best (lowest) stage cost observed.
-    pub best_cost: Option<f64>,
-    /// Wall-clock per stage finish, when the caller supplies timestamps
-    /// via [`StageBreakdown::observe_at`].
-    pub wall_ms: StreamingStats,
-}
-
-/// Per-stage timing/effort breakdown of a search, fed one
-/// [`SearchEvent`] at a time and keyed by [`StageSpec`] stage names.
-/// Stages appear in name order when iterated, so renderings are
-/// deterministic.
-#[derive(Debug, Clone, Default)]
-pub struct StageBreakdown {
-    stages: BTreeMap<String, StageAgg>,
-    /// Buffer-allocator rounds observed.
-    rounds: u64,
-    /// Cumulative-evals watermark (resets when a seed finishes — the
-    /// engine counts per session).
-    last_evals: u64,
-    /// Timestamp watermark for wall-clock attribution.
-    last_ms: Option<u64>,
-}
-
-impl StageBreakdown {
-    /// An empty breakdown.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds one event in without timing (wall-clock stats stay empty).
-    pub fn observe(&mut self, ev: &SearchEvent) {
-        self.fold(ev, None);
-    }
-
-    /// Folds one event in with a caller-supplied monotonic timestamp in
-    /// milliseconds; the delta since the previous observed timestamp is
-    /// attributed to the finishing stage.
-    pub fn observe_at(&mut self, ev: &SearchEvent, now_ms: u64) {
-        self.fold(ev, Some(now_ms));
-    }
-
-    fn fold(&mut self, ev: &SearchEvent, now_ms: Option<u64>) {
-        match ev {
-            SearchEvent::RoundStarted { .. } => {
-                self.rounds += 1;
-                self.last_ms = now_ms;
-            }
-            SearchEvent::StageFinished { stage, cost, evals, .. } => {
-                let agg = self.stages.entry(stage.clone()).or_default();
-                agg.finishes += 1;
-                agg.evals += evals.saturating_sub(self.last_evals);
-                agg.best_cost =
-                    Some(agg.best_cost.map_or(*cost, |b: f64| if *cost < b { *cost } else { b }));
-                if let (Some(prev), Some(now)) = (self.last_ms, now_ms) {
-                    agg.wall_ms.observe(now.saturating_sub(prev) as f64);
-                }
-                self.last_evals = *evals;
-                self.last_ms = now_ms;
-            }
-            SearchEvent::SeedFinished { .. } => {
-                // The cumulative counter is per session; the next
-                // seed's stage events restart from zero.
-                self.last_evals = 0;
-                self.last_ms = now_ms;
-            }
-            _ => {}
-        }
-    }
-
-    /// Rounds observed.
-    #[must_use]
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
-    /// The aggregate of one stage, if it has been observed.
-    #[must_use]
-    pub fn stage(&self, spec: StageSpec) -> Option<&StageAgg> {
-        self.stages.get(stage_name(spec))
-    }
-
-    /// All observed stages in name order.
-    pub fn stages(&self) -> impl Iterator<Item = (&str, &StageAgg)> {
-        self.stages.iter().map(|(k, v)| (k.as_str(), v))
-    }
 }
 
 #[cfg(test)]
@@ -556,63 +387,10 @@ mod tests {
     }
 
     #[test]
-    fn histogram_clamps_and_counts() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [-1.0, 0.0, 3.9, 5.0, 9.9, 42.0] {
-            h.observe(x);
-        }
-        assert_eq!(h.counts(), &[2, 1, 1, 0, 2]);
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.sparkline().chars().count(), 5);
-    }
-
-    #[test]
     fn sparkline_scales_to_the_range() {
         assert_eq!(sparkline(&[]), "");
         assert_eq!(sparkline(&[1.0, 1.0]), "▄▄");
         let s = sparkline(&[0.0, 7.0]);
         assert_eq!(s, "▁█");
-    }
-
-    #[test]
-    fn stage_names_match_the_engine() {
-        for spec in [StageSpec::Lfa, StageSpec::Dlsa, StageSpec::CoccoLfa] {
-            assert_eq!(stage_name(spec), spec.instantiate().name());
-        }
-    }
-
-    #[test]
-    fn stage_breakdown_attributes_eval_deltas_and_wall_time() {
-        let mut b = StageBreakdown::new();
-        b.observe_at(&SearchEvent::RoundStarted { round: 0, stage1_budget: 1024 }, 100);
-        b.observe_at(
-            &SearchEvent::StageFinished { round: 0, stage: "lfa".into(), cost: 5.0, evals: 10 },
-            130,
-        );
-        b.observe_at(
-            &SearchEvent::StageFinished { round: 0, stage: "dlsa".into(), cost: 4.0, evals: 25 },
-            170,
-        );
-        b.observe_at(
-            &SearchEvent::SeedFinished { seed: 7, cost: 4.0, evals: 25, rejected: 0 },
-            170,
-        );
-        // Second seed: the cumulative counter restarts.
-        b.observe_at(&SearchEvent::RoundStarted { round: 0, stage1_budget: 1024 }, 200);
-        b.observe_at(
-            &SearchEvent::StageFinished { round: 0, stage: "lfa".into(), cost: 6.0, evals: 8 },
-            210,
-        );
-
-        assert_eq!(b.rounds(), 2);
-        let lfa = b.stage(StageSpec::Lfa).unwrap();
-        assert_eq!((lfa.finishes, lfa.evals), (2, 18));
-        assert_eq!(lfa.best_cost, Some(5.0));
-        assert_eq!((lfa.wall_ms.min(), lfa.wall_ms.max()), (10.0, 30.0));
-        let dlsa = b.stage(StageSpec::Dlsa).unwrap();
-        assert_eq!((dlsa.finishes, dlsa.evals), (1, 15));
-        assert!(b.stage(StageSpec::CoccoLfa).is_none());
-        let names: Vec<&str> = b.stages().map(|(n, _)| n).collect();
-        assert_eq!(names, ["dlsa", "lfa"], "name order, deterministic");
     }
 }

@@ -11,12 +11,13 @@
 //! `outcome_from_bytes(&outcome_to_bytes(o))`, and equal outcomes
 //! always render byte-identically. That is what lets a ledger hit
 //! replace a search without perturbing a single downstream byte (CSV
-//! rows, envelope bests, resumed ledgers), and what makes the v2 JSONL
-//! → v3 binary ledger migration an identity on the rows.
+//! rows, envelope bests, resumed ledgers), and what makes migrating a
+//! v2 JSONL ledger into the v3 binary store an identity on the rows.
 //!
-//! JSON is the human-readable debug surface (`lab --ledger-format
-//! json`, quarantine sidecars); binary is the default on-disk frame
-//! payload of ledger format v3 (`specs/LEDGER.md`).
+//! Binary is the on-disk frame payload of ledger format v3
+//! (`specs/LEDGER.md`); JSON is its human-readable view (`ledger
+//! dump`, the serve protocol's result frames) and the legacy-migration
+//! input.
 
 use serde::json::{self, Value};
 use soma_core::{Dlsa, Encoding, Lfa};

@@ -4,9 +4,8 @@
 //! round-trip-exact floats), and length-prefixed UTF-8 strings.
 //!
 //! Everything is little-endian and deterministic: equal values encode
-//! to byte-identical sequences, which is what lets the binary ledger
-//! keep the JSONL ledger's byte-identity contracts (resume, thread
-//! matrix, migration round-trips).
+//! to byte-identical sequences, which is what the ledger's byte-identity
+//! contracts (resume, thread matrix, migration round-trips) rest on.
 //!
 //! Decoders never panic on damaged input — every primitive returns a
 //! [`WireError`] naming the first violation, so a corrupt frame

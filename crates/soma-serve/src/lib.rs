@@ -25,7 +25,9 @@
 //!   and zero search work, and every fresh result is flushed to the
 //!   ledger *before* the result frame goes out, so the cache grows
 //!   across requests and daemon restarts — and a ledger warmed by `lab`
-//!   serves the daemon, and vice versa.
+//!   serves the daemon, and vice versa. A cached row whose payload no
+//!   longer decodes is counted (`decode_failed` in `stats`), searched
+//!   afresh and superseded by the new row.
 //! * **Graceful shutdown** ([`shutdown`]) — SIGINT/SIGTERM flip one
 //!   atomic flag; accept and connection loops poll it between frames,
 //!   in-flight searches finish and flush, new submits get
@@ -43,7 +45,7 @@
 //!
 //! let handle = start(ServerConfig::new(
 //!     "tcp:127.0.0.1:0".parse::<Listen>().unwrap(),
-//!     "runs/serve.jsonl",
+//!     "runs/serve.ledger",
 //! ))
 //! .unwrap();
 //! let mut client = Client::connect(handle.listen()).unwrap();

@@ -309,6 +309,9 @@ pub struct StatsSnapshot {
     /// Fresh results whose ledger append failed: the client still got
     /// the result, but it was not cached.
     pub append_failed: u64,
+    /// Ledger hits whose stored payload did not decode: the request
+    /// was searched afresh and its new row supersedes the damaged one.
+    pub decode_failed: u64,
     /// Milliseconds since the daemon started accepting connections
     /// (gauge — monotonically increasing, resets on restart).
     pub uptime_ms: u64,
@@ -415,6 +418,7 @@ impl Response {
                 o.push("panics", s.panics.into());
                 o.push("quarantined", s.quarantined.into());
                 o.push("append_failed", s.append_failed.into());
+                o.push("decode_failed", s.decode_failed.into());
                 o.push("uptime_ms", s.uptime_ms.into());
             }
             Response::Error { detail } => {
@@ -487,6 +491,7 @@ impl Response {
                 panics: v.get("panics").and_then(Value::as_u64).unwrap_or(0),
                 quarantined: v.get("quarantined").and_then(Value::as_u64).unwrap_or(0),
                 append_failed: v.get("append_failed").and_then(Value::as_u64).unwrap_or(0),
+                decode_failed: v.get("decode_failed").and_then(Value::as_u64).unwrap_or(0),
                 uptime_ms: v.get("uptime_ms").and_then(Value::as_u64).unwrap_or(0),
             })),
             "error" => Ok(Response::Error { detail: get_str(v, "detail")? }),
@@ -566,6 +571,7 @@ mod tests {
                 panics: 6,
                 quarantined: 7,
                 append_failed: 9,
+                decode_failed: 10,
                 uptime_ms: 8,
             }),
             Response::Error { detail: "bad json".into() },
@@ -626,8 +632,8 @@ mod tests {
             panic!("expected stats");
         };
         assert_eq!(
-            (s.cancelled, s.panics, s.quarantined, s.append_failed, s.uptime_ms),
-            (0, 0, 0, 0, 0)
+            (s.cancelled, s.panics, s.quarantined, s.append_failed, s.decode_failed, s.uptime_ms),
+            (0, 0, 0, 0, 0, 0)
         );
         assert_eq!(s.served, 9);
     }

@@ -48,8 +48,8 @@ const POLL: Duration = Duration::from_millis(25);
 pub struct ServerConfig {
     /// Where to listen.
     pub listen: Listen,
-    /// The result-cache ledger (created on first append; loaded —
-    /// including torn-tail repair — at start-up).
+    /// The result-cache ledger directory (created on first append;
+    /// loaded — including torn-tail repair — at start-up).
     pub ledger_path: PathBuf,
     /// Maximum concurrently running submits; excess is refused with
     /// `queue-full`. Clamped to at least 1.
@@ -94,6 +94,8 @@ struct Shared {
     quarantined: u64,
     /// Fresh results whose ledger append failed.
     append_failed: AtomicU64,
+    /// Ledger hits whose payload did not decode (re-searched).
+    decode_failed: AtomicU64,
     /// When the daemon started accepting connections — the `uptime_ms`
     /// gauge in stats frames measures from here.
     started: Instant,
@@ -126,6 +128,7 @@ impl Shared {
             panics: self.panics.load(Ordering::SeqCst),
             quarantined: self.quarantined,
             append_failed: self.append_failed.load(Ordering::SeqCst),
+            decode_failed: self.decode_failed.load(Ordering::SeqCst),
             uptime_ms: self.started.elapsed().as_millis() as u64,
         }
     }
@@ -213,6 +216,7 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         panics: AtomicU64::new(0),
         quarantined: health.quarantined as u64,
         append_failed: AtomicU64::new(0),
+        decode_failed: AtomicU64::new(0),
         started: Instant::now(),
         stop: AtomicBool::new(false),
         draining: AtomicBool::new(false),
@@ -402,12 +406,17 @@ fn handle_submit(writer: &mut Stream, shared: &Shared, submit: SubmitRequest) ->
     let hash = cell_hash_hex(&cell.id, &cell.hw, &cfg, &seeds, ENGINE_VERSION);
 
     // Warm path: answer straight from the ledger, no admission needed —
-    // a cache hit costs no search work.
+    // a cache hit costs no search work. A row whose payload does not
+    // decode is counted and searched afresh like a miss; its new row
+    // supersedes the damaged one.
     let hit = {
         let ledger = shared.ledger.lock().expect("ledger lock poisoned");
-        ledger.lookup(&hash).and_then(|row| row.outcome().cloned())
+        ledger.lookup(&hash).map(|row| row.outcome().cloned())
     };
-    if let Some(outcome) = hit {
+    if matches!(hit, Some(None)) {
+        shared.decode_failed.fetch_add(1, Ordering::SeqCst);
+    }
+    if let Some(Some(outcome)) = hit {
         shared.cache_hits.fetch_add(1, Ordering::SeqCst);
         shared.served.fetch_add(1, Ordering::SeqCst);
         send(
@@ -530,12 +539,13 @@ fn handle_submit(writer: &mut Stream, shared: &Shared, submit: SubmitRequest) ->
         let mut ledger = shared.ledger.lock().expect("ledger lock poisoned");
         // Two concurrent submits of the same request both search (the
         // outcomes are bit-identical); only the first appends, keeping
-        // the ledger one-row-per-key like the lab orchestrator. A
-        // failed append (real or injected) is not fatal to the client:
-        // the outcome is correct either way, the cache just won't have
-        // it until someone recomputes — and the next load repairs any
-        // torn tail the failure left behind.
-        if ledger.lookup(&hash).is_none()
+        // the ledger one-row-per-key like the lab orchestrator — unless
+        // the row found does not decode, which the new row supersedes.
+        // A failed append (real or injected) is not fatal to the
+        // client: the outcome is correct either way, the cache just
+        // won't have it until someone recomputes — and the next load
+        // repairs any torn tail the failure left behind.
+        if ledger.lookup(&hash).and_then(LedgerRow::outcome).is_none()
             && ledger.append(LedgerRow::new(&cell, &hash, outcome.clone())).is_err()
         {
             shared.append_failed.fetch_add(1, Ordering::SeqCst);

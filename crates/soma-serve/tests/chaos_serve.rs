@@ -1,6 +1,6 @@
 //! Chaos suite for the serve daemon: injected connection drops, search
-//! panics, failed ledger appends, deadlines, client disconnects and
-//! pre-corrupted ledgers —
+//! panics, failed ledger appends, deadlines, client disconnects,
+//! pre-corrupted ledgers and payloads damaged behind a synced index —
 //! every failure must be **typed, counted, isolated, and recoverable by
 //! a retrying client**, and results must stay bit-identical to a
 //! fault-free daemon's.
@@ -16,12 +16,19 @@ use soma_serve::{
     Target,
 };
 use soma_spec::fault::{site, Fault, FaultConfig, FaultPlan};
+use soma_spec::ledger::Ledger;
 use soma_spec::quarantine_path;
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("soma-chaos-serve");
     fs::create_dir_all(&dir).expect("temp dir");
     dir.join(format!("{}-{name}", std::process::id()))
+}
+
+/// The one shard file a single-row ledger writes to.
+fn only_shard(ledger: &std::path::Path) -> PathBuf {
+    let hash = Ledger::load_readonly(ledger).unwrap().rows()[0].hash.clone();
+    ledger.join(format!("shard-{}.bin", &hash[..1]))
 }
 
 fn unix_listen(name: &str) -> Listen {
@@ -40,9 +47,8 @@ fn quick(id: &str, seed: u64, deadline_ms: Option<u64>) -> SubmitRequest {
 }
 
 fn server(name: &str, faults: Option<Arc<FaultPlan>>) -> (soma_serve::ServerHandle, PathBuf) {
-    let ledger = tmp(&format!("{name}.jsonl"));
-    let _ = fs::remove_file(&ledger);
-    let _ = fs::remove_file(quarantine_path(&ledger));
+    let ledger = tmp(&format!("{name}.ledger"));
+    let _ = fs::remove_dir_all(&ledger);
     let handle = start(ServerConfig { faults, ..ServerConfig::new(unix_listen(name), &ledger) })
         .expect("daemon starts");
     (handle, ledger)
@@ -203,11 +209,15 @@ fn corrupt_ledgers_are_quarantined_at_startup_and_the_survivors_replay() {
     assert!(cold.succeeded());
     handle.shutdown();
 
-    // Corruption lands while the daemon is down: a garbage row plus a
-    // torn half-row at the tail (the SIGKILL-mid-append signature).
-    let good = fs::read_to_string(&ledger_path).unwrap();
-    let torn = &good[..good.len() / 3];
-    fs::write(&ledger_path, format!("{good}this is not a ledger row\n{torn}")).unwrap();
+    // Corruption lands while the daemon is down: garbage after the good
+    // frame plus a torn partial frame at the tail (the
+    // SIGKILL-mid-append signature).
+    let shard = only_shard(&ledger_path);
+    let good = fs::read(&shard).unwrap();
+    let mut damaged = good.clone();
+    damaged.extend_from_slice(b"this is not a ledger row\n");
+    damaged.extend_from_slice(&good[8..8 + (good.len() - 8) / 3]);
+    fs::write(&shard, &damaged).unwrap();
 
     // Daemon B: repairs on load, reports it, and still serves the
     // surviving row warm and bit-identical.
@@ -229,11 +239,55 @@ fn corrupt_ledgers_are_quarantined_at_startup_and_the_survivors_replay() {
     );
     handle.shutdown();
 
-    // The quarantined row is preserved for the post-mortem.
+    // The quarantined bytes are preserved for the post-mortem, and the
+    // shard is back to its one good frame.
     let q = fs::read_to_string(quarantine_path(&ledger_path)).unwrap();
-    assert!(q.contains("not a ledger row"), "{q}");
-    let _ = fs::remove_file(&ledger_path);
-    let _ = fs::remove_file(quarantine_path(&ledger_path));
+    let hex: String = b"not a ledger row".iter().map(|b| format!("{b:02x}")).collect();
+    assert!(q.contains(&hex), "{q}");
+    assert_eq!(fs::read(&shard).unwrap(), good);
+    let _ = fs::remove_dir_all(&ledger_path);
+}
+
+#[test]
+fn an_undecodable_hit_is_re_searched_counted_and_cached_again() {
+    // Daemon A caches one row; daemon B's start-up load finds no index
+    // and writes one (serve itself never syncs the index), so from then
+    // on loads trust the index and never read the frame.
+    let (handle, ledger_path) = server("undecodable", None);
+    let mut client = Client::connect(handle.listen()).unwrap();
+    let cold = client.submit(quick("cold", 6, None)).unwrap();
+    assert!(cold.succeeded() && !cold.cached);
+    handle.shutdown();
+    start(ServerConfig::new(unix_listen("undecodable-b"), &ledger_path)).unwrap().shutdown();
+    assert!(ledger_path.join("index.bin").exists(), "a repairing load wrote the index");
+
+    // Flip one byte of the row's outcome payload (the frame's tail).
+    let shard = only_shard(&ledger_path);
+    let mut bytes = fs::read(&shard).unwrap();
+    let at = bytes.len() - 10;
+    bytes[at] ^= 0x01;
+    fs::write(&shard, &bytes).unwrap();
+
+    // Daemon C: the load is clean (the index vouches for the frame), the
+    // hit does not decode — counted, searched afresh, and re-cached.
+    let handle = start(ServerConfig::new(unix_listen("undecodable-c"), &ledger_path)).unwrap();
+    assert!(handle.ledger_health().is_clean());
+    let mut client = Client::connect(handle.listen()).unwrap();
+    let again = client.submit(quick("again", 6, None)).unwrap();
+    assert!(again.succeeded(), "{:?}", again.rejection);
+    assert!(!again.cached, "a payload that does not decode is never a hit");
+    assert_eq!(
+        outcome_to_string(again.outcome.as_ref().unwrap()),
+        outcome_to_string(cold.outcome.as_ref().unwrap()),
+    );
+    let stats = handle.stats();
+    assert_eq!((stats.decode_failed, stats.ledger_rows), (1, 2), "superseding row appended");
+
+    let warm = client.submit(quick("warm", 6, None)).unwrap();
+    assert!(warm.cached, "the superseding row serves the next request");
+    assert_eq!(handle.stats().decode_failed, 1);
+    handle.shutdown();
+    let _ = fs::remove_dir_all(&ledger_path);
 }
 
 #[test]
@@ -272,7 +326,7 @@ fn a_client_vanishing_mid_stream_cancels_the_search_and_caches_nothing() {
     }
     handle.shutdown();
     assert!(
-        !ledger_path.exists() || fs::read_to_string(&ledger_path).unwrap().is_empty(),
+        Ledger::load_readonly(&ledger_path).unwrap().is_empty(),
         "discarded search must leave no ledger row"
     );
 }

@@ -18,6 +18,13 @@ fn tmp(name: &str) -> PathBuf {
     dir.join(format!("{}-{name}", std::process::id()))
 }
 
+/// A ledger directory path with nothing at it yet.
+fn fresh_ledger(name: &str) -> PathBuf {
+    let path = tmp(&format!("{name}.ledger"));
+    let _ = std::fs::remove_dir_all(&path);
+    path
+}
+
 fn unix_listen(name: &str) -> Listen {
     Listen::Unix(tmp(&format!("{name}.sock")))
 }
@@ -35,8 +42,7 @@ fn quick(id: &str, scenario: &str, seed: u64) -> SubmitRequest {
 
 #[test]
 fn eight_concurrent_submits_then_bit_identical_cache_hits() {
-    let ledger_path = tmp("concurrent.jsonl");
-    let _ = std::fs::remove_file(&ledger_path);
+    let ledger_path = fresh_ledger("concurrent");
     let handle = start(ServerConfig {
         max_inflight: 8,
         ..ServerConfig::new(unix_listen("concurrent"), &ledger_path)
@@ -103,7 +109,7 @@ fn eight_concurrent_submits_then_bit_identical_cache_hits() {
 
 #[test]
 fn ping_reports_engine_and_protocol_versions() {
-    let ledger_path = tmp("ping.jsonl");
+    let ledger_path = fresh_ledger("ping");
     let handle = start(ServerConfig::new(Listen::Tcp("127.0.0.1:0".into()), &ledger_path)).unwrap();
     let mut client = Client::connect(handle.listen()).unwrap();
     let (engine, protocol) = client.ping().unwrap();
@@ -114,8 +120,7 @@ fn ping_reports_engine_and_protocol_versions() {
 
 #[test]
 fn oversized_requests_get_a_typed_budget_reject() {
-    let ledger_path = tmp("budget.jsonl");
-    let _ = std::fs::remove_file(&ledger_path);
+    let ledger_path = fresh_ledger("budget");
     let handle = start(ServerConfig {
         max_evals: 1,
         ..ServerConfig::new(unix_listen("budget"), &ledger_path)
@@ -132,8 +137,7 @@ fn oversized_requests_get_a_typed_budget_reject() {
 
 #[test]
 fn saturated_server_refuses_with_queue_full() {
-    let ledger_path = tmp("queue.jsonl");
-    let _ = std::fs::remove_file(&ledger_path);
+    let ledger_path = fresh_ledger("queue");
     let handle = start(ServerConfig {
         max_inflight: 1,
         ..ServerConfig::new(unix_listen("queue"), &ledger_path)
@@ -184,8 +188,7 @@ fn inline_network_specs_schedule_and_cache() {
         deadline_ms: None,
     };
 
-    let ledger_path = tmp("inline.jsonl");
-    let _ = std::fs::remove_file(&ledger_path);
+    let ledger_path = fresh_ledger("inline");
     let handle = start(ServerConfig::new(unix_listen("inline"), &ledger_path)).unwrap();
     let mut client = Client::connect(handle.listen()).unwrap();
 
@@ -205,7 +208,7 @@ fn inline_network_specs_schedule_and_cache() {
 
 #[test]
 fn bad_requests_and_bad_frames_are_typed_not_fatal() {
-    let ledger_path = tmp("bad.jsonl");
+    let ledger_path = fresh_ledger("bad");
     let handle = start(ServerConfig::new(Listen::Tcp("127.0.0.1:0".into()), &ledger_path)).unwrap();
 
     // An unknown scenario is a typed bad-request reject.
@@ -234,8 +237,7 @@ fn bad_requests_and_bad_frames_are_typed_not_fatal() {
 
 #[test]
 fn shutdown_drains_and_the_ledger_replays_across_restarts() {
-    let ledger_path = tmp("restart.jsonl");
-    let _ = std::fs::remove_file(&ledger_path);
+    let ledger_path = fresh_ledger("restart");
 
     // First daemon: one cold request, then a graceful stop.
     let handle = start(ServerConfig::new(unix_listen("restart-a"), &ledger_path)).unwrap();
@@ -262,7 +264,7 @@ fn shutdown_drains_and_the_ledger_replays_across_restarts() {
 
 #[test]
 fn draining_server_rejects_new_submits_as_shutting_down() {
-    let ledger_path = tmp("draining.jsonl");
+    let ledger_path = fresh_ledger("draining");
     let handle = start(ServerConfig::new(unix_listen("draining"), &ledger_path)).unwrap();
     let listen = handle.listen().clone();
     // Connect first, then start draining: the established connection

@@ -1,46 +1,50 @@
 //! The on-disk **run ledger**: a content-addressed result cache mapping
 //! cell hashes to losslessly persisted [`SearchOutcome`]s.
 //!
-//! Two on-disk formats share one API (format generation
-//! [`LEDGER_VERSION`] = 3, specified in `specs/LEDGER.md`):
+//! One on-disk format (generation [`LEDGER_VERSION`] = 3, specified in
+//! `specs/LEDGER.md`): the ledger is a *directory* of 16 shard files
+//! (`shard-0.bin` … `shard-f.bin`, keyed by the first hex digit of the
+//! cell hash so concurrent writers never contend on one file), each
+//! holding length-prefixed, checksummed frames, plus a disposable
+//! `index.bin` sidecar carrying every row's metadata and frame
+//! location. A load that finds the index in sync with the shard files
+//! builds the whole lookup table **without reading a single frame** —
+//! outcomes decode lazily on first access — which is what makes resume
+//! and cache lookup O(cells-missing) instead of O(cells-done).
 //!
-//! * **Binary, sharded** (the default for new ledgers): the ledger is a
-//!   *directory* of 16 shard files (`shard-0.bin` … `shard-f.bin`,
-//!   keyed by the first hex digit of the cell hash so concurrent
-//!   writers never contend on one file), each holding length-prefixed,
-//!   checksummed frames, plus a disposable `index.bin` sidecar carrying
-//!   every row's metadata and frame location. A load that finds the
-//!   index in sync with the shard files builds the whole lookup table
-//!   **without reading a single frame** — outcomes decode lazily on
-//!   first access — which is what makes resume and cache lookup
-//!   O(cells-missing) instead of O(cells-done).
-//! * **JSONL** (format v2 rows, the human-readable debug surface —
-//!   `lab --ledger-format json`): one JSON line per row, `crc`-first.
-//!   v1 rows (no `crc`) are migrated on read. Paths ending in `.jsonl`
-//!   load as JSONL; directories load as binary.
+//! JSON is a *view* of the store, not a second store:
+//! [`LedgerRow::to_line`] renders a row as its v2 JSON line (what
+//! `ledger dump` prints; byte-identical to the lines `.jsonl` ledgers of
+//! older versions hold, so the two compare with `cmp`), and
+//! [`Ledger::migrate`] reads such v1/v2 JSONL files into a fresh ledger
+//! directory. Loading an existing
+//! regular file as a ledger is refused with a pointer to
+//! `ledger migrate`.
 //!
-//! **Crash safety and self-validation** (both formats):
+//! **Crash safety and self-validation:**
 //!
-//! * Every row carries an FNV-1a 64 checksum, so silent corruption (a
-//!   flipped bit that still parses) is caught, not replayed.
-//! * A partially written trailing row — the signature of a process
+//! * Every frame carries an FNV-1a 64 checksum, so silent corruption (a
+//!   flipped bit that still parses) is caught, not replayed. A lazily
+//!   decoded row re-verifies its frame (magic, length, checksum, `seq`)
+//!   on first access, so a payload damaged after the index was synced
+//!   decodes to *no* outcome — never to a wrong one — and callers treat
+//!   it as a miss to re-search and supersede.
+//! * A partially written trailing frame — the signature of a process
 //!   killed mid-append — is dropped and truncated away **in place**
-//!   (`set_len` + fsync); a torn tail on a gigabyte ledger no longer
-//!   costs a whole-file rewrite.
-//! * A corrupt row anywhere else quarantines: the damaged bytes move to
-//!   a sidecar (`<name>.quarantine.jsonl` next to a JSONL ledger,
-//!   `quarantine.jsonl` inside a binary ledger directory) and the
-//!   damaged file is compacted crash-safely (write temp + rename).
-//!   Every valid row survives; [`Ledger::health`] reports exactly what
-//!   happened. Loading a quarantine sidecar *as* a ledger is refused —
-//!   it would re-quarantine its own contents.
+//!   (`set_len` + fsync); a torn tail on a gigabyte ledger never costs
+//!   a whole-shard rewrite.
+//! * A corrupt frame anywhere else quarantines: the damaged region is
+//!   recorded in the `quarantine.jsonl` sidecar inside the ledger
+//!   directory and the damaged shard is compacted crash-safely (write
+//!   temp + rename). Every valid frame survives; [`Ledger::health`]
+//!   reports exactly what happened.
 //! * Duplicate-hash rows are **last-write-wins**: all copies stay (the
 //!   ledger is append-only history), lookups resolve to the newest, and
 //!   [`LedgerHealth::duplicates`] counts the shadowed ones.
 //!
 //! Observers (`watch`, summary builders, replay probes) must use
 //! [`Ledger::load_readonly`], which tolerates torn tails and corrupt
-//! rows **without writing anything** — a repairing load under a live
+//! frames **without writing anything** — a repairing load under a live
 //! writer would truncate the writer's in-progress tail out from under
 //! it.
 //!
@@ -69,16 +73,17 @@ use crate::fault::{self, Fault, FaultPlan};
 use crate::hash::cell_hash_hex;
 use crate::ExperimentCell;
 
-/// Ledger **format generation**. v3 is the binary sharded format; the
-/// JSONL debug surface stays at row version [`JSONL_VERSION`].
+/// Ledger **format generation**: v3 is the binary sharded format. The
+/// JSON view stays at row version [`JSONL_VERSION`].
 pub const LEDGER_VERSION: u64 = 3;
 
-/// Row version of the JSONL (debug) surface. v2 added the per-row
-/// `crc` checksum; v1 rows (no `crc`) are migrated on read.
+/// Row version of the JSON view ([`LedgerRow::to_line`], `ledger
+/// dump`). v2 added the per-row `crc` checksum; [`Ledger::migrate`]
+/// also reads v1 rows (no `crc`).
 pub const JSONL_VERSION: u64 = 2;
 
-/// Number of shard files in a binary ledger directory (one per first
-/// hex digit of the cell hash).
+/// Number of shard files in a ledger directory (one per first hex digit
+/// of the cell hash).
 pub const SHARDS: usize = 16;
 
 /// 8-byte header of every shard file.
@@ -87,11 +92,11 @@ const SHARD_MAGIC: &[u8; 8] = b"SOMALED3";
 const FRAME_MAGIC: &[u8; 4] = b"FRM3";
 /// 8-byte header of the index sidecar.
 const INDEX_MAGIC: &[u8; 8] = b"SOMAIDX3";
-/// The index sidecar inside a binary ledger directory.
+/// The index sidecar inside a ledger directory.
 const INDEX_FILE: &str = "index.bin";
-/// Human-readable marker dropped into a binary ledger directory.
+/// Human-readable marker dropped into a ledger directory.
 const MARKER_FILE: &str = "LEDGER";
-/// Quarantine sidecar inside a binary ledger directory.
+/// Quarantine sidecar inside a ledger directory.
 const QUARANTINE_FILE: &str = "quarantine.jsonl";
 
 /// FNV-1a 64 over a byte stream — the row/frame/index checksum.
@@ -115,47 +120,12 @@ fn shard_of(hash: &str) -> u8 {
     }
 }
 
-/// Path of shard `s` inside a binary ledger directory.
+/// Path of shard `s` inside a ledger directory.
 fn shard_path(dir: &Path, s: usize) -> PathBuf {
     dir.join(format!("shard-{s:x}.bin"))
 }
 
-/// The two on-disk ledger formats behind the one [`Ledger`] API.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LedgerFormat {
-    /// One JSON line per row — the debug/quarantine surface.
-    Jsonl,
-    /// A directory of checksummed binary shard files plus an index
-    /// sidecar — the default for new ledgers.
-    Binary,
-}
-
-impl LedgerFormat {
-    /// Detects the format of the ledger at `path`: an existing
-    /// directory is binary, an existing file is JSONL, and a missing
-    /// path goes by its extension (`.jsonl` → JSONL, anything else →
-    /// binary).
-    pub fn detect(path: &Path) -> Self {
-        if path.is_dir() {
-            LedgerFormat::Binary
-        } else if path.is_file() || path.extension().is_some_and(|e| e == "jsonl") {
-            LedgerFormat::Jsonl
-        } else {
-            LedgerFormat::Binary
-        }
-    }
-}
-
-impl std::fmt::Display for LedgerFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            LedgerFormat::Jsonl => "jsonl",
-            LedgerFormat::Binary => "binary",
-        })
-    }
-}
-
-/// Where a row's frame sits on disk (binary format only).
+/// Where a row's frame sits on disk.
 #[derive(Debug, Clone, Copy)]
 struct FrameLoc {
     shard: u8,
@@ -166,10 +136,23 @@ struct FrameLoc {
 /// Where a lazily decoded outcome's bytes come from.
 #[derive(Debug)]
 enum LazySource {
-    /// The frame's outcome payload, already in memory.
+    /// The frame's outcome payload, already in memory (and verified).
     Payload(Vec<u8>),
-    /// A whole frame on disk (magic + length + body), read on demand.
-    Disk { shard: PathBuf, offset: u64, len: u32 },
+    /// A whole frame on disk (magic + length + body), read and
+    /// re-verified on demand against the row's `seq`.
+    Disk { shard: PathBuf, offset: u64, len: u32, seq: u64 },
+}
+
+impl LazySource {
+    /// The encoded outcome payload.
+    fn payload(&self) -> io::Result<Vec<u8>> {
+        match self {
+            LazySource::Payload(bytes) => Ok(bytes.clone()),
+            LazySource::Disk { shard, offset, len, seq } => {
+                read_payload(shard, *offset, *len, *seq)
+            }
+        }
+    }
 }
 
 /// A memoised lazy outcome: decoded at most once, shared by clones.
@@ -186,17 +169,13 @@ impl LazyOutcome {
     fn decode(&self) -> Option<SearchOutcome> {
         match &self.source {
             LazySource::Payload(bytes) => outcome_from_bytes(bytes).ok(),
-            LazySource::Disk { shard, offset, len } => {
-                let frame = read_exact_at(shard, *offset, *len).ok()?;
-                let meta = decode_frame_body(frame.get(8..)?).ok()?;
-                outcome_from_bytes(&meta.payload).ok()
-            }
+            disk => outcome_from_bytes(&disk.payload().ok()?).ok(),
         }
     }
 }
 
-/// A row's outcome: resident (JSONL loads, freshly appended rows) or
-/// lazy (binary loads — decoded on first access).
+/// A row's outcome: resident (freshly appended or migrated rows) or
+/// lazy (loaded rows — decoded on first access).
 #[derive(Debug, Clone)]
 enum Payload {
     Resident(Arc<SearchOutcome>),
@@ -210,6 +189,33 @@ fn read_exact_at(path: &Path, offset: u64, len: u32) -> io::Result<Vec<u8>> {
     let mut buf = vec![0u8; len as usize];
     f.read_exact(&mut buf)?;
     Ok(buf)
+}
+
+/// Reads the outcome payload of the frame an index entry points at,
+/// verified against the row's `seq` — magic, length field, checksum and
+/// sequence number must all agree, so a stale index can never hand back
+/// another row's bytes. When the frame is not intact at that location
+/// (damage shifted the bytes in a way the index could not see), the
+/// shard is scanned for the row's intact frame instead, so a lying index
+/// never loses a frame.
+fn read_payload(shard: &Path, offset: u64, len: u32, seq: u64) -> io::Result<Vec<u8>> {
+    let at_index = read_exact_at(shard, offset, len).ok().and_then(|frame| {
+        let body_len = u32::from_le_bytes(frame.get(4..8)?.try_into().ok()?) as usize;
+        let whole = frame.starts_with(FRAME_MAGIC) && frame.len() == 8 + body_len;
+        decode_frame_body(frame.get(8..).filter(|_| whole)?).ok().filter(|m| m.seq == seq)
+    });
+    if let Some(meta) = at_index {
+        return Ok(meta.payload);
+    }
+    let buf = fs::read(shard)?;
+    let start = if buf.starts_with(SHARD_MAGIC) { SHARD_MAGIC.len() } else { 0 };
+    match scan_shard(&buf, start, 0, &Arc::default()).rows.into_iter().find(|r| r.seq == seq) {
+        Some(row) => row.payload_bytes(),
+        None => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame {seq} is damaged in {}", shard.display()),
+        )),
+    }
 }
 
 /// One persisted ledger row: the cell's identity, the summary metadata
@@ -227,9 +233,9 @@ pub struct LedgerRow {
     pub platform: String,
     /// Batch size.
     pub batch: u32,
-    /// Engine version that produced the row. Empty for rows recorded
-    /// before v3 (the JSONL surface does not store it); compaction
-    /// drops rows from a different, non-empty engine.
+    /// Engine version that produced the row. Empty for rows migrated
+    /// from pre-v3 JSONL (which did not store it); compaction drops
+    /// rows from a different, non-empty engine.
     pub engine: String,
     /// Best cost of the outcome (mirrors `outcome.best.cost`).
     pub best_cost: f64,
@@ -240,8 +246,8 @@ pub struct LedgerRow {
     /// Global append order — what keeps merged shard rows in the same
     /// order the campaign wrote them.
     seq: u64,
-    /// Frame location on disk, when the row came from (or went to) a
-    /// binary shard.
+    /// Frame location on disk, once the row came from (or went to) a
+    /// shard.
     loc: Option<FrameLoc>,
     payload: Payload,
 }
@@ -281,9 +287,9 @@ impl LedgerRow {
     }
 
     /// The row's full outcome. Resident rows return it directly; lazy
-    /// rows (binary loads) decode their frame payload on first access
-    /// and memoise. `None` means the payload on disk is corrupt —
-    /// damage is an absent outcome, never a panic.
+    /// rows decode their frame payload on first access and memoise.
+    /// `None` means the frame on disk is damaged — damage is an absent
+    /// outcome, never a panic and never another row's outcome.
     pub fn outcome(&self) -> Option<&SearchOutcome> {
         match &self.payload {
             Payload::Resident(o) => Some(o),
@@ -302,25 +308,14 @@ impl LedgerRow {
     fn payload_bytes(&self) -> io::Result<Vec<u8>> {
         match &self.payload {
             Payload::Resident(o) => Ok(outcome_to_bytes(o)),
-            Payload::Lazy(l) => match &l.source {
-                LazySource::Payload(bytes) => Ok(bytes.clone()),
-                LazySource::Disk { shard, offset, len } => {
-                    let frame = read_exact_at(shard, *offset, *len)?;
-                    let body = frame.get(8..).ok_or_else(|| {
-                        io::Error::new(io::ErrorKind::InvalidData, "frame shorter than its header")
-                    })?;
-                    let meta = decode_frame_body(body)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                    Ok(meta.payload)
-                }
-            },
+            Payload::Lazy(l) => l.source.payload(),
         }
     }
 
-    /// The row's payload object — every field except the checksum, in
+    /// The row's JSON view object — every field except the checksum, in
     /// canonical order. The checksum covers this object's canonical
     /// rendering.
-    fn jsonl_payload(&self, outcome: &SearchOutcome) -> Value {
+    fn json_payload(&self, outcome: &SearchOutcome) -> Value {
         let mut o = Value::obj();
         o.push("v", JSONL_VERSION.into());
         o.push("hash", self.hash.as_str().into());
@@ -332,17 +327,12 @@ impl LedgerRow {
         o
     }
 
-    /// Renders the row as its single-line JSONL entry (no trailing
-    /// newline), `crc` first. Deterministic: equal rows render
-    /// byte-identically.
-    ///
-    /// # Panics
-    ///
-    /// If the row's lazily loaded outcome payload is corrupt on disk —
-    /// render paths only see rows whose outcomes exist.
-    pub fn to_line(&self) -> String {
-        let outcome = self.outcome().expect("rendering a row with a corrupt outcome payload");
-        let payload = self.jsonl_payload(outcome);
+    /// Renders the row as its single-line v2 JSON view (no trailing
+    /// newline), `crc` first — what `ledger dump` prints.
+    /// Deterministic: equal rows render byte-identically. `None` when
+    /// the row's outcome does not decode (see [`outcome`](Self::outcome)).
+    pub fn to_line(&self) -> Option<String> {
+        let payload = self.json_payload(self.outcome()?);
         let crc = format!("{:016x}", fnv1a(json::to_string(&payload).bytes()));
         let mut o = Value::obj();
         o.push("crc", crc.into());
@@ -350,19 +340,16 @@ impl LedgerRow {
         for (k, v) in fields {
             o.push(k, v);
         }
-        json::to_string(&o)
+        Some(json::to_string(&o))
     }
 
-    /// Parses and **verifies** one JSONL ledger line: the embedded
-    /// `crc` must match FNV-1a over the canonical rendering of the
-    /// remaining fields, or the row is corrupt.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first violation (bad JSON,
-    /// missing/mismatched checksum, unsupported version, missing field,
-    /// malformed outcome).
-    pub fn from_line(line: &str) -> Result<Self, String> {
+    /// Parses and **verifies** one v2 JSON line — the legacy-migration
+    /// input: the embedded `crc` must match FNV-1a over the canonical
+    /// rendering of the remaining fields, or the row is corrupt. Errors
+    /// describe the first violation (bad JSON, missing/mismatched
+    /// checksum, unsupported version, missing field, malformed
+    /// outcome).
+    fn from_line(line: &str) -> Result<Self, String> {
         let v = json::parse(line).map_err(|e| e.to_string())?;
         let Value::Obj(fields) = v else { return Err("row is not a JSON object".into()) };
         let mut crc = None;
@@ -383,24 +370,24 @@ impl LedgerRow {
         if version != JSONL_VERSION {
             return Err(format!("unsupported ledger version {version}"));
         }
-        Self::from_json_fields(&payload, "")
+        Self::from_json_fields(&payload)
     }
 
-    /// Parses a **v1** JSONL row (the pre-checksum format) — the
-    /// migration-on-read path. Only complete rows migrate; anything
-    /// short of the full field set stays an error (and quarantines).
+    /// Parses a **v1** JSON line (the pre-checksum format). Only
+    /// complete rows parse; anything short of the full field set stays
+    /// an error.
     fn from_line_v1(line: &str) -> Result<Self, String> {
         let v = json::parse(line).map_err(|e| e.to_string())?;
         let version = v.get("v").and_then(Value::as_u64).ok_or("missing `v`")?;
         if version != 1 {
             return Err(format!("not a v1 row (version {version})"));
         }
-        Self::from_json_fields(&v, "")
+        Self::from_json_fields(&v)
     }
 
-    /// Shared field extraction for JSONL rows (v1 and v2 carry the
-    /// same payload fields).
-    fn from_json_fields(v: &Value, engine: &str) -> Result<Self, String> {
+    /// Shared field extraction for JSON lines (v1 and v2 carry the same
+    /// payload fields, and neither records an engine).
+    fn from_json_fields(v: &Value) -> Result<Self, String> {
         let text = |key: &str| -> Result<String, String> {
             Ok(v.get(key)
                 .and_then(Value::as_str)
@@ -416,7 +403,7 @@ impl LedgerRow {
             workload: text("workload")?,
             platform: text("platform")?,
             batch: u32::try_from(batch).map_err(|_| "batch exceeds u32".to_string())?,
-            engine: engine.to_string(),
+            engine: String::new(),
             best_cost: outcome.best.cost,
             latency_cycles: outcome.best.report.latency_cycles,
             evals: outcome.evals,
@@ -516,10 +503,10 @@ fn decode_frame_body(body: &[u8]) -> Result<FrameMeta, String> {
 pub struct LedgerHealth {
     /// Valid rows kept (including shadowed duplicates).
     pub kept: usize,
-    /// Corrupt rows/regions moved to the quarantine sidecar (or merely
+    /// Corrupt regions moved to the quarantine sidecar (or merely
     /// tolerated, on a read-only load).
     pub quarantined: usize,
-    /// Whether a partially written trailing row was found (and, on a
+    /// Whether a partially written trailing frame was found (and, on a
     /// repairing load, truncated away).
     pub truncated: bool,
     /// Valid rows whose hash repeats an earlier row's (last-write-wins;
@@ -534,24 +521,10 @@ impl LedgerHealth {
     }
 }
 
-/// The quarantine sidecar path of a ledger: `runs/x.jsonl` →
-/// `runs/x.quarantine.jsonl` for a JSONL file, `<dir>/quarantine.jsonl`
-/// for a binary ledger directory.
+/// The quarantine sidecar of a ledger directory:
+/// `<dir>/quarantine.jsonl`, one JSON record per damaged region.
 pub fn quarantine_path(ledger: &Path) -> PathBuf {
-    if LedgerFormat::detect(ledger) == LedgerFormat::Binary {
-        return ledger.join(QUARANTINE_FILE);
-    }
-    let stem = ledger.file_stem().and_then(|s| s.to_str()).unwrap_or("ledger");
-    ledger.with_file_name(format!("{stem}.quarantine.jsonl"))
-}
-
-/// Whether `path` names a quarantine sidecar — which must never be
-/// loaded *as* a ledger (its own quarantine path maps back onto
-/// itself, so a load would re-quarantine its contents in place).
-fn is_quarantine_sidecar(path: &Path) -> bool {
-    path.file_name()
-        .and_then(|n| n.to_str())
-        .is_some_and(|n| n == QUARANTINE_FILE || n.ends_with(".quarantine.jsonl"))
+    ledger.join(QUARANTINE_FILE)
 }
 
 /// One index sidecar entry: a row's metadata plus its frame location.
@@ -651,6 +624,7 @@ fn row_from_entry(e: IndexEntry, dir: &Path, decodes: &Arc<AtomicU64>) -> Ledger
                 shard: shard_path(dir, usize::from(e.shard)),
                 offset: e.offset,
                 len: e.len,
+                seq: e.seq,
             },
             slot: OnceLock::new(),
             decodes: Arc::clone(decodes),
@@ -775,23 +749,20 @@ pub struct CompactStats {
 pub struct MigrateStats {
     /// Rows migrated.
     pub rows: usize,
-    /// Source format.
-    pub from: LedgerFormat,
-    /// Destination format.
-    pub to: LedgerFormat,
+    /// Source lines that did not parse as a complete v1/v2 row (bit
+    /// rot, a torn final line) and were left behind in the source.
+    pub skipped: usize,
 }
 
 /// The on-disk run ledger: an append-only store mapping cell content
-/// hashes to persisted [`SearchOutcome`]s, in either format of
-/// [`LedgerFormat`].
+/// hashes to persisted [`SearchOutcome`]s.
 #[derive(Debug)]
 pub struct Ledger {
     path: PathBuf,
-    format: LedgerFormat,
     rows: Vec<LedgerRow>,
     index: HashMap<String, usize>,
     health: LedgerHealth,
-    /// Per-shard health (binary format only; empty for JSONL).
+    /// Per-shard health.
     shard_health: Vec<LedgerHealth>,
     faults: Option<Arc<FaultPlan>>,
     /// Outcome decodes performed by this ledger's lazy rows — the
@@ -802,20 +773,20 @@ pub struct Ledger {
 }
 
 impl Ledger {
-    /// Loads (or creates the notion of) the ledger at `path`, repairing
-    /// damage. A missing path is an empty ledger of the format
-    /// [`LedgerFormat::detect`] picks.
+    /// Loads the ledger directory at `path`, repairing damage. A
+    /// missing path is an empty ledger (the directory is created on
+    /// first append).
     ///
     /// Recovery is automatic and crash-safe:
     ///
-    /// * a partially written trailing row (a kill mid-append) is
+    /// * a partially written trailing frame (a kill mid-append) is
     ///   dropped and truncated away in place (`set_len` + fsync — no
     ///   rewrite);
-    /// * corrupt rows anywhere else (checksum mismatch, bad framing,
-    ///   foreign version) move to the quarantine sidecar and the
-    ///   damaged file is compacted via temp-file + rename, so a crash
-    ///   mid-repair leaves either the old or the new file — never a
-    ///   mix;
+    /// * corrupt frames anywhere else (checksum mismatch, bad framing,
+    ///   foreign version) are recorded in the quarantine sidecar and
+    ///   the damaged shard is compacted via temp-file + rename, so a
+    ///   crash mid-repair leaves either the old or the new shard —
+    ///   never a mix;
     /// * duplicate-hash rows all stay; lookups resolve to the newest
     ///   (last-write-wins).
     ///
@@ -827,14 +798,16 @@ impl Ledger {
     ///
     /// # Errors
     ///
-    /// Real I/O errors, or refusing to load a quarantine sidecar as a
-    /// ledger — corruption is repaired, not fatal.
+    /// Real I/O errors, or [`io::ErrorKind::InvalidInput`] when `path`
+    /// is an existing regular file (a JSONL ledger from an older
+    /// version, or a quarantine sidecar) — corruption is repaired, not
+    /// fatal.
     pub fn load(path: &Path) -> io::Result<Self> {
         Self::load_impl(path, None, false)
     }
 
     /// Loads the ledger **without writing anything**: torn tails and
-    /// corrupt rows are tolerated (skipped and reported in
+    /// corrupt frames are tolerated (skipped and reported in
     /// [`health`](Self::health)) but never truncated, quarantined or
     /// compacted. This is the only safe load under a live writer — a
     /// repairing load would treat the writer's in-progress tail as
@@ -847,7 +820,7 @@ impl Ledger {
     ///
     /// # Errors
     ///
-    /// Real I/O errors, or a quarantine-sidecar path.
+    /// As [`load`](Self::load).
     pub fn load_readonly(path: &Path) -> io::Result<Self> {
         Self::load_impl(path, None, true)
     }
@@ -866,32 +839,30 @@ impl Ledger {
     }
 
     fn load_impl(path: &Path, faults: Option<Arc<FaultPlan>>, readonly: bool) -> io::Result<Self> {
-        if is_quarantine_sidecar(path) {
+        if path.is_file() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!(
-                    "refusing to load quarantine sidecar {} as a ledger \
-                     (it would re-quarantine its own contents)",
+                    "{} is a file, not a ledger directory; convert a JSONL ledger with \
+                     `ledger migrate {} <dir>.ledger`",
+                    path.display(),
                     path.display()
                 ),
             ));
         }
-        let format = LedgerFormat::detect(path);
         let mut ledger = Self {
             path: path.to_path_buf(),
-            format,
             rows: Vec::new(),
             index: HashMap::new(),
             health: LedgerHealth::default(),
-            shard_health: Vec::new(),
+            shard_health: vec![LedgerHealth::default(); SHARDS],
             faults,
             decodes: Arc::new(AtomicU64::new(0)),
             next_seq: 0,
             readonly,
         };
-        match format {
-            LedgerFormat::Jsonl => ledger.load_jsonl()?,
-            LedgerFormat::Binary => ledger.load_binary()?,
+        if path.exists() {
+            ledger.load_shards()?;
         }
         Ok(ledger)
     }
@@ -904,104 +875,7 @@ impl Ledger {
         self.rows.push(row);
     }
 
-    fn load_jsonl(&mut self) -> io::Result<()> {
-        let bytes = match fs::read(&self.path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        // Byte-wise line split: bit-rot can break UTF-8 itself, and a
-        // non-UTF-8 line must quarantine like any other corrupt row
-        // without poisoning its neighbours' byte offsets.
-        // Kept line ranges; `true` marks a v1 row migrated on read
-        // (rendered as v2 if a repair rewrite happens).
-        let mut kept_ranges: Vec<(usize, usize, bool)> = Vec::new();
-        let mut quarantined_ranges: Vec<(usize, usize)> = Vec::new();
-        let mut torn_start: Option<usize> = None;
-        let mut pos = 0usize;
-        while pos < bytes.len() {
-            let Some(off) = bytes[pos..].iter().position(|&b| b == b'\n') else {
-                // Trailing bytes without a newline: a torn trailing
-                // write (the file is always appended line-at-a-time).
-                self.health.truncated = true;
-                torn_start = Some(pos);
-                break;
-            };
-            let range = (pos, pos + off);
-            pos += off + 1;
-            if range.0 == range.1 {
-                continue;
-            }
-            let line = &bytes[range.0..range.1];
-            // v2 first; a failed parse retries as v1 — the
-            // migration-on-read path for pre-checksum ledgers.
-            let parsed = std::str::from_utf8(line).map_err(|e| e.to_string()).and_then(|text| {
-                LedgerRow::from_line(text).map(|row| (row, false)).or_else(|e2| {
-                    LedgerRow::from_line_v1(text).map(|row| (row, true)).map_err(|_| e2)
-                })
-            });
-            match parsed {
-                Ok((mut row, migrated)) => {
-                    row.seq = self.next_seq;
-                    self.next_seq += 1;
-                    self.index_row(row);
-                    kept_ranges.push((range.0, range.1, migrated));
-                }
-                Err(_) => quarantined_ranges.push(range),
-            }
-        }
-        self.health.kept = self.rows.len();
-        self.health.quarantined = quarantined_ranges.len();
-
-        if self.readonly {
-            return Ok(());
-        }
-        if !quarantined_ranges.is_empty() {
-            // Quarantine first, then compact: a crash between the two
-            // leaves the corrupt rows present in both places, and the
-            // next load simply quarantines them again.
-            let qpath = quarantine_path(&self.path);
-            let mut q = fs::OpenOptions::new().create(true).append(true).open(&qpath)?;
-            for &(a, b) in &quarantined_ranges {
-                q.write_all(&bytes[a..b])?;
-                q.write_all(b"\n")?;
-            }
-            q.flush()?;
-            let tmp = self.path.with_extension("jsonl.tmp");
-            {
-                let mut f = fs::File::create(&tmp)?;
-                for (k, &(a, b, migrated)) in kept_ranges.iter().enumerate() {
-                    if migrated {
-                        // Upgrade migrated v1 rows to v2 as we rewrite;
-                        // v2 rows keep their exact on-disk bytes.
-                        f.write_all(self.rows[k].to_line().as_bytes())?;
-                    } else {
-                        f.write_all(&bytes[a..b])?;
-                    }
-                    f.write_all(b"\n")?;
-                }
-                f.flush()?;
-                f.sync_all()?;
-            }
-            fs::rename(&tmp, &self.path)?;
-            if let Some(plan) = &self.faults {
-                plan.observe(fault::site::LEDGER_COMPACT);
-            }
-        } else if let Some(ts) = torn_start {
-            // Only a torn tail: the prefix is intact, so truncate in
-            // place — no temp file, no rewrite, O(1) in ledger size.
-            let f = fs::OpenOptions::new().write(true).open(&self.path)?;
-            f.set_len(ts as u64)?;
-            f.sync_all()?;
-        }
-        Ok(())
-    }
-
-    fn load_binary(&mut self) -> io::Result<()> {
-        self.shard_health = vec![LedgerHealth::default(); SHARDS];
-        if !self.path.exists() {
-            return Ok(());
-        }
+    fn load_shards(&mut self) -> io::Result<()> {
         let dir = self.path.clone();
         let mut idx = read_index(&dir.join(INDEX_FILE));
         let next_seq_floor = idx.as_ref().map_or(0, |i| i.next_seq);
@@ -1060,8 +934,10 @@ impl Ledger {
                 if !scan.damage.is_empty() {
                     // Quarantine the damaged regions, then rewrite the
                     // shard from its valid frames (temp + rename).
-                    let qpath = dir.join(QUARANTINE_FILE);
-                    let mut q = fs::OpenOptions::new().create(true).append(true).open(&qpath)?;
+                    let mut q = fs::OpenOptions::new()
+                        .create(true)
+                        .append(true)
+                        .open(quarantine_path(&dir))?;
                     for &(off, len) in &scan.damage {
                         let end = (off + len).min(buf.len() as u64) as usize;
                         let sample = &buf[off as usize..end.min(off as usize + 64)];
@@ -1105,8 +981,8 @@ impl Ledger {
         }
 
         // Merge shards back into global append order: `seq` is the
-        // campaign's write order, so observers see the same row order
-        // the JSONL surface would give them (summary byte-stability).
+        // campaign's write order, so observers see rows in the order
+        // the campaign wrote them (summary byte-stability).
         all_rows.sort_by_key(|r| r.seq);
         for row in all_rows {
             self.index_row(row);
@@ -1134,16 +1010,6 @@ impl Ledger {
         self.faults = Some(plan);
     }
 
-    /// The ledger's path (a file for JSONL, a directory for binary).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Which on-disk format this ledger uses.
-    pub fn format(&self) -> LedgerFormat {
-        self.format
-    }
-
     /// Whether this ledger was loaded read-only (observer mode).
     pub fn readonly(&self) -> bool {
         self.readonly
@@ -1154,7 +1020,7 @@ impl Ledger {
         self.health
     }
 
-    /// Per-shard health (binary format; empty for JSONL ledgers).
+    /// Per-shard health, indexed by shard number.
     pub fn shard_healths(&self) -> &[LedgerHealth] {
         &self.shard_health
     }
@@ -1189,9 +1055,9 @@ impl Ledger {
         self.index.get(hash).map(|&i| &self.rows[i])
     }
 
-    /// Creates the binary ledger directory and its human-readable
-    /// marker on first use.
-    fn ensure_binary_dir(&self) -> io::Result<()> {
+    /// Creates the ledger directory and its human-readable marker on
+    /// first use.
+    fn ensure_dir(&self) -> io::Result<()> {
         if !self.path.exists() {
             fs::create_dir_all(&self.path)?;
         }
@@ -1202,7 +1068,7 @@ impl Ledger {
         Ok(())
     }
 
-    /// Appends one row, creating parent directories and files on first
+    /// Appends one row, creating the directory and shard file on first
     /// use, and flushes before returning — once `append` returns, the
     /// row survives a kill. A repeated hash is allowed (the ledger is
     /// append-only history) and shadows the earlier row in lookups.
@@ -1214,62 +1080,11 @@ impl Ledger {
     /// ones when a [`FaultPlan`] is attached. After an error the
     /// in-memory index is unchanged; the on-disk tail may be torn,
     /// which the next repairing load fixes.
-    pub fn append(&mut self, row: LedgerRow) -> io::Result<()> {
+    pub fn append(&mut self, mut row: LedgerRow) -> io::Result<()> {
         if self.readonly {
             return Err(Self::readonly_err());
         }
-        match self.format {
-            LedgerFormat::Jsonl => self.append_jsonl(row),
-            LedgerFormat::Binary => self.append_binary(row),
-        }
-    }
-
-    fn append_jsonl(&mut self, mut row: LedgerRow) -> io::Result<()> {
-        if let Some(dir) = self.path.parent() {
-            if !dir.as_os_str().is_empty() {
-                fs::create_dir_all(dir)?;
-            }
-        }
-        row.seq = self.next_seq;
-        let line = row.to_line();
-        let mut f = fs::OpenOptions::new().create(true).append(true).open(&self.path)?;
-
-        match self.faults.as_ref().and_then(|p| p.next(fault::site::LEDGER_APPEND)) {
-            Some(Fault::TornWrite { keep_per_mille }) => {
-                // Persist only a prefix, then "crash" the append.
-                let keep = line.len() * usize::from(keep_per_mille) / 1000;
-                f.write_all(&line.as_bytes()[..keep])?;
-                f.flush()?;
-                return Err(io::Error::other("injected fault: torn write"));
-            }
-            Some(Fault::BitFlip { salt }) => {
-                // The write "succeeds" but the medium lies: one bit of
-                // the persisted line is flipped. The row is indexed in
-                // memory (the writer believes it) and only the next
-                // load's checksum pass discovers the damage.
-                let mut bytes = line.clone().into_bytes();
-                fault::flip_bit(&mut bytes, salt);
-                f.write_all(&bytes)?;
-                f.write_all(b"\n")?;
-                f.flush()?;
-            }
-            Some(Fault::FsyncError) => {
-                return Err(io::Error::other("injected fault: fsync failed"));
-            }
-            _ => {
-                f.write_all(line.as_bytes())?;
-                f.write_all(b"\n")?;
-                f.flush()?;
-            }
-        }
-        self.next_seq += 1;
-        self.index_row(row);
-        self.health.kept = self.rows.len();
-        Ok(())
-    }
-
-    fn append_binary(&mut self, mut row: LedgerRow) -> io::Result<()> {
-        self.ensure_binary_dir()?;
+        self.ensure_dir()?;
         let payload = row.payload_bytes()?;
         row.seq = self.next_seq;
         let frame = encode_frame(&row, &payload);
@@ -1286,12 +1101,18 @@ impl Ledger {
 
         match self.faults.as_ref().and_then(|p| p.next(fault::site::LEDGER_APPEND)) {
             Some(Fault::TornWrite { keep_per_mille }) => {
+                // Persist only a prefix, then "crash" the append.
                 let keep = frame.len() * usize::from(keep_per_mille) / 1000;
                 f.write_all(&frame[..keep])?;
                 f.flush()?;
                 return Err(io::Error::other("injected fault: torn write"));
             }
             Some(Fault::BitFlip { salt }) => {
+                // The write "succeeds" but the medium lies: one bit of
+                // the persisted frame is flipped. The row is indexed in
+                // memory (the writer believes it) and only a later
+                // verification — a scan's checksum pass or a lazy
+                // decode — discovers the damage.
                 let mut bytes = frame.clone();
                 fault::flip_bit(&mut bytes, salt);
                 f.write_all(&bytes)?;
@@ -1323,65 +1144,42 @@ impl Ledger {
         if self.readonly {
             return Err(Self::readonly_err());
         }
-        match self.format {
-            LedgerFormat::Jsonl => {
-                if let Some(dir) = self.path.parent() {
-                    if !dir.as_os_str().is_empty() {
-                        fs::create_dir_all(dir)?;
-                    }
+        self.ensure_dir()?;
+        let mut files: HashMap<u8, (fs::File, u64)> = HashMap::new();
+        for mut row in batch {
+            let payload = row.payload_bytes()?;
+            row.seq = self.next_seq;
+            self.next_seq += 1;
+            let frame = encode_frame(&row, &payload);
+            let shard = shard_of(&row.hash);
+            if let std::collections::hash_map::Entry::Vacant(e) = files.entry(shard) {
+                let spath = shard_path(&self.path, usize::from(shard));
+                let fresh = !spath.exists();
+                let mut f = fs::OpenOptions::new().create(true).append(true).open(&spath)?;
+                if fresh {
+                    f.write_all(SHARD_MAGIC)?;
                 }
-                let mut f = fs::OpenOptions::new().create(true).append(true).open(&self.path)?;
-                for mut row in batch {
-                    row.seq = self.next_seq;
-                    self.next_seq += 1;
-                    f.write_all(row.to_line().as_bytes())?;
-                    f.write_all(b"\n")?;
-                    self.index_row(row);
-                }
-                f.flush()?;
-                f.sync_all()?;
+                let len = f.metadata()?.len();
+                e.insert((f, len));
             }
-            LedgerFormat::Binary => {
-                self.ensure_binary_dir()?;
-                let mut files: HashMap<u8, (fs::File, u64)> = HashMap::new();
-                for mut row in batch {
-                    let payload = row.payload_bytes()?;
-                    row.seq = self.next_seq;
-                    self.next_seq += 1;
-                    let frame = encode_frame(&row, &payload);
-                    let shard = shard_of(&row.hash);
-                    if let std::collections::hash_map::Entry::Vacant(e) = files.entry(shard) {
-                        let spath = shard_path(&self.path, usize::from(shard));
-                        let fresh = !spath.exists();
-                        let mut f =
-                            fs::OpenOptions::new().create(true).append(true).open(&spath)?;
-                        if fresh {
-                            f.write_all(SHARD_MAGIC)?;
-                        }
-                        let len = f.metadata()?.len();
-                        e.insert((f, len));
-                    }
-                    let (f, off) = files.get_mut(&shard).expect("just inserted");
-                    f.write_all(&frame)?;
-                    row.loc = Some(FrameLoc { shard, offset: *off, len: frame.len() as u32 });
-                    *off += frame.len() as u64;
-                    self.index_row(row);
-                }
-                for (f, _) in files.values_mut() {
-                    f.flush()?;
-                    f.sync_all()?;
-                }
-            }
+            let (f, off) = files.get_mut(&shard).expect("just inserted");
+            f.write_all(&frame)?;
+            row.loc = Some(FrameLoc { shard, offset: *off, len: frame.len() as u32 });
+            *off += frame.len() as u64;
+            self.index_row(row);
+        }
+        for (f, _) in files.values_mut() {
+            f.flush()?;
+            f.sync_all()?;
         }
         self.health.kept = self.rows.len();
         Ok(())
     }
 
-    /// Rewrites the index sidecar to cover the shards as they stand
-    /// (binary format; a no-op for JSONL). Writers call this at the
-    /// end of a campaign so the next load is O(1) in rows-done. The
-    /// index is a disposable cache — losing it costs a scan, never a
-    /// row.
+    /// Rewrites the index sidecar to cover the shards as they stand.
+    /// Writers call this at the end of a campaign so the next load is
+    /// O(1) in rows-done. The index is a disposable cache — losing it
+    /// costs a scan, never a row.
     ///
     /// # Errors
     ///
@@ -1390,9 +1188,6 @@ impl Ledger {
     pub fn sync_index(&self) -> io::Result<()> {
         if self.readonly {
             return Err(Self::readonly_err());
-        }
-        if self.format == LedgerFormat::Jsonl {
-            return Ok(());
         }
         self.write_index()
     }
@@ -1440,7 +1235,7 @@ impl Ledger {
 
     /// Compacts the ledger: drops shadowed duplicate-hash rows and
     /// rows produced by a different (non-empty, superseded) engine
-    /// version, rewriting every file crash-safely and refreshing the
+    /// version, rewriting every shard crash-safely and refreshing the
     /// index. Surviving rows keep their append order.
     ///
     /// # Errors
@@ -1470,60 +1265,36 @@ impl Ledger {
         }
         stats.kept = keep.len();
 
-        match self.format {
-            LedgerFormat::Jsonl => {
-                let tmp = self.path.with_extension("jsonl.tmp");
-                {
-                    let mut f = fs::File::create(&tmp)?;
-                    for row in &keep {
-                        f.write_all(row.to_line().as_bytes())?;
-                        f.write_all(b"\n")?;
-                    }
-                    f.flush()?;
-                    f.sync_all()?;
-                }
-                fs::rename(&tmp, &self.path)?;
-                if let Some(plan) = &self.faults {
-                    plan.observe(fault::site::LEDGER_COMPACT);
-                }
+        self.ensure_dir()?;
+        // Materialise payloads before any rewrite: disk-lazy rows still
+        // point at the files we are replacing.
+        let payloads: Vec<Vec<u8>> =
+            keep.iter().map(|r| r.payload_bytes()).collect::<io::Result<_>>()?;
+        for s in 0..SHARDS {
+            let spath = shard_path(&self.path, s);
+            let mine: Vec<usize> =
+                (0..keep.len()).filter(|&i| usize::from(shard_of(&keep[i].hash)) == s).collect();
+            if mine.is_empty() && !spath.exists() {
+                continue;
             }
-            LedgerFormat::Binary => {
-                self.ensure_binary_dir()?;
-                // Materialise payloads before any rewrite: disk-lazy
-                // rows still point at the files we are replacing.
-                let payloads: Vec<Vec<u8>> =
-                    keep.iter().map(|r| r.payload_bytes()).collect::<io::Result<_>>()?;
-                for s in 0..SHARDS {
-                    let spath = shard_path(&self.path, s);
-                    let mine: Vec<usize> = (0..keep.len())
-                        .filter(|&i| usize::from(shard_of(&keep[i].hash)) == s)
-                        .collect();
-                    if mine.is_empty() && !spath.exists() {
-                        continue;
-                    }
-                    let tmp = spath.with_extension("bin.tmp");
-                    {
-                        let mut f = fs::File::create(&tmp)?;
-                        f.write_all(SHARD_MAGIC)?;
-                        let mut off = SHARD_MAGIC.len() as u64;
-                        for &i in &mine {
-                            let frame = encode_frame(&keep[i], &payloads[i]);
-                            f.write_all(&frame)?;
-                            keep[i].loc = Some(FrameLoc {
-                                shard: s as u8,
-                                offset: off,
-                                len: frame.len() as u32,
-                            });
-                            off += frame.len() as u64;
-                        }
-                        f.flush()?;
-                        f.sync_all()?;
-                    }
-                    fs::rename(&tmp, &spath)?;
-                    if let Some(plan) = &self.faults {
-                        plan.observe(fault::site::LEDGER_COMPACT);
-                    }
+            let tmp = spath.with_extension("bin.tmp");
+            {
+                let mut f = fs::File::create(&tmp)?;
+                f.write_all(SHARD_MAGIC)?;
+                let mut off = SHARD_MAGIC.len() as u64;
+                for &i in &mine {
+                    let frame = encode_frame(&keep[i], &payloads[i]);
+                    f.write_all(&frame)?;
+                    keep[i].loc =
+                        Some(FrameLoc { shard: s as u8, offset: off, len: frame.len() as u32 });
+                    off += frame.len() as u64;
                 }
+                f.flush()?;
+                f.sync_all()?;
+            }
+            fs::rename(&tmp, &spath)?;
+            if let Some(plan) = &self.faults {
+                plan.observe(fault::site::LEDGER_COMPACT);
             }
         }
 
@@ -1531,34 +1302,55 @@ impl Ledger {
         self.index = self.rows.iter().enumerate().map(|(i, r)| (r.hash.clone(), i)).collect();
         self.health.kept = self.rows.len();
         self.health.duplicates = 0;
-        if self.format == LedgerFormat::Binary {
-            self.write_index()?;
-        }
+        self.write_index()?;
         Ok(stats)
     }
 
-    /// Migrates the ledger at `src` into a fresh ledger at `dst`,
-    /// format-converting as the paths dictate (the canonical use:
-    /// v2 JSONL file → v3 binary directory). The source is opened
-    /// read-only and never touched; row order and duplicate history
-    /// are preserved, so summaries over the two ledgers are
-    /// byte-identical.
+    /// Migrates a JSONL ledger file from an older version (v1 or v2
+    /// lines) into a fresh ledger directory at `dst`. One-way: `src` is
+    /// only read, never touched. Lines that do not parse as a complete
+    /// row (bit rot, a torn final line) are skipped and counted; row
+    /// order and duplicate history are preserved, so `ledger dump` of
+    /// the target reproduces every intact v2 line byte for byte.
     ///
     /// # Errors
     ///
-    /// If `dst` already exists, plus real I/O errors.
+    /// If `dst` already exists or `src` is not a regular file, plus
+    /// real I/O errors.
     pub fn migrate(src: &Path, dst: &Path) -> io::Result<MigrateStats> {
-        let source = Self::load_readonly(src)?;
+        if !src.is_file() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("migration source {} is not a JSONL file", src.display()),
+            ));
+        }
         if dst.exists() {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
                 format!("migration target {} already exists", dst.display()),
             ));
         }
+        let bytes = fs::read(src)?;
+        // Byte-wise line split: bit rot can break UTF-8 itself. The
+        // JSONL writer terminated every line, so the piece after the
+        // last newline is a torn write whenever it is non-empty.
+        let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+        let torn = lines.pop().is_some_and(|tail| !tail.is_empty());
+        let mut rows = Vec::new();
+        let mut skipped = usize::from(torn);
+        for line in lines.into_iter().filter(|l| !l.is_empty()) {
+            let parsed = std::str::from_utf8(line).map_err(|e| e.to_string()).and_then(|text| {
+                LedgerRow::from_line(text).or_else(|e| LedgerRow::from_line_v1(text).map_err(|_| e))
+            });
+            match parsed {
+                Ok(row) => rows.push(row),
+                Err(_) => skipped += 1,
+            }
+        }
         let mut target = Self::load(dst)?;
-        target.append_all(source.rows.clone())?;
+        target.append_all(rows)?;
         target.sync_index()?;
-        Ok(MigrateStats { rows: target.len(), from: source.format, to: target.format })
+        Ok(MigrateStats { rows: target.len(), skipped })
     }
 }
 
@@ -1584,6 +1376,7 @@ mod tests {
         let _ = fs::remove_dir_all(path);
     }
 
+    /// A synthetic row; small `i` all land in shard 0.
     fn synth_row(i: u64) -> LedgerRow {
         LedgerRow::from_parts(
             &format!("{i:016x}"),
@@ -1595,37 +1388,53 @@ mod tests {
         )
     }
 
+    /// The JSON view of every row, newline-terminated — what `ledger
+    /// dump` prints.
+    fn dump(ledger: &Ledger) -> String {
+        ledger.rows().iter().map(|r| r.to_line().expect("row decodes") + "\n").collect()
+    }
+
     #[test]
     fn corrupt_interior_line_is_quarantined_not_fatal() {
-        let path = tmp("corrupt.jsonl");
-        let qpath = quarantine_path(&path);
-        let _ = fs::remove_file(&qpath);
-        fs::write(&path, "garbage\n").unwrap();
-        let ledger = Ledger::load(&path).unwrap();
-        assert!(ledger.is_empty());
+        let dir = tmp("corrupt.ledger");
+        wipe(&dir);
+        {
+            let mut ledger = Ledger::load(&dir).unwrap();
+            ledger.append(synth_row(1)).unwrap();
+            ledger.append(synth_row(2)).unwrap();
+        }
+        // Garbage between the two frames of shard 0.
+        let shard = shard_path(&dir, 0);
+        let clean = fs::read(&shard).unwrap();
+        let second = find_magic(&clean, SHARD_MAGIC.len() + 1).expect("second frame");
+        let mut damaged = clean.clone();
+        damaged.splice(second..second, b"garbage".iter().copied());
+        fs::write(&shard, &damaged).unwrap();
+
+        let ledger = Ledger::load(&dir).unwrap();
         assert_eq!(
             ledger.health(),
-            LedgerHealth { kept: 0, quarantined: 1, truncated: false, duplicates: 0 }
+            LedgerHealth { kept: 2, quarantined: 1, truncated: false, duplicates: 0 }
         );
         assert!(!ledger.health().is_clean());
-        // The corrupt line moved to the sidecar and the main file is
-        // compacted clean: a reload reports full health.
-        assert_eq!(fs::read_to_string(&qpath).unwrap(), "garbage\n");
-        assert_eq!(fs::read(&path).unwrap().len(), 0);
-        assert!(Ledger::load(&path).unwrap().health().is_clean());
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(&qpath);
+        // The damaged region is recorded in the sidecar and the shard
+        // is compacted clean: a reload reports full health.
+        let q = fs::read_to_string(quarantine_path(&dir)).unwrap();
+        assert!(q.contains(&"garbage".bytes().map(|b| format!("{b:02x}")).collect::<String>()));
+        assert_eq!(fs::read(&shard).unwrap(), clean);
+        assert!(Ledger::load(&dir).unwrap().health().is_clean());
+        wipe(&dir);
     }
 
     #[test]
     fn missing_file_is_an_empty_ledger() {
-        let path = std::env::temp_dir().join("soma-ledger-unit-definitely-missing.jsonl");
+        let path = std::env::temp_dir().join("soma-ledger-unit-definitely-missing.ledger");
         let ledger = Ledger::load(&path).unwrap();
         assert!(ledger.is_empty());
         assert_eq!(ledger.len(), 0);
         assert!(ledger.lookup("0000000000000000").is_none());
         assert!(ledger.health().is_clean());
-        assert_eq!(ledger.format(), LedgerFormat::Jsonl);
+        assert!(!path.exists(), "loading creates nothing; the first append does");
     }
 
     #[test]
@@ -1651,43 +1460,42 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_path_replaces_the_extension() {
-        assert_eq!(
-            quarantine_path(Path::new("runs/serve.jsonl")),
-            PathBuf::from("runs/serve.quarantine.jsonl")
-        );
-    }
-
-    #[test]
     fn quarantine_sidecars_are_refused_as_ledgers() {
-        // `quarantine_path` of a sidecar maps onto itself, so loading
-        // one as a ledger would re-quarantine its own contents in
-        // place. The load refuses instead.
-        let path = tmp("refused.quarantine.jsonl");
+        // A sidecar is a regular file, and every regular file is
+        // refused: feeding quarantined bytes back through repair would
+        // quarantine them again into their own sidecar.
+        let path = tmp("refused.ledger").join(QUARANTINE_FILE);
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
         fs::write(&path, "garbage\n").unwrap();
         for load in [Ledger::load, Ledger::load_readonly] {
             let err = load(&path).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
-            assert!(err.to_string().contains("quarantine sidecar"), "{err}");
+            assert!(err.to_string().contains("ledger migrate"), "{err}");
         }
         // The sidecar's bytes are untouched by the refused loads.
         assert_eq!(fs::read_to_string(&path).unwrap(), "garbage\n");
-        let _ = fs::remove_file(&path);
+        wipe(path.parent().unwrap());
     }
 
     #[test]
     fn format_detection_prefers_what_exists() {
-        let dir = tmp("detect.ledger");
+        // A directory (or a path that does not exist yet) is a ledger
+        // whatever its name; an existing regular file is a JSONL
+        // ledger from an older version and is refused with the
+        // migration hint — never read, never written.
+        let dir = tmp("detect");
         wipe(&dir);
-        assert_eq!(LedgerFormat::detect(&dir), LedgerFormat::Binary);
-        assert_eq!(LedgerFormat::detect(Path::new("missing.jsonl")), LedgerFormat::Jsonl);
-        fs::create_dir_all(&dir).unwrap();
-        assert_eq!(LedgerFormat::detect(&dir), LedgerFormat::Binary);
-        let file = tmp("detect.weird-extension");
-        fs::write(&file, "x").unwrap();
-        assert_eq!(LedgerFormat::detect(&file), LedgerFormat::Jsonl);
+        let mut fresh = Ledger::load(&dir).unwrap();
+        fresh.append(synth_row(1)).unwrap();
+        assert!(dir.is_dir(), "the first append creates the directory");
+        assert_eq!(Ledger::load_readonly(&dir).unwrap().len(), 1);
+        let file = tmp("detect-legacy.jsonl");
+        fs::write(&file, synth_row(1).to_line().unwrap() + "\n").unwrap();
+        let err = Ledger::load(&file).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("ledger migrate"), "{err}");
         wipe(&dir);
-        let _ = fs::remove_file(&file);
+        wipe(&file);
     }
 
     #[test]
@@ -1695,7 +1503,6 @@ mod tests {
         let dir = tmp("roundtrip.ledger");
         wipe(&dir);
         let mut ledger = Ledger::load(&dir).unwrap();
-        assert_eq!(ledger.format(), LedgerFormat::Binary);
         let rows: Vec<LedgerRow> = (0..40).map(synth_row).collect();
         for row in rows.iter().cloned() {
             ledger.append(row).unwrap();
@@ -1737,45 +1544,6 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_repair_is_in_place_not_a_compaction() {
-        // JSONL: two rows plus a torn tail. The repair must be a
-        // truncation (no compaction rewrite observed, no temp file).
-        let path = tmp("torn.jsonl");
-        wipe(&path);
-        {
-            let mut ledger = Ledger::load(&path).unwrap();
-            ledger.append(synth_row(1)).unwrap();
-            ledger.append(synth_row(2)).unwrap();
-        }
-        let clean = fs::read(&path).unwrap();
-        let mut damaged = clean.clone();
-        damaged.extend_from_slice(b"{\"crc\":\"torn");
-        fs::write(&path, &damaged).unwrap();
-        let plan = Arc::new(FaultPlan::seeded(0, FaultConfig::NONE));
-        let ledger = Ledger::load_with_faults(&path, Arc::clone(&plan)).unwrap();
-        assert_eq!(ledger.len(), 2);
-        assert!(ledger.health().truncated);
-        assert_eq!(ledger.health().quarantined, 0);
-        assert_eq!(plan.invocations(fault::site::LEDGER_COMPACT), 0, "no compaction rewrite");
-        assert!(!path.with_extension("jsonl.tmp").exists(), "no temp file created");
-        assert_eq!(fs::read(&path).unwrap(), clean, "tail truncated in place");
-
-        // A corrupt interior row, by contrast, must compact (observed
-        // exactly once) and quarantine.
-        let mut corrupted = Vec::new();
-        corrupted.extend_from_slice(b"garbage\n");
-        corrupted.extend_from_slice(&clean);
-        fs::write(&path, &corrupted).unwrap();
-        let plan2 = Arc::new(FaultPlan::seeded(0, FaultConfig::NONE));
-        let repaired = Ledger::load_with_faults(&path, Arc::clone(&plan2)).unwrap();
-        assert_eq!(repaired.len(), 2);
-        assert_eq!(repaired.health().quarantined, 1);
-        assert_eq!(plan2.invocations(fault::site::LEDGER_COMPACT), 1, "one compaction rewrite");
-        wipe(&path);
-        let _ = fs::remove_file(quarantine_path(&path));
-    }
-
-    #[test]
     fn binary_torn_tail_truncates_in_place_and_damage_quarantines() {
         let dir = tmp("torn.ledger");
         wipe(&dir);
@@ -1798,7 +1566,9 @@ mod tests {
         let ledger = Ledger::load_with_faults(&dir, Arc::clone(&plan)).unwrap();
         assert_eq!(ledger.len(), rows.len());
         assert!(ledger.health().truncated);
+        assert_eq!(ledger.health().quarantined, 0);
         assert_eq!(plan.invocations(fault::site::LEDGER_COMPACT), 0, "torn tail never compacts");
+        assert!(!victim.with_extension("bin.tmp").exists(), "no temp file created");
         assert_eq!(fs::read(&victim).unwrap(), clean, "shard truncated in place");
 
         // Interior damage: flip a byte inside the first frame's body.
@@ -1820,41 +1590,73 @@ mod tests {
     }
 
     #[test]
-    fn readonly_load_tolerates_damage_and_rejects_writes() {
-        let path = tmp("readonly.jsonl");
-        wipe(&path);
+    fn a_stale_index_never_loses_or_swaps_an_intact_frame() {
+        // Shift every frame of shard 0 by inserting garbage after the
+        // header, and cut as many bytes off the end: the shard keeps
+        // the size the index covers, so the index is trusted while
+        // every entry points at the wrong bytes.
+        let dir = tmp("shifted.ledger");
+        wipe(&dir);
+        let rows: Vec<LedgerRow> = (0..4).map(synth_row).collect();
         {
-            let mut ledger = Ledger::load(&path).unwrap();
+            let mut ledger = Ledger::load(&dir).unwrap();
+            ledger.append_all(rows.clone()).unwrap();
+            ledger.sync_index().unwrap();
+        }
+        let shard = shard_path(&dir, 0);
+        let clean = fs::read(&shard).unwrap();
+        let mut shifted = clean.clone();
+        shifted.splice(SHARD_MAGIC.len()..SHARD_MAGIC.len(), [0x5a; 9]);
+        shifted.truncate(clean.len());
+        fs::write(&shard, &shifted).unwrap();
+
+        let ledger = Ledger::load_readonly(&dir).unwrap();
+        assert_eq!(ledger.len(), rows.len(), "the index is trusted");
+        for row in &rows[..3] {
+            let got = ledger.lookup(&row.hash).unwrap().outcome().expect("intact frame found");
+            assert_eq!(outcome_to_bytes(got), outcome_to_bytes(row.outcome().unwrap()));
+        }
+        // The last frame lost its tail: absent outcome, not a wrong one.
+        assert!(ledger.lookup(&rows[3].hash).unwrap().outcome().is_none());
+        wipe(&dir);
+    }
+
+    #[test]
+    fn readonly_load_tolerates_damage_and_rejects_writes() {
+        let dir = tmp("readonly.ledger");
+        wipe(&dir);
+        {
+            let mut ledger = Ledger::load(&dir).unwrap();
             ledger.append(synth_row(1)).unwrap();
         }
-        let mut damaged = fs::read(&path).unwrap();
-        let before_garbage = damaged.clone();
-        damaged.splice(0..0, b"garbage\n".iter().copied());
-        damaged.extend_from_slice(b"{\"torn");
-        fs::write(&path, &damaged).unwrap();
+        let shard = shard_path(&dir, 0);
+        let mut damaged = fs::read(&shard).unwrap();
+        damaged.splice(SHARD_MAGIC.len()..SHARD_MAGIC.len(), b"garbage".iter().copied());
+        damaged.extend_from_slice(b"FRM3\xff\xff");
+        fs::write(&shard, &damaged).unwrap();
 
-        let ledger = Ledger::load_readonly(&path).unwrap();
+        let ledger = Ledger::load_readonly(&dir).unwrap();
         assert_eq!(ledger.len(), 1);
         assert_eq!(ledger.health().quarantined, 1);
         assert!(ledger.health().truncated);
         assert!(ledger.readonly());
-        // Nothing on disk moved: no truncation, no sidecar, no rewrite.
-        assert_eq!(fs::read(&path).unwrap(), damaged);
-        assert!(!quarantine_path(&path).exists());
-        let err = Ledger::load_readonly(&path).unwrap().append(synth_row(9)).unwrap_err();
+        // Nothing on disk moved: no truncation, no sidecar, no index.
+        assert_eq!(fs::read(&shard).unwrap(), damaged);
+        assert!(!quarantine_path(&dir).exists());
+        assert!(!dir.join(INDEX_FILE).exists());
+        let err = Ledger::load_readonly(&dir).unwrap().append(synth_row(9)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
-        let err = Ledger::load_readonly(&path).unwrap().sync_index().unwrap_err();
+        let err = Ledger::load_readonly(&dir).unwrap().sync_index().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
-        let err = Ledger::load_readonly(&path).unwrap().compact().unwrap_err();
+        let err = Ledger::load_readonly(&dir).unwrap().compact().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
-        let _ = before_garbage;
-        wipe(&path);
+        wipe(&dir);
     }
 
     #[test]
     fn v1_rows_migrate_on_read() {
-        // A complete v1 row (no crc) parses via the migration path; an
-        // incomplete one stays quarantined.
+        // A complete v1 row (no crc) migrates; an incomplete one is
+        // skipped and counted, and the source is left as it was.
         let row = synth_row(3);
         let outcome = row.outcome().unwrap();
         let mut o = Value::obj();
@@ -1867,12 +1669,16 @@ mod tests {
         o.push("outcome", outcome_to_json(outcome));
         let v1_line = json::to_string(&o);
 
-        let path = tmp("v1.jsonl");
-        wipe(&path);
-        fs::write(&path, format!("{v1_line}\n{{\"v\":1}}\n")).unwrap();
-        let ledger = Ledger::load(&path).unwrap();
-        assert_eq!(ledger.len(), 1, "complete v1 row migrated");
-        assert_eq!(ledger.health().quarantined, 1, "incomplete v1 row quarantined");
+        let src = tmp("v1.jsonl");
+        let dst = tmp("v1.ledger");
+        wipe(&src);
+        wipe(&dst);
+        let text = format!("{v1_line}\n{{\"v\":1}}\n");
+        fs::write(&src, &text).unwrap();
+        let stats = Ledger::migrate(&src, &dst).unwrap();
+        assert_eq!(stats, MigrateStats { rows: 1, skipped: 1 });
+        assert_eq!(fs::read_to_string(&src).unwrap(), text, "source untouched");
+        let ledger = Ledger::load(&dst).unwrap();
         let got = ledger.lookup(&row.hash).unwrap();
         assert_eq!(got.engine, "", "pre-v3 rows have no recorded engine");
         assert_eq!(
@@ -1880,11 +1686,10 @@ mod tests {
             outcome_to_bytes(outcome),
             "outcome survives migration bit-for-bit"
         );
-        // The repair rewrite upgraded the surviving row to v2 on disk.
-        let text = fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("{\"crc\":"), "{text}");
-        wipe(&path);
-        let _ = fs::remove_file(quarantine_path(&path));
+        // The JSON view of the migrated row is the v2 line.
+        assert_eq!(dump(&ledger), row.to_line().unwrap() + "\n");
+        wipe(&src);
+        wipe(&dst);
     }
 
     #[test]
@@ -1924,34 +1729,26 @@ mod tests {
         let dst = tmp("mig-dst.ledger");
         wipe(&src);
         wipe(&dst);
-        {
-            let mut ledger = Ledger::load(&src).unwrap();
-            for i in 0..10 {
-                ledger.append(synth_row(i)).unwrap();
-            }
-        }
-        let src_bytes = fs::read(&src).unwrap();
+        let text: String = (0..10).map(|i| synth_row(i).to_line().unwrap() + "\n").collect();
+        fs::write(&src, &text).unwrap();
         let stats = Ledger::migrate(&src, &dst).unwrap();
-        assert_eq!(
-            stats,
-            MigrateStats { rows: 10, from: LedgerFormat::Jsonl, to: LedgerFormat::Binary }
-        );
-        assert_eq!(fs::read(&src).unwrap(), src_bytes, "source untouched");
+        assert_eq!(stats, MigrateStats { rows: 10, skipped: 0 });
+        assert_eq!(fs::read_to_string(&src).unwrap(), text, "source untouched");
         let migrated = Ledger::load_readonly(&dst).unwrap();
         assert_eq!(migrated.len(), 10);
         assert_eq!(migrated.outcome_decodes(), 0, "index written by migrate");
         let order: Vec<String> = migrated.rows().iter().map(|r| r.hash.clone()).collect();
         let want: Vec<String> = (0..10).map(|i| synth_row(i).hash).collect();
         assert_eq!(order, want, "row order preserved");
-        // Round trip back to JSONL: byte-identical to the source.
-        let back = tmp("mig-back.jsonl");
-        wipe(&back);
-        Ledger::migrate(&dst, &back).unwrap();
-        assert_eq!(fs::read(&back).unwrap(), src_bytes, "jsonl → binary → jsonl is an identity");
+        // The JSON view of the target is the source, byte for byte.
+        assert_eq!(dump(&migrated), text, "jsonl → migrate → dump is an identity");
         assert!(Ledger::migrate(&src, &dst).is_err(), "existing target refused");
+        let back = tmp("mig-back.ledger");
+        wipe(&back);
+        assert!(Ledger::migrate(&dst, &back).is_err(), "migration is one-way");
+        assert!(!back.exists());
         wipe(&src);
         wipe(&dst);
-        wipe(&back);
     }
 
     #[test]
