@@ -23,8 +23,9 @@ fn bench_objective(c: &mut Criterion) {
         b.iter(|| obj.eval_parts(&plan, &dlsa, hw.buffer_bytes).unwrap().0)
     });
 
-    // The compiled-engine fast path the stage-2 annealer actually runs:
-    // allocation-free queue replay + maintained peak.
+    // The compiled-engine fast path: an allocation-free queue replay
+    // from the start + maintained peak (what a stage-1 proposal runs, and
+    // the most a resumed stage-2 replay can cost).
     let compiled = obj.compile(&plan);
     let peak = soma_core::lifetime::peak_buffer(&plan, &dlsa);
     c.bench_function("objective/eval_dlsa_compiled_resnet50", |b| {

@@ -11,17 +11,29 @@
 //! the compiled evaluation engine: the frozen plan is
 //! [compiled](crate::objective::Objective::compile) once, each proposal
 //! mutates the live [`Dlsa`] in place through a [`DlsaEditor`] (apply /
-//! [`undo`](DlsaEditor::undo) tokens instead of cloning), the
-//! buffer-occupancy profile is maintained incrementally (`O(log n)` per
-//! single-tensor move, never rebuilt), and evaluation takes the
-//! allocation-free cost-only path. The RNG draws mirror [`mutate_dlsa`]
-//! exactly, so the search trajectory — and therefore the same-seed
-//! outcome — is bit-identical to the naive clone-per-proposal loop.
+//! [`undo`](DlsaEditor::undo) tokens instead of cloning; the editor keeps
+//! the inverse order, so a reordering finds its tensor's slot in `O(1)`),
+//! and the buffer-occupancy profile is maintained incrementally
+//! (`O(log n)` per single-tensor move, never rebuilt).
+//!
+//! Evaluation re-simulates only what a proposal changed. Stage 2 keeps a
+//! [`Replay`] of the accepted DLSA; [`DlsaEditor::first_affected`] maps
+//! each [`DlsaMove`] to the first queue slot and tile it can change (a
+//! reordering: the nearer of its two slots; a load's `Start`: its slot; a
+//! store's `End`: the earlier of its two tiles), and the replay resumes
+//! from the last checkpoint before them, rewriting the suffix after it in
+//! place. An accepted proposal keeps that suffix; a rejected or
+//! deadlocked one restores it and moves the store gate back before the
+//! editor undoes the move. The resumed latency and deadlock verdict equal
+//! a full replay's, and the RNG draws mirror [`mutate_dlsa`] exactly, so
+//! the search trajectory — and therefore the same-seed outcome — is
+//! bit-identical to the naive clone-per-proposal loop
+//! (`tests/engine_equiv.rs` runs both).
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use soma_core::{ComputePlan, Dlsa, OccupancyProfile};
-use soma_sim::EvalReport;
+use soma_sim::{CompiledPlan, EvalReport, Replay};
 
 use crate::objective::Objective;
 use crate::sa::{anneal_inplace, AnnealState, SaResult, SaSchedule};
@@ -148,15 +160,17 @@ pub enum DlsaMove {
 }
 
 /// In-place DLSA mutator for the stage-2 inner loop: owns the live
-/// [`Dlsa`] and its incrementally maintained [`OccupancyProfile`].
-/// [`propose`](Self::propose) draws from the RNG exactly like
-/// [`mutate_dlsa`] (same trajectory at the same seed) but applies the
-/// mutation to the live state, returning an undo token instead of a
-/// clone; [`undo`](Self::undo) rolls one token back.
+/// [`Dlsa`], its inverse order and its incrementally maintained
+/// [`OccupancyProfile`]. [`propose`](Self::propose) draws from the RNG
+/// exactly like [`mutate_dlsa`] (same trajectory at the same seed) but
+/// applies the mutation to the live state, returning an undo token
+/// instead of a clone; [`undo`](Self::undo) rolls one token back.
 #[derive(Debug)]
 pub struct DlsaEditor<'p> {
     plan: &'p ComputePlan,
     dlsa: Dlsa,
+    /// Queue slot of each tensor: the inverse of `dlsa.order`.
+    slots: Vec<u32>,
     profile: OccupancyProfile,
 }
 
@@ -164,12 +178,21 @@ impl<'p> DlsaEditor<'p> {
     /// Builds the editor around an initial DLSA of `plan`.
     pub fn new(plan: &'p ComputePlan, dlsa: Dlsa) -> Self {
         let profile = OccupancyProfile::new(plan, &dlsa);
-        Self { plan, dlsa, profile }
+        let mut slots = vec![0u32; dlsa.order.len()];
+        for (k, &ti) in dlsa.order.iter().enumerate() {
+            slots[ti as usize] = k as u32;
+        }
+        Self { plan, dlsa, slots, profile }
     }
 
     /// The live DLSA.
     pub fn dlsa(&self) -> &Dlsa {
         &self.dlsa
+    }
+
+    /// Queue slot of each tensor in the live DLSA order (its inverse).
+    pub fn slots(&self) -> &[u32] {
+        &self.slots
     }
 
     /// Peak buffer occupancy of the live DLSA (maintained, `O(1)`).
@@ -202,13 +225,12 @@ impl<'p> DlsaEditor<'p> {
             // then draws the insertion slot among `len - 1` positions;
             // drawing before removing is the same distribution, and the
             // result is an identity exactly when the slot is unchanged.
-            let cur = self.dlsa.order.iter().position(|&o| o as usize == ti).expect("in order");
+            let cur = self.slots[ti] as usize;
             let q = rng.gen_range(0..=self.dlsa.order.len() - 1);
             if q == cur {
                 return None;
             }
-            self.dlsa.order.remove(cur);
-            self.dlsa.order.insert(q, ti as u32);
+            self.move_in_queue(cur, q);
             Some(DlsaMove::Order { tensor: ti as u32, from: cur, to: q })
         } else if tensor.is_load {
             let new = rng.gen_range(0..=tensor.anchor);
@@ -236,9 +258,8 @@ impl<'p> DlsaEditor<'p> {
     pub fn undo(&mut self, mv: DlsaMove) {
         match mv {
             DlsaMove::Order { tensor, from, to } => {
-                let moved = self.dlsa.order.remove(to);
-                debug_assert_eq!(moved, tensor);
-                self.dlsa.order.insert(from, tensor);
+                debug_assert_eq!(self.dlsa.order[to], tensor);
+                self.move_in_queue(to, from);
             }
             DlsaMove::LoadStart { tensor, old, new } => {
                 let bytes = self.plan.dram_tensors[tensor].bytes;
@@ -252,16 +273,59 @@ impl<'p> DlsaEditor<'p> {
             }
         }
     }
+
+    /// The first queue slot and the first tile whose simulation the
+    /// applied move `mv` can change: a reordering changes the slots from
+    /// the nearer end on, a load's `Start` its own slot, a store's `End`
+    /// the store gates from the earlier tile on. `n_tensors` / `n_tiles`
+    /// stand for "none".
+    pub fn first_affected(&self, mv: DlsaMove) -> (usize, usize) {
+        let (n_tensors, n_tiles) = (self.slots.len(), self.plan.n_tiles() as usize);
+        match mv {
+            DlsaMove::Order { from, to, .. } => (from.min(to), n_tiles),
+            DlsaMove::LoadStart { tensor, .. } => (self.slots[tensor] as usize, n_tiles),
+            DlsaMove::StoreEnd { old, new, .. } => (n_tensors, old.min(new) as usize),
+        }
+    }
+
+    /// Moves the tensor in queue slot `from` to slot `to`, shifting the
+    /// ones between, and re-indexes the slots that changed.
+    fn move_in_queue(&mut self, from: usize, to: usize) {
+        let lo = from.min(to);
+        let moved = &mut self.dlsa.order[lo..=from.max(to)];
+        if from < to {
+            moved.rotate_left(1);
+        } else {
+            moved.rotate_right(1);
+        }
+        for (k, &ti) in moved.iter().enumerate() {
+            self.slots[ti as usize] = (lo + k) as u32;
+        }
+    }
 }
 
-/// The stage-2 annealing problem: editor + compiled engine + objective.
+/// The stage-2 annealing problem: editor + compiled engine + objective,
+/// with a kept [`Replay`] of the accepted DLSA that each proposal resumes.
 struct Stage2Anneal<'e, 'p, 'a> {
     obj: &'e mut Objective<'a>,
-    engine: &'e soma_sim::CompiledPlan,
+    engine: &'e CompiledPlan,
     editor: DlsaEditor<'p>,
+    replay: Replay,
     picker: &'e SizeWeightedPicker,
     buffer_limit: u64,
     pending: Option<DlsaMove>,
+}
+
+impl Stage2Anneal<'_, '_, '_> {
+    /// Rolls a resumed proposal back: the replay's suffix and store
+    /// gates, then the editor.
+    fn roll_back(&mut self, mv: DlsaMove) {
+        self.replay.restore();
+        if let DlsaMove::StoreEnd { tensor, old, new } = mv {
+            self.replay.move_store_gate(tensor as u32, new, old);
+        }
+        self.editor.undo(mv);
+    }
 }
 
 impl AnnealState<StdRng> for Stage2Anneal<'_, '_, '_> {
@@ -269,19 +333,20 @@ impl AnnealState<StdRng> for Stage2Anneal<'_, '_, '_> {
 
     fn propose(&mut self, rng: &mut StdRng) -> Option<f64> {
         let mv = self.editor.propose(self.picker, rng)?;
-        match self.obj.eval_compiled_with_peak(
-            self.engine,
-            self.editor.dlsa(),
-            self.editor.peak(),
-            self.buffer_limit,
-        ) {
+        if let DlsaMove::StoreEnd { tensor, old, new } = mv {
+            self.replay.move_store_gate(tensor as u32, old, new);
+        }
+        let (slot, tile) = self.editor.first_affected(mv);
+        let latency =
+            self.replay.resume(self.engine, self.editor.dlsa(), self.editor.slots(), slot, tile);
+        match self.obj.eval_latency(self.engine, latency, self.editor.peak(), self.buffer_limit) {
             Some(cost) => {
                 self.pending = Some(mv);
                 Some(cost)
             }
             None => {
                 // Deadlocked order: roll back before skipping.
-                self.editor.undo(mv);
+                self.roll_back(mv);
                 None
             }
         }
@@ -290,7 +355,7 @@ impl AnnealState<StdRng> for Stage2Anneal<'_, '_, '_> {
     fn resolve(&mut self, accept: bool) {
         let mv = self.pending.take().expect("resolve follows a successful propose");
         if !accept {
-            self.editor.undo(mv);
+            self.roll_back(mv);
         }
     }
 
@@ -312,8 +377,9 @@ pub struct Stage2Result {
 
 /// Runs the stage-2 annealer on a frozen plan, starting from `init`
 /// (normally the double-buffer DLSA of the stage-1 winner). The plan is
-/// compiled once; every proposal then runs the in-place, allocation-free
-/// engine path.
+/// compiled and `init` replayed once; every proposal then edits the DLSA
+/// in place and resumes that replay from the move's first affected slot
+/// or tile.
 pub fn run_stage2(
     obj: &mut Objective<'_>,
     cfg: &SearchConfig,
@@ -339,11 +405,13 @@ pub fn run_stage2(
         time_budget: cfg.stage_time_budget(),
     };
     let engine = obj.compile(plan);
+    let replay = Replay::new(&engine, &init).expect("init evaluated above, so it simulates");
     let result: SaResult<Dlsa> = {
         let mut state = Stage2Anneal {
             obj: &mut *obj,
             engine: &engine,
             editor: DlsaEditor::new(plan, init),
+            replay,
             picker: &picker,
             buffer_limit,
             pending: None,

@@ -9,18 +9,18 @@
 //!   [`eval_lfa`](Objective::eval_lfa)) build a complete [`EvalReport`];
 //!   stages use them for initial and final schemes.
 //! * **Cost-only evaluations** ([`eval_lfa_cost`](Objective::eval_lfa_cost),
-//!   [`eval_compiled_with_peak`](Objective::eval_compiled_with_peak))
-//!   run the compiled engine's allocation-free fast path and return just
-//!   the penalised objective value — the SA inner loop's diet. Both
-//!   families share one float pipeline
-//!   ([`cost_of_parts`](Objective::cost_of_parts)), so their costs are
-//!   bit-identical.
+//!   [`eval_compiled_with_peak`](Objective::eval_compiled_with_peak),
+//!   and `eval_latency` for stage 2's resumed replays) run the compiled
+//!   engine's allocation-free fast path and return just the penalised
+//!   objective value — the SA inner loop's diet. Both families share one
+//!   float pipeline ([`cost_of_parts`](Objective::cost_of_parts)), so
+//!   their costs are bit-identical.
 
 use serde::{Deserialize, Serialize};
 use soma_arch::HardwareConfig;
 use soma_core::{lifetime, ComputePlan, Dlsa, Encoding, Lfa, SegmentMemo};
 use soma_model::Network;
-use soma_sim::{evaluate_parts, CompiledPlan, CoreArrayModel, EvalReport, SimScratch};
+use soma_sim::{evaluate_parts, CompiledPlan, CoreArrayModel, EvalReport, SimError, SimScratch};
 
 /// Exponents of the paper's objective `Energy^n x Delay^m` (Sec. V-A).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -217,9 +217,8 @@ impl<'a> Objective<'a> {
     }
 
     /// Cost-only evaluation of a DLSA against a compiled plan whose peak
-    /// occupancy the caller maintains incrementally (the stage-2 inner
-    /// loop: `O(1)` profile update + allocation-free queue replay).
-    /// Returns `None` for deadlocked orders.
+    /// occupancy the caller maintains incrementally: an allocation-free
+    /// queue replay from the start. Returns `None` for deadlocked orders.
     pub fn eval_compiled_with_peak(
         &mut self,
         compiled: &CompiledPlan,
@@ -227,7 +226,22 @@ impl<'a> Objective<'a> {
         peak_buffer: u64,
         buffer_limit: u64,
     ) -> Option<f64> {
-        match compiled.simulate_cost(dlsa, &mut self.scratch) {
+        let latency = compiled.simulate_cost(dlsa, &mut self.scratch);
+        self.eval_latency(compiled, latency, peak_buffer, buffer_limit)
+    }
+
+    /// Counts and costs one cost-only simulation of a DLSA against a
+    /// compiled plan — a replay from the start or stage 2's resumed
+    /// [`Replay`](soma_sim::Replay). A deadlock counts as rejected and
+    /// yields `None`.
+    pub(crate) fn eval_latency(
+        &mut self,
+        compiled: &CompiledPlan,
+        latency: Result<u64, SimError>,
+        peak_buffer: u64,
+        buffer_limit: u64,
+    ) -> Option<f64> {
+        match latency {
             Err(_) => {
                 self.rejected += 1;
                 None

@@ -21,15 +21,32 @@
 //! * the energy split, DRAM byte totals and busy sums, which do not
 //!   depend on the DLSA at all.
 //!
-//! [`CompiledPlan::simulate_cost`] then plays the two serial queues with
-//! **zero heap allocation** against a caller-owned [`SimScratch`],
-//! returning only the end-to-end latency — the cost-only fast path for
-//! annealers that combine it with an incrementally maintained
-//! [`OccupancyProfile`](soma_core::OccupancyProfile) peak.
-//! [`CompiledPlan::report`] is the slow sibling that fills a full
-//! [`EvalReport`], bit-identical to [`evaluate_parts`](crate::evaluate_parts)
-//! (the differential suite in `tests/engine_equiv.rs` proves both claims
-//! on random mutation chains).
+//! One loop plays the two serial queues. It starts from a *checkpoint*
+//! `(di, ci)` — queue slots served, tiles run — and records end times by
+//! queue slot and by tile, plus, per slot, the tiles run when it was
+//! served and, per tile, the slots served when it ran: every state it
+//! passes is a checkpoint a later replay can start from.
+//!
+//! * [`CompiledPlan::simulate_cost`] is that loop from `(0, 0)` with
+//!   **zero heap allocation** against a caller-owned [`SimScratch`],
+//!   returning only the end-to-end latency — the cost-only fast path for
+//!   annealers that combine it with an incrementally maintained
+//!   [`OccupancyProfile`](soma_core::OccupancyProfile) peak.
+//!   [`CompiledPlan::simulate_into`] is the same loop recording start
+//!   times too, and [`CompiledPlan::report`] the slow sibling that fills
+//!   a full [`EvalReport`], bit-identical to
+//!   [`evaluate_parts`](crate::evaluate_parts).
+//! * [`Replay`] keeps the loop's record of one DLSA and re-runs it from
+//!   the last checkpoint an edit cannot have changed, rewriting only the
+//!   suffix after it in place: keeping the edit needs nothing more, and
+//!   [`restore`](Replay::restore) puts the overwritten suffix back. End
+//!   times obey the same recurrence however the two queues interleave,
+//!   and the loop stops at the same state from any checkpoint it passed,
+//!   so a resumed latency or [`SimError`] equals a full replay's. Stage 2
+//!   evaluates every proposal this way.
+//!
+//! The differential suite in `tests/engine_equiv.rs` proves these claims
+//! on random mutation chains.
 
 use soma_arch::HardwareConfig;
 use soma_core::{lifetime, ComputePlan, Dlsa, TileShape};
@@ -39,24 +56,39 @@ use crate::core_array::{CoreArrayModel, TileCost};
 use crate::report::{EnergyBreakdown, EvalReport};
 use crate::timeline::{SimError, Timeline};
 
+/// What one queue replay records. Times are kept per queue *slot* (the
+/// position in the DLSA order) rather than per tensor, so the part a
+/// resumed replay rewrites is always a suffix: slots from `di` on and
+/// tiles from `ci` on.
+#[derive(Debug, Default)]
+struct Record {
+    /// Store gates per tile: the stores whose living duration ends there.
+    store_gates: Vec<Vec<u32>>,
+    /// Start cycle of each queue slot (full path only).
+    slot_start: Vec<u64>,
+    /// End cycle of each queue slot.
+    slot_end: Vec<u64>,
+    /// Tiles run when each slot was served: the checkpoint "before
+    /// serving slot `k`" is `(k, slot_ci[k])`.
+    slot_ci: Vec<u32>,
+    /// Start cycle of each tile (full path only).
+    tile_start: Vec<u64>,
+    /// End cycle of each tile.
+    tile_end: Vec<u64>,
+    /// Slots served when each tile ran: the checkpoint "before running
+    /// tile `c`" is `(tile_di[c], c)`.
+    tile_di: Vec<u32>,
+}
+
 /// Re-usable workspace for [`CompiledPlan`] simulations. One scratch
 /// serves plans of any size (vectors grow to the high-water mark and are
 /// then re-used allocation-free).
 #[derive(Debug, Default)]
 pub struct SimScratch {
-    /// Queue position of each tensor under the current DLSA order.
-    queue_pos: Vec<u32>,
-    /// Start cycle of each DRAM tensor (full path only).
-    tensor_start: Vec<u64>,
-    /// End cycle of each DRAM tensor.
-    tensor_end: Vec<u64>,
-    /// Start cycle of each tile (full path only).
-    tile_start: Vec<u64>,
-    /// End cycle of each tile.
-    tile_end: Vec<u64>,
-    /// Store gates per tile (DLSA-dependent, rebuilt per call without
-    /// allocation in steady state).
-    store_gates: Vec<Vec<u32>>,
+    /// Queue slot of each tensor: the inverse of the DLSA order.
+    slots: Vec<u32>,
+    /// Times, checkpoints and store gates of the last simulation.
+    rec: Record,
     /// Whether the last simulation recorded start times (guards
     /// [`CompiledPlan::timeline`] against reading a cost-only run).
     full_times: bool,
@@ -76,26 +108,163 @@ impl SimScratch {
         &mut self.diff
     }
 
-    fn ensure(&mut self, n_tiles: usize, n_tensors: usize, full: bool) {
+    /// Sizes the scratch for `plan` and indexes `dlsa`: its inverse order
+    /// (a tensor missing from the order is never served, as in
+    /// [`crate::simulate`]) and its per-tile store gates. Times are not
+    /// cleared: a replay from `(0, 0)` writes every entry before reading
+    /// it.
+    fn index(&mut self, plan: &CompiledPlan, dlsa: &Dlsa, full: bool) {
+        let (n_tiles, n_tensors) = (plan.n_tiles, plan.n_tensors);
         self.full_times = full;
-        self.queue_pos.clear();
-        self.queue_pos.resize(n_tensors, u32::MAX);
-        self.tensor_end.clear();
-        self.tensor_end.resize(n_tensors, 0);
-        self.tile_end.clear();
-        self.tile_end.resize(n_tiles, 0);
+        self.slots.clear();
+        self.slots.resize(n_tensors, u32::MAX);
+        for (k, &ti) in dlsa.order.iter().enumerate() {
+            self.slots[ti as usize] = k as u32;
+        }
+        let rec = &mut self.rec;
+        rec.slot_end.resize(n_tensors, 0);
+        rec.slot_ci.resize(n_tensors, 0);
+        rec.tile_end.resize(n_tiles, 0);
+        rec.tile_di.resize(n_tiles, 0);
         if full {
-            self.tensor_start.clear();
-            self.tensor_start.resize(n_tensors, 0);
-            self.tile_start.clear();
-            self.tile_start.resize(n_tiles, 0);
+            rec.slot_start.resize(n_tensors, 0);
+            rec.tile_start.resize(n_tiles, 0);
         }
-        if self.store_gates.len() < n_tiles {
-            self.store_gates.resize_with(n_tiles, Vec::new);
+        if rec.store_gates.len() < n_tiles {
+            rec.store_gates.resize_with(n_tiles, Vec::new);
         }
-        for g in self.store_gates.iter_mut().take(n_tiles) {
+        for g in rec.store_gates.iter_mut().take(n_tiles) {
             g.clear();
         }
+        for (i, &end) in dlsa.end.iter().enumerate() {
+            if !plan.tensor_is_load[i] && (end as usize) < n_tiles {
+                rec.store_gates[end as usize].push(i as u32);
+            }
+        }
+    }
+}
+
+/// A kept replay of one DLSA that re-simulates an edit of it from the
+/// last checkpoint the edit cannot have changed — stage 2's evaluator.
+///
+/// An edit that changes queue slot `s` at the earliest (a reordering, a
+/// load's `Start`) leaves every slot before `s` and every tile run
+/// before `s` was served untouched; one that changes the store gates of
+/// tile `c` at the earliest (a store's `End`) leaves every tile before
+/// `c` and every slot served before `c` ran untouched.
+/// [`resume`](Self::resume) restarts the replay loop at the earlier of
+/// those two checkpoints and rewrites only the suffix after it. End times
+/// follow the same recurrence whatever order the two queues interleave
+/// in, and the loop stops at the same maximal state from any checkpoint
+/// it passed, so the latency and any [`SimError`] equal a full
+/// [`simulate_cost`](CompiledPlan::simulate_cost) of the edited DLSA.
+///
+/// The contract: [`resume`](Self::resume) rewrites the suffix in place.
+/// To keep the edit, do nothing: the suffix now describes the edited
+/// DLSA, and its checkpoints are valid resume points for the next edit.
+/// To roll it back, [`restore`](Self::restore) the suffix the last
+/// resume overwrote. Store gates follow the DLSA through
+/// [`move_store_gate`](Self::move_store_gate), in both directions; the
+/// inverse order is the caller's.
+#[derive(Debug)]
+pub struct Replay {
+    /// The kept replay; a resume rewrites its suffix in place.
+    rec: Record,
+    /// Resume point of the last resume.
+    saved_at: (usize, usize),
+    /// What the last resume overwrote: `slot_end`/`slot_ci` from its
+    /// `di` on, `tile_end`/`tile_di` from its `ci` on.
+    saved_slot_end: Vec<u64>,
+    saved_slot_ci: Vec<u32>,
+    saved_tile_end: Vec<u64>,
+    saved_tile_di: Vec<u32>,
+}
+
+impl Replay {
+    /// Replays `dlsa` in full, the first kept replay.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Deadlock`] exactly when [`crate::simulate`] deadlocks.
+    pub fn new(plan: &CompiledPlan, dlsa: &Dlsa) -> Result<Self, SimError> {
+        let mut scratch = SimScratch::new();
+        plan.simulate_cost(dlsa, &mut scratch)?;
+        Ok(Self {
+            rec: scratch.rec,
+            saved_at: (0, 0),
+            saved_slot_end: Vec::new(),
+            saved_slot_ci: Vec::new(),
+            saved_tile_end: Vec::new(),
+            saved_tile_di: Vec::new(),
+        })
+    }
+
+    /// Follows a store whose living-duration `End` moved from tile `old`
+    /// to tile `new` (`End == n_tiles` gates no tile).
+    pub fn move_store_gate(&mut self, tensor: u32, old: u32, new: u32) {
+        if let Some(gates) = self.rec.store_gates.get_mut(old as usize) {
+            let i = gates.iter().position(|&g| g == tensor).expect("the store gates its End");
+            gates.swap_remove(i);
+        }
+        if let Some(gates) = self.rec.store_gates.get_mut(new as usize) {
+            gates.push(tensor);
+        }
+    }
+
+    /// Re-simulates the edited `dlsa` (with `slots` its inverse order)
+    /// from the last checkpoint before both queue slot `slot` and tile
+    /// `tile`, the first ones the edit can change (`n_tensors` and
+    /// `n_tiles` mean "none"). Returns the edited DLSA's latency.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Deadlock`] exactly when [`crate::simulate`] deadlocks
+    /// on the edited DLSA; the caller then [`restore`](Self::restore)s.
+    pub fn resume(
+        &mut self,
+        plan: &CompiledPlan,
+        dlsa: &Dlsa,
+        slots: &[u32],
+        slot: usize,
+        tile: usize,
+    ) -> Result<u64, SimError> {
+        let rec = &self.rec;
+        let end = (plan.n_tensors, plan.n_tiles);
+        // Both checkpoints are states of one replay, whose every step
+        // serves one slot or runs one tile: the earlier one is the one
+        // with fewer steps behind it.
+        let by_slot = rec.slot_ci.get(slot).map_or(end, |&c| (slot, c as usize));
+        let by_tile = rec.tile_di.get(tile).map_or(end, |&d| (d as usize, tile));
+        let (di, ci) =
+            if by_slot.0 + by_slot.1 <= by_tile.0 + by_tile.1 { by_slot } else { by_tile };
+
+        self.saved_slot_end.clear();
+        self.saved_slot_end.extend_from_slice(&rec.slot_end[di..]);
+        self.saved_slot_ci.clear();
+        self.saved_slot_ci.extend_from_slice(&rec.slot_ci[di..]);
+        self.saved_tile_end.clear();
+        self.saved_tile_end.extend_from_slice(&rec.tile_end[ci..]);
+        self.saved_tile_di.clear();
+        self.saved_tile_di.extend_from_slice(&rec.tile_di[ci..]);
+        self.saved_at = (di, ci);
+        plan.run_queues::<false>(dlsa, slots, &mut self.rec, di, ci)
+    }
+
+    /// Rolls the last [`resume`](Self::resume) back: the kept replay is
+    /// the unedited DLSA's again (its store gates excepted; move them
+    /// back first or after).
+    pub fn restore(&mut self) {
+        let (di, ci) = self.saved_at;
+        let rec = &mut self.rec;
+        rec.slot_end[di..].copy_from_slice(&self.saved_slot_end);
+        rec.slot_ci[di..].copy_from_slice(&self.saved_slot_ci);
+        rec.tile_end[ci..].copy_from_slice(&self.saved_tile_end);
+        rec.tile_di[ci..].copy_from_slice(&self.saved_tile_di);
+    }
+
+    /// The kept end times: by queue slot, and by tile.
+    pub fn end_times(&self) -> (&[u64], &[u64]) {
+        (&self.rec.slot_end, &self.rec.tile_end)
     }
 }
 
@@ -238,32 +407,23 @@ impl CompiledPlan {
         self.dram_read + self.dram_write
     }
 
-    /// Plays the two serial queues with zero heap allocation, writing
-    /// times into `scratch`. With `FULL`, also records start times (the
-    /// [`Timeline`] view); without, only what latency needs.
+    /// The one queue replay: plays the two serial queues from checkpoint
+    /// `(di, ci)` — `di` queue slots served, `ci` tiles run, everything
+    /// before them already in `rec` — with zero heap allocation, recording
+    /// end times and checkpoints (and, with `FULL`, start times). `slots`
+    /// is the inverse of `dlsa.order`.
     fn run_queues<const FULL: bool>(
         &self,
         dlsa: &Dlsa,
-        scratch: &mut SimScratch,
+        slots: &[u32],
+        rec: &mut Record,
+        mut di: usize,
+        mut ci: usize,
     ) -> Result<u64, SimError> {
         let n_tensors = self.n_tensors;
         let n_tiles = self.n_tiles;
-        scratch.ensure(n_tiles, n_tensors, FULL);
-
-        for (k, &ti) in dlsa.order.iter().enumerate() {
-            scratch.queue_pos[ti as usize] = k as u32;
-        }
-        // Store gates move with the DLSA: rebuild into the scratch.
-        for (i, &end) in dlsa.end.iter().enumerate() {
-            if !self.tensor_is_load[i] && (end as usize) < n_tiles {
-                scratch.store_gates[end as usize].push(i as u32);
-            }
-        }
-
-        let mut di = 0usize; // next queue position to serve
-        let mut ci = 0usize; // next tile to run
-        let mut prev_tensor_end = 0u64;
-        let mut prev_tile_end = 0u64;
+        let mut prev_tensor_end = di.checked_sub(1).map_or(0, |k| rec.slot_end[k]);
+        let mut prev_tile_end = ci.checked_sub(1).map_or(0, |c| rec.tile_end[c]);
 
         while di < n_tensors || ci < n_tiles {
             let mut progressed = false;
@@ -283,15 +443,16 @@ impl CompiledPlan {
                 };
                 let gate_time = match gate_tile {
                     None => 0,
-                    Some(g) if g < ci => scratch.tile_end[g],
+                    Some(g) if g < ci => rec.tile_end[g],
                     Some(_) => break, // gating tile not yet executed
                 };
                 let start = prev_tensor_end.max(gate_time);
                 if FULL {
-                    scratch.tensor_start[ti] = start;
+                    rec.slot_start[di] = start;
                 }
                 prev_tensor_end = start + self.tensor_dur[ti];
-                scratch.tensor_end[ti] = prev_tensor_end;
+                rec.slot_end[di] = prev_tensor_end;
+                rec.slot_ci[di] = ci as u32;
                 di += 1;
                 progressed = true;
             }
@@ -302,9 +463,10 @@ impl CompiledPlan {
                 let mut blocked = false;
                 let gates = &self.load_gate_idx
                     [self.load_gate_off[ci] as usize..self.load_gate_off[ci + 1] as usize];
-                for &g in gates.iter().chain(&scratch.store_gates[ci]) {
-                    if (scratch.queue_pos[g as usize] as usize) < di {
-                        ready = ready.max(scratch.tensor_end[g as usize]);
+                for &g in gates.iter().chain(&rec.store_gates[ci]) {
+                    let slot = slots[g as usize] as usize;
+                    if slot < di {
+                        ready = ready.max(rec.slot_end[slot]);
                     } else {
                         blocked = true;
                         break;
@@ -314,10 +476,11 @@ impl CompiledPlan {
                     break;
                 }
                 if FULL {
-                    scratch.tile_start[ci] = ready;
+                    rec.tile_start[ci] = ready;
                 }
                 prev_tile_end = ready + self.tile_cost[ci];
-                scratch.tile_end[ci] = prev_tile_end;
+                rec.tile_end[ci] = prev_tile_end;
+                rec.tile_di[ci] = di as u32;
                 ci += 1;
                 progressed = true;
             }
@@ -342,7 +505,8 @@ impl CompiledPlan {
     ///
     /// [`SimError::Deadlock`] exactly when [`crate::simulate`] deadlocks.
     pub fn simulate_cost(&self, dlsa: &Dlsa, scratch: &mut SimScratch) -> Result<u64, SimError> {
-        self.run_queues::<false>(dlsa, scratch)
+        scratch.index(self, dlsa, false);
+        self.run_queues::<false>(dlsa, &scratch.slots, &mut scratch.rec, 0, 0)
     }
 
     /// The full simulation into the scratch (start *and* end times).
@@ -354,7 +518,8 @@ impl CompiledPlan {
     ///
     /// [`SimError::Deadlock`] exactly when [`crate::simulate`] deadlocks.
     pub fn simulate_into(&self, dlsa: &Dlsa, scratch: &mut SimScratch) -> Result<u64, SimError> {
-        self.run_queues::<true>(dlsa, scratch)
+        scratch.index(self, dlsa, true);
+        self.run_queues::<true>(dlsa, &scratch.slots, &mut scratch.rec, 0, 0)
     }
 
     /// Copies the last [`simulate_into`](Self::simulate_into) result out
@@ -371,11 +536,15 @@ impl CompiledPlan {
             scratch.full_times,
             "timeline() needs simulate_into(); the scratch's last run was cost-only"
         );
+        let rec = &scratch.rec;
+        let by_tensor = |by_slot: &[u64]| -> Vec<u64> {
+            scratch.slots[..self.n_tensors].iter().map(|&k| by_slot[k as usize]).collect()
+        };
         Timeline {
-            tensor_start: scratch.tensor_start[..self.n_tensors].to_vec(),
-            tensor_end: scratch.tensor_end[..self.n_tensors].to_vec(),
-            tile_start: scratch.tile_start[..self.n_tiles].to_vec(),
-            tile_end: scratch.tile_end[..self.n_tiles].to_vec(),
+            tensor_start: by_tensor(&rec.slot_start),
+            tensor_end: by_tensor(&rec.slot_end),
+            tile_start: rec.tile_start[..self.n_tiles].to_vec(),
+            tile_end: rec.tile_end[..self.n_tiles].to_vec(),
             latency,
             dram_busy: self.dram_busy,
             compute_busy: self.compute_busy,

@@ -19,7 +19,12 @@
 //! loop: [`CompiledPlan`] precomputes tile costs, tensor durations, the
 //! load-gate CSR table and the energy split once, and
 //! [`CompiledPlan::simulate_cost`] replays the queues with zero heap
-//! allocation against a re-usable [`SimScratch`].
+//! allocation against a re-usable [`SimScratch`]. A [`Replay`] keeps one
+//! DLSA's replay and re-simulates an edit of it from the last checkpoint
+//! the edit leaves unchanged — the two queues' state after some slots
+//! served and some tiles run — rewriting only the suffix after it, which
+//! the caller keeps or restores. Its latency and deadlock verdict are a
+//! full replay's.
 //!
 //! ```
 //! use soma_arch::HardwareConfig;
@@ -41,7 +46,7 @@ pub mod report;
 pub mod stall;
 pub mod timeline;
 
-pub use compiled::{CompiledPlan, SimScratch};
+pub use compiled::{CompiledPlan, Replay, SimScratch};
 pub use core_array::{CoreArrayModel, TileCost};
 pub use gantt::render_gantt;
 pub use report::{evaluate, evaluate_parts, evaluate_with_model, EnergyBreakdown, EvalReport};

@@ -1,28 +1,42 @@
 //! Differential suite for the compiled evaluation engine: on random DLSA
 //! mutation chains over the zoo networks, the compiled fast paths must
 //! match the naive rebuild-everything paths **field for field** —
-//! `CompiledPlan::simulate_into` vs a fresh `simulate()`, the
-//! incrementally maintained `OccupancyProfile` vs a fresh
-//! `buffer_profile()`, the engine's cost-only evaluation vs the full
-//! report path, and deadlock detection vs deadlock detection.
+//! `CompiledPlan::simulate_into` vs a fresh `simulate()`, stage 2's
+//! resumed `Replay` vs a fresh `simulate()`, the incrementally maintained
+//! `OccupancyProfile` vs a fresh `buffer_profile()`, the engine's
+//! cost-only evaluation vs the full report path, and deadlock detection
+//! vs deadlock detection. One level up, the in-place stage-2 annealer
+//! must follow the naive clone-per-proposal annealer's exact trajectory.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 use soma::core::lifetime::{buffer_profile, peak_buffer};
 use soma::core::{parse_lfa, Dlsa, Lfa};
 use soma::model::zoo;
 use soma::model::Network;
 use soma::prelude::*;
-use soma::search::dlsa_stage::mutate_dlsa;
-use soma::search::{DlsaEditor, SizeWeightedPicker};
-use soma::sim::{evaluate_parts, simulate, CompiledPlan, CoreArrayModel, SimScratch};
+use soma::search::dlsa_stage::{mutate_dlsa, run_stage2};
+use soma::search::{anneal, DlsaEditor, DlsaMove, Objective, SaSchedule, SizeWeightedPicker};
+use soma::sim::{evaluate_parts, simulate, CompiledPlan, CoreArrayModel, Replay, SimScratch};
+
+/// Rolls one resumed proposal back the way stage 2 does: the replay's
+/// rewritten suffix, the store gate, then the editor.
+fn roll_back(replay: &mut Replay, editor: &mut DlsaEditor<'_>, mv: DlsaMove) {
+    replay.restore();
+    if let DlsaMove::StoreEnd { tensor, old, new } = mv {
+        replay.move_store_gate(tensor as u32, new, old);
+    }
+    editor.undo(mv);
+}
 
 /// The mutation-chain differential: drives `steps` random DLSA mutations
 /// through both the naive clone path (`mutate_dlsa` + fresh
 /// `simulate`/`buffer_profile`) and the engine path (`DlsaEditor` +
-/// `CompiledPlan` + maintained `OccupancyProfile`), asserting
-/// field-for-field equality at every step.
+/// `CompiledPlan` + maintained `OccupancyProfile` + stage 2's resumed
+/// `Replay`), asserting field-for-field equality at every step. A seeded
+/// coin keeps or rolls back each proposal that simulates, so the replay
+/// both keeps and restores rewritten suffixes.
 fn check_chain(net: &Network, lfa: &Lfa, seed: u64, steps: usize) {
     let hw = HardwareConfig::edge();
     let plan = parse_lfa(net, lfa).expect("valid LFA");
@@ -35,21 +49,26 @@ fn check_chain(net: &Network, lfa: &Lfa, seed: u64, steps: usize) {
     let mut model = CoreArrayModel::new(&hw);
     let compiled = CompiledPlan::compile(net, &plan, &hw, &mut model);
     let mut scratch = SimScratch::new();
+    let mut replay = Replay::new(&compiled, &dlsa).expect("double-buffer DLSA simulates");
 
     let mut rng_naive = StdRng::seed_from_u64(seed);
     let mut rng_engine = StdRng::seed_from_u64(seed);
+    let mut coin = StdRng::seed_from_u64(!seed);
     let mut naive = dlsa.clone();
     let mut editor = DlsaEditor::new(&plan, dlsa);
-    let mut undone = 0usize;
+    let (mut undone, mut kept, mut rolled_back) = (0usize, 0usize, 0usize);
 
     for step in 0..steps {
         let cand = mutate_dlsa(&plan, &naive, &picker, &mut rng_naive);
         let token = editor.propose(&picker, &mut rng_engine);
         assert_eq!(cand.is_some(), token.is_some(), "step {step}: proposal divergence");
-        let Some(cand) = cand else { continue };
+        let (Some(cand), Some(mv)) = (cand, token) else { continue };
 
         // The in-place editor mirrors the cloning mutator exactly.
         assert_eq!(editor.dlsa(), &cand, "step {step}: DLSA divergence");
+        for (k, &ti) in cand.order.iter().enumerate() {
+            assert_eq!(editor.slots()[ti as usize] as usize, k, "step {step}: inverse order");
+        }
 
         // Maintained profile == fresh rebuild, point for point.
         let reference = buffer_profile(&plan, &cand);
@@ -59,6 +78,13 @@ fn check_chain(net: &Network, lfa: &Lfa, seed: u64, steps: usize) {
             assert_eq!(profile.occupancy(t), b, "step {step}: tile {t} occupancy");
         }
         assert_eq!(editor.peak(), peak_buffer(&plan, &cand), "step {step}: peak");
+
+        // Stage 2's evaluation: resume the kept replay at the move.
+        if let DlsaMove::StoreEnd { tensor, old, new } = mv {
+            replay.move_store_gate(tensor as u32, old, new);
+        }
+        let (slot, tile) = editor.first_affected(mv);
+        let resumed = replay.resume(&compiled, editor.dlsa(), editor.slots(), slot, tile);
 
         // Compiled simulation == naive simulation, timeline field for
         // field — including agreeing on deadlocks.
@@ -75,6 +101,7 @@ fn check_chain(net: &Network, lfa: &Lfa, seed: u64, steps: usize) {
                     tl.latency,
                     "step {step}: cost-only latency"
                 );
+                assert_eq!(resumed, Ok(tl.latency), "step {step}: resumed latency");
 
                 // Full-report parity (floats compared by bits via
                 // PartialEq on the report).
@@ -84,22 +111,82 @@ fn check_chain(net: &Network, lfa: &Lfa, seed: u64, steps: usize) {
                     compiled.report(net, &plan, &engine_sim, &mut scratch).expect("simulated");
                 assert_eq!(engine_report, naive_report, "step {step}: report");
 
-                naive = cand;
+                if coin.gen_bool(0.5) {
+                    naive = cand;
+                    kept += 1;
+                } else {
+                    roll_back(&mut replay, &mut editor, mv);
+                    rolled_back += 1;
+                }
             }
             Err(naive_err) => {
                 let engine_err = compiled
                     .simulate_cost(&engine_sim, &mut scratch)
                     .expect_err("naive deadlocked; engine must too");
                 assert_eq!(engine_err, naive_err, "step {step}: deadlock divergence");
+                assert_eq!(resumed, Err(naive_err), "step {step}: resumed deadlock");
                 // A deadlocked proposal is rejected: roll both walks back.
-                editor.undo(token.expect("engine proposed"));
+                roll_back(&mut replay, &mut editor, mv);
                 undone += 1;
             }
         }
+
+        // The kept replay is a full replay of the accepted DLSA again.
+        let full = Replay::new(&compiled, editor.dlsa()).expect("accepted DLSA simulates");
+        assert_eq!(replay.end_times(), full.end_times(), "step {step}: kept end times");
     }
     // After the walk (including any rollbacks) both views still agree.
-    assert_eq!(editor.dlsa(), &naive, "final state ({undone} rollbacks)");
+    let walk = format!("{kept} kept, {rolled_back} rolled back, {undone} deadlocks");
+    assert_eq!(editor.dlsa(), &naive, "final state ({walk})");
     assert_eq!(editor.peak(), peak_buffer(&plan, &naive));
+}
+
+/// The annealer-level differential: `run_stage2` (in-place editor,
+/// resumed replay) against `sa::anneal` over `mutate_dlsa` with
+/// `Objective::eval_parts` costs, at the same seed. Temperature-driven
+/// rejections roll proposals back here, not only deadlocks.
+fn check_stage2(net: &Network, lfa: &Lfa, seed: u64, effort: f64) {
+    let hw = HardwareConfig::edge();
+    let plan = parse_lfa(net, lfa).expect("valid LFA");
+    let init = Dlsa::double_buffer(&plan);
+    let picker = SizeWeightedPicker::new(&plan);
+    if picker.is_empty() {
+        return;
+    }
+    let cfg = SearchConfig { effort, ..SearchConfig::default() };
+    let limit = hw.buffer_bytes;
+
+    let mut obj = Objective::new(net, &hw, cfg.weights);
+    let mut rng_engine = StdRng::seed_from_u64(seed);
+    let engine = run_stage2(&mut obj, &cfg, &mut rng_engine, &plan, init.clone(), limit);
+
+    let mut naive_obj = Objective::new(net, &hw, cfg.weights);
+    let mut rng_naive = StdRng::seed_from_u64(seed);
+    let (init_cost, _) = naive_obj.eval_parts(&plan, &init, limit).expect("simulates");
+    let iters = cfg.stage2_iters(picker.len());
+    let schedule = SaSchedule {
+        t0: cfg.t0,
+        alpha: cfg.alpha,
+        iters,
+        greedy_tail: iters / 10,
+        time_budget: None,
+    };
+    let naive = anneal(&schedule, &mut rng_naive, init, init_cost, |cur, rng| {
+        let cand = mutate_dlsa(&plan, cur, &picker, rng)?;
+        let (cost, _) = naive_obj.eval_parts(&plan, &cand, limit)?;
+        Some((cand, cost))
+    });
+    let (cost, report) = naive_obj.eval_parts(&plan, &naive.best, limit).expect("best simulates");
+
+    assert_eq!(engine.dlsa, naive.best, "best DLSA");
+    assert_eq!(engine.cost.to_bits(), cost.to_bits(), "best cost");
+    assert_eq!(engine.report, report, "best report");
+    assert_eq!(
+        (obj.evals(), obj.rejected()),
+        (naive_obj.evals(), naive_obj.rejected()),
+        "evals / rejected"
+    );
+    assert_eq!(rng_engine.next_u64(), rng_naive.next_u64(), "RNG draws");
 }
 
 proptest! {
@@ -148,6 +235,43 @@ proptest! {
         lfa.tiling = vec![2; lfa.flg_count()];
         check_chain(&net, &lfa, seed, 80);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Stage 2 on fig2, unfused and fused, random tiling, seed and effort.
+    #[test]
+    fn stage2_matches_naive_anneal_on_fig2(
+        seed in any::<u64>(),
+        tiling_pow in 0u32..4,
+        fused in any::<bool>(),
+        effort_milli in 5u32..60,
+    ) {
+        let net = zoo::fig2(1);
+        let t = 1u32 << tiling_pow;
+        let lfa = if fused { Lfa::fully_fused(&net, t) } else { Lfa::unfused(&net, t) };
+        check_stage2(&net, &lfa, seed, f64::from(effort_milli) / 1000.0);
+    }
+
+    /// Stage 2 on fig4 (branchy graph with a pooling layer).
+    #[test]
+    fn stage2_matches_naive_anneal_on_fig4(
+        seed in any::<u64>(),
+        tiling_pow in 0u32..3,
+        effort_milli in 5u32..60,
+    ) {
+        let net = zoo::fig4(1);
+        check_stage2(&net, &Lfa::unfused(&net, 1 << tiling_pow), seed, f64::from(effort_milli) / 1000.0);
+    }
+}
+
+/// Stage 2 on ResNet-50's stage-1-style initial plan, one deterministic
+/// case to bound suite runtime.
+#[test]
+fn stage2_matches_naive_anneal_on_resnet50() {
+    let net = zoo::resnet50(1);
+    check_stage2(&net, &Lfa::unfused(&net, 2), 2025, 0.002);
 }
 
 /// One long chain on a real CNN: ResNet-50's stage-1-style initial plan.
