@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use soma_arch::HardwareConfig;
 use soma_core::{parse_lfa, Dlsa, Lfa};
 use soma_model::zoo;
-use soma_search::{schedule, schedule_cocco, CostWeights, Objective, SearchConfig};
+use soma_search::{CostWeights, Objective, Scheduler, SearchConfig};
 
 fn bench_objective(c: &mut Criterion) {
     let net = zoo::resnet50(1);
@@ -37,8 +37,12 @@ fn bench_end_to_end(c: &mut Criterion) {
     let net = zoo::fig4(1);
     let hw = HardwareConfig::edge();
     let cfg = SearchConfig { effort: 0.05, seed: 5, ..SearchConfig::default() };
-    c.bench_function("schedule/soma_fig4_quick", |b| b.iter(|| schedule(&net, &hw, &cfg)));
-    c.bench_function("schedule/cocco_fig4_quick", |b| b.iter(|| schedule_cocco(&net, &hw, &cfg)));
+    c.bench_function("schedule/soma_fig4_quick", |b| {
+        b.iter(|| Scheduler::new(&net, &hw).config(cfg.clone()).run())
+    });
+    c.bench_function("schedule/cocco_fig4_quick", |b| {
+        b.iter(|| Scheduler::cocco(&net, &hw).config(cfg.clone()).run().best)
+    });
 }
 
 criterion_group! {

@@ -39,7 +39,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use soma_bench::{csv_rows, run_lab_until, LabEvent, CSV_HEADER};
+use soma_bench::{csv_rows, run_cells, LabEvent, CSV_HEADER};
 use soma_obs::summary::{CampaignSummary, CellOutcome, RunCounts};
 use soma_search::Parallelism;
 use soma_serve::shutdown;
@@ -133,7 +133,8 @@ fn main() -> ExitCode {
     // `stopped: true` — the ledger stays a clean, replayable prefix.
     shutdown::install_signal_handlers();
     let run_start = Instant::now();
-    let summary = run_lab_until(&spec, &ledger, shutdown::stop_flag(), |ev| match ev {
+    let stop = shutdown::stop_flag();
+    let summary = run_cells(&spec, spec.cells(), Some(&ledger), stop, None, |ev| match ev {
         LabEvent::Queued { cell, hash } => eprintln!("[lab] queued   {cell} ({hash})"),
         LabEvent::Cached { cell, .. } => eprintln!("[lab] cached   {cell}"),
         LabEvent::Started { cell } => eprintln!("[lab] started  {cell}"),

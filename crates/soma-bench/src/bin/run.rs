@@ -1,6 +1,8 @@
 //! Executes a committed `.soma` experiment file end-to-end: spec in,
 //! CSV results out — the declarative replacement for hand-editing a
-//! figure binary.
+//! figure binary. `run` is `lab` without a ledger: the same cell
+//! executor (`soma_bench::run_cells`), which here loads and writes
+//! nothing, so every cell searches.
 //!
 //! ```sh
 //! cargo run --release -p soma-bench --bin run -- specs/fig2_edge.soma
@@ -24,6 +26,12 @@
 //! this invocation only. Thread policy never changes the CSV — cells
 //! are merged in cell order and every seed owns its RNG stream — so the
 //! override is safe to use freely.
+//!
+//! Exit codes: `0` success, `2` usage error, unreadable or invalid spec,
+//! or no cell left after the `SOMA_WORKLOAD` filter, `4` some cells
+//! panicked (isolated: the CSV holds every other cell).
+
+use std::sync::atomic::AtomicBool;
 
 use soma_bench::{csv_rows, run_cells, LabEvent, RunConfig, CSV_HEADER};
 use soma_search::Parallelism;
@@ -69,10 +77,13 @@ fn main() {
         eprintln!("run: cannot read {path}: {e}");
         std::process::exit(2);
     });
-    let spec = read_experiment(&text).unwrap_or_else(|e| {
+    let mut spec = read_experiment(&text).unwrap_or_else(|e| {
         eprintln!("run: {path}: {e}");
         std::process::exit(2);
     });
+    if let Some(par) = threads_flag {
+        spec.parallelism = par;
+    }
 
     // The scenario-id filter composes with the spec: a spec names the
     // full grid, `SOMA_WORKLOAD` narrows one invocation.
@@ -87,19 +98,26 @@ fn main() {
         std::process::exit(2);
     }
 
-    let parallelism = threads_flag.unwrap_or(spec.parallelism);
     eprintln!(
-        "[run] {}: {} cell(s), {} seed(s), effort {}, threads {parallelism}",
+        "[run] {}: {} cell(s), {} seed(s), effort {}, threads {}",
         spec.name,
         cells.len(),
         spec.seeds.len(),
-        spec.config.effort
+        spec.config.effort,
+        spec.parallelism
     );
     println!("{CSV_HEADER}");
-    let rows = run_cells(cells, &spec.config, &spec.seeds, parallelism, |ev| {
-        if let LabEvent::Finished { cell, cost, latency_cycles, evals, .. } = ev {
+    let summary = run_cells(&spec, cells, None, &AtomicBool::new(false), None, |ev| match ev {
+        LabEvent::Finished { cell, cost, latency_cycles, evals, .. } => {
             eprintln!("[run] {cell}: best cost {cost:.3e}, latency {latency_cycles} cycles, {evals} evals");
         }
-    });
-    print!("{}", csv_rows(&rows));
+        LabEvent::Failed { cell, error, .. } => eprintln!("[run] FAILED {cell}: {error}"),
+        _ => {}
+    })
+    .expect("a run without a ledger does no I/O");
+    print!("{}", csv_rows(&summary.rows));
+    if summary.failed > 0 {
+        eprintln!("run: {} cell(s) failed and were skipped", summary.failed);
+        std::process::exit(4);
+    }
 }

@@ -1,8 +1,12 @@
-//! The experiment orchestrator behind `soma-bench --bin lab`: parallel,
-//! resumable, cache-aware execution of an [`ExperimentSpec`].
+//! The one cell executor behind `soma-bench --bin lab` and `--bin run`:
+//! parallel, resumable, cache-aware execution of an [`ExperimentSpec`].
 //!
 //! An experiment expands into (scenario × config × seed-portfolio)
-//! **cells**; [`run_lab`] executes them as a work queue:
+//! **cells**; [`run_cells`] executes them as a work queue. A cell's
+//! result is **exactly** what the equivalent hand-written driver
+//! produces: `Scheduler::new(&cell.net, &cell.hw)
+//! .config(spec.config.clone()).seeds(spec.seeds.clone()).run()` — no
+//! hidden seed salting, no effort rescaling.
 //!
 //! * **Cache-aware** — every cell is keyed by a content hash of
 //!   (scenario id, resolved hardware, [`SearchConfig`], seed portfolio,
@@ -25,22 +29,24 @@
 //!   flag). Results are merged, the ledger written and
 //!   [`LabEvent::Cached`]/[`LabEvent::Finished`] observed in cell order
 //!   regardless of completion order, so ledger bytes and rows are
-//!   bit-identical across thread counts — and to the sequential
-//!   [`run_experiment`](crate::run_experiment).
+//!   bit-identical across thread counts.
+//! * **Isolated** — a cell whose search panics becomes a
+//!   [`LabEvent::Failed`] ([`fault::isolate`]); the other cells proceed.
+//!
+//! `run` is `lab` without a ledger: given `None`, [`run_cells`] loads,
+//! looks up and writes nothing, so every cell searches (a cell the spec
+//! names twice still searches once) and its `Finished` event fires on
+//! its turn in cell order.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use soma_search::{Scheduler, SearchOutcome};
-use soma_spec::fault::{self, Fault, FaultPlan};
-use soma_spec::ExperimentSpec;
-
-use crate::ExperimentRow;
+use soma_spec::fault::{self, FaultPlan};
+use soma_spec::{ExperimentCell, ExperimentSpec};
 
 // The ledger itself lives in `soma_spec::ledger` (it is shared with the
 // `soma-serve` daemon's result cache); re-exported here because the lab
@@ -52,16 +58,69 @@ pub use soma_spec::ledger::{cell_key, Ledger, LedgerRow, LEDGER_VERSION};
 // re-exported here because the lab is its producer and historical home.
 pub use soma_obs::LabEvent;
 
-/// What [`run_lab`] reports back.
+/// One executed experiment cell.
+#[derive(Debug)]
+pub struct ExperimentRow {
+    /// The resolved cell (scenario id, network, platform).
+    pub cell: ExperimentCell,
+    /// The search outcome of the cell's seed portfolio.
+    pub outcome: SearchOutcome,
+}
+
+/// The CSV header shared by the `run` and `lab` binaries (golden files
+/// compare their output byte-for-byte).
+pub const CSV_HEADER: &str = "scenario,workload,platform,batch,scheme,latency_cycles,energy_pj,\
+                              cost,evals,rejected,lgs,flgs,tiles,dram_tensors";
+
+/// Renders one result row pair (`ours_1` stage-1 snapshot + `ours_2`
+/// final scheme) per cell, in cell order — the body under
+/// [`CSV_HEADER`]. Cached and freshly searched outcomes render
+/// identically because ledger persistence is lossless.
+pub fn csv_rows(rows: &[ExperimentRow]) -> String {
+    use std::fmt::Write as _;
+
+    let mut out = String::new();
+    let mut one =
+        |cell: &ExperimentCell, scheme: &str, e: &soma_search::Evaluated, r: &ExperimentRow| {
+            let plan =
+                soma_core::parse_lfa(&cell.net, &e.encoding.lfa).expect("reported scheme parses");
+            let _ = writeln!(
+                out,
+                "{},{},{},{},{scheme},{},{:.1},{:.6e},{},{},{},{},{},{}",
+                cell.id,
+                cell.workload,
+                cell.platform,
+                cell.batch,
+                e.report.latency_cycles,
+                e.report.energy.total_pj(),
+                e.cost,
+                r.outcome.evals,
+                r.outcome.rejected,
+                plan.n_lgs(),
+                plan.n_flgs(),
+                plan.tiles.len(),
+                plan.dram_tensors.len()
+            );
+        };
+    for r in rows {
+        one(&r.cell, "ours_1", &r.outcome.stage1, r);
+        one(&r.cell, "ours_2", &r.outcome.best, r);
+    }
+    out
+}
+
+/// What [`run_cells`] reports back.
 #[derive(Debug)]
 pub struct LabSummary {
-    /// One row per cell, in spec cell order (cached and fresh alike).
-    /// On a [`stopped`](Self::stopped) run, only the cells whose
-    /// outcome is known — ledger hits plus flushed misses.
+    /// One row per cell, in cell order (cached and fresh alike). On a
+    /// [`stopped`](Self::stopped) run, only the cells whose outcome is
+    /// known — ledger hits plus flushed misses.
     pub rows: Vec<ExperimentRow>,
-    /// Cells served from the ledger.
+    /// Cells served without a search: ledger hits, and repeats of a
+    /// cell the spec names more than once.
     pub hits: usize,
-    /// Cells that ran a search (and were appended to the ledger).
+    /// Cells that ran a search and were flushed in cell order: appended
+    /// to the ledger, or, without one, reported.
     pub misses: usize,
     /// Of the cells that missed, how many had a ledger row whose
     /// outcome did not decode (a payload damaged on disk). They search
@@ -70,27 +129,20 @@ pub struct LabSummary {
     /// Cells whose search panicked ([`LabEvent::Failed`]): isolated,
     /// ledger-skipped, retried by the next run of the same spec.
     pub failed: usize,
-    /// Whether a [`run_lab_until`] stop flag cut the run short. The
-    /// ledger still holds a valid in-cell-order prefix; rerunning the
-    /// same spec resumes from it.
+    /// Whether the stop flag cut the run short. The ledger still holds
+    /// a valid in-cell-order prefix; rerunning the same spec resumes
+    /// from it.
     pub stopped: bool,
     /// What loading the ledger found and repaired (quarantined rows,
     /// torn tail, shadowed duplicates) — surfaced so the binary can
-    /// warn.
+    /// warn. Clean when there is no ledger.
     pub health: soma_spec::LedgerHealth,
 }
 
-/// In-order ledger flusher: completed cells park in `ready` until every
-/// earlier miss has been written, so the ledger is an in-cell-order
-/// prefix at every instant (the resume guarantee) no matter which order
-/// the pool finishes in. The observer lives here too: `Started` events
-/// are forwarded live as jobs begin, and each cell's `Finished` event is
-/// emitted the moment its row lands in the ledger — live progress, in
-/// flush (cell) order. Worker threads report through the shared mutex
-/// around this state, which is why the observer must be `Send`.
-/// How one miss ended: a row to append, or a panic to report.
+/// How one miss ended: a row to flush, or a panic to report.
 enum CellDone {
-    /// The search completed; append the row, then emit the event.
+    /// The search completed; append the row (when there is a ledger),
+    /// then emit the event.
     Row(Box<LedgerRow>, LabEvent),
     /// The search panicked; emit [`LabEvent::Failed`] and advance
     /// without writing — later cells still flush, the failed cell's
@@ -98,13 +150,21 @@ enum CellDone {
     Failed(LabEvent),
 }
 
+/// In-order flusher: completed cells park in `ready` until every
+/// earlier miss has been resolved, so the ledger is an in-cell-order
+/// prefix at every instant (the resume guarantee) no matter which order
+/// the pool finishes in. The observer lives here too: `Started` events
+/// are forwarded live as jobs begin, and each cell's `Finished` event is
+/// emitted on its turn in cell order — the moment its row lands in the
+/// ledger, when there is one. Worker threads report through the shared
+/// mutex around this state, which is why the observer must be `Send`.
 struct InOrderFlush<'l, 'o> {
-    ledger: &'l mut Ledger,
+    ledger: Option<&'l mut Ledger>,
     observer: &'o mut (dyn FnMut(&LabEvent) + Send),
     /// Position into the miss list of the next cell to resolve.
     next: usize,
     ready: BTreeMap<usize, CellDone>,
-    /// Rows actually appended.
+    /// Rows flushed (appended, when there is a ledger).
     appended: usize,
     /// Cells that panicked.
     failed: usize,
@@ -121,114 +181,91 @@ impl InOrderFlush<'_, '_> {
                     self.failed += 1;
                     (self.observer)(&ev);
                 }
-                // `Finished` asserts "this row landed in the ledger" —
-                // once an append has failed, later rows are neither
-                // written nor reported finished (run_lab surfaces the
-                // error instead).
+                // `Finished` asserts "this row was flushed" — once an
+                // append has failed, later rows are neither written nor
+                // reported finished (run_cells surfaces the error
+                // instead).
                 CellDone::Row(_, _) if self.err.is_some() => {}
-                CellDone::Row(row, ev) => match self.ledger.append(*row) {
-                    Ok(()) => {
-                        self.appended += 1;
-                        (self.observer)(&ev);
+                CellDone::Row(row, ev) => {
+                    match self.ledger.as_deref_mut().map_or(Ok(()), |l| l.append(*row)) {
+                        Ok(()) => {
+                            self.appended += 1;
+                            (self.observer)(&ev);
+                        }
+                        Err(e) => self.err = Some(e),
                     }
-                    Err(e) => self.err = Some(e),
-                },
+                }
             }
         }
     }
 }
 
-/// Executes an experiment against the ledger at `ledger_path`.
-///
-/// Ledger-hit cells are served without search work; misses fan out
-/// across the threads chosen by `spec.parallelism` and append to the
-/// ledger in cell order. The observer sees [`LabEvent`]s in the order
-/// documented on the type. The returned rows and ledger bytes are
-/// bit-identical across every [`Parallelism`] policy — and to a
-/// sequential [`run_experiment`](crate::run_experiment) of the same
-/// spec.
+/// Executes an experiment against the ledger at `ledger_path`:
+/// [`run_cells`] over every cell of the spec, with no stop flag and no
+/// fault plan.
 ///
 /// # Errors
 ///
-/// I/O errors loading or appending the ledger (an existing regular
-/// file at `ledger_path` is refused — see [`Ledger::load`]).
+/// As [`run_cells`].
 pub fn run_lab(
     spec: &ExperimentSpec,
     ledger_path: &Path,
     observer: impl FnMut(&LabEvent) + Send,
 ) -> io::Result<LabSummary> {
-    run_lab_until(spec, ledger_path, &AtomicBool::new(false), observer)
+    run_cells(spec, spec.cells(), Some(ledger_path), &AtomicBool::new(false), None, observer)
 }
 
-/// [`run_lab`] with a cooperative stop flag — the graceful-shutdown
-/// entry point behind the `lab` binary's SIGINT handling.
+/// Executes `cells` under the spec's configuration, seed portfolio and
+/// [`Parallelism`] policy, against the ledger at `ledger_path` or, given
+/// `None`, against no ledger at all (the `run` binary).
 ///
-/// The flag is checked **between cells**: once it reads `true`, cells
-/// whose search has not started are skipped, in-flight searches finish,
-/// and — because the ledger is written strictly in cell order — every
-/// row flushed before the stop still forms a valid in-order prefix. A
-/// rerun of the same spec resumes from exactly that prefix and produces
-/// a final ledger byte-identical to an uninterrupted run.
+/// Ledger hits are served without search work; misses fan out across
+/// the threads chosen by `spec.parallelism` and append to the ledger in
+/// cell order. The observer sees [`LabEvent`]s in the order documented
+/// on the type. The returned rows and ledger bytes are bit-identical
+/// across every [`Parallelism`] policy.
 ///
-/// When the run was stopped early, [`LabSummary::stopped`] is `true`
-/// and [`LabSummary::rows`] holds only the cells whose outcome is
-/// known (ledger hits plus flushed misses) — later cells are simply
-/// absent, never fabricated.
+/// `stop` is checked **between cells** (the `lab` binary's SIGINT flag):
+/// once it reads `true`, cells whose search has not started are
+/// skipped, in-flight searches finish, and every row flushed before the
+/// stop forms a valid in-order prefix. A rerun of the same spec resumes
+/// from exactly that prefix and produces a final ledger byte-identical
+/// to an uninterrupted run. [`LabSummary::stopped`] is then `true` and
+/// [`LabSummary::rows`] holds only the cells whose outcome is known —
+/// later cells are simply absent, never fabricated.
 ///
-/// # Errors
-///
-/// As [`run_lab`].
-pub fn run_lab_until(
-    spec: &ExperimentSpec,
-    ledger_path: &Path,
-    stop: &AtomicBool,
-    observer: impl FnMut(&LabEvent) + Send,
-) -> io::Result<LabSummary> {
-    run_lab_chaos(spec, ledger_path, stop, None, observer)
-}
-
-/// Best-effort text of a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".into())
-}
-
-/// [`run_lab_until`] with a deterministic [`FaultPlan`] threaded behind
-/// the ledger writer ([`fault::site::LEDGER_APPEND`]) and the cell
-/// runner ([`fault::site::LAB_CELL`]) — the chaos-suite entry point.
-/// Production callers pass `None` (what [`run_lab`] and
-/// [`run_lab_until`] do).
-///
-/// A cell whose search panics — injected or real — is isolated by
-/// `catch_unwind`: it becomes a [`LabEvent::Failed`] and a skipped
-/// ledger slot, every other cell proceeds, and
-/// [`LabSummary::failed`] counts it so the `lab` binary can exit with
-/// a partial-failure code. A rerun of the same spec retries exactly the
+/// `faults` threads a deterministic [`FaultPlan`] behind the ledger
+/// writer ([`fault::site::LEDGER_APPEND`]) and the cell runner
+/// ([`fault::site::LAB_CELL`]) — the chaos suites' hook; production
+/// callers pass `None`. A cell whose search panics — injected or real —
+/// is isolated by [`fault::isolate`]: it becomes a [`LabEvent::Failed`]
+/// and a skipped ledger slot, every other cell proceeds, and
+/// [`LabSummary::failed`] counts it so the binaries can exit with a
+/// partial-failure code. A rerun of the same spec retries exactly the
 /// failed cells (their keys still miss the ledger).
 ///
 /// # Errors
 ///
-/// I/O errors loading or appending the ledger. Corrupt ledger frames
-/// are *not* errors: load quarantines them (see [`Ledger::load`]), and
-/// a row whose payload does not decode re-searches.
-pub fn run_lab_chaos(
+/// I/O errors loading or appending the ledger (an existing regular
+/// file at `ledger_path` is refused — see [`Ledger::load`]); none
+/// without a ledger. Corrupt ledger frames are *not* errors: load
+/// quarantines them, and a row whose payload does not decode
+/// re-searches.
+pub fn run_cells(
     spec: &ExperimentSpec,
-    ledger_path: &Path,
+    cells: Vec<ExperimentCell>,
+    ledger_path: Option<&Path>,
     stop: &AtomicBool,
     faults: Option<Arc<FaultPlan>>,
     mut observer: impl FnMut(&LabEvent) + Send,
 ) -> io::Result<LabSummary> {
-    let cells = spec.cells();
     let keys: Vec<String> = cells.iter().map(|c| cell_key(c, &spec.config, &spec.seeds)).collect();
     // Probe read-only first: a pure replay (every cell already done —
     // the `--require-hits` gate, a `watch`ed campaign being re-checked)
     // must never write, truncate or quarantine anything, even when the
     // ledger is damaged or another process is mid-append.
-    let mut ledger = Ledger::load_readonly(ledger_path)?;
-    let health = ledger.health();
+    let mut ledger = ledger_path.map(Ledger::load_readonly).transpose()?;
+    let health = ledger.as_ref().map(Ledger::health).unwrap_or_default();
 
     for (cell, key) in cells.iter().zip(&keys) {
         observer(&LabEvent::Queued { cell: cell.id.clone(), hash: key.clone() });
@@ -248,7 +285,7 @@ pub fn run_lab_chaos(
     for (i, (cell, key)) in cells.iter().zip(&keys).enumerate() {
         // A row whose payload is damaged decodes to `None`: that is a
         // miss, never a hit without an outcome.
-        let row = ledger.lookup(key);
+        let row = ledger.as_ref().and_then(|l| l.lookup(key));
         if let Some(outcome) = row.and_then(LedgerRow::outcome) {
             outcomes[i] = Some(outcome.clone());
             observer(&LabEvent::Cached { cell: cell.id.clone(), hash: key.clone() });
@@ -263,23 +300,24 @@ pub fn run_lab_chaos(
     }
     let hits = cells.len() - misses.len();
 
-    if !misses.is_empty() {
+    if let Some(path) = ledger_path.filter(|_| !misses.is_empty()) {
         // There is work to append, so this run is a writer: reload in
         // repairing mode (fixing any damage the probe tolerated)
         // before the first append.
-        ledger = Ledger::load(ledger_path)?;
+        let mut writer = Ledger::load(path)?;
         if let Some(plan) = &faults {
-            ledger.inject_faults(Arc::clone(plan));
+            writer.inject_faults(Arc::clone(plan));
         }
+        ledger = Some(writer);
     }
 
     // Fan the misses out. Events flow live through the shared flush
     // state — `Started` as each job begins (execution order), `Finished`
-    // as each row lands in the ledger (cell order) — and ledger rows are
-    // written through the same in-order writer, so an interrupted run
-    // keeps every finished prefix cell.
+    // as each row is flushed (cell order) — and ledger rows are written
+    // through the same in-order writer, so an interrupted run keeps
+    // every finished prefix cell.
     let flush = Mutex::new(InOrderFlush {
-        ledger: &mut ledger,
+        ledger: ledger.as_mut(),
         observer: &mut observer,
         next: 0,
         ready: BTreeMap::new(),
@@ -308,28 +346,17 @@ pub fn run_lab_chaos(
             // Panic isolation: one poisoned cell (injected or real)
             // becomes a typed `Failed` event instead of taking the
             // whole campaign down with it.
-            let searched = catch_unwind(AssertUnwindSafe(|| {
-                match faults.as_ref().and_then(|p| p.next(fault::site::LAB_CELL)) {
-                    Some(Fault::Panic) => panic!("injected fault: cell panic"),
-                    Some(Fault::Slow { millis }) => {
-                        std::thread::sleep(Duration::from_millis(millis));
-                    }
-                    _ => {}
-                }
+            let searched = fault::isolate(faults.as_deref(), fault::site::LAB_CELL, || {
                 Scheduler::new(&cell.net, &cell.hw)
                     .config(spec.config.clone())
                     .seeds(spec.seeds.iter().copied())
                     .parallelism(spec.parallelism.nested())
                     .run()
-            }));
+            });
             let outcome = match searched {
                 Ok(outcome) => outcome,
-                Err(payload) => {
-                    let ev = LabEvent::Failed {
-                        cell: cell.id.clone(),
-                        hash: key.clone(),
-                        error: panic_message(payload.as_ref()),
-                    };
+                Err(error) => {
+                    let ev = LabEvent::Failed { cell: cell.id.clone(), hash: key.clone(), error };
                     flush
                         .lock()
                         .expect("ledger flusher poisoned")
@@ -363,7 +390,7 @@ pub fn run_lab_chaos(
     let failed = state.failed;
     let appended = state.appended;
     let stopped = flushed < misses.len();
-    if appended > 0 {
+    if let Some(ledger) = ledger.as_mut().filter(|_| appended > 0) {
         // Refresh the index sidecar so the next load of a binary
         // ledger is O(cells-missing), not a full-shard scan.
         ledger.sync_index()?;
@@ -402,10 +429,41 @@ mod tests {
     use std::path::PathBuf;
 
     use super::*;
+    use soma_search::{Evaluated, SearchConfig};
+    use soma_spec::fault::Fault;
     use soma_spec::read_experiment;
 
     const SPEC: &str = "soma-experiment v1\nname t\nscenario fig2@edge/b1\nseeds 7\n\
                         effort 0.01\nend\n";
+
+    /// Three cells at effort 0.01, seed 7, run sequentially.
+    const THREE: &str = "soma-experiment v1\nname three\nscenario fig2@edge/b1\n\
+                         scenario fig4@edge/b1\nscenario fig2@edge/b4\nseeds 7\n\
+                         effort 0.01\nthreads seq\nend\n";
+
+    /// [`run_cells`] over every cell of `spec` with no ledger.
+    fn ledgerless(
+        spec: &ExperimentSpec,
+        faults: Option<Arc<FaultPlan>>,
+        observer: impl FnMut(&LabEvent) + Send,
+    ) -> LabSummary {
+        run_cells(spec, spec.cells(), None, &AtomicBool::new(false), faults, observer)
+            .expect("no ledger, no I/O")
+    }
+
+    fn assert_same(a: &SearchOutcome, b: &SearchOutcome) {
+        let same = |x: &Evaluated, y: &Evaluated| {
+            assert_eq!(x.encoding, y.encoding);
+            assert_eq!(x.report, y.report);
+            assert_eq!(x.cost.to_bits(), y.cost.to_bits());
+        };
+        same(&a.stage1, &b.stage1);
+        same(&a.best, &b.best);
+        assert_eq!(
+            (a.allocator_iters, a.evals, a.rejected),
+            (b.allocator_iters, b.evals, b.rejected)
+        );
+    }
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("soma-lab-unit");
@@ -540,7 +598,8 @@ mod tests {
 
         let plan = Arc::new(FaultPlan::scripted([(fault::site::LAB_CELL, 1, Fault::Panic)]));
         let mut events = Vec::new();
-        let summary = run_lab_chaos(&spec, &path, &AtomicBool::new(false), Some(plan), |ev| {
+        let stop = AtomicBool::new(false);
+        let summary = run_cells(&spec, spec.cells(), Some(&path), &stop, Some(plan), |ev| {
             events.push(ev.clone());
         })
         .unwrap();
@@ -609,7 +668,7 @@ mod tests {
         // Raise the stop flag the moment the first cell finishes.
         let path = tmp("stop.ledger");
         let stop = AtomicBool::new(false);
-        let summary = run_lab_until(&spec, &path, &stop, |ev| {
+        let summary = run_cells(&spec, spec.cells(), Some(&path), &stop, None, |ev| {
             if matches!(ev, LabEvent::Finished { .. }) {
                 stop.store(true, Ordering::SeqCst);
             }
@@ -642,5 +701,78 @@ mod tests {
         let rerun = run_lab(&retuned, &path, |_| {}).unwrap();
         assert_eq!((rerun.hits, rerun.misses), (0, 1), "new config, new cell key");
         assert_eq!(Ledger::load(&path).unwrap().len(), 2, "both keys coexist");
+    }
+
+    #[test]
+    fn a_ledgerless_run_isolates_a_panicking_cell_and_matches_hand_written_searches() {
+        // The `run` binary's path: no ledger, three cells, the 2nd
+        // panics via a scripted fault.
+        let spec = read_experiment(THREE).unwrap();
+        let plan = Arc::new(FaultPlan::scripted([(fault::site::LAB_CELL, 1, Fault::Panic)]));
+        let mut events = Vec::new();
+        let summary = ledgerless(&spec, Some(plan), |ev| events.push(ev.clone()));
+
+        assert_eq!((summary.hits, summary.misses, summary.failed), (0, 2, 1));
+        assert_eq!((summary.undecodable, summary.stopped), (0, false));
+        assert_eq!(summary.health, soma_spec::LedgerHealth::default());
+        let kinds: Vec<(&str, &str)> = events
+            .iter()
+            .map(|e| match e {
+                LabEvent::Queued { cell, .. } => ("Queued", cell.as_str()),
+                LabEvent::Cached { cell, .. } => ("Cached", cell.as_str()),
+                LabEvent::Started { cell } => ("Started", cell.as_str()),
+                LabEvent::Finished { cell, .. } => ("Finished", cell.as_str()),
+                LabEvent::Failed { cell, .. } => ("Failed", cell.as_str()),
+            })
+            .collect();
+        let (a, b, c) = ("fig2@edge/b1", "fig4@edge/b1", "fig2@edge/b4");
+        assert_eq!(
+            kinds,
+            [
+                ("Queued", a),
+                ("Queued", b),
+                ("Queued", c),
+                ("Started", a),
+                ("Finished", a),
+                ("Started", b),
+                ("Failed", b),
+                ("Started", c),
+                ("Finished", c),
+            ]
+        );
+
+        // Each surviving row is exactly the hand-written search.
+        let cfg = SearchConfig { effort: 0.01, seed: 7, ..SearchConfig::default() };
+        assert_eq!(summary.rows.len(), 2);
+        for (row, id) in summary.rows.iter().zip([a, c]) {
+            assert_eq!(row.cell.id, id);
+            let direct = Scheduler::new(&row.cell.net, &row.cell.hw).config(cfg.clone()).run();
+            assert_same(&row.outcome, &direct);
+        }
+    }
+
+    #[test]
+    fn a_ledgerless_run_searches_a_duplicate_cell_once() {
+        let text = "soma-experiment v1\nname dup\nscenario fig2@edge/b1\n\
+                    scenario fig2@edge/b1\nseeds 7\neffort 0.01\nend\n";
+        let spec = read_experiment(text).unwrap();
+        let mut events = Vec::new();
+        let summary = ledgerless(&spec, None, |ev| events.push(ev.clone()));
+        assert_eq!((summary.hits, summary.misses), (1, 1));
+        let count = |f: fn(&LabEvent) -> bool| events.iter().filter(|e| f(e)).count();
+        assert_eq!(count(|e| matches!(e, LabEvent::Started { .. })), 1);
+        assert_eq!(count(|e| matches!(e, LabEvent::Cached { .. })), 1);
+        assert_eq!(summary.rows.len(), 2);
+        assert_same(&summary.rows[0].outcome, &summary.rows[1].outcome);
+    }
+
+    #[test]
+    fn csv_rows_render_both_schemes_per_cell() {
+        let spec = read_experiment(SPEC).unwrap();
+        let csv = csv_rows(&ledgerless(&spec, None, |_| {}).rows);
+        assert_eq!(csv.lines().count(), 2);
+        assert!(csv.contains("fig2@edge/b1,fig2,edge-16tops,1,ours_1,"));
+        assert!(csv.contains(",ours_2,"));
+        assert_eq!(CSV_HEADER.split(',').count(), csv.lines().next().unwrap().split(',').count());
     }
 }

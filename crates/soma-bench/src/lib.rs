@@ -27,12 +27,13 @@
 //! read `std::env` (CI lints the rest), so a `RunConfig` value *is* the
 //! complete run configuration and can be logged next to the results.
 
-pub mod experiment;
 pub mod lab;
 pub mod loadgen;
 
-pub use experiment::{csv_rows, run_cells, run_experiment, ExperimentRow, CSV_HEADER};
-pub use lab::{run_lab, run_lab_chaos, run_lab_until, LabEvent, LabSummary, Ledger, LedgerRow};
+pub use lab::{
+    csv_rows, run_cells, run_lab, ExperimentRow, LabEvent, LabSummary, Ledger, LedgerRow,
+    CSV_HEADER,
+};
 pub use loadgen::{storm, StormConfig, StormReport};
 
 /// One `--version` line shared by every binary in this crate: binary
@@ -247,6 +248,56 @@ pub fn salt(parts: &[&str]) -> u64 {
         }
     }
     h
+}
+
+/// An experiment spec run the way the `run` binary runs it: [`run_cells`]
+/// over the spec's cells with no ledger.
+#[cfg(test)]
+mod experiment {
+    mod tests {
+        use std::sync::atomic::AtomicBool;
+
+        use soma_search::{Scheduler, SearchConfig};
+        use soma_spec::{read_experiment, ExperimentSpec};
+
+        use crate::{run_cells, LabEvent, LabSummary};
+
+        const SPEC: &str =
+            "soma-experiment v1\nname t\nscenario fig2@edge/b1\nseeds 7\neffort 0.01\nend\n";
+
+        fn run(spec: &ExperimentSpec, observer: impl FnMut(&LabEvent) + Send) -> LabSummary {
+            run_cells(spec, spec.cells(), None, &AtomicBool::new(false), None, observer)
+                .expect("no ledger, no I/O")
+        }
+
+        #[test]
+        fn spec_run_equals_hand_written_driver() {
+            let spec = read_experiment(SPEC).unwrap();
+            let rows = run(&spec, |_| {}).rows;
+            assert_eq!(rows.len(), 1);
+
+            let net = soma_model::zoo::fig2(1);
+            let hw = soma_arch::HardwareConfig::edge();
+            let cfg = SearchConfig { effort: 0.01, seed: 7, ..SearchConfig::default() };
+            let direct = Scheduler::new(&net, &hw).config(cfg).run();
+            let got = &rows[0].outcome;
+            assert_eq!(got.best.encoding, direct.best.encoding);
+            assert_eq!(got.best.report, direct.best.report);
+            assert_eq!(got.best.cost.to_bits(), direct.best.cost.to_bits());
+            assert_eq!(got.evals, direct.evals);
+        }
+
+        #[test]
+        fn sequential_driver_emits_the_lab_event_protocol() {
+            let spec = read_experiment(SPEC).unwrap();
+            let mut events = Vec::new();
+            run(&spec, |ev| events.push(ev.clone()));
+            assert!(matches!(&events[0], LabEvent::Queued { cell, .. } if cell == "fig2@edge/b1"));
+            assert!(matches!(&events[1], LabEvent::Started { .. }));
+            assert!(matches!(&events[2], LabEvent::Finished { evals, .. } if *evals > 0));
+            assert_eq!(events.len(), 3, "no Cached events without a ledger");
+        }
+    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use soma_bench::lab::{cell_key, run_lab_chaos, run_lab_until, Ledger};
+use soma_bench::lab::{cell_key, run_cells, run_lab, Ledger};
 use soma_spec::fault::{FaultConfig, FaultPlan};
 use soma_spec::read_experiment;
 
@@ -41,7 +41,7 @@ fn chaos_campaigns_converge_to_the_faultless_ledger() {
 
     // The reference: the same spec, never faulted.
     let ref_path = tmp("reference.ledger");
-    let reference = run_lab_until(&spec, &ref_path, &stop, |_| {}).unwrap();
+    let reference = run_lab(&spec, &ref_path, |_| {}).unwrap();
     assert_eq!((reference.hits, reference.misses, reference.failed), (0, 3, 0));
     let reference = Ledger::load(&ref_path).unwrap();
 
@@ -57,7 +57,8 @@ fn chaos_campaigns_converge_to_the_faultless_ledger() {
         loop {
             rounds += 1;
             assert!(rounds <= 60, "seed {plan_seed} never converged");
-            match run_lab_chaos(&spec, &path, &stop, Some(Arc::clone(&plan)), |_| {}) {
+            let faults = Some(Arc::clone(&plan));
+            match run_cells(&spec, spec.cells(), Some(&path), &stop, faults, |_| {}) {
                 Ok(summary) => {
                     saw_failure |= summary.failed > 0;
                     // Panic isolation: a failed cell never aborts the
@@ -105,7 +106,7 @@ fn previously_flushed_rows_survive_later_chaos_rounds() {
     let stop = AtomicBool::new(false);
     let path = tmp("survive.ledger");
 
-    run_lab_until(&spec, &path, &stop, |_| {}).unwrap();
+    run_lab(&spec, &path, |_| {}).unwrap();
     let before = dump(&Ledger::load(&path).unwrap());
     assert_eq!(before.len(), 3);
 
@@ -114,7 +115,8 @@ fn previously_flushed_rows_survive_later_chaos_rounds() {
         // Everything is cached, so no searches run and no appends happen:
         // the chaos plan has nothing to corrupt, and the rows must ride
         // through untouched.
-        let summary = run_lab_chaos(&spec, &path, &stop, Some(Arc::clone(&plan)), |_| {}).unwrap();
+        let faults = Some(Arc::clone(&plan));
+        let summary = run_cells(&spec, spec.cells(), Some(&path), &stop, faults, |_| {}).unwrap();
         assert_eq!((summary.hits, summary.misses, summary.failed), (3, 0, 0));
     }
     let after = dump(&Ledger::load(&path).unwrap());

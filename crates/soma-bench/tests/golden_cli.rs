@@ -61,20 +61,26 @@ fn bless() -> bool {
     std::env::var_os("SOMA_BLESS").is_some_and(|v| v != "0" && !v.is_empty())
 }
 
-/// Runs a harness binary with a scrubbed `SOMA_*` environment; returns
-/// stdout, stderr and the exit code.
-fn run_bin_code(exe: &str, args: &[&str]) -> (String, String, Option<i32>) {
+/// Runs a harness binary with a scrubbed `SOMA_*` environment plus
+/// `env`; returns stdout, stderr and the exit code.
+fn run_bin_env(exe: &str, args: &[&str], env: &[(&str, &str)]) -> (String, String, Option<i32>) {
     let mut cmd = Command::new(exe);
     cmd.args(args);
     for knob in ["SOMA_EFFORT", "SOMA_SEED", "SOMA_FULL", "SOMA_THREADS", "SOMA_WORKLOAD"] {
         cmd.env_remove(knob);
     }
+    cmd.envs(env.iter().copied());
     let out = cmd.output().unwrap_or_else(|e| panic!("cannot spawn {exe}: {e}"));
     (
         String::from_utf8(out.stdout).expect("binary stdout is UTF-8"),
         String::from_utf8(out.stderr).expect("binary stderr is UTF-8"),
         out.status.code(),
     )
+}
+
+/// [`run_bin_env`] with no extra environment.
+fn run_bin_code(exe: &str, args: &[&str]) -> (String, String, Option<i32>) {
+    run_bin_env(exe, args, &[])
 }
 
 /// [`run_bin_code`] with the exit status reduced to success.
@@ -155,6 +161,32 @@ fn golden_fig2_edge() {
 #[test]
 fn golden_fig_pair_edge() {
     check_spec("fig_pair_edge.soma", "fig_pair_edge.csv", "fig_pair_edge.ledger.jsonl");
+}
+
+/// `SOMA_WORKLOAD` narrows a `run` to the matching cells: the header
+/// plus exactly those cells' rows of the full run's golden, byte for
+/// byte, and a filter that matches nothing is a usage error.
+#[test]
+fn run_workload_filter_selects_golden_rows() {
+    let spec = repo_spec("fig_pair_edge.soma");
+    let spec = spec.to_str().expect("utf-8 path");
+    let run = env!("CARGO_BIN_EXE_run");
+
+    let (csv, err, code) = run_bin_env(run, &[spec], &[("SOMA_WORKLOAD", "fig4")]);
+    assert_eq!(code, Some(0), "{err}");
+    let golden = fs::read_to_string(golden_path("fig_pair_edge.csv")).expect("committed golden");
+    let want: String = golden
+        .lines()
+        .enumerate()
+        .filter(|(i, line)| *i == 0 || line.starts_with("fig4@"))
+        .map(|(_, line)| format!("{line}\n"))
+        .collect();
+    assert_eq!(want.lines().count(), 3, "the golden holds two fig4 rows");
+    assert_eq!(csv, want);
+
+    let (csv, err, code) = run_bin_env(run, &[spec], &[("SOMA_WORKLOAD", "nomatch")]);
+    assert_eq!(code, Some(2), "an empty selection is a usage error:\n{err}");
+    assert!(csv.is_empty(), "{csv}");
 }
 
 /// `--require-hits` on a cold ledger must fail with exit status 3 — the

@@ -1,13 +1,13 @@
 //! Differential and resume tests for the `lab` orchestrator.
 //!
 //! * **Differential** — `run_lab` (parallel work-queue + ledger) must
-//!   equal the sequential `run_experiment` **bit-for-bit**: same rows,
-//!   same envelope bests, same ledger content — for every registry
-//!   scenario of the differential workload set at tiny effort. The
-//!   property is workload-agnostic (both paths drive the identical
-//!   `Scheduler` portfolio per cell), so the set uses the registry's
-//!   small figure workloads across *all* presets and batches, plus one
-//!   real CNN as a depth probe, keeping the suite fast.
+//!   equal a literal sequential per-cell `Scheduler` loop
+//!   **bit-for-bit**: same rows, same envelope bests, same ledger
+//!   content — for every registry scenario of the differential workload
+//!   set at tiny effort. The property is workload-agnostic (the lab
+//!   drives the identical `Scheduler` portfolio per cell), so the set
+//!   uses the registry's small figure workloads across *all* presets and
+//!   batches, plus one real CNN as a depth probe, keeping the suite fast.
 //! * **Resume** — an interrupted run (ledger cut back mid-spec) that is
 //!   rerun must produce a ledger byte-identical to an uninterrupted run,
 //!   serving the surviving prefix from the ledger (`LabEvent::Cached`,
@@ -17,8 +17,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use soma_bench::lab::cell_key;
-use soma_bench::{run_experiment, run_lab, ExperimentRow, LabEvent, Ledger};
-use soma_search::{Evaluated, Parallelism, SearchConfig};
+use soma_bench::{run_lab, ExperimentRow, LabEvent, Ledger};
+use soma_search::{Evaluated, Parallelism, Scheduler, SearchConfig};
 use soma_spec::registry::scenarios;
 use soma_spec::{read_experiment, ExperimentSpec};
 
@@ -108,10 +108,25 @@ fn differential_spec() -> ExperimentSpec {
     }
 }
 
+/// The reference run of an experiment: one hand-written `Scheduler`
+/// search per cell, in cell order, on the calling thread.
+fn scheduler_loop(spec: &ExperimentSpec) -> Vec<ExperimentRow> {
+    spec.cells()
+        .into_iter()
+        .map(|cell| {
+            let outcome = Scheduler::new(&cell.net, &cell.hw)
+                .config(spec.config.clone())
+                .seeds(spec.seeds.iter().copied())
+                .run();
+            ExperimentRow { cell, outcome }
+        })
+        .collect()
+}
+
 #[test]
 fn lab_matches_sequential_run_experiment_bit_for_bit() {
     let spec = differential_spec();
-    let sequential = run_experiment(&spec, |_| {});
+    let sequential = scheduler_loop(&spec);
 
     let ledger_path = fresh("differential.ledger");
     let cold = run_lab(&spec, &ledger_path, |_| {}).expect("cold lab run");

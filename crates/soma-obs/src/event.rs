@@ -15,8 +15,8 @@ use serde::{Deserialize, Serialize};
 /// **live**: `Queued` then `Cached` in cell order up front, `Started` as
 /// each search begins (execution order — nondeterministic under a
 /// parallel parallelism policy, cell order under sequential), and
-/// `Finished` in cell order, each emitted the moment the cell's row
-/// lands in the ledger.
+/// `Finished`/`Failed` in cell order, each emitted on the cell's turn —
+/// with a ledger, the moment the cell's row lands in it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum LabEvent {
     /// A cell entered the work queue.
@@ -26,7 +26,8 @@ pub enum LabEvent {
         /// The cell's ledger key (16 hex digits).
         hash: String,
     },
-    /// A cell was served from the run ledger — no search work.
+    /// A cell was served without search work: from the run ledger, or
+    /// from an earlier cell of the run with the same key.
     Cached {
         /// The cell's scenario id.
         cell: String,
@@ -38,11 +39,13 @@ pub enum LabEvent {
         /// The cell's scenario id.
         cell: String,
     },
-    /// A cell's search finished and its row was appended to the ledger.
+    /// A cell's search finished and its turn came in cell order: with a
+    /// ledger, its row was just appended; without one (the `run`
+    /// binary), nothing was written.
     Finished {
         /// The cell's scenario id.
         cell: String,
-        /// The ledger key the row was stored under.
+        /// The cell's ledger key.
         hash: String,
         /// Best (envelope) cost of the cell's portfolio.
         cost: f64,

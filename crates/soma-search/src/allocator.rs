@@ -10,16 +10,12 @@
 //!
 //! The allocator policy itself lives in
 //! [`SearchSession`](crate::session::SearchSession); this module keeps
-//! the outcome type and the original blocking [`schedule`] entry point
-//! as a shim over the session API.
+//! the outcome type.
 
 use serde::{Deserialize, Serialize};
-use soma_arch::HardwareConfig;
 use soma_model::Network;
 
 use crate::objective::Evaluated;
-use crate::session::Scheduler;
-use crate::SearchConfig;
 
 /// Result of a full SoMa exploration.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,18 +64,10 @@ impl SearchOutcome {
     }
 }
 
-/// Runs the complete SoMa framework: Buffer Allocator around the two SA
-/// stages.
-///
-/// Thin shim over [`Scheduler`]; same-seed results are bit-identical to
-/// `Scheduler::new(net, hw).config(cfg.clone()).run()`.
-pub fn schedule(net: &Network, hw: &HardwareConfig, cfg: &SearchConfig) -> SearchOutcome {
-    Scheduler::new(net, hw).config(cfg.clone()).build().run()
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Scheduler, SearchConfig};
+    use soma_arch::HardwareConfig;
     use soma_model::zoo;
 
     fn quick_cfg(seed: u64) -> SearchConfig {
@@ -90,7 +78,7 @@ mod tests {
     fn stage2_never_worse_than_stage1() {
         let net = zoo::fig2(1);
         let hw = HardwareConfig::edge();
-        let out = schedule(&net, &hw, &quick_cfg(1));
+        let out = Scheduler::new(&net, &hw).config(quick_cfg(1)).run();
         assert!(out.best.cost <= out.stage1.cost);
         assert!(out.best.report.latency_cycles <= out.stage1.report.latency_cycles * 2);
         assert!(out.allocator_iters >= 1);
@@ -101,7 +89,7 @@ mod tests {
     fn best_scheme_fits_buffer() {
         let net = zoo::fig2(1);
         let hw = HardwareConfig::edge();
-        let out = schedule(&net, &hw, &quick_cfg(2));
+        let out = Scheduler::new(&net, &hw).config(quick_cfg(2)).run();
         assert!(out.best.report.peak_buffer <= hw.buffer_bytes);
     }
 
@@ -109,8 +97,8 @@ mod tests {
     fn deterministic_for_seed() {
         let net = zoo::fig4(1);
         let hw = HardwareConfig::edge();
-        let a = schedule(&net, &hw, &quick_cfg(33));
-        let b = schedule(&net, &hw, &quick_cfg(33));
+        let a = Scheduler::new(&net, &hw).config(quick_cfg(33)).run();
+        let b = Scheduler::new(&net, &hw).config(quick_cfg(33)).run();
         assert_eq!(a.best.report.latency_cycles, b.best.report.latency_cycles);
         assert_eq!(a.best.encoding, b.best.encoding);
     }
@@ -119,7 +107,7 @@ mod tests {
     fn shape_statistics_are_consistent() {
         let net = zoo::fig4(1);
         let hw = HardwareConfig::edge();
-        let out = schedule(&net, &hw, &quick_cfg(4));
+        let out = Scheduler::new(&net, &hw).config(quick_cfg(4)).run();
         let shape = out.shape(&net);
         assert!(shape.lgs <= shape.flgs);
         assert!(shape.flgs <= net.len());

@@ -17,11 +17,8 @@ use soma_core::Lfa;
 use soma_model::{LayerId, Network, Src};
 
 use crate::lfa_stage::min_granularity_tiling;
-use crate::objective::Evaluated;
 use crate::sa::{anneal, SaSchedule};
-use crate::session::Scheduler;
 use crate::stage::{RoundCtx, SearchStage, StageArtifact};
-use crate::SearchConfig;
 
 /// Cocco's heuristic tiling number for a group of layers: the finest
 /// requirement among its members, so every layer's tiles still fill the
@@ -159,17 +156,10 @@ impl SearchStage for CoccoStage {
     }
 }
 
-/// Runs the Cocco baseline search.
-///
-/// Thin shim over [`Scheduler::cocco`]; same-seed results are
-/// bit-identical to the session API.
-pub fn schedule_cocco(net: &Network, hw: &HardwareConfig, cfg: &SearchConfig) -> Evaluated {
-    Scheduler::cocco(net, hw).config(cfg.clone()).build().run().best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Scheduler, SearchConfig};
     use rand::SeedableRng;
     use soma_model::zoo;
 
@@ -178,7 +168,7 @@ mod tests {
         let net = zoo::fig4(1);
         let hw = HardwareConfig::edge();
         let cfg = SearchConfig { effort: 0.2, seed: 9, ..SearchConfig::default() };
-        let out = schedule_cocco(&net, &hw, &cfg);
+        let out = Scheduler::cocco(&net, &hw).config(cfg).run().best;
         assert_eq!(out.encoding.lfa.flc, out.encoding.lfa.dram_cuts);
     }
 
@@ -213,8 +203,8 @@ mod tests {
         let net = zoo::fig2(1);
         let hw = HardwareConfig::edge();
         let cfg = SearchConfig { effort: 0.3, seed: 7, ..SearchConfig::default() };
-        let cocco = schedule_cocco(&net, &hw, &cfg);
-        let soma = crate::schedule(&net, &hw, &cfg);
+        let cocco = Scheduler::cocco(&net, &hw).config(cfg.clone()).run().best;
+        let soma = Scheduler::new(&net, &hw).config(cfg).run();
         assert!(
             soma.best.cost <= cocco.cost * 1.05,
             "SoMa {} vs Cocco {}",

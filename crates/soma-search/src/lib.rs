@@ -51,7 +51,8 @@
 //! * [`parallelism`] — the [`Parallelism`] thread-count policy
 //!   (`Auto | Fixed(n) | Sequential`) threaded through every parallel
 //!   region in the workspace; results are bit-identical across variants.
-//! * [`allocator`] — the outcome type and the blocking [`schedule`] shim.
+//! * [`allocator`] — the [`SearchOutcome`] type and its scheme-shape
+//!   statistics.
 //! * [`record`] — lossless, deterministic [`SearchOutcome`] ⇄ JSON and
 //!   ⇄ binary conversion for the experiment run ledger, plus
 //!   [`ENGINE_VERSION`].
@@ -74,8 +75,8 @@ pub mod stage;
 pub mod sweep;
 pub mod wire;
 
-pub use allocator::{schedule, SearchOutcome};
-pub use cocco::{cocco_tiling, schedule_cocco, CoccoStage};
+pub use allocator::SearchOutcome;
+pub use cocco::{cocco_tiling, CoccoStage};
 pub use dlsa_stage::{DlsaEditor, DlsaMove, DlsaStage, SizeWeightedPicker};
 pub use lfa_stage::LfaStage;
 pub use objective::{CostWeights, Evaluated, Objective};

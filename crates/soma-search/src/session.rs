@@ -4,11 +4,10 @@
 //! [`step`](SearchSession::step) advances exactly one Buffer Allocator
 //! round, emitting typed [`SearchEvent`]s along the way.
 //!
-//! The monolithic entry points [`schedule`](crate::schedule) and
-//! [`schedule_cocco`](crate::schedule_cocco) are thin shims over this
-//! module and produce bit-identical results at the same seed: a session
-//! drives the same objective, the same RNG stream and the same allocator
-//! policy, it just hands control back between rounds.
+//! [`Scheduler::run`] drives a session to completion; stepping one by
+//! hand gives bit-identical results at the same seed: it is the same
+//! objective, the same RNG stream and the same allocator policy, with
+//! control handed back between rounds.
 //!
 //! Multi-seed portfolio mode ([`Scheduler::seeds`]) races N independent
 //! sessions across threads and returns the envelope best (ties go to

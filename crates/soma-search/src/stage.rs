@@ -60,9 +60,9 @@ impl StageArtifact {
 
 /// Everything a stage may touch during one allocator round. The session
 /// owns the objective (and its memoised core-array model), the RNG and
-/// the budgets; stages share them so the RNG stream — and therefore the
-/// search trajectory — is identical to the pre-session monolithic
-/// `schedule()` loop at the same seed.
+/// the budgets; stages share them so one RNG stream — and therefore one
+/// search trajectory — runs through every round and stage at a given
+/// seed.
 #[derive(Debug)]
 pub struct RoundCtx<'s, 'a> {
     /// The shared objective (evaluator + eval counter).

@@ -19,7 +19,6 @@
 //! `shutting-down`.
 
 use std::io::{self, BufRead, BufReader, Write};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -29,9 +28,9 @@ use std::time::{Duration, Instant};
 use soma_search::record::ENGINE_VERSION;
 use soma_search::{Cancelled, Parallelism, Scheduler, SearchConfig, SearchOutcome};
 use soma_spec::fault::{self, Fault, FaultPlan};
-use soma_spec::ledger::{Ledger, LedgerRow};
+use soma_spec::ledger::{cell_key, Ledger, LedgerRow};
 use soma_spec::registry;
-use soma_spec::{cell_hash_hex, inline_scenario_id, read_hardware, read_network, ExperimentCell};
+use soma_spec::{inline_scenario_id, read_hardware, read_network, ExperimentCell};
 
 use crate::admission::{estimate_evals, Admission};
 use crate::net::{Listen, Listener, Stream};
@@ -335,18 +334,9 @@ fn handle_connection(stream: Stream, shared: &Shared) {
 /// the network text itself and is recorded as 1.
 fn resolve_target(target: &Target) -> Result<ExperimentCell, String> {
     match target {
-        Target::Scenario(id) => {
-            let sc = registry::lookup(id).ok_or_else(|| format!("unknown scenario `{id}`"))?;
-            let hw = sc.hardware();
-            Ok(ExperimentCell {
-                id: sc.id(),
-                workload: sc.workload.clone(),
-                platform: hw.name.clone(),
-                batch: sc.batch,
-                net: sc.network(),
-                hw,
-            })
-        }
+        Target::Scenario(id) => registry::lookup(id)
+            .map(|sc| sc.cell())
+            .ok_or_else(|| format!("unknown scenario `{id}`")),
         Target::Inline { network, hardware } => {
             let net = read_network(network).map_err(|e| format!("bad network spec: {e}"))?;
             let hw = match hardware {
@@ -365,15 +355,6 @@ fn resolve_target(target: &Target) -> Result<ExperimentCell, String> {
             })
         }
     }
-}
-
-/// Best-effort text of a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".into())
 }
 
 fn handle_submit(writer: &mut Stream, shared: &Shared, submit: SubmitRequest) -> io::Result<()> {
@@ -403,7 +384,7 @@ fn handle_submit(writer: &mut Stream, shared: &Shared, submit: SubmitRequest) ->
         cfg.effort = effort;
     }
     let seeds = if submit.seeds.is_empty() { vec![cfg.seed] } else { submit.seeds.clone() };
-    let hash = cell_hash_hex(&cell.id, &cell.hw, &cfg, &seeds, ENGINE_VERSION);
+    let hash = cell_key(&cell, &cfg, &seeds);
 
     // Warm path: answer straight from the ledger, no admission needed —
     // a cache hit costs no search work. A row whose payload does not
@@ -473,17 +454,12 @@ fn handle_submit(writer: &mut Stream, shared: &Shared, submit: SubmitRequest) ->
     // the client disconnects mid-stream — a vanished client releases
     // its permit and its partial work is discarded instead of burning a
     // full search nobody will read. Panics inside the engine (real or
-    // injected) are caught here: one poisoned request must not take
-    // down the daemon.
+    // injected) are isolated: one poisoned request must not take down
+    // the daemon.
     let disconnected = AtomicBool::new(false);
     let probe =
         || disconnected.load(Ordering::SeqCst) || deadline.is_some_and(|d| Instant::now() >= d);
-    let search = catch_unwind(AssertUnwindSafe(|| {
-        match shared.faults.as_ref().and_then(|p| p.next(fault::site::SERVE_SEARCH)) {
-            Some(Fault::Panic) => panic!("injected fault: search panic"),
-            Some(Fault::Slow { millis }) => std::thread::sleep(Duration::from_millis(millis)),
-            _ => {}
-        }
+    let search = fault::isolate(shared.faults.as_deref(), fault::site::SERVE_SEARCH, || {
         let mut observer = |ev: &soma_search::SearchEvent| {
             if submit.progress && !disconnected.load(Ordering::SeqCst) {
                 let frame = Response::Progress { id: submit.id.clone(), event: ev.clone() };
@@ -499,19 +475,18 @@ fn handle_submit(writer: &mut Stream, shared: &Shared, submit: SubmitRequest) ->
             .observer(&mut observer)
             .cancel_when(&probe)
             .run_cancellable()
-    }));
+    });
     drop(permit);
 
     let outcome: SearchOutcome = match search {
-        Err(payload) => {
+        Err(panic) => {
             shared.panics.fetch_add(1, Ordering::SeqCst);
             return send(
                 writer,
                 shared,
                 &Response::Error {
                     detail: format!(
-                        "search panicked: {} (request {} failed; the daemon survives)",
-                        panic_message(payload.as_ref()),
+                        "search panicked: {panic} (request {} failed; the daemon survives)",
                         submit.id
                     ),
                 },

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 static STOP: AtomicBool = AtomicBool::new(false);
 
 /// The flag itself, for APIs that take `&AtomicBool` (e.g.
-/// `run_lab_until`).
+/// `soma_bench::run_cells`, which the `lab` binary hands it).
 pub fn stop_flag() -> &'static AtomicBool {
     &STOP
 }

@@ -89,18 +89,7 @@ impl ExperimentSpec {
     /// Expands the experiment into its cells: explicit scenarios first,
     /// then the workload × hardware × batch grid in file order.
     pub fn cells(&self) -> Vec<ExperimentCell> {
-        let mut out = Vec::new();
-        for sc in &self.scenarios {
-            let hw = sc.hardware();
-            out.push(ExperimentCell {
-                id: sc.id(),
-                workload: sc.workload.clone(),
-                platform: hw.name.clone(),
-                batch: sc.batch,
-                net: sc.network(),
-                hw,
-            });
-        }
+        let mut out: Vec<ExperimentCell> = self.scenarios.iter().map(Scenario::cell).collect();
         let batches: &[u32] = if self.batches.is_empty() { &[1] } else { &self.batches };
         for workload in &self.workloads {
             for spec in &self.hardware {

@@ -17,11 +17,11 @@
 //!
 //! * the [ledger](crate::ledger) writer ([`site::LEDGER_APPEND`]) —
 //!   torn writes, silent bit-flips, fsync errors;
-//! * the `soma-serve` daemon's frame writer ([`site::SERVE_SEND`],
-//!   [`site::SERVE_SEARCH`]) — connections dropped mid-frame, searches
-//!   that panic;
-//! * the `lab` orchestrator's cell runner ([`site::LAB_CELL`]) —
-//!   panicking and artificially slow cells.
+//! * the `soma-serve` daemon's frame writer ([`site::SERVE_SEND`]) —
+//!   connections dropped mid-frame;
+//! * [`isolate`], the one panic guard of the workspace, around the
+//!   `serve` search ([`site::SERVE_SEARCH`]) and the `lab` cell runner
+//!   ([`site::LAB_CELL`]) — panicking and artificially slow work.
 //!
 //! A plan can be **seeded** (every invocation rolls against per-mille
 //! rates, [`FaultPlan::seeded`]) or **scripted** (an explicit list of
@@ -30,8 +30,10 @@
 //! ("the 2nd append tears").
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// The instrumented sites a [`FaultPlan`] can target. Site names are
 /// part of the plan's identity: a scripted plan addresses them by
@@ -263,6 +265,39 @@ impl FaultPlan {
     }
 }
 
+/// Runs `work` behind `site`'s next fault, with panic isolation: an
+/// injected [`Fault::Panic`] panics before `work` starts, a
+/// [`Fault::Slow`] stalls it first, and any panic — injected or real —
+/// returns as `Err` with its message instead of unwinding further. The
+/// `lab` cell runner and the `serve` search both call it, so one
+/// poisoned cell or request never takes the campaign or the daemon down.
+///
+/// # Errors
+///
+/// The panic message (best effort) when `work` or the injected fault
+/// panicked.
+pub fn isolate<T>(
+    plan: Option<&FaultPlan>,
+    site: &'static str,
+    work: impl FnOnce() -> T,
+) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(|| {
+        match plan.and_then(|p| p.next(site)) {
+            Some(Fault::Panic) => panic!("injected fault: {site} panic"),
+            Some(Fault::Slow { millis }) => std::thread::sleep(Duration::from_millis(millis)),
+            _ => {}
+        }
+        work()
+    }))
+    .map_err(|payload| {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into())
+    })
+}
+
 /// Flips one deterministic bit of `bytes` in place (no-op on an empty
 /// slice): the on-disk effect of [`Fault::BitFlip`]. Exposed so chaos
 /// tests can corrupt arbitrary artifacts the same way the ledger
@@ -329,6 +364,36 @@ mod tests {
             assert_eq!(plan.decide(site::LEDGER_APPEND, i), None);
             assert_eq!(plan.decide(site::SERVE_SEND, i), None);
         }
+    }
+
+    #[test]
+    fn isolate_without_a_plan_runs_the_work() {
+        assert_eq!(isolate(None, site::LAB_CELL, || 7), Ok(7));
+    }
+
+    #[test]
+    fn isolate_turns_a_scripted_panic_into_an_error_before_the_work_runs() {
+        let plan = FaultPlan::scripted([(site::LAB_CELL, 0, Fault::Panic)]);
+        let mut ran = false;
+        let err = isolate(Some(&plan), site::LAB_CELL, || ran = true).unwrap_err();
+        assert!(err.contains("injected fault"), "{err}");
+        assert!(!ran, "an injected panic fires before the work");
+        assert_eq!(isolate(Some(&plan), site::LAB_CELL, || 1), Ok(1), "one scripted fault");
+    }
+
+    #[test]
+    fn isolate_returns_a_real_panic_as_its_message() {
+        let err = isolate(None, site::SERVE_SEARCH, || -> u32 { panic!("boom {}", 42) });
+        assert_eq!(err, Err("boom 42".to_string()));
+        let err = isolate(None, site::SERVE_SEARCH, || -> u32 { panic!("static boom") });
+        assert_eq!(err, Err("static boom".to_string()));
+    }
+
+    #[test]
+    fn isolate_runs_the_work_after_a_slow_fault() {
+        let plan = FaultPlan::scripted([(site::SERVE_SEARCH, 0, Fault::Slow { millis: 1 })]);
+        assert_eq!(isolate(Some(&plan), site::SERVE_SEARCH, || "done"), Ok("done"));
+        assert_eq!(plan.injected(), 1);
     }
 
     #[test]

@@ -123,17 +123,6 @@ pub fn inline_scenario_id(network_text: &str, hw: &HardwareConfig) -> String {
     format!("inline-{:016x}@{}", fnv1a(network_text.bytes()), hw.name)
 }
 
-/// [`cell_hash`] rendered as the 16-hex-digit ledger key.
-pub fn cell_hash_hex(
-    cell_id: &str,
-    hw: &HardwareConfig,
-    cfg: &SearchConfig,
-    seeds: &[u64],
-    engine_version: &str,
-) -> String {
-    format!("{:016x}", cell_hash(cell_id, hw, cfg, seeds, engine_version))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,7 +137,10 @@ mod tests {
         let a = cell_hash("fig2@edge/b1", &hw, &cfg, &[1, 2], "e1");
         let b = cell_hash("fig2@edge/b1", &hw, &cfg, &[1, 2], "e1");
         assert_eq!(a, b);
-        assert_eq!(cell_hash_hex("fig2@edge/b1", &hw, &cfg, &[1, 2], "e1"), format!("{a:016x}"));
+        let cell = crate::registry::lookup("fig2@edge/b1").unwrap().cell();
+        let engine = soma_search::ENGINE_VERSION;
+        let want = format!("{:016x}", cell_hash(&cell.id, &hw, &cfg, &[1, 2], engine));
+        assert_eq!(crate::cell_key(&cell, &cfg, &[1, 2]), want);
     }
 
     #[test]

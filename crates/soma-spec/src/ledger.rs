@@ -70,7 +70,7 @@ use soma_search::wire::{self, Reader};
 use soma_search::{SearchConfig, SearchOutcome};
 
 use crate::fault::{self, Fault, FaultPlan};
-use crate::hash::cell_hash_hex;
+use crate::hash::cell_hash;
 use crate::ExperimentCell;
 
 /// Ledger **format generation**: v3 is the binary sharded format. The
@@ -1354,9 +1354,11 @@ impl Ledger {
     }
 }
 
-/// The ledger key of one experiment cell under a spec's configuration.
+/// The ledger key of one experiment cell under a search configuration
+/// and seed portfolio: its [`cell_hash`] at the current
+/// [`ENGINE_VERSION`], as 16 hex digits.
 pub fn cell_key(cell: &ExperimentCell, config: &SearchConfig, seeds: &[u64]) -> String {
-    cell_hash_hex(&cell.id, &cell.hw, config, seeds, ENGINE_VERSION)
+    format!("{:016x}", cell_hash(&cell.id, &cell.hw, config, seeds, ENGINE_VERSION))
 }
 
 #[cfg(test)]

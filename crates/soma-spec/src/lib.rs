@@ -82,7 +82,7 @@ pub use error::SpecError;
 pub use experiment::{read_experiment, write_experiment, ExperimentCell, ExperimentSpec};
 pub use fault::{Fault, FaultConfig, FaultPlan};
 pub use hardware::{read_hardware, write_hardware, HardwareSpec, HwField, Preset};
-pub use hash::{cell_hash, cell_hash_hex, inline_scenario_id};
+pub use hash::{cell_hash, inline_scenario_id};
 pub use ledger::{
     cell_key, quarantine_path, CompactStats, Ledger, LedgerHealth, LedgerRow, MigrateStats,
     JSONL_VERSION, LEDGER_VERSION, SHARDS,

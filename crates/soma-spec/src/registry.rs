@@ -11,6 +11,7 @@
 use soma_arch::HardwareConfig;
 use soma_model::{zoo, Network};
 
+use crate::experiment::ExperimentCell;
 use crate::hardware::Preset;
 
 /// The paper's batch-size grid, enumerated by [`scenarios`].
@@ -47,6 +48,20 @@ impl Scenario {
     /// The scenario's platform configuration.
     pub fn hardware(&self) -> HardwareConfig {
         self.preset.config()
+    }
+
+    /// The scenario as an executable experiment cell: its id, network
+    /// and preset platform.
+    pub fn cell(&self) -> ExperimentCell {
+        let hw = self.hardware();
+        ExperimentCell {
+            id: self.id(),
+            workload: self.workload.clone(),
+            platform: hw.name.clone(),
+            batch: self.batch,
+            net: self.network(),
+            hw,
+        }
     }
 }
 

@@ -54,7 +54,7 @@ pub mod prelude {
     pub use soma_core::{Encoding, ParsedSchedule};
     pub use soma_model::{FmapShape, LayerId, Network, NetworkBuilder};
     pub use soma_search::{
-        schedule, CostWeights, Parallelism, Scheduler, SearchConfig, SearchEvent, SearchOutcome,
+        CostWeights, Parallelism, Scheduler, SearchConfig, SearchEvent, SearchOutcome,
         SearchSession, StepOutcome,
     };
     pub use soma_sim::{evaluate, EvalReport};

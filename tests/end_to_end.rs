@@ -4,7 +4,6 @@
 use soma::core::{parse_lfa, Dlsa, Encoding, Lfa, ParsedSchedule};
 use soma::model::zoo;
 use soma::prelude::*;
-use soma::search::schedule_cocco;
 
 fn quick(seed: u64) -> SearchConfig {
     SearchConfig { effort: 0.05, seed, ..SearchConfig::default() }
@@ -17,11 +16,11 @@ fn ci_smoke() {
     let net = zoo::fig2(1);
     let hw = HardwareConfig::edge();
     let cfg = SearchConfig { effort: 0.01, seed: 2025, ..SearchConfig::default() };
-    let out = soma::search::schedule(&net, &hw, &cfg);
+    let out = Scheduler::new(&net, &hw).config(cfg.clone()).run();
     assert!(out.best.report.latency_cycles > 0);
     assert!(out.best.report.peak_buffer <= hw.buffer_bytes);
     // Same seed, same schedule: the search must be reproducible.
-    let again = soma::search::schedule(&net, &hw, &cfg);
+    let again = Scheduler::new(&net, &hw).config(cfg).run();
     assert_eq!(out.best.report.latency_cycles, again.best.report.latency_cycles);
     assert_eq!(out.best.cost, again.best.cost);
 }
@@ -55,16 +54,21 @@ fn ci_smoke_compiled_engine_matches_naive_on_fig2() {
 }
 
 /// The declarative-spec gate: running the committed `specs/fig2_edge.soma`
-/// experiment file through the spec layer reproduces the equivalent
-/// hand-written `Scheduler::new(..).run()` **bit-for-bit, field-for-field**
-/// — the spec layer adds description, never behaviour. CI also executes
-/// the same file through `soma-bench --bin run`.
+/// experiment file through the ledgerless cell executor (what
+/// `soma-bench --bin run` does) reproduces the equivalent hand-written
+/// `Scheduler::new(..).run()` **bit-for-bit, field-for-field** — the
+/// spec layer adds description, never behaviour. CI also executes the
+/// same file through `--bin run` and compares its CSV with the golden.
 #[test]
 fn ci_smoke_spec_run_reproduces_in_code_scheduler() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/specs/fig2_edge.soma");
     let text = std::fs::read_to_string(path).expect("committed spec exists");
     let spec = soma::spec::read_experiment(&text).expect("committed spec parses");
-    let rows = soma_bench::run_experiment(&spec, |_| {});
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let summary = soma_bench::run_cells(&spec, spec.cells(), None, &stop, None, |_| {})
+        .expect("no ledger, no I/O");
+    assert_eq!((summary.misses, summary.failed), (1, 0));
+    let rows = summary.rows;
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0].cell.id, "fig2@edge/b1");
 
@@ -91,7 +95,7 @@ fn ci_smoke_spec_run_reproduces_in_code_scheduler() {
 fn full_pipeline_on_fig2() {
     let net = zoo::fig2(1);
     let hw = HardwareConfig::edge();
-    let out = soma::search::schedule(&net, &hw, &quick(1));
+    let out = Scheduler::new(&net, &hw).config(quick(1)).run();
     // Best scheme parses, re-evaluates to identical numbers, and lowers.
     let sched = ParsedSchedule::new(&net, &out.best.encoding).unwrap();
     let report = evaluate(&net, &sched, &hw).unwrap();
@@ -105,7 +109,7 @@ fn soma_stage2_improves_or_matches_stage1_on_resnet_slice() {
     // A realistic CNN slice: the first eight layers of ResNet-50.
     let net = zoo::chain(1, 64, 56, 8);
     let hw = HardwareConfig::edge();
-    let out = soma::search::schedule(&net, &hw, &quick(3));
+    let out = Scheduler::new(&net, &hw).config(quick(3)).run();
     assert!(out.best.cost <= out.stage1.cost);
     assert!(out.best.report.peak_buffer <= hw.buffer_bytes);
 }
@@ -116,7 +120,7 @@ fn soma_beats_unfused_baseline_on_fused_friendly_net() {
     let hw = HardwareConfig::edge();
     let baseline = ParsedSchedule::new(&net, &Encoding::from_lfa(Lfa::unfused(&net, 4))).unwrap();
     let base = evaluate(&net, &baseline, &hw).unwrap();
-    let out = soma::search::schedule(&net, &hw, &quick(5));
+    let out = Scheduler::new(&net, &hw).config(quick(5)).run();
     assert!(
         out.best.report.latency_cycles <= base.latency_cycles,
         "SoMa {} vs baseline {}",
@@ -131,8 +135,8 @@ fn cocco_and_soma_run_on_every_edge_workload() {
     let hw = HardwareConfig::edge();
     for net in zoo::edge_suite(1) {
         let cfg = SearchConfig { effort: 0.005, seed: 11, ..SearchConfig::default() };
-        let cocco = schedule_cocco(&net, &hw, &cfg);
-        let out = soma::search::schedule(&net, &hw, &cfg);
+        let cocco = Scheduler::cocco(&net, &hw).config(cfg.clone()).run().best;
+        let out = Scheduler::new(&net, &hw).config(cfg).run();
         assert!(cocco.report.latency_cycles > 0, "{}", net.name());
         assert!(out.best.report.latency_cycles > 0, "{}", net.name());
         assert!(out.best.report.compute_util <= 1.0 + 1e-9, "{}", net.name());
@@ -143,8 +147,8 @@ fn cocco_and_soma_run_on_every_edge_workload() {
 fn decode_utilisation_is_tiny_and_prefill_is_not() {
     let hw = HardwareConfig::edge();
     let cfg = quick(13);
-    let prefill = soma::search::schedule(&zoo::gpt2_small_prefill(1, 128), &hw, &cfg);
-    let decode = soma::search::schedule(&zoo::gpt2_small_decode(1, 128), &hw, &cfg);
+    let prefill = Scheduler::new(&zoo::gpt2_small_prefill(1, 128), &hw).config(cfg.clone()).run();
+    let decode = Scheduler::new(&zoo::gpt2_small_decode(1, 128), &hw).config(cfg).run();
     assert!(
         decode.best.report.compute_util < 0.05,
         "decode util {}",
@@ -157,7 +161,7 @@ fn decode_utilisation_is_tiny_and_prefill_is_not() {
 fn theoretical_bound_dominates_all_schemes() {
     let net = zoo::fig4(1);
     let hw = HardwareConfig::edge();
-    let out = soma::search::schedule(&net, &hw, &quick(17));
+    let out = Scheduler::new(&net, &hw).config(quick(17)).run();
     for eval in [&out.stage1, &out.best] {
         assert!(eval.report.compute_util <= eval.report.theoretical_max_util + 1e-9);
     }
@@ -168,8 +172,8 @@ fn bigger_buffer_never_hurts_soma() {
     let net = zoo::chain(1, 48, 28, 6);
     let small = HardwareConfig::builder().like(&HardwareConfig::edge()).buffer_mib(1).build();
     let large = HardwareConfig::builder().like(&HardwareConfig::edge()).buffer_mib(32).build();
-    let a = soma::search::schedule(&net, &small, &quick(19));
-    let b = soma::search::schedule(&net, &large, &quick(19));
+    let a = Scheduler::new(&net, &small).config(quick(19)).run();
+    let b = Scheduler::new(&net, &large).config(quick(19)).run();
     // Not strictly monotone per-seed (stochastic search), allow 10% slack.
     assert!(
         b.best.report.latency_cycles as f64 <= a.best.report.latency_cycles as f64 * 1.10,

@@ -291,7 +291,7 @@ fn engine_backed_search_runs_on_gpt2_slice() {
     let net = zoo::gpt2_small_prefill(1, 64);
     let hw = HardwareConfig::edge();
     let cfg = SearchConfig { effort: 0.01, seed: 3, ..SearchConfig::default() };
-    let out = soma::search::schedule(&net, &hw, &cfg);
+    let out = Scheduler::new(&net, &hw).config(cfg).run();
     assert!(out.best.cost <= out.stage1.cost);
     assert!(out.evals > 0);
 }

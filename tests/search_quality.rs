@@ -16,7 +16,7 @@ fn stage2_reduces_attributed_stalls_on_weight_heavy_chain() {
     // to hide the loads, which is exactly stage 2's job.
     let net = zoo::chain(1, 96, 28, 6);
     let hw = HardwareConfig::edge();
-    let out = soma::search::schedule(&net, &hw, &cfg(21, 0.4));
+    let out = Scheduler::new(&net, &hw).config(cfg(21, 0.4)).run();
 
     let s1 = ParsedSchedule::new(&net, &out.stage1.encoding).unwrap();
     let s2 = ParsedSchedule::new(&net, &out.best.encoding).unwrap();
@@ -36,7 +36,7 @@ fn soma_fuses_fusion_friendly_chains() {
     // well below the layer count.
     let net = zoo::chain(1, 32, 56, 10);
     let hw = HardwareConfig::edge();
-    let out = soma::search::schedule(&net, &hw, &cfg(23, 0.5));
+    let out = Scheduler::new(&net, &hw).config(cfg(23, 0.5)).run();
     let shape = out.shape(&net);
     assert!(shape.lgs < net.len() / 2, "{} LGs for {} layers", shape.lgs, net.len());
 }
@@ -47,7 +47,7 @@ fn utilisation_close_to_theoretical_bound_after_stage2() {
     // loose bound but the ordering must hold.
     let net = zoo::fig2(1);
     let hw = HardwareConfig::edge();
-    let out = soma::search::schedule(&net, &hw, &cfg(29, 0.5));
+    let out = Scheduler::new(&net, &hw).config(cfg(29, 0.5)).run();
     let r = &out.best.report;
     assert!(r.compute_util <= r.theoretical_max_util + 1e-9);
     assert!(
@@ -91,8 +91,8 @@ fn cost_weights_change_the_optimum_direction() {
         SearchConfig { weights: CostWeights { energy_exp: 0.0, delay_exp: 1.0 }, ..cfg(31, 0.4) };
     let energy_cfg =
         SearchConfig { weights: CostWeights { energy_exp: 1.0, delay_exp: 0.0 }, ..cfg(31, 0.4) };
-    let d = soma::search::schedule(&net, &hw, &delay_cfg);
-    let e = soma::search::schedule(&net, &hw, &energy_cfg);
+    let d = Scheduler::new(&net, &hw).config(delay_cfg).run();
+    let e = Scheduler::new(&net, &hw).config(energy_cfg).run();
     assert!(
         d.best.report.latency_cycles <= (e.best.report.latency_cycles as f64 * 1.05) as u64,
         "delay-optimised {} vs energy-optimised {}",

@@ -1,12 +1,12 @@
-//! Acceptance tests for the `Scheduler` session API: the legacy
-//! `schedule()`/`schedule_cocco()` shims must return bit-identical
-//! results to the builder at the same seed, the multi-seed portfolio
-//! must be deterministic and envelope its members, and observers must
-//! see events in pipeline order.
+//! Acceptance tests for the `Scheduler` session API: a session stepped
+//! by hand must return bit-identical results to the blocking run at the
+//! same seed, the multi-seed portfolio must be deterministic and
+//! envelope its members, and observers must see events in pipeline
+//! order.
 
 use soma::model::zoo;
 use soma::prelude::*;
-use soma::search::{schedule, schedule_cocco, Evaluated};
+use soma::search::Evaluated;
 
 fn quick(seed: u64, effort: f64) -> SearchConfig {
     SearchConfig { effort, seed, ..SearchConfig::default() }
@@ -24,36 +24,6 @@ fn assert_outcome_eq(a: &SearchOutcome, b: &SearchOutcome) {
     assert_eval_eq(&a.best, &b.best, "best");
     assert_eq!(a.allocator_iters, b.allocator_iters, "allocator_iters differ");
     assert_eq!(a.evals, b.evals, "evals differ");
-}
-
-#[test]
-fn shim_matches_builder_bit_identically_on_fig2() {
-    let net = zoo::fig2(1);
-    let hw = HardwareConfig::edge();
-    let cfg = quick(2025, 0.05);
-    let shim = schedule(&net, &hw, &cfg);
-    let session = Scheduler::new(&net, &hw).config(cfg).run();
-    assert_outcome_eq(&shim, &session);
-}
-
-#[test]
-fn shim_matches_builder_bit_identically_on_resnet() {
-    let net = zoo::resnet50(1);
-    let hw = HardwareConfig::edge();
-    let cfg = quick(7, 0.005); // CI effort on a real CNN
-    let shim = schedule(&net, &hw, &cfg);
-    let session = Scheduler::new(&net, &hw).config(cfg).run();
-    assert_outcome_eq(&shim, &session);
-}
-
-#[test]
-fn cocco_shim_matches_builder_bit_identically() {
-    let net = zoo::fig4(1);
-    let hw = HardwareConfig::edge();
-    let cfg = quick(9, 0.1);
-    let shim = schedule_cocco(&net, &hw, &cfg);
-    let session = Scheduler::cocco(&net, &hw).config(cfg).run().best;
-    assert_eval_eq(&shim, &session, "cocco");
 }
 
 #[test]
@@ -196,7 +166,7 @@ fn stepped_session_matches_blocking_run() {
         assert!(session.best().is_some(), "best visible between steps");
     }
     let stepped = session.into_outcome();
-    let blocking = schedule(&net, &hw, &quick(33, 0.05));
+    let blocking = Scheduler::new(&net, &hw).config(quick(33, 0.05)).run();
     assert_outcome_eq(&stepped, &blocking);
     assert_eq!(manual_rounds + 1, stepped.allocator_iters);
 }
