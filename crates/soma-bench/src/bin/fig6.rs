@@ -48,6 +48,12 @@ fn row(
     )
 }
 
+/// SoMa's energy relative to Cocco's as a signed percentage: negative
+/// when SoMa spends less.
+fn energy_change(soma_pj: f64, cocco_pj: f64) -> String {
+    format!("energy {:+.1}%", 100.0 * (soma_pj / cocco_pj - 1.0))
+}
+
 fn main() {
     let rc = RunConfig::from_env_or_exit();
     println!(
@@ -108,16 +114,27 @@ fn main() {
             rows.push('\n');
         }
         let note = format!(
-            "[fig6] {}: speedup {:.2}x (stage1 {:.2}x), energy -{:.1}%",
+            "[fig6] {}: speedup {:.2}x (stage1 {:.2}x), {}",
             cell.scenario,
             cocco.report.latency_cycles as f64 / soma.best.report.latency_cycles as f64,
             cocco.report.latency_cycles as f64 / soma.stage1.report.latency_cycles as f64,
-            100.0 * (1.0 - soma.best.report.energy.total_pj() / cocco.report.energy.total_pj())
+            energy_change(soma.best.report.energy.total_pj(), cocco.report.energy.total_pj())
         );
         (rows, note)
     });
     for (rows, note) in rendered {
         print!("{rows}");
         eprintln!("{note}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::energy_change;
+
+    #[test]
+    fn energy_change_is_signed() {
+        assert_eq!(energy_change(97.0, 100.0), "energy -3.0%");
+        assert_eq!(energy_change(101.1, 100.0), "energy +1.1%");
     }
 }

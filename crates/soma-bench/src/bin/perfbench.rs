@@ -1,20 +1,15 @@
 //! Search-throughput benchmark: schedule evaluations per second through
 //! the naive rebuild-everything path vs the compiled evaluation engine,
-//! per stage, per network, per seed — plus cold-vs-warm timings of the
-//! ledger-backed `lab` orchestrator, thread-count scaling of a
-//! seed-portfolio run (outcomes asserted bit-identical across counts
-//! first; the `scaling` section reports wall-clock only; single-core
-//! hosts get a stderr warning and a `"warning"` stamp in the JSON),
-//! and a `serve` saturation section (cold vs ledger-cached request
-//! storms against an in-process daemon, via `soma_bench::loadgen`).
+//! per stage, per network, per seed.
 //!
 //! Prints a machine-readable JSON document to stdout (committed at the
 //! repo root as `BENCH_search.json`) and commentary to stderr. Both
 //! paths replay the *same* greedy mutation walk at the same seed, and
 //! the bit-identical final cost is asserted before any number is
-//! reported — a result that is fast but wrong aborts the run. Likewise
-//! the `lab` section asserts the warm pass is 100 % ledger hits before
-//! reporting its speedup.
+//! reported — a result that is fast but wrong aborts the run.
+//!
+//! End-to-end timings of `lab` campaigns and the `serve` daemon, with
+//! repeats, medians and output checks, come from `benchmark/run.sh`.
 //!
 //! Knobs (see `soma_bench::RunConfig`): `SOMA_SEED` is the base seed
 //! (three consecutive seeds are measured), `SOMA_EFFORT` scales the
@@ -234,193 +229,6 @@ fn json_row(
     );
 }
 
-/// Times the `lab` orchestrator on one scenario: a cold run (full
-/// search, fresh ledger) vs a warm rerun (100 % ledger hits — asserted).
-/// The ratio is what a same-spec replay of an experiment campaign costs
-/// after this PR: ledger I/O instead of search.
-fn lab_cold_warm(rc: &RunConfig, scenario_id: &str) -> String {
-    use soma_search::SearchConfig;
-
-    let sc = soma_spec::registry::lookup(scenario_id).expect("registry scenario id");
-    let spec = soma_spec::ExperimentSpec {
-        name: format!("perf-{}", scenario_id.replace(['@', '/'], "-")),
-        scenarios: vec![sc],
-        workloads: vec![],
-        hardware: vec![],
-        batches: vec![],
-        seeds: vec![rc.seed],
-        config: SearchConfig {
-            effort: 0.02 * rc.effort_scale,
-            seed: rc.seed,
-            stage2_cap: 50_000,
-            max_allocator_iters: 4,
-            ..SearchConfig::default()
-        },
-        parallelism: soma_search::Parallelism::Sequential,
-    };
-    let ledger = std::env::temp_dir().join(format!("{}.ledger", spec.name));
-    let _ = std::fs::remove_dir_all(&ledger);
-
-    let start = Instant::now();
-    let cold = soma_bench::run_lab(&spec, &ledger, |_| {}).expect("cold lab run");
-    let cold_s = start.elapsed().as_secs_f64();
-    assert_eq!(cold.misses, 1, "{scenario_id}: cold run must search");
-
-    let start = Instant::now();
-    let warm = soma_bench::run_lab(&spec, &ledger, |_| {}).expect("warm lab run");
-    let warm_s = start.elapsed().as_secs_f64();
-    assert_eq!(
-        (warm.hits, warm.misses),
-        (1, 0),
-        "{scenario_id}: warm rerun must be 100% ledger hits"
-    );
-    assert_eq!(
-        warm.rows[0].outcome.best.cost.to_bits(),
-        cold.rows[0].outcome.best.cost.to_bits(),
-        "{scenario_id}: cached outcome diverged"
-    );
-    let _ = std::fs::remove_dir_all(&ledger);
-
-    let speedup = if warm_s > 0.0 { cold_s / warm_s } else { 0.0 };
-    eprintln!(
-        "[perfbench] {scenario_id:<20} lab: cold {cold_s:>8.3} s, warm {warm_s:>8.5} s \
-         (replay speedup {speedup:.0}x)"
-    );
-    format!(
-        "    {{\"scenario\": \"{scenario_id}\", \"seed\": {}, \"cells\": 1, \
-         \"cold_s\": {cold_s:.6}, \"warm_s\": {warm_s:.6}, \"warm_hits\": 1, \
-         \"replay_speedup\": {speedup:.1}}}",
-        rc.seed
-    )
-}
-
-/// Thread-count scaling of a seed-portfolio run: the same 4-seed
-/// portfolio under `seq` and worker pools of 1/2/4/8 threads. Outcomes
-/// are asserted bit-identical across all five runs before any timing is
-/// reported (the `Parallelism` determinism contract), so the section
-/// can only ever show wall-clock differences. `host_cores` records
-/// what the machine can actually run concurrently — speedups are
-/// bounded by it, not by the pool size.
-fn scaling(rc: &RunConfig) -> String {
-    use soma_search::{Parallelism, Scheduler, SearchConfig};
-
-    let net = soma_model::zoo::fig2(1);
-    let hw = HardwareConfig::edge();
-    let seeds: Vec<u64> = (0..4).map(|i| rc.seed + i).collect();
-    let cfg = SearchConfig { effort: 0.05 * rc.effort_scale, seed: rc.seed, ..Default::default() };
-    let run = |par: Parallelism| {
-        let start = Instant::now();
-        let outcome = Scheduler::new(&net, &hw)
-            .config(cfg.clone())
-            .seeds(seeds.iter().copied())
-            .parallelism(par)
-            .run();
-        (outcome, start.elapsed().as_secs_f64())
-    };
-
-    let (baseline, seq_s) = run(Parallelism::Sequential);
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // On a single-core host every pool size serializes onto one CPU, so
-    // the section can only measure pool overhead — stamp that into the
-    // JSON so nobody reads the numbers as speedups.
-    let warning = if host_cores == 1 {
-        eprintln!(
-            "[perfbench] warning: host reports a single core — scaling numbers measure \
-             thread-pool overhead, not speedup"
-        );
-        ", \"warning\": \"single-core host: runs measure pool overhead, not speedup\""
-    } else {
-        ""
-    };
-    let mut entries =
-        vec![format!("{{\"threads\": \"seq\", \"elapsed_s\": {seq_s:.6}, \"speedup\": 1.00}}")];
-    eprintln!(
-        "[perfbench] scaling fig2@edge/b1 x4 seeds: seq {seq_s:>8.3} s (host cores: {host_cores})"
-    );
-    for n in [1usize, 2, 4, 8] {
-        let (outcome, s) = run(Parallelism::Fixed(n));
-        assert_eq!(
-            outcome.best.cost.to_bits(),
-            baseline.best.cost.to_bits(),
-            "{n}-thread portfolio diverged from sequential"
-        );
-        assert_eq!(outcome.evals, baseline.evals, "{n}-thread eval count diverged");
-        let speedup = if s > 0.0 { seq_s / s } else { 0.0 };
-        entries.push(format!(
-            "{{\"threads\": \"{n}\", \"elapsed_s\": {s:.6}, \"speedup\": {speedup:.2}}}"
-        ));
-        eprintln!(
-            "[perfbench] scaling fig2@edge/b1 x4 seeds: {n:>3} thr {s:>8.3} s ({speedup:.2}x)"
-        );
-    }
-    format!(
-        "    {{\"scenario\": \"fig2@edge/b1\", \"seeds\": {}, \"host_cores\": {host_cores}\
-         {warning}, \
-         \"outcomes\": \"bit-identical across all thread counts (asserted)\", \
-         \"runs\": [{}]}}",
-        seeds.len(),
-        entries.join(", ")
-    )
-}
-
-/// Saturation of the serve daemon: an in-process daemon on a private
-/// unix socket, a cold storm (distinct seeds — every request searches)
-/// and then a cache storm (one request repeated — every answer comes
-/// from the ledger). The `req_per_sec` ratio is what the
-/// content-addressed cache buys a serving deployment on repeat traffic.
-fn serve_section(rc: &RunConfig) -> String {
-    use soma_bench::loadgen::{storm, StormConfig};
-    use soma_serve::{start, Listen, ServerConfig};
-
-    let dir = std::env::temp_dir().join("soma-perfbench");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let pid = std::process::id();
-    let ledger = dir.join(format!("serve-{pid}.ledger"));
-    let _ = std::fs::remove_dir_all(&ledger);
-    let (clients, requests) = (4usize, 8usize);
-    let handle = start(ServerConfig {
-        max_inflight: clients,
-        ..ServerConfig::new(Listen::Unix(dir.join(format!("serve-{pid}.sock"))), &ledger)
-    })
-    .expect("in-process serve daemon");
-
-    let cold_cfg = StormConfig {
-        listen: handle.listen().clone(),
-        scenario: "fig2@edge/b1".into(),
-        clients,
-        requests,
-        effort: 0.02 * rc.effort_scale,
-        seed_base: rc.seed,
-        distinct_seeds: true,
-        progress: false,
-    };
-    let cached_cfg =
-        StormConfig { requests: requests * 4, distinct_seeds: false, ..cold_cfg.clone() };
-    let cold = storm(&cold_cfg).expect("cold storm");
-    assert_eq!(cold.cached, 0, "cold storm must not hit the ledger");
-    let cached = storm(&cached_cfg).expect("cache storm");
-    assert_eq!(
-        cached.cached, cached.completed,
-        "cache storm must be answered entirely from the ledger"
-    );
-    handle.shutdown();
-    let _ = std::fs::remove_dir_all(&ledger);
-
-    eprintln!(
-        "[perfbench] serve fig2@edge/b1: cold {:>7.1} req/s, cached {:>7.1} req/s \
-         (cache speedup {:.0}x)",
-        cold.req_per_sec(),
-        cached.req_per_sec(),
-        if cold.req_per_sec() > 0.0 { cached.req_per_sec() / cold.req_per_sec() } else { 0.0 }
-    );
-    format!(
-        "    {{\"scenario\": \"fig2@edge/b1\", \"clients\": {clients}, \"phases\": [\n\
-         \x20   {},\n\x20   {}\n\x20   ]}}",
-        cold.to_json("cold"),
-        cached.to_json("cached")
-    )
-}
-
 fn main() {
     let rc = RunConfig::from_env_or_exit();
     let hw = HardwareConfig::edge();
@@ -476,15 +284,6 @@ fn main() {
         }
     }
 
-    // Cold-vs-warm `lab` orchestrator timings: what a same-spec replay
-    // costs once the run ledger is populated.
-    let mut lab_rows: Vec<String> = Vec::new();
-    for scenario in ["fig2@edge/b1", "resnet50@edge/b1"] {
-        if rc.selects_id(scenario) {
-            lab_rows.push(lab_cold_warm(&rc, scenario));
-        }
-    }
-
     println!("{{");
     println!("  \"bench\": \"search_throughput\",");
     println!("  \"unit\": \"completed schedule evaluations per second\",");
@@ -511,15 +310,6 @@ fn main() {
         .collect();
     println!("  \"aggregate\": [");
     println!("{}", agg_rows.join(",\n"));
-    println!("  ],");
-    println!("  \"lab\": [");
-    println!("{}", lab_rows.join(",\n"));
-    println!("  ],");
-    println!("  \"scaling\": [");
-    println!("{}", scaling(&rc));
-    println!("  ],");
-    println!("  \"serve\": [");
-    println!("{}", serve_section(&rc));
     println!("  ]");
     println!("}}");
 }

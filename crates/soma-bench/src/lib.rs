@@ -28,13 +28,11 @@
 //! complete run configuration and can be logged next to the results.
 
 pub mod lab;
-pub mod loadgen;
 
 pub use lab::{
     csv_rows, run_cells, run_lab, ExperimentRow, LabEvent, LabSummary, Ledger, LedgerRow,
     CSV_HEADER,
 };
-pub use loadgen::{storm, StormConfig, StormReport};
 
 /// One `--version` line shared by every binary in this crate: binary
 /// name, crate version, the engine fingerprint baked into ledger keys,

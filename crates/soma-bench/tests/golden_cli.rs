@@ -15,6 +15,9 @@
 //! adds caching and parallelism, never different numbers. And a warm
 //! `lab` rerun (100 % ledger hits, enforced via `--require-hits`) must
 //! reproduce the cold CSV byte-for-byte from the ledger alone.
+//!
+//! The `loadgen` client is driven here too, against an in-process
+//! `serve` daemon, with the flags the CI smoke gates use.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -235,4 +238,46 @@ fn undecodable_row_is_re_searched_not_a_silent_hit() {
     let (csv, err, code) = run_bin_code(env!("CARGO_BIN_EXE_lab"), &args);
     assert_eq!(code, Some(0), "the superseding row serves the next run:\n{err}");
     assert_eq!(csv, cold_csv);
+}
+
+/// The `loadgen` client against an in-process daemon, as CI's
+/// `serve-smoke` and `chaos-smoke` drive it: a cold submit searches, its
+/// repeat is served from the ledger (`--expect-cached` exits 0), and
+/// `--stats` prints the daemon's `stats` frame as one wire line. A run
+/// without `--connect`, or with the removed `--once`, is a usage error.
+#[test]
+fn loadgen_submits_then_reports_stats() {
+    use soma_serve::protocol::parse_line;
+    use soma_serve::{start, Listen, Response, ServerConfig};
+
+    let dir = tmp("golden-loadgen");
+    fs::create_dir_all(&dir).expect("scratch dir");
+    let handle = start(ServerConfig::new(Listen::Unix(dir.join("d.sock")), dir.join("d.ledger")))
+        .expect("in-process daemon");
+    let connect = handle.listen().to_string();
+    let loadgen = env!("CARGO_BIN_EXE_loadgen");
+    let submit = ["--connect", &connect, "--scenario", "fig2@edge/b1", "--effort", "0.01"];
+
+    let (_, err, code) = run_bin_code(loadgen, &submit);
+    assert_eq!(code, Some(0), "{err}");
+    assert!(err.contains("fig2@edge/b1 answered (hash "), "{err}");
+    assert!(err.contains(", cached: false)"), "{err}");
+
+    let (_, err, code) = run_bin_code(loadgen, &[&submit[..], &["--expect-cached"]].concat());
+    assert_eq!(code, Some(0), "the repeat must be served from the ledger:\n{err}");
+
+    let (out, err, code) = run_bin_code(loadgen, &["--connect", &connect, "--stats"]);
+    assert_eq!(code, Some(0), "{err}");
+    assert_eq!(out.lines().count(), 1, "{out}");
+    let frame = parse_line(out.trim_end()).expect("stats line is JSON");
+    let Ok(Response::Stats(stats)) = Response::from_json(&frame) else {
+        panic!("not a stats frame: {out}");
+    };
+    assert_eq!((stats.served, stats.cache_hits), (2, 1), "{out}");
+    handle.shutdown();
+
+    let (_, err, code) = run_bin_code(loadgen, &submit[2..]);
+    assert_eq!(code, Some(2), "--connect is required:\n{err}");
+    let (_, err, code) = run_bin_code(loadgen, &[&submit[..], &["--once"]].concat());
+    assert_eq!(code, Some(2), "--once is gone:\n{err}");
 }

@@ -3,7 +3,8 @@
 //! ledger (its JSON view, migrated into a ledger directory) are pinned
 //! byte-for-byte, and a live campaign (events observed as `run_lab`
 //! emits them) must render exactly the same final frame as an offline
-//! replay of the ledger it wrote.
+//! replay of the ledger it wrote. The Gantt renderer behind `watch
+//! --gantt` is pinned byte-for-byte on a fixed schedule too.
 //!
 //! Regenerate the snapshots after an intentional behaviour change with:
 //!
@@ -16,9 +17,13 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::OnceLock;
 
+use soma_arch::HardwareConfig;
 use soma_bench::lab::Ledger;
 use soma_bench::run_lab;
+use soma_core::{Encoding, Lfa, ParsedSchedule};
+use soma_model::zoo;
 use soma_obs::WatchModel;
+use soma_sim::{render_gantt, simulate, CoreArrayModel};
 use soma_spec::read_experiment;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -187,6 +192,22 @@ fn gantt_drilldown_renders_from_the_ledger() {
     // An unknown query is a usage error, not a panic.
     let missing = watch(&[ledger.to_str().unwrap(), "--gantt", "nope@nowhere"]);
     assert_eq!(missing.status.code(), Some(2));
+}
+
+/// The full Gantt chart for a fixed (network, encoding, hardware)
+/// triple — the chart `watch --gantt` prints. Pinning its exact bytes
+/// catches both renderer drift *and* simulator drift (the block
+/// positions are a projection of the timeline).
+#[test]
+fn gantt_snapshot_fig2_edge_unfused() {
+    let net = zoo::fig2(1);
+    let sched = ParsedSchedule::new(&net, &Encoding::from_lfa(Lfa::unfused(&net, 2)))
+        .expect("unfused LFA always parses");
+    let hw = HardwareConfig::edge();
+    let mut model = CoreArrayModel::new(&hw);
+    let tl = simulate(&sched.plan, &sched.dlsa, &hw, &mut model).expect("schedule simulates");
+    let chart = render_gantt(&net, &sched, &tl, 60);
+    assert_golden(chart.as_bytes(), "fig2_edge_unfused.gantt.txt");
 }
 
 /// A live campaign observed event-by-event renders exactly the same

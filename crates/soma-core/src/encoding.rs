@@ -52,11 +52,6 @@ impl Lfa {
         self.flc.len() + 1
     }
 
-    /// Number of LGs this LFA induces.
-    pub fn lg_count(&self) -> usize {
-        self.dram_cuts.len() + 1
-    }
-
     /// FLG boundaries as half-open ranges over order positions.
     pub fn flg_ranges(&self) -> Vec<(usize, usize)> {
         let mut bounds: Vec<usize> = Vec::with_capacity(self.flc.len() + 2);
@@ -97,7 +92,7 @@ mod tests {
         let net = zoo::fig4(1);
         let lfa = Lfa::unfused(&net, 1);
         assert_eq!(lfa.flg_count(), 5);
-        assert_eq!(lfa.lg_count(), 5);
+        assert_eq!(lfa.dram_cuts.len() + 1, 5, "one LG per layer");
         assert_eq!(lfa.flg_ranges(), vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
     }
 

@@ -68,7 +68,8 @@ impl FmapShape {
     }
 
     /// Returns the shape with a different batch size.
-    pub fn with_batch(mut self, n: u32) -> Self {
+    #[cfg(test)]
+    fn with_batch(mut self, n: u32) -> Self {
         assert!(n > 0, "batch must be non-zero");
         self.n = n;
         self

@@ -10,8 +10,7 @@
 //!    ([`Sample`]), the P² streaming quantile estimator
 //!    ([`P2Quantile`]) and the [`sparkline`] renderer. Property-tested
 //!    against a sort-based oracle; the *single* percentile
-//!    implementation in the workspace (the serve load generator and
-//!    perfbench both delegate here).
+//!    implementation in the workspace.
 //! 2. **[`summary`]** — the machine-readable [`CampaignSummary`] JSON
 //!    artifact (`specs/SUMMARY.md`): per-scenario best-cost / latency /
 //!    evals distributions, cache hit rate, failure counts and
@@ -40,7 +39,7 @@ pub mod watch;
 
 pub use drill::gantt_for_row;
 pub use event::LabEvent;
-pub use stats::{percentile_nearest_rank, sparkline, P2Quantile, Sample, StreamingStats};
+pub use stats::{sparkline, P2Quantile, Sample, StreamingStats};
 pub use summary::{
     CampaignSummary, CellOutcome, Dist, RunCounts, ScenarioSummary, SUMMARY_VERSION,
 };

@@ -4,8 +4,7 @@
 //!
 //! * [`StreamingStats`] — min/max/mean/sum in O(1) space, mergeable.
 //! * [`Sample`] — an exact sample with nearest-rank percentiles (the
-//!   single implementation behind `loadgen`'s p50/p90/p99 and the
-//!   campaign summary distributions).
+//!   single implementation behind the campaign summary distributions).
 //! * [`P2Quantile`] — the P² (Jain & Chlamtac) streaming quantile
 //!   estimator for samples too large to keep.
 //! * [`sparkline`] — a one-line unicode rendering of a series.
@@ -16,10 +15,8 @@
 
 /// Nearest-rank percentile of an **ascending-sorted** slice, `p` in
 /// `[0, 100]`. `0.0` on an empty slice. Rank is `ceil(p/100 · n)`
-/// clamped into the sample — the convention the serve load generator
-/// has always reported.
-#[must_use]
-pub fn percentile_nearest_rank(sorted: &[f64], p: f64) -> f64 {
+/// clamped into the sample.
+fn percentile_nearest_rank(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use soma_obs::{percentile_nearest_rank, P2Quantile, Sample, StreamingStats};
+use soma_obs::{P2Quantile, Sample, StreamingStats};
 
 /// The oracle: sort a copy, take nearest-rank directly.
 fn oracle_percentile(values: &[f64], p: f64) -> f64 {
@@ -91,22 +91,6 @@ proptest! {
         }
         for p in [0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 100.0] {
             prop_assert_eq!(sample.percentile(p), oracle_percentile(&values, p));
-        }
-    }
-
-    /// The free function agrees with Sample on pre-sorted data (it is
-    /// the same implementation loadgen's already-sorted latency vector
-    /// goes through).
-    #[test]
-    fn free_function_matches_sample(seed in 0u64..1_000_000, len in 1usize..200) {
-        let mut values = sample_values(seed, len);
-        values.sort_by(f64::total_cmp);
-        let mut sample = Sample::new();
-        for &x in &values {
-            sample.push(x);
-        }
-        for p in [50.0, 90.0, 99.0] {
-            prop_assert_eq!(percentile_nearest_rank(&values, p), sample.percentile(p));
         }
     }
 

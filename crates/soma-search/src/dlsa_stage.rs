@@ -205,11 +205,6 @@ impl<'p> DlsaEditor<'p> {
         &self.profile
     }
 
-    /// Consumes the editor into its live DLSA.
-    pub fn into_dlsa(self) -> Dlsa {
-        self.dlsa
-    }
-
     /// Draws one mutation (identical RNG stream to [`mutate_dlsa`]) and
     /// applies it in place. `None` means the drawn mutation was an
     /// identity — nothing was applied and no token is issued.

@@ -148,11 +148,6 @@ impl<'a> Objective<'a> {
         )
     }
 
-    /// Whether a report fits the budget.
-    pub fn feasible(&self, report: &EvalReport, buffer_limit: u64) -> bool {
-        report.peak_buffer <= buffer_limit
-    }
-
     /// Evaluates a plan + DLSA pair (full report). Returns `None` for
     /// deadlocked DRAM tensor orders (invalid schemes).
     pub fn eval_parts(
@@ -274,8 +269,7 @@ mod tests {
         let free = obj.cost_of(&report, u64::MAX);
         let squeezed = obj.cost_of(&report, report.peak_buffer / 2);
         assert!(squeezed > free * 100.0);
-        assert!(obj.feasible(&report, hw.buffer_bytes));
-        assert!(!obj.feasible(&report, report.peak_buffer - 1));
+        assert!(report.peak_buffer <= hw.buffer_bytes);
     }
 
     #[test]

@@ -41,7 +41,8 @@ impl Parallelism {
     /// The worker count this policy resolves to right now: `n` for
     /// `Fixed(n)`, 1 for `Sequential`, and the current/global pool size
     /// for `Auto`.
-    pub fn resolved_threads(self) -> usize {
+    #[cfg(test)]
+    fn resolved_threads(self) -> usize {
         match self {
             Parallelism::Auto => rayon::current_num_threads(),
             Parallelism::Fixed(n) => n.max(1),

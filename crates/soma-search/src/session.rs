@@ -493,14 +493,6 @@ impl<'a, 'o> SearchSession<'a, 'o> {
         self.finished
     }
 
-    /// Whether the session was stopped by its
-    /// [`cancel_when`](Scheduler::cancel_when) probe. A cancelled
-    /// session is finished, holds no claimable outcome, and will never
-    /// do work again.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled
-    }
-
     /// Rounds executed so far.
     pub fn rounds(&self) -> usize {
         self.rounds_done
@@ -676,7 +668,7 @@ mod tests {
         let probe = || flag.load(Ordering::SeqCst);
         let mut session = Scheduler::new(&net, &hw).config(quick(5)).cancel_when(&probe).build();
         assert_eq!(session.step(), StepOutcome::Finished);
-        assert!(session.is_cancelled());
+        assert!(session.cancelled);
         assert_eq!(session.evals(), 0, "no work after a pre-fired cancel");
     }
 

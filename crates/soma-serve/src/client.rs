@@ -1,7 +1,7 @@
 //! A small synchronous client for the serve protocol — what the
-//! `loadgen` benchmark, the CI smoke test and the e2e tests drive, and
-//! a reference implementation for anyone speaking the protocol from
-//! another language.
+//! `loadgen` CI client, the benchmark's `serve-mixed` workload and the
+//! e2e tests drive, and a reference implementation for anyone speaking
+//! the protocol from another language.
 //!
 //! Failure semantics are typed ([`ClientError`]): every read carries a
 //! deadline (default [`Client::DEFAULT_TIMEOUT`]) so a hung or dead
@@ -244,10 +244,10 @@ impl Client {
 }
 
 /// Deterministic exponential backoff with jitter, shared by every
-/// caller that retries against the daemon (loadgen, the chaos suite,
-/// the CI smoke scripts). Deterministic on purpose: a retry schedule is
-/// part of a reproducible chaos run, so the jitter derives from
-/// `jitter_seed` — no wall clock, no OS randomness.
+/// caller that retries against the daemon (`loadgen`, which the CI
+/// smoke scripts run, and the chaos suite). Deterministic on purpose:
+/// a retry schedule is part of a reproducible chaos run, so the jitter
+/// derives from `jitter_seed` — no wall clock, no OS randomness.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Total attempts (first try included). 0 behaves as 1.

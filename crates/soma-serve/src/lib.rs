@@ -36,9 +36,9 @@
 //!
 //! The wire protocol (one JSON object per line, versioned with
 //! [`PROTOCOL_VERSION`]) is specified in `specs/PROTOCOL.md`; the
-//! binaries live in `soma-bench` (`--bin serve`, `--bin loadgen`)
-//! because that crate owns the workspace's only environment-variable
-//! access.
+//! daemon binary (`--bin serve`) and its one-shot CI client (`--bin
+//! loadgen`) live in `soma-bench` because that crate owns the
+//! workspace's only environment-variable access.
 //!
 //! ```no_run
 //! use soma_serve::{start, Client, Listen, ServerConfig, SubmitRequest};

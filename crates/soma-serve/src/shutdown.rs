@@ -32,14 +32,16 @@ pub fn stop_requested() -> bool {
     STOP.load(Ordering::SeqCst)
 }
 
-/// Requests a stop programmatically (what the signal handler does).
-pub fn request_stop() {
+/// Raises the flag: the whole of the signal handler's work (one
+/// atomic store, which is async-signal-safe).
+fn request_stop() {
     STOP.store(true, Ordering::SeqCst);
 }
 
-/// Clears the flag — test-only affordance so independent test servers
-/// in one process do not observe each other's stops.
-pub fn reset_stop_for_tests() {
+/// Clears the flag, so independent test servers in one process do not
+/// observe each other's stops.
+#[cfg(test)]
+fn reset_stop_for_tests() {
     STOP.store(false, Ordering::SeqCst);
 }
 
@@ -47,13 +49,11 @@ const SIGINT: i32 = 2;
 const SIGTERM: i32 = 15;
 
 extern "C" fn on_signal(_sig: i32) {
-    // Only async-signal-safe work here: one atomic store.
-    STOP.store(true, Ordering::SeqCst);
+    request_stop();
 }
 
 /// Routes SIGINT and SIGTERM to the stop flag. Idempotent; call once at
-/// binary start-up. On non-unix targets this is a no-op (the flag can
-/// still be raised programmatically).
+/// binary start-up. On non-unix targets this is a no-op.
 pub fn install_signal_handlers() {
     #[cfg(unix)]
     {

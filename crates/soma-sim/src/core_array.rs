@@ -58,8 +58,9 @@ impl<'hw> CoreArrayModel<'hw> {
         self.hw
     }
 
-    /// Number of memoised entries (diagnostics).
-    pub fn cache_len(&self) -> usize {
+    /// Number of memoised entries.
+    #[cfg(test)]
+    fn cache_len(&self) -> usize {
         self.cache.len()
     }
 
