@@ -1,5 +1,5 @@
-//! Ablation study over SoMa's design choices (the trade-offs DESIGN.md
-//! calls out, complementing the paper's Sec. VII-B analysis):
+//! Ablation study over SoMa's design choices (complementing the paper's
+//! Sec. VII-B analysis):
 //!
 //! * `cocco` — the baseline (restricted space, heuristic tiling).
 //! * `stage1_only` — SoMa's layer-fusion stage with double-buffer DLSA
@@ -11,74 +11,64 @@
 //!   Sec. VII-B1 second lesson).
 //! * `full` — the complete framework.
 //!
-//! CSV columns: `scenario,workload,batch,variant,latency_cycles,energy_pj,`
-//! `cost`, keyed by registry scenario id (the study runs on `@edge`).
+//! ```sh
+//! cargo run --release -p soma-bench --bin ablation -- specs/ablation.soma [--ledger <dir>]
+//! ```
+//!
+//! Runs every cell of the spec and its Cocco twin, then every cell under
+//! two specs derived from it (`max_allocator_iters 1`, `link_cuts 1`),
+//! all through the one cell executor (see `soma_bench::figure`). CSV
+//! columns: `scenario,workload,batch,variant,latency_cycles,energy_pj,`
+//! `cost`, keyed by the cell's scenario id. Exit codes as for `fig6`.
 
-use soma_arch::HardwareConfig;
-use soma_bench::{salt, scenario_key, RunConfig};
-use soma_model::zoo;
-use soma_search::{Scheduler, SearchConfig};
+use std::process::ExitCode;
 
-fn main() {
-    let rc = RunConfig::from_env_or_exit();
-    let hw = HardwareConfig::edge();
+use soma_bench::Figure;
+use soma_search::{Evaluated, SearchConfig};
+use soma_spec::ExperimentSpec;
+
+fn main() -> ExitCode {
+    let (mut fig, spec) = Figure::from_args("ablation");
+    let derived = |suffix: &str, config: SearchConfig| ExperimentSpec {
+        name: format!("{}-{suffix}", spec.name),
+        config,
+        ..spec.clone()
+    };
+    let no_alloc =
+        derived("no-allocator", SearchConfig { max_allocator_iters: 1, ..spec.config.clone() });
+    let linked = derived("linked-cuts", SearchConfig { link_cuts: true, ..spec.config.clone() });
+
+    let pairs = fig.pairs(&spec);
+    let no_alloc = fig.run(&no_alloc, no_alloc.cells());
+    let linked = fig.run(&linked, linked.cells());
     println!("scenario,workload,batch,variant,latency_cycles,energy_pj,cost");
-
-    for batch in [1u32, 4] {
-        for net in [zoo::resnet50(batch), zoo::gpt2_small_prefill(batch, 512)] {
-            let name = net.name().to_string();
-            let scenario = scenario_key(&hw, &name, batch);
-            if !rc.selects_id(&scenario) {
-                continue;
-            }
-            let base = rc.config_for(&net, salt(&["ablation", &name, &batch.to_string()]));
-
-            let cocco = Scheduler::cocco(&net, &hw).config(base.clone()).run().best;
-            let full = Scheduler::new(&net, &hw).config(base.clone()).run();
-            let no_alloc = Scheduler::new(&net, &hw)
-                .config(SearchConfig { max_allocator_iters: 1, ..base.clone() })
-                .run();
-            let linked = Scheduler::new(&net, &hw)
-                .config(SearchConfig { link_cuts: true, ..base.clone() })
-                .run();
-
-            let rows: Vec<(&str, u64, f64, f64)> = vec![
-                ("cocco", cocco.report.latency_cycles, cocco.report.energy.total_pj(), cocco.cost),
-                (
-                    "stage1_only",
-                    full.stage1.report.latency_cycles,
-                    full.stage1.report.energy.total_pj(),
-                    full.stage1.cost,
-                ),
-                (
-                    "no_allocator",
-                    no_alloc.best.report.latency_cycles,
-                    no_alloc.best.report.energy.total_pj(),
-                    no_alloc.best.cost,
-                ),
-                (
-                    "linked_cuts",
-                    linked.best.report.latency_cycles,
-                    linked.best.report.energy.total_pj(),
-                    linked.best.cost,
-                ),
-                (
-                    "full",
-                    full.best.report.latency_cycles,
-                    full.best.report.energy.total_pj(),
-                    full.best.cost,
-                ),
-            ];
-            for (variant, lat, e, c) in &rows {
-                println!("{scenario},{name},{batch},{variant},{lat},{e:.1},{c:.6e}");
-            }
-            let full_cost = rows.last().expect("rows non-empty").3;
-            eprintln!(
-                "[ablation] {scenario}: full vs cocco {:.2}x cost, vs linked {:.2}x, vs no-alloc {:.2}x",
-                rows[0].3 / full_cost,
-                rows[3].3 / full_cost,
-                rows[2].3 / full_cost
+    for p in &pairs {
+        let id = &p.cell.id;
+        let (Some(no_alloc), Some(linked)) = (no_alloc.get(id), linked.get(id)) else { continue };
+        let rows: [(&str, &Evaluated); 5] = [
+            ("cocco", &p.cocco),
+            ("stage1_only", &p.soma.stage1),
+            ("no_allocator", &no_alloc.best),
+            ("linked_cuts", &linked.best),
+            ("full", &p.soma.best),
+        ];
+        for (variant, e) in rows {
+            println!(
+                "{id},{},{},{variant},{},{:.1},{:.6e}",
+                p.cell.workload,
+                p.cell.batch,
+                e.report.latency_cycles,
+                e.report.energy.total_pj(),
+                e.cost
             );
         }
+        let full_cost = p.soma.best.cost;
+        eprintln!(
+            "[ablation] {id}: full vs cocco {:.2}x cost, vs linked {:.2}x, vs no-alloc {:.2}x",
+            p.cocco.cost / full_cost,
+            linked.best.cost / full_cost,
+            no_alloc.best.cost / full_cost
+        );
     }
+    fig.exit_code()
 }

@@ -2,29 +2,35 @@
 //! (a, b) and per Cocco-scheduled tile (c, d), for ResNet-50 and
 //! Transformer-Large on the default edge accelerator at batch 1.
 //!
-//! CSV columns: `panel,scenario,item,dram_norm,ops_norm`, keyed by the
-//! registry scenario id (both panels run on `@edge/b1`).
-//! The paper's observation to reproduce: the per-tile clouds (c, d) are
-//! *more spread out* than the per-layer clouds (a, b) — fusion
-//! concentrates DRAM demand on weight-loading tiles and leaves many tiles
-//! with zero DRAM demand.
+//! ```sh
+//! cargo run --release -p soma-bench --bin fig3 -- specs/fig3.soma [--ledger <dir>]
+//! ```
+//!
+//! Runs only the Cocco twin of each cell of the spec, through the one
+//! cell executor (see `soma_bench::figure`). CSV columns:
+//! `panel,scenario,item,dram_norm,ops_norm`, keyed by the cell's
+//! scenario id. The paper's observation to reproduce: the per-tile
+//! clouds (c, d) are *more spread out* than the per-layer clouds (a, b) —
+//! fusion concentrates DRAM demand on weight-loading tiles and leaves
+//! many tiles with zero DRAM demand. Exit codes as for `fig6`.
 
-use soma_arch::HardwareConfig;
-use soma_bench::{salt, scenario_key, RunConfig};
+use std::process::ExitCode;
+
+use soma_bench::Figure;
 use soma_core::parse_lfa;
 use soma_model::stats::{layer_stats, normalize, std_dev};
-use soma_model::zoo;
-use soma_search::Scheduler;
+use soma_spec::ExperimentCell;
 
-fn main() {
-    let rc = RunConfig::from_env_or_exit();
-    let hw = HardwareConfig::edge();
+fn main() -> ExitCode {
+    let (mut fig, spec) = Figure::from_args("fig3");
+    let cells = spec.cells();
+    let twins: Vec<ExperimentCell> = cells.iter().map(ExperimentCell::cocco).collect();
+    let outcomes = fig.run(&spec, twins.clone());
     println!("panel,scenario,item,dram_norm,ops_norm");
 
-    let nets = [zoo::resnet50(1), zoo::transformer_large(1, 512)];
-    let nets: Vec<(String, &soma_model::Network)> =
-        nets.iter().map(|n| (scenario_key(&hw, n.name(), 1), n)).collect();
-    for (idx, (name, net)) in nets.iter().enumerate() {
+    for (idx, (cell, twin)) in cells.iter().zip(&twins).enumerate() {
+        let Some(cocco) = outcomes.get(&twin.id).map(|o| &o.best) else { continue };
+        let (name, net) = (&cell.id, &cell.net);
         // Panels (a)/(b): per-layer.
         let stats = layer_stats(net);
         let pts: Vec<(u64, u64)> = stats.iter().map(|s| (s.dram_bytes, s.ops)).collect();
@@ -35,8 +41,6 @@ fn main() {
         let layer_spread = std_dev(&norm.iter().map(|p| p.dram).collect::<Vec<_>>());
 
         // Panels (c)/(d): per-tile under the Cocco schedule.
-        let cfg = rc.config_for(net, salt(&["fig3", name]));
-        let cocco = Scheduler::cocco(net, &hw).config(cfg).run().best;
         let plan = parse_lfa(net, &cocco.encoding.lfa).expect("cocco scheme parses");
         // Attribute DRAM tensor bytes to their anchor tiles.
         let mut tile_dram = vec![0u64; plan.n_tiles() as usize];
@@ -62,4 +66,5 @@ fn main() {
             tnorm.len()
         );
     }
+    fig.exit_code()
 }

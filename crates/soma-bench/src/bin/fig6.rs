@@ -1,38 +1,39 @@
 //! Fig. 6: overall comparison of Cocco vs SoMa stage 1 (`Ours_1`) vs
 //! SoMa stage 2 (`Ours_2`) across workloads, platforms and batch sizes.
 //!
-//! CSV columns: `scenario,platform,workload,batch,scheme,latency_cycles,`
+//! ```sh
+//! cargo run --release -p soma-bench --bin fig6 -- specs/fig6.soma [--ledger <dir>]
+//! ```
+//!
+//! Runs every cell of the spec and its Cocco twin through the one cell
+//! executor (see `soma_bench::figure`). CSV columns:
+//! `scenario,platform,workload,batch,scheme,latency_cycles,`
 //! `core_energy_pj,dram_energy_pj,compute_util,dram_util,`
 //! `theoretical_max_util,avg_buffer_bytes,peak_buffer_bytes,`
 //! `lgs,flgs,tiles,dram_tensors` (scheme shape, consumed by the `stats`
-//! binary). Rows are keyed by the registry scenario id
-//! (`<workload>@<preset>/b<batch>`), which is also what `SOMA_WORKLOAD`
-//! filters against.
+//! binary): a `cocco`, `ours_1` and `ours_2` row per cell, in cell order,
+//! keyed by the cell's scenario id. The CSV is byte-identical across
+//! thread counts and between a cold run and a ledger replay.
 //!
-//! Environment: `SOMA_FULL=1` sweeps batches {1,4,16,64} (paper grid),
-//! `SOMA_EFFORT` scales search effort, `SOMA_THREADS` sets the thread
-//! policy (`auto`/`seq`/N). Output rows are emitted in cell order
-//! regardless of the policy, so the CSV is byte-identical across thread
-//! counts.
+//! Exit codes: `0` success, `2` usage error, unreadable or invalid spec,
+//! or a ledger I/O error, `4` some cells failed (their rows are left out).
 
-use soma_bench::{platforms, salt, scenario_key, workloads, RunConfig};
+use std::process::ExitCode;
+
+use soma_bench::Figure;
 use soma_core::parse_lfa;
-use soma_model::Network;
-use soma_search::{Evaluated, Scheduler};
+use soma_search::Evaluated;
+use soma_spec::ExperimentCell;
 
-fn row(
-    scenario: &str,
-    platform: &str,
-    net: &Network,
-    batch: u32,
-    scheme: &str,
-    e: &Evaluated,
-) -> String {
+fn row(cell: &ExperimentCell, scheme: &str, e: &Evaluated) -> String {
     let r = &e.report;
-    let plan = parse_lfa(net, &e.encoding.lfa).expect("reported scheme parses");
+    let plan = parse_lfa(&cell.net, &e.encoding.lfa).expect("reported scheme parses");
     format!(
-        "{scenario},{platform},{},{batch},{scheme},{},{:.1},{:.1},{:.6},{:.6},{:.6},{},{},{},{},{},{}",
-        net.name(),
+        "{},{},{},{},{scheme},{},{:.1},{:.1},{:.6},{:.6},{:.6},{},{},{},{},{},{}",
+        cell.id,
+        cell.platform,
+        cell.workload,
+        cell.batch,
         r.latency_cycles,
         r.energy.core_pj,
         r.energy.dram_pj,
@@ -54,78 +55,28 @@ fn energy_change(soma_pj: f64, cocco_pj: f64) -> String {
     format!("energy {:+.1}%", 100.0 * (soma_pj / cocco_pj - 1.0))
 }
 
-fn main() {
-    let rc = RunConfig::from_env_or_exit();
+fn main() -> ExitCode {
+    let (mut fig, spec) = Figure::from_args("fig6");
+    let pairs = fig.pairs(&spec);
     println!(
         "scenario,platform,workload,batch,scheme,latency_cycles,core_energy_pj,dram_energy_pj,\
          compute_util,dram_util,theoretical_max_util,avg_buffer_bytes,peak_buffer_bytes,\
          lgs,flgs,tiles,dram_tensors"
     );
-
-    // Build the work list: one cell per (platform, batch, workload),
-    // keyed and filtered by registry scenario id.
-    struct Cell {
-        scenario: String,
-        platform: soma_arch::HardwareConfig,
-        batch: u32,
-        net: soma_model::Network,
-    }
-    let mut cells = Vec::new();
-    for platform in platforms() {
-        for batch in rc.batch_sizes() {
-            for net in workloads(&platform, batch) {
-                let scenario = scenario_key(&platform, net.name(), batch);
-                if rc.selects_id(&scenario) {
-                    cells.push(Cell { scenario, platform: platform.clone(), batch, net });
-                }
-            }
+    for p in &pairs {
+        let (cocco, soma) = (&p.cocco, &p.soma);
+        for (scheme, e) in [("cocco", cocco), ("ours_1", &soma.stage1), ("ours_2", &soma.best)] {
+            println!("{}", row(&p.cell, scheme, e));
         }
-    }
-
-    // Fan the cells out under the configured thread policy; collect
-    // (csv, commentary) per cell and print in cell order so the output
-    // is byte-identical whatever `SOMA_THREADS` says.
-    let work: Vec<&Cell> = cells.iter().collect();
-    let rendered: Vec<(String, String)> = rc.threads.map_collect(work, |cell| {
-        let name = cell.net.name().to_string();
-        let cfg = rc.config_for(
-            &cell.net,
-            salt(&["fig6", &cell.platform.name, &name, &cell.batch.to_string()]),
-        );
-        let cocco = Scheduler::cocco(&cell.net, &cell.platform)
-            .config(cfg.clone())
-            .parallelism(rc.threads.nested())
-            .run()
-            .best;
-        let soma = Scheduler::new(&cell.net, &cell.platform)
-            .config(cfg)
-            .parallelism(rc.threads.nested())
-            .run();
-        let mut rows = String::new();
-        for (scheme, e) in [("cocco", &cocco), ("ours_1", &soma.stage1), ("ours_2", &soma.best)] {
-            rows.push_str(&row(
-                &cell.scenario,
-                &cell.platform.name,
-                &cell.net,
-                cell.batch,
-                scheme,
-                e,
-            ));
-            rows.push('\n');
-        }
-        let note = format!(
+        eprintln!(
             "[fig6] {}: speedup {:.2}x (stage1 {:.2}x), {}",
-            cell.scenario,
+            p.cell.id,
             cocco.report.latency_cycles as f64 / soma.best.report.latency_cycles as f64,
             cocco.report.latency_cycles as f64 / soma.stage1.report.latency_cycles as f64,
             energy_change(soma.best.report.energy.total_pj(), cocco.report.energy.total_pj())
         );
-        (rows, note)
-    });
-    for (rows, note) in rendered {
-        print!("{rows}");
-        eprintln!("{note}");
     }
+    fig.exit_code()
 }
 
 #[cfg(test)]

@@ -2,109 +2,50 @@
 //! the 16-TOPS edge accelerator, per workload and batch size, for both
 //! Cocco and SoMa.
 //!
-//! CSV columns: `scenario,scheduler,workload,batch,buffer_mib,dram_gbps,`
-//! `latency_cycles,latency_ms`. The scenario key names the *resolved*
-//! sweep platform (`resnet50@edge-8MB-32GBps/b4`); `SOMA_WORKLOAD`
-//! filters against it, so `@edge-8MB` selects one buffer size.
+//! ```sh
+//! cargo run --release -p soma-bench --bin fig7 -- specs/fig7.soma [--ledger <dir>]
+//! ```
+//!
+//! Each `hardware` line of the spec is one sweep point. Runs every cell
+//! and its Cocco twin through the one cell executor (see
+//! `soma_bench::figure`). CSV columns:
+//! `scenario,scheduler,workload,batch,buffer_mib,dram_gbps,`
+//! `latency_cycles,latency_ms`, with `buffer_mib` and `dram_gbps` read
+//! from the cell's resolved hardware. The scenario key names the sweep
+//! platform (`resnet50@edge-8MB-32GBps/b4`). Rows are grouped by batch
+//! size, then in spec order.
 //!
 //! The paper's insights to reproduce: at batch 1 latency tracks bandwidth
 //! and barely responds to buffer size; as batch grows, buffer size
 //! substitutes for bandwidth under SoMa (the red "envelope" triangle),
 //! but not under Cocco.
 //!
-//! Environment: `SOMA_FULL=1` for the full grid, `SOMA_WORKLOAD` to
-//! restrict to one workload name substring, `SOMA_THREADS` for the
-//! thread policy (`auto`/`seq`/N; cell order on stdout either way).
+//! Exit codes as for `fig6`.
 
-use soma_arch::HardwareConfig;
-use soma_bench::{salt, scenario_key, RunConfig};
-use soma_model::zoo;
-use soma_search::Scheduler;
+use std::process::ExitCode;
 
-fn grids(rc: &RunConfig) -> (Vec<u64>, Vec<f64>) {
-    if rc.full {
-        (vec![2, 4, 8, 16, 32, 64], vec![4.0, 8.0, 16.0, 32.0, 64.0, 128.0])
-    } else {
-        (vec![4, 8, 32], vec![8.0, 16.0, 64.0])
-    }
-}
+use soma_bench::Figure;
 
-fn main() {
-    let rc = RunConfig::from_env_or_exit();
-    let (buffers, bandwidths) = grids(&rc);
-
+fn main() -> ExitCode {
+    let (mut fig, spec) = Figure::from_args("fig7");
+    let mut pairs = fig.pairs(&spec);
+    pairs.sort_by_key(|p| p.cell.batch);
     println!("scenario,scheduler,workload,batch,buffer_mib,dram_gbps,latency_cycles,latency_ms");
-
-    struct Cell {
-        scenario: String,
-        net: soma_model::Network,
-        hw: HardwareConfig,
-        batch: u32,
-        mib: u64,
-        gbps: f64,
-    }
-    let mut cells = Vec::new();
-    for batch in rc.batch_sizes() {
-        for net in zoo::edge_suite(batch) {
-            for &mib in &buffers {
-                for &gbps in &bandwidths {
-                    // Built once: the same config names the scenario key
-                    // and runs the cell, so the two can never diverge.
-                    let hw = HardwareConfig::builder()
-                        .like(&HardwareConfig::edge())
-                        .name(format!("edge-{mib}MB-{gbps}GBps"))
-                        .buffer_mib(mib)
-                        .dram_gbps(gbps)
-                        .build();
-                    let scenario = scenario_key(&hw, net.name(), batch);
-                    if rc.selects_id(&scenario) {
-                        cells.push(Cell { scenario, net: net.clone(), hw, batch, mib, gbps });
-                    }
-                }
-            }
-        }
-    }
-
-    // One (csv, scenario) pair per cell under the configured thread
-    // policy, printed in cell order afterwards — deterministic stdout.
-    let work: Vec<&Cell> = cells.iter().collect();
-    let rendered: Vec<(String, String)> = rc.threads.map_collect(work, |cell| {
-        let hw = &cell.hw;
-        let name = cell.net.name().to_string();
-        let cfg = rc.config_for(
-            &cell.net,
-            salt(&[
-                "fig7",
-                &name,
-                &cell.batch.to_string(),
-                &cell.mib.to_string(),
-                &cell.gbps.to_string(),
-            ]),
-        );
-        let cocco = Scheduler::cocco(&cell.net, hw)
-            .config(cfg.clone())
-            .parallelism(rc.threads.nested())
-            .run()
-            .best;
-        let soma = Scheduler::new(&cell.net, hw).config(cfg).parallelism(rc.threads.nested()).run();
-        let mut rows = String::new();
+    for p in &pairs {
+        let hw = &p.cell.hw;
+        let mib = hw.buffer_bytes >> 20;
+        let gbps = hw.dram_bytes_per_cycle as f64 * hw.freq_hz as f64 / 1e9;
         for (scheduler, cycles) in
-            [("cocco", cocco.report.latency_cycles), ("soma", soma.best.report.latency_cycles)]
+            [("cocco", p.cocco.report.latency_cycles), ("soma", p.soma.best.report.latency_cycles)]
         {
-            rows.push_str(&format!(
-                "{},{scheduler},{name},{},{},{},{},{:.4}\n",
-                cell.scenario,
-                cell.batch,
-                cell.mib,
-                cell.gbps,
-                cycles,
+            println!(
+                "{},{scheduler},{},{},{mib},{gbps},{cycles},{:.4}",
+                p.cell.id,
+                p.cell.workload,
+                p.cell.batch,
                 hw.cycles_to_seconds(cycles) * 1e3
-            ));
+            );
         }
-        (rows, cell.scenario.clone())
-    });
-    for (rows, scenario) in rendered {
-        print!("{rows}");
-        eprintln!("[fig7] {scenario} done");
     }
+    fig.exit_code()
 }

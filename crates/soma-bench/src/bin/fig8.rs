@@ -2,16 +2,20 @@
 //! stage 2, with DRAM cuts / FLCs / tiling numbers annotated — rendered as
 //! ASCII DRAM-COMPUTE timelines.
 //!
-//! Default workload is a ResNet-50 prefix (full ResNet-50 renders but is
-//! wide); pass a name substring to choose from the edge suite, e.g.
-//! `cargo run --release --bin fig8 -- gpt2`, or set `SOMA_WORKLOAD`
-//! (the positional argument wins).
+//! ```sh
+//! cargo run --release -p soma-bench --bin fig8 -- specs/fig8.soma [--ledger <dir>]
+//! ```
+//!
+//! Runs each cell of the spec (the committed one names full ResNet-50 on
+//! the edge platform at batch 1) and its Cocco twin through the one cell
+//! executor (see `soma_bench::figure`), then draws the three schedules
+//! of each cell. Exit codes as for `fig6`.
 
-use soma_arch::HardwareConfig;
-use soma_bench::{salt, scenario_key, RunConfig};
+use std::process::ExitCode;
+
+use soma_bench::Figure;
 use soma_core::ParsedSchedule;
-use soma_model::zoo;
-use soma_search::{Evaluated, Scheduler};
+use soma_search::Evaluated;
 use soma_sim::render_gantt;
 
 fn describe(net: &soma_model::Network, eval: &Evaluated) {
@@ -35,43 +39,27 @@ fn describe(net: &soma_model::Network, eval: &Evaluated) {
     println!("\n('||' = DRAM cut, '|' = FLC only)");
 }
 
-fn main() {
-    let rc = RunConfig::from_env_or_exit();
-    // Positional arg wins; `SOMA_WORKLOAD` is the shared-knob fallback.
-    let pick = std::env::args()
-        .nth(1)
-        .or_else(|| (!rc.workload.is_empty()).then(|| rc.workload.clone()))
-        .unwrap_or_else(|| "resnet".into());
-    // Same matching contract as every other binary: case-insensitive
-    // substring (`RunConfig::selects_id`) over the workload name.
-    let net = zoo::edge_suite(1)
-        .into_iter()
-        .find(|n| n.name().to_ascii_lowercase().contains(&pick.to_ascii_lowercase()))
-        .unwrap_or_else(|| {
-            eprintln!("[fig8] no edge-suite workload matches `{pick}`; using the chain demo");
-            zoo::chain(1, 64, 56, 8)
-        });
-    let hw = HardwareConfig::edge();
-    let cfg = rc.config_for(&net, salt(&["fig8", net.name()]));
-    let scenario = scenario_key(&hw, net.name(), 1);
-
-    println!("scenario: {scenario}");
-    eprintln!("[fig8] scheduling {scenario} (effort {:.3})...", cfg.effort);
-    let cocco = Scheduler::cocco(&net, &hw).config(cfg.clone()).run().best;
-    let soma = Scheduler::new(&net, &hw).config(cfg).run();
-
-    for (title, eval) in
-        [("Cocco", &cocco), ("SoMa first stage", &soma.stage1), ("SoMa second stage", &soma.best)]
-    {
-        println!("==== {title} ====");
-        describe(&net, eval);
-        let sched = ParsedSchedule::new(&net, &eval.encoding).expect("scheme parses");
-        println!("{}", render_gantt(&net, &sched, &eval.report.timeline, 120));
-        println!(
-            "latency {} cycles | E*D cost {:.3e} | compute stall {} cycles\n",
-            eval.report.latency_cycles,
-            eval.cost,
-            eval.report.timeline.compute_stall()
-        );
+fn main() -> ExitCode {
+    let (mut fig, spec) = Figure::from_args("fig8");
+    for p in fig.pairs(&spec) {
+        let net = &p.cell.net;
+        println!("scenario: {}", p.cell.id);
+        for (title, eval) in [
+            ("Cocco", &p.cocco),
+            ("SoMa first stage", &p.soma.stage1),
+            ("SoMa second stage", &p.soma.best),
+        ] {
+            println!("==== {title} ====");
+            describe(net, eval);
+            let sched = ParsedSchedule::new(net, &eval.encoding).expect("scheme parses");
+            println!("{}", render_gantt(net, &sched, &eval.report.timeline, 120));
+            println!(
+                "latency {} cycles | E*D cost {:.3e} | compute stall {} cycles\n",
+                eval.report.latency_cycles,
+                eval.cost,
+                eval.report.timeline.compute_stall()
+            );
+        }
     }
+    fig.exit_code()
 }

@@ -26,14 +26,13 @@
 //! isolated (the campaign completes without it) and reported with exit
 //! status 4: partial failure, rerun to retry exactly the failed cells.
 //!
-//! The spec file owns the entire run configuration, so **every**
-//! `SOMA_*` knob — including `SOMA_WORKLOAD`; a partial run would poison
-//! resume-vs-uninterrupted ledger comparisons — is ignored with a
-//! warning. The one override is `--threads <auto|seq|N>`, which replaces
-//! the spec's `threads` directive for this invocation: thread policy is
-//! wall-clock only (ledger bytes and CSV are bit-identical across
-//! counts, and the cache key never sees it), so it is the one knob that
-//! cannot poison anything.
+//! The spec file owns the entire run configuration, so `run`'s
+//! `SOMA_WORKLOAD` filter is ignored with a warning (a partial run would
+//! poison resume-vs-uninterrupted ledger comparisons). The one override
+//! is `--threads <auto|seq|N>`, which replaces the spec's `threads`
+//! directive for this invocation: thread policy is wall-clock only
+//! (ledger bytes and CSV are bit-identical across counts, and the cache
+//! key never sees it), so it is the one knob that cannot poison anything.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -58,10 +57,8 @@ fn main() -> ExitCode {
         println!("{}", soma_bench::version_line("lab"));
         return ExitCode::SUCCESS;
     }
-    for knob in ["SOMA_EFFORT", "SOMA_SEED", "SOMA_FULL", "SOMA_THREADS", "SOMA_WORKLOAD"] {
-        if std::env::var_os(knob).is_some() {
-            eprintln!("lab: ignoring {knob} — the spec file owns the entire run configuration");
-        }
+    if std::env::var_os("SOMA_WORKLOAD").is_some() {
+        eprintln!("lab: ignoring SOMA_WORKLOAD — the spec file owns the entire run configuration");
     }
 
     let mut spec_path: Option<String> = None;

@@ -11,9 +11,8 @@
 //! End-to-end timings of `lab` campaigns and the `serve` daemon, with
 //! repeats, medians and output checks, come from `benchmark/run.sh`.
 //!
-//! Knobs (see `soma_bench::RunConfig`): `SOMA_SEED` is the base seed
-//! (three consecutive seeds are measured), `SOMA_EFFORT` scales the
-//! proposal counts, `SOMA_WORKLOAD` filters networks by substring.
+//! The walk is fixed: seeds 2025, 2026 and 2027 on `fig2` and
+//! `resnet50` at the edge platform, batch 1.
 //!
 //! Usage: `cargo run --release -p soma-bench --bin perfbench > BENCH_search.json`
 
@@ -24,7 +23,6 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use soma_arch::HardwareConfig;
-use soma_bench::RunConfig;
 use soma_core::{parse_lfa, Dlsa, Lfa};
 use soma_model::Network;
 use soma_obs::StreamingStats;
@@ -230,27 +228,22 @@ fn json_row(
 }
 
 fn main() {
-    let rc = RunConfig::from_env_or_exit();
+    const BASE_SEED: u64 = 2025;
     let hw = HardwareConfig::edge();
     // (name, network, stage-2 probe LFA, stage-2 proposals, stage-1 proposals)
     let nets: Vec<(&str, Network)> =
         vec![("fig2", soma_model::zoo::fig2(1)), ("resnet50", soma_model::zoo::resnet50(1))];
-    let seeds: Vec<u64> = (0..3).map(|i| rc.seed + i).collect();
+    let seeds: Vec<u64> = (0..3).map(|i| BASE_SEED + i).collect();
 
     let mut rows: Vec<String> = Vec::new();
     let mut aggregates: BTreeMap<(String, &str), StageTimings> = BTreeMap::new();
     for (name, net) in &nets {
         // Rows are keyed by registry scenario id (the probe runs on
-        // `@edge/b1`), which is also what `SOMA_WORKLOAD` matches.
-        let scenario = soma_bench::scenario_key(&hw, net.name(), 1);
-        if !rc.selects_id(&scenario) {
-            continue;
-        }
+        // `@edge/b1`).
+        let scenario = soma_spec::scenario_id(net.name(), soma_spec::Preset::Edge, 1);
         let probe_lfa = initial_lfa(net, &hw);
         let (s2_proposals, s1_proposals) =
             if *name == "fig2" { (20_000, 3_000) } else { (2_000, 120) };
-        let s2_proposals = ((s2_proposals as f64 * rc.effort_scale) as u64).max(200);
-        let s1_proposals = ((s1_proposals as f64 * rc.effort_scale) as u64).max(20);
 
         for &seed in &seeds {
             // Stage 2: the hot loop the engine was built for. Both walks
@@ -288,8 +281,8 @@ fn main() {
     println!("  \"bench\": \"search_throughput\",");
     println!("  \"unit\": \"completed schedule evaluations per second\",");
     println!(
-        "  \"config\": {{\"base_seed\": {}, \"effort_scale\": {}, \"platform\": \"{}\"}},",
-        rc.seed, rc.effort_scale, hw.name
+        "  \"config\": {{\"base_seed\": {BASE_SEED}, \"effort_scale\": 1, \"platform\": \"{}\"}},",
+        hw.name
     );
     println!("  \"results\": [");
     println!("{}", rows.join(",\n"));

@@ -17,10 +17,11 @@
 //! The run is exactly reproducible from the spec file alone: every knob
 //! (workloads, platforms, batches, seeds, search configuration) lives in
 //! the spec, and each cell runs the same `Scheduler` pipeline a
-//! hand-written driver would (`ci_smoke` pins this bit-for-bit). Of the
-//! shared `SOMA_*` knob surface only the `SOMA_WORKLOAD` scenario-id
-//! filter applies on top; knobs the spec supersedes (`SOMA_EFFORT`,
-//! `SOMA_SEED`, `SOMA_FULL`, `SOMA_THREADS`) are ignored with a warning.
+//! hand-written driver would (`ci_smoke` pins this bit-for-bit). The one
+//! thing the environment adds is `SOMA_WORKLOAD`, a case-insensitive
+//! substring filter over scenario ids (`<workload>@<platform>/b<batch>`):
+//! `resnet` selects both ResNet variants, `@edge` one platform and `/b4`
+//! one batch size.
 //!
 //! `--threads <auto|seq|N>` overrides the spec's `threads` directive for
 //! this invocation only. Thread policy never changes the CSV — cells
@@ -33,7 +34,7 @@
 
 use std::sync::atomic::AtomicBool;
 
-use soma_bench::{csv_rows, run_cells, LabEvent, RunConfig, CSV_HEADER};
+use soma_bench::{csv_rows, run_cells, LabEvent, CSV_HEADER};
 use soma_search::Parallelism;
 use soma_spec::read_experiment;
 
@@ -42,15 +43,14 @@ fn main() {
         println!("{}", soma_bench::version_line("run"));
         return;
     }
-    let rc = RunConfig::from_env_or_exit();
-    // The spec file owns the search configuration; of the shared knob
-    // surface only `SOMA_WORKLOAD` applies here. Knobs that a spec
-    // supersedes are *loudly* ignored — no silent defaults.
-    for knob in ["SOMA_EFFORT", "SOMA_SEED", "SOMA_FULL", "SOMA_THREADS"] {
-        if std::env::var_os(knob).is_some() {
-            eprintln!("run: ignoring {knob} — the spec file owns the search configuration");
+    let workload = match std::env::var("SOMA_WORKLOAD") {
+        Ok(v) => v.trim().to_string(),
+        Err(std::env::VarError::NotPresent) => String::new(),
+        Err(std::env::VarError::NotUnicode(_)) => {
+            eprintln!("run: SOMA_WORKLOAD is not valid Unicode");
+            std::process::exit(2);
         }
-    }
+    };
     let usage = || -> ! {
         eprintln!("usage: run <experiment.soma> [--threads <auto|seq|N>] [--version]");
         std::process::exit(2);
@@ -89,12 +89,9 @@ fn main() {
     // full grid, `SOMA_WORKLOAD` narrows one invocation.
     let all = spec.cells();
     let before = all.len();
-    let cells: Vec<_> = all.into_iter().filter(|c| rc.selects_id(&c.id)).collect();
+    let cells: Vec<_> = all.into_iter().filter(|c| selects(&workload, &c.id)).collect();
     if cells.is_empty() {
-        eprintln!(
-            "run: {path}: no cells left (spec had {before}, SOMA_WORKLOAD={:?})",
-            rc.workload
-        );
+        eprintln!("run: {path}: no cells left (spec had {before}, SOMA_WORKLOAD={workload:?})");
         std::process::exit(2);
     }
 
@@ -119,5 +116,38 @@ fn main() {
     if summary.failed > 0 {
         eprintln!("run: {} cell(s) failed and were skipped", summary.failed);
         std::process::exit(4);
+    }
+}
+
+/// Whether a scenario id passes the `SOMA_WORKLOAD` filter: a
+/// case-insensitive substring match; an empty filter selects everything.
+fn selects(filter: &str, id: &str) -> bool {
+    filter.is_empty() || id.to_ascii_lowercase().contains(&filter.to_ascii_lowercase())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::selects;
+
+    #[test]
+    fn workload_filter_matches_substrings() {
+        assert!(selects("fig2", "fig2@edge/b1"));
+        assert!(!selects("fig2", "fig4@edge/b1"));
+        assert!(selects("", "fig4@edge/b1"));
+    }
+
+    #[test]
+    fn workload_filter_is_case_insensitive() {
+        assert!(selects("ResNet", "resnet50@edge/b1"));
+        assert!(selects("ResNet", "resnet101@cloud/b4"));
+        assert!(!selects("ResNet", "fig2@edge/b1"));
+    }
+
+    #[test]
+    fn workload_filter_matches_scenario_id_parts() {
+        assert!(selects("@edge", "fig2@edge/b1"));
+        assert!(!selects("@edge", "fig2@cloud/b1"));
+        assert!(selects("/b4", "fig2@edge/b4"));
+        assert!(!selects("/b4", "fig2@edge/b1"));
     }
 }

@@ -8,9 +8,16 @@
 //! * average LGs/FLGs/tiles per network (SoMa vs Cocco);
 //! * GPT-2 decode utilisation vs batch size (the KV-cache saturation
 //!   phenomenon).
+//!
+//! A CSV it cannot trust is refused, never averaged: an unreadable file,
+//! a header that is not `fig6`'s, a row without 17 fields, a value that
+//! does not parse as a finite number (or a latency of zero), a repeated
+//! or unknown scheme, or a scenario without its `cocco`, `ours_1` and
+//! `ours_2` rows. Each exits 2 with `stats: <path>:<line>: <reason>`.
 
 use std::collections::BTreeMap;
 
+/// The `fig6` columns one row contributes.
 #[derive(Debug, Clone, Default)]
 struct Row {
     latency: f64,
@@ -23,40 +30,90 @@ struct Row {
     tiles: f64,
 }
 
+/// One scenario's rows by scheme, and the line its first row is on.
+#[derive(Default)]
+struct Cell {
+    line: usize,
+    schemes: BTreeMap<String, Row>,
+}
+
+/// (scenario id, workload, batch) — the workload and batch are read
+/// for the decode analysis.
+type CellKey = (String, String, u32);
+
+const SCHEMES: [&str; 3] = ["cocco", "ours_1", "ours_2"];
+const FIELDS: usize = 17;
+
+/// Parses a `fig6` CSV into complete scheme triples. An error carries
+/// the 1-based line it refers to.
+fn parse(text: &str) -> Result<BTreeMap<CellKey, Cell>, (usize, String)> {
+    let header = text.lines().next().unwrap_or("");
+    if !header.starts_with("scenario,platform,workload,batch,scheme,") {
+        return Err((
+            1,
+            format!("unexpected header {header:?}; regenerate it with the current fig6 binary"),
+        ));
+    }
+    let mut cells: BTreeMap<CellKey, Cell> = BTreeMap::new();
+    for (i, line) in text.lines().enumerate().skip(1) {
+        let at = |msg: String| (i + 1, msg);
+        let f: Vec<&str> = line.split(',').collect();
+        if f.len() != FIELDS {
+            return Err(at(format!("expected {FIELDS} fields, got {}", f.len())));
+        }
+        let num = |col: usize, name: &str| -> Result<f64, (usize, String)> {
+            match f[col].parse::<f64>() {
+                Ok(v) if v.is_finite() => Ok(v),
+                _ => Err(at(format!("{name} {:?} is not a finite number", f[col]))),
+            }
+        };
+        let batch: u32 =
+            f[3].parse().map_err(|_| at(format!("batch {:?} is not a count", f[3])))?;
+        let row = Row {
+            latency: num(5, "latency_cycles")?,
+            core_pj: num(6, "core_energy_pj")?,
+            dram_pj: num(7, "dram_energy_pj")?,
+            util: num(8, "compute_util")?,
+            theo: num(10, "theoretical_max_util")?,
+            lgs: num(13, "lgs")?,
+            flgs: num(14, "flgs")?,
+            tiles: num(15, "tiles")?,
+        };
+        if row.latency <= 0.0 {
+            return Err(at(format!("latency_cycles {:?} is not positive", f[5])));
+        }
+        let scheme = f[4];
+        if !SCHEMES.contains(&scheme) {
+            return Err(at(format!("unknown scheme {scheme:?}")));
+        }
+        let cell = cells.entry((f[0].to_string(), f[2].to_string(), batch)).or_default();
+        if cell.schemes.is_empty() {
+            cell.line = i + 1;
+        }
+        if cell.schemes.insert(scheme.to_string(), row).is_some() {
+            return Err(at(format!("a second {scheme} row for {}", f[0])));
+        }
+    }
+    if cells.is_empty() {
+        let lines = text.lines().count().max(1);
+        return Err((lines, "no complete cocco/ours_1/ours_2 triple".into()));
+    }
+    for ((scenario, ..), cell) in &cells {
+        if let Some(missing) = SCHEMES.iter().find(|s| !cell.schemes.contains_key(**s)) {
+            return Err((cell.line, format!("{scenario} has no {missing} row")));
+        }
+    }
+    Ok(cells)
+}
+
 fn main() {
     let path = std::env::args().nth(1).unwrap_or_else(|| "results/fig6.csv".into());
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {path}: {e}; run the fig6 binary first"));
-
-    // Refuse stale CSVs outright (same philosophy as the env knobs: no
-    // silent defaults): the fig6 format is scenario-keyed since PR 4.
-    let header = text.lines().next().unwrap_or("");
-    assert!(
-        header.starts_with("scenario,platform,workload,batch,scheme,"),
-        "{path} has an unexpected header ({header:?}); regenerate it with the current fig6 binary"
-    );
-
-    // cell key = scenario id (fig6 column 0) -> scheme -> row; the
-    // workload/batch columns are still read for the decode analysis.
-    let mut cells: BTreeMap<(String, String, u32), BTreeMap<String, Row>> = BTreeMap::new();
-    for line in text.lines().skip(1) {
-        let f: Vec<&str> = line.split(',').collect();
-        if f.len() < 17 {
-            continue;
-        }
-        let key = (f[0].to_string(), f[2].to_string(), f[3].parse().unwrap_or(0));
-        let row = Row {
-            latency: f[5].parse().unwrap_or(0.0),
-            core_pj: f[6].parse().unwrap_or(0.0),
-            dram_pj: f[7].parse().unwrap_or(0.0),
-            util: f[8].parse().unwrap_or(0.0),
-            theo: f[10].parse().unwrap_or(0.0),
-            lgs: f[13].parse().unwrap_or(0.0),
-            flgs: f[14].parse().unwrap_or(0.0),
-            tiles: f[15].parse().unwrap_or(0.0),
-        };
-        cells.entry(key).or_default().insert(f[4].to_string(), row);
-    }
+    let fail = |msg: String| -> ! {
+        eprintln!("stats: {msg}");
+        std::process::exit(2)
+    };
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| fail(format!("{path}: {e}")));
+    let cells = parse(&text).unwrap_or_else(|(line, msg)| fail(format!("{path}:{line}: {msg}")));
 
     let mut speedup1 = Vec::new();
     let mut speedup2 = Vec::new();
@@ -71,12 +128,8 @@ fn main() {
     let mut cocco_tiles = Vec::new();
     let mut decode_util: Vec<(String, u32, f64)> = Vec::new();
 
-    for ((_scenario, workload, batch), schemes) in &cells {
-        let (Some(c), Some(s1), Some(s2)) =
-            (schemes.get("cocco"), schemes.get("ours_1"), schemes.get("ours_2"))
-        else {
-            continue;
-        };
+    for ((_scenario, workload, batch), cell) in &cells {
+        let [c, s1, s2] = SCHEMES.map(|s| &cell.schemes[s]);
         speedup1.push(c.latency / s1.latency);
         speedup2.push(c.latency / s2.latency);
         let (ce, se) = (c.core_pj + c.dram_pj, s2.core_pj + s2.dram_pj);

@@ -1,11 +1,13 @@
-//! The one cell executor behind `soma-bench --bin lab` and `--bin run`:
-//! parallel, resumable, cache-aware execution of an [`ExperimentSpec`].
+//! The one cell executor behind `soma-bench`'s `lab`, `run` and figure
+//! binaries: parallel, resumable, cache-aware execution of an
+//! [`ExperimentSpec`].
 //!
 //! An experiment expands into (scenario × config × seed-portfolio)
 //! **cells**; [`run_cells`] executes them as a work queue. A cell's
 //! result is **exactly** what the equivalent hand-written driver
 //! produces: `Scheduler::new(&cell.net, &cell.hw)
-//! .config(spec.config.clone()).seeds(spec.seeds.clone()).run()` — no
+//! .config(spec.config.clone()).seeds(spec.seeds.clone()).run()`, or
+//! `Scheduler::cocco` for a Cocco twin ([`ExperimentCell::cocco`]) — no
 //! hidden seed salting, no effort rescaling.
 //!
 //! * **Cache-aware** — every cell is keyed by a content hash of
@@ -46,7 +48,7 @@ use std::sync::{Arc, Mutex};
 
 use soma_search::{Scheduler, SearchOutcome};
 use soma_spec::fault::{self, FaultPlan};
-use soma_spec::{ExperimentCell, ExperimentSpec};
+use soma_spec::{ExperimentCell, ExperimentSpec, SchedulerKind};
 
 // The ledger itself lives in `soma_spec::ledger` (it is shared with the
 // `soma-serve` daemon's result cache); re-exported here because the lab
@@ -347,11 +349,14 @@ pub fn run_cells(
             // becomes a typed `Failed` event instead of taking the
             // whole campaign down with it.
             let searched = fault::isolate(faults.as_deref(), fault::site::LAB_CELL, || {
-                Scheduler::new(&cell.net, &cell.hw)
-                    .config(spec.config.clone())
-                    .seeds(spec.seeds.iter().copied())
-                    .parallelism(spec.parallelism.nested())
-                    .run()
+                match cell.scheduler {
+                    SchedulerKind::Soma => Scheduler::new(&cell.net, &cell.hw),
+                    SchedulerKind::Cocco => Scheduler::cocco(&cell.net, &cell.hw),
+                }
+                .config(spec.config.clone())
+                .seeds(spec.seeds.iter().copied())
+                .parallelism(spec.parallelism.nested())
+                .run()
             });
             let outcome = match searched {
                 Ok(outcome) => outcome,

@@ -16,6 +16,11 @@
 //! `lab` rerun (100 % ledger hits, enforced via `--require-hits`) must
 //! reproduce the cold CSV byte-for-byte from the ledger alone.
 //!
+//! The figure binaries run on the same executor: `fig6` over a committed
+//! spec matches its own golden, its SoMa cells are `lab`'s cells, and
+//! `stats` over that CSV matches a golden too (and refuses a damaged
+//! one). The other figure binaries run on tiny scratch specs.
+//!
 //! The `loadgen` client is driven here too, against an in-process
 //! `serve` daemon, with the flags the CI smoke gates use.
 
@@ -64,14 +69,12 @@ fn bless() -> bool {
     std::env::var_os("SOMA_BLESS").is_some_and(|v| v != "0" && !v.is_empty())
 }
 
-/// Runs a harness binary with a scrubbed `SOMA_*` environment plus
-/// `env`; returns stdout, stderr and the exit code.
+/// Runs a harness binary with `SOMA_WORKLOAD` scrubbed from the
+/// environment, plus `env`; returns stdout, stderr and the exit code.
 fn run_bin_env(exe: &str, args: &[&str], env: &[(&str, &str)]) -> (String, String, Option<i32>) {
     let mut cmd = Command::new(exe);
     cmd.args(args);
-    for knob in ["SOMA_EFFORT", "SOMA_SEED", "SOMA_FULL", "SOMA_THREADS", "SOMA_WORKLOAD"] {
-        cmd.env_remove(knob);
-    }
+    cmd.env_remove("SOMA_WORKLOAD");
     cmd.envs(env.iter().copied());
     let out = cmd.output().unwrap_or_else(|e| panic!("cannot spawn {exe}: {e}"));
     (
@@ -190,6 +193,170 @@ fn run_workload_filter_selects_golden_rows() {
     let (csv, err, code) = run_bin_env(run, &[spec], &[("SOMA_WORKLOAD", "nomatch")]);
     assert_eq!(code, Some(2), "an empty selection is a usage error:\n{err}");
     assert!(csv.is_empty(), "{csv}");
+}
+
+/// `fig6` over a committed spec: its CSV matches the golden, with or
+/// without a ledger; a warm rerun searches nothing, prints the same
+/// bytes and leaves the ledger untouched; `lab` replays the same spec
+/// from that ledger with 100 % hits, because a figure's SoMa cells are
+/// `lab`'s cells; and `stats` over the golden matches its own golden.
+#[test]
+fn golden_fig6_pair_edge() {
+    let spec = repo_spec("fig_pair_edge.soma");
+    let spec = spec.to_str().expect("utf-8 path");
+    let fig6 = env!("CARGO_BIN_EXE_fig6");
+
+    let (csv, err, code) = run_bin_code(fig6, &[spec]);
+    assert_eq!(code, Some(0), "{err}");
+    assert_golden(csv.as_bytes(), "fig_pair_edge.fig6.csv");
+
+    let ledger = tmp("golden-fig6.ledger");
+    let ledger_arg = ledger.to_str().expect("utf-8 path");
+    let (cold, err, code) = run_bin_code(fig6, &[spec, "--ledger", ledger_arg]);
+    assert_eq!(code, Some(0), "{err}");
+    assert_eq!(cold, csv, "a ledger changes no byte of the CSV");
+    assert!(err.contains("0 hit(s), 4 searched, 0 failed"), "{err}");
+    let cold_files = files(&ledger);
+
+    let (warm, err, code) = run_bin_code(fig6, &[spec, "--ledger", ledger_arg]);
+    assert_eq!(code, Some(0), "{err}");
+    assert!(
+        err.contains("4 hit(s), 0 searched, 0 failed"),
+        "a warm rerun searches nothing:\n{err}"
+    );
+    assert_eq!(warm, csv);
+    assert_eq!(files(&ledger), cold_files, "a warm rerun wrote to the ledger");
+
+    let args = [spec, "--ledger", ledger_arg, "--require-hits"];
+    let (_, err, code) = run_bin_code(env!("CARGO_BIN_EXE_lab"), &args);
+    assert_eq!(code, Some(0), "lab must replay fig6's SoMa cells:\n{err}");
+
+    let golden = golden_path("fig_pair_edge.fig6.csv");
+    let (report, err, code) =
+        run_bin_code(env!("CARGO_BIN_EXE_stats"), &[golden.to_str().unwrap()]);
+    assert_eq!(code, Some(0), "{err}");
+    assert_golden(report.as_bytes(), "fig_pair_edge.stats.txt");
+}
+
+/// `stats` refuses a CSV it cannot trust — a cut row, a value that is
+/// not a number, a missing file, a scenario without its full triple, a
+/// CSV with no triple at all, a foreign header — with exit status 2 and
+/// the offending file and line, instead of averaging what is left.
+#[test]
+fn stats_refuses_a_damaged_csv() {
+    let golden = fs::read_to_string(golden_path("fig_pair_edge.fig6.csv")).expect("fig6 golden");
+    let lines: Vec<&str> = golden.lines().collect();
+    assert_eq!(lines.len(), 7, "header plus two triples");
+    let dir = tmp("stats-damage");
+    fs::create_dir_all(&dir).expect("scratch dir");
+    let stats = |name: &str, text: Option<String>| {
+        let path = dir.join(name);
+        if let Some(text) = text {
+            fs::write(&path, text).expect("write damaged csv");
+        }
+        let path = path.to_str().expect("utf-8 path").to_string();
+        let (out, err, code) = run_bin_code(env!("CARGO_BIN_EXE_stats"), &[&path]);
+        assert_eq!(code, Some(2), "{name}: {err}");
+        assert!(out.is_empty(), "{name}: {out}");
+        (path, err)
+    };
+    let with = |edit: &dyn Fn(&mut Vec<String>)| {
+        let mut rows: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+        edit(&mut rows);
+        Some(rows.join("\n") + "\n")
+    };
+
+    let cut = with(&|rows| rows[2] = rows[2].split(',').take(10).collect::<Vec<_>>().join(","));
+    let (path, err) = stats("cut.csv", cut);
+    assert_eq!(err, format!("stats: {path}:3: expected 17 fields, got 10\n"));
+
+    let nan = with(&|rows| {
+        let mut f: Vec<&str> = rows[1].split(',').collect();
+        f[5] = "NaNx";
+        rows[1] = f.join(",");
+    });
+    let (path, err) = stats("nan.csv", nan);
+    assert_eq!(err, format!("stats: {path}:2: latency_cycles \"NaNx\" is not a finite number\n"));
+
+    let (path, err) = stats("missing.csv", None);
+    assert!(err.starts_with(&format!("stats: {path}: ")), "{err}");
+
+    let partial = with(&|rows| {
+        rows.remove(3);
+    });
+    let (path, err) = stats("partial.csv", partial);
+    assert_eq!(err, format!("stats: {path}:2: fig2@edge/b1 has no ours_2 row\n"));
+
+    let (path, err) = stats("empty.csv", with(&|rows| rows.truncate(1)));
+    assert_eq!(err, format!("stats: {path}:1: no complete cocco/ours_1/ours_2 triple\n"));
+
+    let (path, err) = stats("header.csv", with(&|rows| rows[0] = "scenario,scheme".into()));
+    assert!(err.starts_with(&format!("stats: {path}:1: unexpected header")), "{err}");
+}
+
+/// `fig3`, `fig7`, `fig8` and `ablation` each run a tiny scratch spec
+/// through the cell executor and print their header and one block of
+/// rows per cell; a bad command line is a usage error.
+#[test]
+fn figure_binaries_run_tiny_specs() {
+    let dir = tmp("figure-specs");
+    fs::create_dir_all(&dir).expect("scratch dir");
+    let run = |exe: &str, body: &str| {
+        let spec =
+            dir.join(format!("{}.soma", Path::new(exe).file_name().unwrap().to_str().unwrap()));
+        let text = format!("soma-experiment v1\nname tiny\n{body}seeds 2025\neffort 0.01\nend\n");
+        fs::write(&spec, text).expect("write spec");
+        let (out, err, code) = run_bin_code(exe, &[spec.to_str().expect("utf-8 path")]);
+        assert_eq!(code, Some(0), "{exe}: {err}");
+        out
+    };
+    let pair = "scenario fig2@edge/b1\nscenario fig4@edge/b1\n";
+    let (fig2_layers, fig4_layers) =
+        (soma_model::zoo::fig2(1).len(), soma_model::zoo::fig4(1).len());
+
+    let out = run(env!("CARGO_BIN_EXE_fig3"), pair);
+    let rows: Vec<&str> = out.lines().collect();
+    assert_eq!(rows[0], "panel,scenario,item,dram_norm,ops_norm");
+    let count = |prefix: &str| rows.iter().filter(|r| r.starts_with(prefix)).count();
+    assert_eq!(count("layer,fig2@edge/b1,"), fig2_layers);
+    assert_eq!(count("layer,fig4@edge/b1,"), fig4_layers);
+    assert!(count("tile,fig2@edge/b1,") > 0 && count("tile,fig4@edge/b1,") > 0, "{out}");
+    assert_eq!(rows.len(), 1 + count("layer,") + count("tile,"));
+
+    let hw = "workload fig2 fig4\nhardware edge buffer_mib=4 dram_gbps=8 name=edge-4MB-8GBps\n\
+              batch 1 4\n";
+    let out = run(env!("CARGO_BIN_EXE_fig7"), hw);
+    let rows: Vec<&str> = out.lines().collect();
+    assert_eq!(
+        rows[0],
+        "scenario,scheduler,workload,batch,buffer_mib,dram_gbps,latency_cycles,latency_ms"
+    );
+    assert_eq!(rows.len(), 1 + 2 * 4, "a cocco and a soma row per cell:\n{out}");
+    assert!(rows[1].starts_with("fig2@edge-4MB-8GBps/b1,cocco,fig2,1,4,8,"), "{out}");
+    assert!(rows[2].starts_with("fig2@edge-4MB-8GBps/b1,soma,fig2,1,4,8,"), "{out}");
+    let batches: Vec<&str> = rows[1..].iter().map(|r| r.split(',').nth(3).unwrap()).collect();
+    assert_eq!(batches, ["1", "1", "1", "1", "4", "4", "4", "4"], "grouped by batch");
+
+    let out = run(env!("CARGO_BIN_EXE_fig8"), "scenario fig2@edge/b1\n");
+    assert!(out.starts_with("scenario: fig2@edge/b1\n==== Cocco ====\n"), "{out}");
+    assert_eq!(out.matches("==== ").count(), 3, "{out}");
+    assert_eq!(out.matches("latency ").count(), 3, "{out}");
+
+    let out = run(env!("CARGO_BIN_EXE_ablation"), pair);
+    let rows: Vec<&str> = out.lines().collect();
+    assert_eq!(rows[0], "scenario,workload,batch,variant,latency_cycles,energy_pj,cost");
+    assert_eq!(rows.len(), 1 + 2 * 5, "five variants per cell:\n{out}");
+    let variants: Vec<&str> = rows[1..6].iter().map(|r| r.split(',').nth(3).unwrap()).collect();
+    assert_eq!(variants, ["cocco", "stage1_only", "no_allocator", "linked_cuts", "full"]);
+
+    let fig6 = env!("CARGO_BIN_EXE_fig6");
+    let junk = dir.join("junk.soma");
+    fs::write(&junk, "soma-experiment v1\nname x\nend\n").expect("write spec");
+    for args in [&[][..], &["--ledger"], &["a.soma", "b.soma"], &[junk.to_str().unwrap()]] {
+        let (out, err, code) = run_bin_code(fig6, args);
+        assert_eq!(code, Some(2), "{args:?}: {err}");
+        assert!(out.is_empty() && err.starts_with("fig6: "), "{args:?}: {err}");
+    }
 }
 
 /// `--require-hits` on a cold ledger must fail with exit status 3 — the

@@ -14,8 +14,8 @@
 //! canonical network (sequence parameters baked in, batch free) and flags
 //! which evaluation suites it belongs to. [`edge_suite`], [`cloud_suite`]
 //! and [`full_zoo`] are filters over that table, and [`by_name`] resolves a
-//! canonical name to its network — the lookup the scenario registry and the
-//! `SOMA_WORKLOAD` knob build on.
+//! canonical name to its network — the lookup the scenario registry and
+//! experiment specs build on.
 
 mod bert;
 mod gpt2;

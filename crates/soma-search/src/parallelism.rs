@@ -3,9 +3,9 @@
 //!
 //! Every parallel site in the workspace takes an explicit `Parallelism`
 //! instead of consulting ad-hoc globals — [`Scheduler::parallelism`]
-//! (crate::Scheduler::parallelism), `RunConfig.threads`, the `threads`
-//! directive of an experiment spec, and the `--threads` flag of the
-//! `run`/`lab` binaries all carry this type.
+//! (crate::Scheduler::parallelism), the `threads` directive of an
+//! experiment spec, and the `--threads` flag of the `run`/`lab` binaries
+//! all carry this type.
 //!
 //! Determinism: outcomes and ledger bytes are **bit-identical across
 //! all variants**. Work is merged in submission order (never completion
@@ -143,8 +143,8 @@ mod tests {
 
     #[test]
     fn hostile_inputs_pin_their_exact_error_message() {
-        // The message is part of the CLI/env contract (`--threads`,
-        // `SOMA_THREADS` surface it verbatim) — pin it exactly.
+        // The message is part of the CLI contract (`run` and `lab` print
+        // it verbatim for a bad `--threads`) — pin it exactly.
         let msg = |input: &str| {
             format!(
                 "invalid parallelism `{}`: expected `auto`, `seq`, or a thread count >= 1",

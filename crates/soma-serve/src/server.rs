@@ -30,7 +30,7 @@ use soma_search::{Cancelled, Parallelism, Scheduler, SearchConfig, SearchOutcome
 use soma_spec::fault::{self, Fault, FaultPlan};
 use soma_spec::ledger::{cell_key, Ledger, LedgerRow};
 use soma_spec::registry;
-use soma_spec::{inline_scenario_id, read_hardware, read_network, ExperimentCell};
+use soma_spec::{inline_scenario_id, read_hardware, read_network, ExperimentCell, SchedulerKind};
 
 use crate::admission::{estimate_evals, Admission};
 use crate::net::{Listen, Listener, Stream};
@@ -352,6 +352,7 @@ fn resolve_target(target: &Target) -> Result<ExperimentCell, String> {
                 batch: 1,
                 net,
                 hw,
+                scheduler: SchedulerKind::Soma,
             })
         }
     }

@@ -67,11 +67,21 @@ pub struct ExperimentSpec {
     pub parallelism: Parallelism,
 }
 
+/// Which scheduler searches a cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SchedulerKind {
+    /// The full SoMa pipeline (`Scheduler::new`).
+    Soma,
+    /// The Cocco baseline (`Scheduler::cocco`).
+    Cocco,
+}
+
 /// One resolved (workload, platform, batch) point of an experiment.
 #[derive(Debug, Clone)]
 pub struct ExperimentCell {
     /// Scenario id: the registry id when the platform is a bare preset,
-    /// otherwise `<workload>@<hardware-name>/b<batch>`.
+    /// otherwise `<workload>@<hardware-name>/b<batch>`. A Cocco twin's id
+    /// ends in `+cocco`.
     pub id: String,
     /// Canonical workload name.
     pub workload: String,
@@ -83,6 +93,18 @@ pub struct ExperimentCell {
     pub net: Network,
     /// The resolved platform configuration.
     pub hw: HardwareConfig,
+    /// The scheduler that searches this cell.
+    pub scheduler: SchedulerKind,
+}
+
+impl ExperimentCell {
+    /// The cell's Cocco twin: the same point searched by the Cocco
+    /// baseline. Its id is this cell's id plus `+cocco`, so it owns a
+    /// ledger key of its own. No registry id carries the suffix, so only
+    /// code can build a twin.
+    pub fn cocco(&self) -> Self {
+        Self { id: format!("{}+cocco", self.id), scheduler: SchedulerKind::Cocco, ..self.clone() }
+    }
 }
 
 impl ExperimentSpec {
@@ -109,6 +131,7 @@ impl ExperimentSpec {
                         batch,
                         net,
                         hw: hw.clone(),
+                        scheduler: SchedulerKind::Soma,
                     });
                 }
             }
@@ -499,6 +522,22 @@ mod tests {
         assert!(e.to_string().contains("duplicate `threads`"), "{e}");
         let e = read_experiment(&format!("{base}threads\nend\n")).unwrap_err();
         assert!(e.to_string().contains("expected `threads"), "{e}");
+    }
+
+    #[test]
+    fn a_cocco_twin_is_keyed_apart_from_its_cell() {
+        let spec = read_experiment(FIG2).unwrap();
+        let cell = &spec.cells()[0];
+        let twin = cell.cocco();
+        assert_eq!(twin.id, "fig2@edge/b1+cocco");
+        assert_eq!((cell.scheduler, twin.scheduler), (SchedulerKind::Soma, SchedulerKind::Cocco));
+        assert_eq!((&twin.workload, twin.batch, &twin.hw), (&cell.workload, cell.batch, &cell.hw));
+        let key = |c: &ExperimentCell| crate::cell_key(c, &spec.config, &spec.seeds);
+        assert_ne!(key(&twin), key(cell));
+        // No spec can name a twin: the registry has no `+cocco` ids.
+        let e = read_experiment("soma-experiment v1\nname x\nscenario fig2@edge/b1+cocco\nend\n")
+            .unwrap_err();
+        assert!(e.to_string().contains("unknown scenario id"), "{e}");
     }
 
     #[test]

@@ -79,7 +79,9 @@ pub mod network;
 pub mod registry;
 
 pub use error::SpecError;
-pub use experiment::{read_experiment, write_experiment, ExperimentCell, ExperimentSpec};
+pub use experiment::{
+    read_experiment, write_experiment, ExperimentCell, ExperimentSpec, SchedulerKind,
+};
 pub use fault::{Fault, FaultConfig, FaultPlan};
 pub use hardware::{read_hardware, write_hardware, HardwareSpec, HwField, Preset};
 pub use hash::{cell_hash, inline_scenario_id};

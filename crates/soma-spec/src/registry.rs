@@ -11,7 +11,7 @@
 use soma_arch::HardwareConfig;
 use soma_model::{zoo, Network};
 
-use crate::experiment::ExperimentCell;
+use crate::experiment::{ExperimentCell, SchedulerKind};
 use crate::hardware::Preset;
 
 /// The paper's batch-size grid, enumerated by [`scenarios`].
@@ -61,6 +61,7 @@ impl Scenario {
             batch: self.batch,
             net: self.network(),
             hw,
+            scheduler: SchedulerKind::Soma,
         }
     }
 }
@@ -154,6 +155,7 @@ mod tests {
             "fig2@edge/bx",
             "fig2@warp/b1",
             "no-such-net@edge/b1",
+            "fig2@edge/b1+cocco",
         ] {
             assert!(lookup(bad).is_none(), "{bad} should not resolve");
         }
