@@ -11,7 +11,8 @@
 //! hidden seed salting, no effort rescaling.
 //!
 //! * **Cache-aware** — every cell is keyed by a content hash of
-//!   (scenario id, resolved hardware, [`SearchConfig`], seed portfolio,
+//!   (scenario id, resolved hardware,
+//!   [`SearchConfig`](soma_search::SearchConfig), seed portfolio,
 //!   [`soma_search::ENGINE_VERSION`]); cells whose key already sits in
 //!   the on-disk **run ledger** are served from it without any search
 //!   work ([`LabEvent::Cached`]). A ledger row whose outcome does not
@@ -27,11 +28,11 @@
 //!   byte-identical to an uninterrupted one.
 //! * **Parallel with deterministic merge** — cell searches that miss the
 //!   ledger fan out across the threads selected by the spec's
-//!   [`Parallelism`] policy (the `threads` directive / `--threads`
-//!   flag). Results are merged, the ledger written and
-//!   [`LabEvent::Cached`]/[`LabEvent::Finished`] observed in cell order
-//!   regardless of completion order, so ledger bytes and rows are
-//!   bit-identical across thread counts.
+//!   [`Parallelism`](soma_search::Parallelism) policy (the `threads`
+//!   directive / `--threads` flag). Results are merged, the ledger
+//!   written and [`LabEvent::Cached`]/[`LabEvent::Finished`] observed in
+//!   cell order regardless of completion order, so ledger bytes and rows
+//!   are bit-identical across thread counts.
 //! * **Isolated** — a cell whose search panics becomes a
 //!   [`LabEvent::Failed`] ([`fault::isolate`]); the other cells proceed.
 //!
@@ -218,14 +219,15 @@ pub fn run_lab(
 }
 
 /// Executes `cells` under the spec's configuration, seed portfolio and
-/// [`Parallelism`] policy, against the ledger at `ledger_path` or, given
-/// `None`, against no ledger at all (the `run` binary).
+/// [`Parallelism`](soma_search::Parallelism) policy, against the ledger
+/// at `ledger_path` or, given `None`, against no ledger at all (the
+/// `run` binary).
 ///
 /// Ledger hits are served without search work; misses fan out across
 /// the threads chosen by `spec.parallelism` and append to the ledger in
 /// cell order. The observer sees [`LabEvent`]s in the order documented
 /// on the type. The returned rows and ledger bytes are bit-identical
-/// across every [`Parallelism`] policy.
+/// across every [`Parallelism`](soma_search::Parallelism) policy.
 ///
 /// `stop` is checked **between cells** (the `lab` binary's SIGINT flag):
 /// once it reads `true`, cells whose search has not started are

@@ -194,6 +194,35 @@ fn gantt_drilldown_renders_from_the_ledger() {
     assert_eq!(missing.status.code(), Some(2));
 }
 
+/// A figure's Cocco twin row (id `<cell>+cocco`) drills down like its
+/// cell: the network comes from the cell's registry id and the chart
+/// is the twin outcome's own.
+#[test]
+fn gantt_drilldown_renders_a_cocco_twin_row() {
+    let ledger = tmp("obs-watch-fig6.ledger");
+    let _ = fs::remove_dir_all(&ledger);
+    let spec = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs/fig_pair_edge.soma");
+    let fig6 = Command::new(env!("CARGO_BIN_EXE_fig6"))
+        .arg(&spec)
+        .arg("--ledger")
+        .arg(&ledger)
+        .output()
+        .expect("spawn fig6");
+    assert!(fig6.status.success(), "fig6 failed: {}", String::from_utf8_lossy(&fig6.stderr));
+
+    let twin = "fig2@edge/b1+cocco";
+    let out = watch(&[ledger.to_str().unwrap(), "--headless", "--gantt", twin, "--width", "60"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let rows = Ledger::load(&ledger).unwrap();
+    let row = rows.rows().iter().find(|r| r.cell == twin).expect("fig6 records the twin");
+    let outcome = row.outcome().expect("twin outcome decodes");
+    let net = zoo::fig2(1);
+    let sched = ParsedSchedule::new(&net, &outcome.best.encoding).expect("twin scheme parses");
+    let chart = render_gantt(&net, &sched, &outcome.best.report.timeline, 60);
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), chart);
+}
+
 /// The full Gantt chart for a fixed (network, encoding, hardware)
 /// triple — the chart `watch --gantt` prints. Pinning its exact bytes
 /// catches both renderer drift *and* simulator drift (the block

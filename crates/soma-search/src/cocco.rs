@@ -1,4 +1,4 @@
-//! The Cocco baseline (paper Sec. VI-A3, [49]).
+//! The Cocco baseline (paper Sec. VI-A3, \[49\]).
 //!
 //! Mapped into our notation (paper Sec. IV-B), Cocco explores only the
 //! *Computing Order* and *DRAM Cut* attributes:
@@ -16,9 +16,10 @@ use soma_arch::HardwareConfig;
 use soma_core::Lfa;
 use soma_model::{LayerId, Network, Src};
 
-use crate::lfa_stage::min_granularity_tiling;
+use crate::lfa_stage::{min_granularity_tiling, Stage1Result};
+use crate::objective::Objective;
 use crate::sa::{anneal, SaSchedule};
-use crate::stage::{RoundCtx, SearchStage, StageArtifact};
+use crate::SearchConfig;
 
 /// Cocco's heuristic tiling number for a group of layers: the finest
 /// requirement among its members, so every layer's tiles still fill the
@@ -111,49 +112,46 @@ pub fn mutate_cocco(
     Some(out)
 }
 
-/// Cocco's restricted exploration as a composable [`SearchStage`]: SA
-/// over computing order and linked FLC/DRAM-cut sets with heuristic
-/// tiling, evaluated under the double-buffer DLSA and the full hardware
-/// buffer (the restricted space has no stage-2, so the session runs it
-/// as a single allocator round).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CoccoStage;
+/// Cocco's restricted exploration: SA over computing order and linked
+/// FLC/DRAM-cut sets with heuristic tiling, evaluated under the
+/// double-buffer DLSA and the full hardware buffer. The restricted space
+/// has no stage 2, so the allocator runs it in a single round.
+///
+/// # Panics
+///
+/// Panics if even the unfused initial solution fails to parse — that
+/// would mean the network itself is malformed.
+pub fn run_cocco(
+    obj: &mut Objective<'_>,
+    cfg: &SearchConfig,
+    rng: &mut StdRng,
+    buffer_limit: u64,
+) -> Stage1Result {
+    let net = obj.network();
+    let hw = obj.hardware();
 
-impl SearchStage for CoccoStage {
-    fn name(&self) -> &'static str {
-        "cocco"
-    }
+    let init = initial_cocco(net, hw);
+    let (init_cost, ..) =
+        obj.eval_lfa(&init, buffer_limit).expect("Cocco's unfused initial solution must parse");
 
-    fn run(&self, ctx: &mut RoundCtx<'_, '_>) -> StageArtifact {
-        let net = ctx.obj.network();
-        let hw = ctx.obj.hardware();
-        let cfg = ctx.cfg;
-        let limit = ctx.buffer_limit;
+    let iters = cfg.stage1_iters(net.len());
+    let schedule = SaSchedule {
+        t0: cfg.t0,
+        alpha: cfg.alpha,
+        iters,
+        greedy_tail: iters / 10,
+        time_budget: cfg.stage_time_budget(),
+    };
+    // Cost-only engine fast path; bit-identical to `eval_lfa`'s cost.
+    let result = anneal(&schedule, rng, init, init_cost, |lfa, rng| {
+        let cand = mutate_cocco(net, hw, lfa, rng)?;
+        let cost = obj.eval_lfa_cost(&cand, buffer_limit)?;
+        Some((cand, cost))
+    });
 
-        let init = initial_cocco(net, hw);
-        let (init_cost, ..) =
-            ctx.obj.eval_lfa(&init, limit).expect("Cocco's unfused initial solution must parse");
-
-        let iters = cfg.stage1_iters(net.len());
-        let schedule = SaSchedule {
-            t0: cfg.t0,
-            alpha: cfg.alpha,
-            iters,
-            greedy_tail: iters / 10,
-            time_budget: cfg.stage_time_budget(),
-        };
-        let obj = &mut *ctx.obj;
-        // Cost-only engine fast path; bit-identical to `eval_lfa`'s cost.
-        let result = anneal(&schedule, ctx.rng, init, init_cost, |lfa, rng| {
-            let cand = mutate_cocco(net, hw, lfa, rng)?;
-            let cost = obj.eval_lfa_cost(&cand, limit)?;
-            Some((cand, cost))
-        });
-
-        let (cost, plan, dlsa, report) =
-            ctx.obj.eval_lfa(&result.best, limit).expect("best Cocco solution must re-evaluate");
-        StageArtifact { lfa: result.best, plan, dlsa, report, cost }
-    }
+    let (cost, plan, dlsa, report) =
+        obj.eval_lfa(&result.best, buffer_limit).expect("best Cocco solution must re-evaluate");
+    Stage1Result { lfa: result.best, plan, dlsa, report, cost }
 }
 
 #[cfg(test)]

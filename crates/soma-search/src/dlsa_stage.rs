@@ -37,7 +37,6 @@ use soma_sim::{CompiledPlan, EvalReport, Replay};
 
 use crate::objective::Objective;
 use crate::sa::{anneal_inplace, AnnealState, SaResult, SaSchedule};
-use crate::stage::{RoundCtx, SearchStage, StageArtifact};
 use crate::SearchConfig;
 
 /// Size-proportional tensor picker (prefix sums over tensor bytes).
@@ -418,30 +417,6 @@ pub fn run_stage2(
         .eval_parts(plan, &result.best, buffer_limit)
         .expect("best stage-2 solution must re-evaluate");
     Stage2Result { dlsa: result.best, report, cost }
-}
-
-/// Stage 2 as a composable [`SearchStage`]: freezes the preceding
-/// stage's plan and anneals the DLSA under the full hardware buffer.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DlsaStage;
-
-impl SearchStage for DlsaStage {
-    fn name(&self) -> &'static str {
-        "dlsa"
-    }
-
-    fn run(&self, ctx: &mut RoundCtx<'_, '_>) -> StageArtifact {
-        let prev = ctx.take_current(self.name());
-        let s2 =
-            run_stage2(ctx.obj, ctx.cfg, ctx.rng, &prev.plan, prev.dlsa.clone(), ctx.buffer_limit);
-        StageArtifact {
-            lfa: prev.lfa,
-            plan: prev.plan,
-            dlsa: s2.dlsa,
-            report: s2.report,
-            cost: s2.cost,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -8,13 +8,12 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use soma_arch::HardwareConfig;
 use soma_core::plan::MAX_TILING;
-use soma_core::{ComputePlan, Dlsa, Lfa};
+use soma_core::{ComputePlan, Dlsa, Encoding, Lfa};
 use soma_model::{LayerId, Network, Src};
 use soma_sim::EvalReport;
 
-use crate::objective::Objective;
+use crate::objective::{Evaluated, Objective};
 use crate::sa::{anneal, SaSchedule};
-use crate::stage::{RoundCtx, SearchStage, StageArtifact};
 use crate::SearchConfig;
 
 /// The minimum-granularity tiling number for a layer: the finest tiling
@@ -196,6 +195,18 @@ pub struct Stage1Result {
     pub cost: f64,
 }
 
+impl Stage1Result {
+    /// The scheme as a self-contained [`Evaluated`] (clones the encoding
+    /// parts; the plan is dropped, it can be re-parsed).
+    pub fn evaluated(&self) -> Evaluated {
+        Evaluated {
+            encoding: Encoding { lfa: self.lfa.clone(), dlsa: Some(self.dlsa.clone()) },
+            report: self.report.clone(),
+            cost: self.cost,
+        }
+    }
+}
+
 /// Runs the stage-1 annealer under a buffer budget.
 ///
 /// # Panics
@@ -232,29 +243,6 @@ pub fn run_stage1(
     let (cost, plan, dlsa, report) =
         obj.eval_lfa(&result.best, buffer_limit).expect("best stage-1 solution must re-evaluate");
     Stage1Result { lfa: result.best, plan, dlsa, report, cost }
-}
-
-/// Stage 1 as a composable [`SearchStage`]: anneals the LFA under the
-/// round's shrinking buffer budget and hands the winner (with its
-/// double-buffer DLSA) to the next stage.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LfaStage;
-
-impl SearchStage for LfaStage {
-    fn name(&self) -> &'static str {
-        "lfa"
-    }
-
-    fn run(&self, ctx: &mut RoundCtx<'_, '_>) -> StageArtifact {
-        let s1 = run_stage1(ctx.obj, ctx.cfg, ctx.rng, ctx.stage1_limit);
-        StageArtifact {
-            lfa: s1.lfa,
-            plan: s1.plan,
-            dlsa: s1.dlsa,
-            report: s1.report,
-            cost: s1.cost,
-        }
-    }
 }
 
 #[cfg(test)]

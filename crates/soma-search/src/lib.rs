@@ -1,16 +1,16 @@
 //! The SoMa exploration framework (paper Sec. V): a Buffer Allocator
-//! driving a pipeline of simulated-annealing stages over the DRAM
-//! communication scheduling space, plus the Cocco baseline (Sec. VI-A3).
+//! wrapping two simulated-annealing stages over the DRAM communication
+//! scheduling space, plus the Cocco baseline (Sec. VI-A3).
 //!
 //! The public entry point is the [`Scheduler`] builder: it configures a
-//! search (network + hardware, [`SearchConfig`] knobs, stage pipeline,
-//! progress observer, seed list) and yields a stepping [`SearchSession`].
-//! Each [`SearchSession::step`] runs one allocator round (stage 1 +
-//! stage 2 for SoMa) and emits typed [`SearchEvent`]s — round started,
-//! stage finished, new best, budget exhausted — so callers can observe,
-//! log, stop early or resume. [`Scheduler::run`] is the
-//! drive-to-completion convenience; with several [`Scheduler::seeds`] it
-//! races one session per seed via `rayon` and returns the envelope best.
+//! search (network + hardware, [`SearchConfig`] knobs, progress
+//! observer, seed list, cancel probe) and runs it. [`Scheduler::new`]
+//! runs SoMa: each allocator round runs stage 1, then stage 2, and the
+//! observer sees typed [`SearchEvent`]s — round started, stage
+//! finished, new best, budget exhausted. [`Scheduler::cocco`] runs the
+//! baseline's one restricted stage in a single round. With several
+//! [`Scheduler::seeds`], [`Scheduler::run`] races one search per seed
+//! via `rayon` and returns the envelope best.
 //!
 //! ```
 //! use soma_arch::HardwareConfig;
@@ -34,10 +34,10 @@
 //!
 //! Module map:
 //!
-//! * [`session`] — the [`Scheduler`] builder, [`SearchSession`] and
+//! * [`session`] — the [`Scheduler`] builder, [`SchedulerKind`] and
 //!   [`SearchEvent`]s.
-//! * [`stage`] — the [`SearchStage`] trait and [`StageSpec`] pipeline
-//!   descriptions (stage composition as data).
+//! * [`allocator`] — the Buffer Allocator loop around the stages, the
+//!   [`SearchOutcome`] type and its scheme-shape statistics.
 //! * [`sa`] — the generic annealer with the paper's cooling schedule.
 //! * [`objective`] — the `Energy^n x Delay^m` objective with buffer-budget
 //!   penalties, wrapping the evaluator and the compiled engine's
@@ -48,19 +48,16 @@
 //!   durations with size-proportional tensor selection, run in place on
 //!   the compiled engine (apply/undo mutation tokens, incrementally
 //!   maintained buffer profile, zero-allocation evaluation).
+//! * [`cocco`] — the restricted baseline: FLC set == DRAM cut set,
+//!   KC-parallelism heuristic tiling, double-buffer DLSA.
 //! * [`parallelism`] — the [`Parallelism`] thread-count policy
 //!   (`Auto | Fixed(n) | Sequential`) threaded through every parallel
 //!   region in the workspace; results are bit-identical across variants.
-//! * [`allocator`] — the [`SearchOutcome`] type and its scheme-shape
-//!   statistics.
 //! * [`record`] — lossless, deterministic [`SearchOutcome`] ⇄ JSON and
 //!   ⇄ binary conversion for the experiment run ledger, plus
 //!   [`ENGINE_VERSION`].
 //! * [`wire`] — the byte-level primitives (varints, bit-exact floats,
 //!   length-prefixed strings) under the binary ledger frames.
-//! * [`cocco`] — the restricted baseline: FLC set == DRAM cut set,
-//!   KC-parallelism heuristic tiling, double-buffer DLSA.
-//! * [`sweep`] — design-space exploration grids over hardware points.
 
 pub mod allocator;
 pub mod cocco;
@@ -71,14 +68,11 @@ pub mod parallelism;
 pub mod record;
 pub mod sa;
 pub mod session;
-pub mod stage;
-pub mod sweep;
 pub mod wire;
 
 pub use allocator::SearchOutcome;
-pub use cocco::{cocco_tiling, CoccoStage};
-pub use dlsa_stage::{DlsaEditor, DlsaMove, DlsaStage, SizeWeightedPicker};
-pub use lfa_stage::LfaStage;
+pub use cocco::cocco_tiling;
+pub use dlsa_stage::{DlsaEditor, DlsaMove, SizeWeightedPicker};
 pub use objective::{CostWeights, Evaluated, Objective};
 pub use parallelism::Parallelism;
 pub use record::{
@@ -86,9 +80,7 @@ pub use record::{
     RecordError, ENGINE_VERSION,
 };
 pub use sa::{anneal, anneal_inplace, AnnealState, SaResult, SaSchedule};
-pub use session::{Cancelled, Scheduler, SearchEvent, SearchSession, StepOutcome};
-pub use stage::{RoundCtx, SearchStage, StageArtifact, StageSpec};
-pub use sweep::{dse, envelope, grid, DsePoint, GridPoint};
+pub use session::{Cancelled, Scheduler, SchedulerKind, SearchEvent};
 
 use serde::{Deserialize, Serialize};
 

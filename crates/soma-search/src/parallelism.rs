@@ -1,11 +1,11 @@
-//! The [`Parallelism`] knob: how a portfolio run, lab fan-out or
-//! experiment sweep spreads across threads.
+//! The [`Parallelism`] knob: how a seed portfolio or a lab campaign's
+//! cells spread across threads.
 //!
 //! Every parallel site in the workspace takes an explicit `Parallelism`
-//! instead of consulting ad-hoc globals — [`Scheduler::parallelism`]
-//! (crate::Scheduler::parallelism), the `threads` directive of an
-//! experiment spec, and the `--threads` flag of the `run`/`lab` binaries
-//! all carry this type.
+//! instead of consulting ad-hoc globals —
+//! [`Scheduler::parallelism`](crate::Scheduler::parallelism), the
+//! `threads` directive of an experiment spec, and the `--threads` flag
+//! of the `run`/`lab` binaries all carry this type.
 //!
 //! Determinism: outcomes and ledger bytes are **bit-identical across
 //! all variants**. Work is merged in submission order (never completion

@@ -14,7 +14,7 @@
 //!
 //! * **Admission control, not invisible queueing** ([`admission`]) — a
 //!   submit either starts immediately or is refused with a typed
-//!   [`RejectReason`](protocol::RejectReason) (`queue-full`,
+//!   [`protocol::RejectReason`] (`queue-full`,
 //!   `budget-exceeded`, `bad-request`, `shutting-down`) the client can
 //!   act on. The budget check is a coarse upfront estimate of schedule
 //!   evaluations, so an oversized request is refused before it burns a

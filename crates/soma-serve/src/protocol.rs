@@ -1,6 +1,6 @@
 //! The wire protocol: line-delimited JSON frames, one object per line.
 //!
-//! Every frame carries `"v": 1` ([`PROTOCOL_VERSION`](crate::PROTOCOL_VERSION));
+//! Every frame carries `"v": 1` ([`PROTOCOL_VERSION`]);
 //! a peer that sees a higher version must reject the frame rather than
 //! guess at its meaning. Unknown *fields* inside a known frame are
 //! ignored (additive evolution is compatible; removing or re-typing a

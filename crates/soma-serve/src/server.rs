@@ -7,10 +7,10 @@
 //! result streams back immediately, bit-identical to the original run,
 //! with `cached: true` and zero search work — or passes admission and
 //! runs a [`Scheduler`] search right on the connection thread, streaming
-//! [`SearchEvent`] progress frames as the engine reports them. Fresh
-//! outcomes are appended to the ledger (flushed before the result frame
-//! is sent), so the cache grows across requests *and* across daemon
-//! restarts.
+//! [`SearchEvent`](soma_search::SearchEvent) progress frames as the
+//! engine reports them. Fresh outcomes are appended to the ledger
+//! (flushed before the result frame is sent), so the cache grows across
+//! requests *and* across daemon restarts.
 //!
 //! Graceful shutdown: [`ServerHandle::shutdown`] (or SIGINT/SIGTERM via
 //! [`crate::shutdown`]) flips a flag that the accept loop and every

@@ -18,7 +18,7 @@
 //! `hardware` × `batch` lines span a grid that is appended after the
 //! explicit scenarios (batch defaults to 1 if no `batch` line is given).
 //! `hardware` takes a preset id plus optional inline `field=value`
-//! overrides with [`HardwareSpec`](crate::HardwareSpec) semantics. The
+//! overrides with [`HardwareSpec`] semantics. The
 //! remaining lines override [`SearchConfig`] knobs (defaults apply when
 //! absent): `effort`, `t0`, `alpha`, `allocator_step`,
 //! `max_allocator_iters`, `stage1_cap`, `stage2_cap`, `link_cuts` (0|1),
@@ -35,6 +35,7 @@ use std::fmt::Write as _;
 
 use soma_arch::HardwareConfig;
 use soma_model::{zoo, Network};
+pub use soma_search::SchedulerKind;
 use soma_search::{Parallelism, SearchConfig};
 
 use crate::error::{body_lines, SpecError};
@@ -67,14 +68,8 @@ pub struct ExperimentSpec {
     pub parallelism: Parallelism,
 }
 
-/// Which scheduler searches a cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// The full SoMa pipeline (`Scheduler::new`).
-    Soma,
-    /// The Cocco baseline (`Scheduler::cocco`).
-    Cocco,
-}
+/// The id suffix that marks a cell's Cocco twin ([`ExperimentCell::cocco`]).
+pub const COCCO_SUFFIX: &str = "+cocco";
 
 /// One resolved (workload, platform, batch) point of an experiment.
 #[derive(Debug, Clone)]
@@ -103,7 +98,11 @@ impl ExperimentCell {
     /// ledger key of its own. No registry id carries the suffix, so only
     /// code can build a twin.
     pub fn cocco(&self) -> Self {
-        Self { id: format!("{}+cocco", self.id), scheduler: SchedulerKind::Cocco, ..self.clone() }
+        Self {
+            id: format!("{}{COCCO_SUFFIX}", self.id),
+            scheduler: SchedulerKind::Cocco,
+            ..self.clone()
+        }
     }
 }
 

@@ -80,7 +80,7 @@ pub mod registry;
 
 pub use error::SpecError;
 pub use experiment::{
-    read_experiment, write_experiment, ExperimentCell, ExperimentSpec, SchedulerKind,
+    read_experiment, write_experiment, ExperimentCell, ExperimentSpec, SchedulerKind, COCCO_SUFFIX,
 };
 pub use fault::{Fault, FaultConfig, FaultPlan};
 pub use hardware::{read_hardware, write_hardware, HardwareSpec, HwField, Preset};

@@ -13,18 +13,18 @@ fn main() {
     let hw = HardwareConfig::edge();
     let cfg = SearchConfig { effort: 0.3, seed: 11, ..SearchConfig::default() };
 
-    // Search round by round — a stepping session can be paused, observed
-    // or abandoned between allocator rounds — then serialise the best.
-    let mut session = Scheduler::new(&net, &hw).config(cfg).build();
-    while session.step() == StepOutcome::Running {
-        eprintln!(
-            "allocator round {} done: best cost {:.3e}, {} evals",
-            session.rounds(),
-            session.best().map_or(f64::NAN, |b| b.cost),
-            session.evals()
-        );
-    }
-    let outcome = session.into_outcome();
+    // Search, reporting each allocator round that finds a new best, then
+    // serialise the best scheme.
+    let outcome = Scheduler::new(&net, &hw)
+        .config(cfg)
+        .observer(|ev| {
+            if let SearchEvent::NewBest { round, cost, latency_cycles } = ev {
+                eprintln!(
+                    "allocator round {round}: new best cost {cost:.3e}, {latency_cycles} cycles"
+                );
+            }
+        })
+        .run();
     let scheme_text = write_scheme(&net, &outcome.best.encoding);
     println!("--- scheme file ---\n{scheme_text}");
 

@@ -10,7 +10,7 @@
 //! * [`arch`] — accelerator hardware configuration and energy model.
 //! * [`core`] — the tensor-centric notation and its parser.
 //! * [`sim`] — the evaluator (timeline simulator + core-array model).
-//! * [`search`] — the [`Scheduler`](search::Scheduler) session API over
+//! * [`search`] — the [`Scheduler`](search::Scheduler) builder over
 //!   the two-stage SA framework, buffer allocator and the Cocco
 //!   baseline.
 //! * [`spec`] — declarative scenario specs: parseable network /
@@ -26,8 +26,8 @@
 //!
 //! # Quickstart
 //!
-//! Build a search with the [`Scheduler`](search::Scheduler), then either
-//! drive it to completion with `run()` or step it round by round:
+//! Build a search with the [`Scheduler`](search::Scheduler), then drive
+//! it to completion with `run()`:
 //!
 //! ```
 //! use soma::prelude::*;
@@ -55,7 +55,6 @@ pub mod prelude {
     pub use soma_model::{FmapShape, LayerId, Network, NetworkBuilder};
     pub use soma_search::{
         CostWeights, Parallelism, Scheduler, SearchConfig, SearchEvent, SearchOutcome,
-        SearchSession, StepOutcome,
     };
     pub use soma_sim::{evaluate, EvalReport};
     pub use soma_spec::{read_experiment, read_network, write_network, ExperimentSpec, SpecError};

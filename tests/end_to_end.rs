@@ -184,6 +184,27 @@ fn bigger_buffer_never_hurts_soma() {
 }
 
 #[test]
+fn more_bandwidth_never_hurts_soma() {
+    let net = zoo::fig2(1);
+    let at = |gbps: f64| {
+        HardwareConfig::builder()
+            .like(&HardwareConfig::edge())
+            .buffer_mib(8)
+            .dram_gbps(gbps)
+            .build()
+    };
+    let (slow, fast) = (at(4.0), at(128.0));
+    let a = Scheduler::new(&net, &slow).config(quick(7)).run();
+    let b = Scheduler::new(&net, &fast).config(quick(7)).run();
+    assert!(
+        b.best.report.latency_cycles <= a.best.report.latency_cycles,
+        "128 GB/s {} vs 4 GB/s {}",
+        b.best.report.latency_cycles,
+        a.best.report.latency_cycles
+    );
+}
+
+#[test]
 fn fig4_paper_encoding_round_trip() {
     let net = zoo::fig4(1);
     let mut lfa = Lfa::fully_fused(&net, 2);
