@@ -21,13 +21,12 @@
 use std::process::ExitCode;
 
 use soma_bench::Figure;
-use soma_core::parse_lfa;
 use soma_search::Evaluated;
 use soma_spec::ExperimentCell;
 
 fn row(cell: &ExperimentCell, scheme: &str, e: &Evaluated) -> String {
     let r = &e.report;
-    let plan = parse_lfa(&cell.net, &e.encoding.lfa).expect("reported scheme parses");
+    let shape = e.shape(&cell.net);
     format!(
         "{},{},{},{},{scheme},{},{:.1},{:.1},{:.6},{:.6},{:.6},{},{},{},{},{},{}",
         cell.id,
@@ -42,10 +41,10 @@ fn row(cell: &ExperimentCell, scheme: &str, e: &Evaluated) -> String {
         r.theoretical_max_util,
         r.avg_buffer,
         r.peak_buffer,
-        plan.n_lgs(),
-        plan.n_flgs(),
-        plan.tiles.len(),
-        plan.dram_tensors.len()
+        shape.lgs,
+        shape.flgs,
+        shape.tiles,
+        shape.dram_tensors
     )
 }
 

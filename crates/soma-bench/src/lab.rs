@@ -85,8 +85,7 @@ pub fn csv_rows(rows: &[ExperimentRow]) -> String {
     let mut out = String::new();
     let mut one =
         |cell: &ExperimentCell, scheme: &str, e: &soma_search::Evaluated, r: &ExperimentRow| {
-            let plan =
-                soma_core::parse_lfa(&cell.net, &e.encoding.lfa).expect("reported scheme parses");
+            let shape = e.shape(&cell.net);
             let _ = writeln!(
                 out,
                 "{},{},{},{},{scheme},{},{:.1},{:.6e},{},{},{},{},{},{}",
@@ -99,10 +98,10 @@ pub fn csv_rows(rows: &[ExperimentRow]) -> String {
                 e.cost,
                 r.outcome.evals,
                 r.outcome.rejected,
-                plan.n_lgs(),
-                plan.n_flgs(),
-                plan.tiles.len(),
-                plan.dram_tensors.len()
+                shape.lgs,
+                shape.flgs,
+                shape.tiles,
+                shape.dram_tensors
             );
         };
     for r in rows {

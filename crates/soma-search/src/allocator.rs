@@ -14,7 +14,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use soma_arch::HardwareConfig;
 use soma_core::Encoding;
 use soma_model::Network;
@@ -43,34 +42,6 @@ pub struct SearchOutcome {
     /// structurally invalid LFAs), kept apart from `evals` so
     /// evaluations-per-second metrics measure real work.
     pub rejected: u64,
-}
-
-/// Summary statistics of a found scheme (for the paper's Sec. VI-B
-/// aggregate analysis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SchemeShape {
-    /// Number of layer-fusion groups (LGs).
-    pub lgs: usize,
-    /// Number of fine-grained layer-fusion groups (FLGs).
-    pub flgs: usize,
-    /// Total computing tiles.
-    pub tiles: usize,
-    /// Total DRAM tensors.
-    pub dram_tensors: usize,
-}
-
-impl SearchOutcome {
-    /// Shape statistics of the best scheme.
-    pub fn shape(&self, net: &Network) -> SchemeShape {
-        let plan = soma_core::parse_lfa(net, &self.best.encoding.lfa)
-            .expect("best scheme parses by construction");
-        SchemeShape {
-            lgs: plan.n_lgs(),
-            flgs: plan.n_flgs(),
-            tiles: plan.tiles.len(),
-            dram_tensors: plan.dram_tensors.len(),
-        }
-    }
 }
 
 /// Runs one seed's search: SoMa's allocator rounds (stage 1, then
@@ -224,7 +195,7 @@ mod tests {
         let net = zoo::fig4(1);
         let hw = HardwareConfig::edge();
         let out = Scheduler::new(&net, &hw).config(quick_cfg(4)).run();
-        let shape = out.shape(&net);
+        let shape = out.best.shape(&net);
         assert!(shape.lgs <= shape.flgs);
         assert!(shape.flgs <= net.len());
         assert!(shape.tiles >= net.len());

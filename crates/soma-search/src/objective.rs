@@ -11,14 +11,16 @@
 //! * **Cost-only evaluations** ([`eval_lfa_cost`](Objective::eval_lfa_cost),
 //!   [`eval_compiled_with_peak`](Objective::eval_compiled_with_peak),
 //!   and `eval_latency` for stage 2's resumed replays) run the compiled
-//!   engine's allocation-free fast path and return just the penalised
-//!   objective value — the SA inner loop's diet. Both families share one
-//!   float pipeline ([`cost_of_parts`](Objective::cost_of_parts)), so
-//!   their costs are bit-identical.
+//!   engine's allocation-free latency path and return just the penalised
+//!   objective value — the SA inner loop's diet.
+//!
+//! [`cost_of_parts`](Objective::cost_of_parts) is the one spelling of
+//! the objective. Both families feed it the same latency, energy and
+//! peak, so their costs are bit-identical.
 
 use serde::{Deserialize, Serialize};
 use soma_arch::HardwareConfig;
-use soma_core::{lifetime, ComputePlan, Dlsa, Encoding, Lfa, SegmentMemo};
+use soma_core::{lifetime, parse_lfa, ComputePlan, Dlsa, Encoding, Lfa, SegmentMemo};
 use soma_model::Network;
 use soma_sim::{evaluate_parts, CompiledPlan, CoreArrayModel, EvalReport, SimError, SimScratch};
 
@@ -48,6 +50,34 @@ pub struct Evaluated {
     pub report: EvalReport,
     /// Its penalised objective value.
     pub cost: f64,
+}
+
+impl Evaluated {
+    /// Shape statistics of the scheme on `net`, the network it was
+    /// evaluated on.
+    pub fn shape(&self, net: &Network) -> SchemeShape {
+        let plan = parse_lfa(net, &self.encoding.lfa).expect("evaluated scheme parses");
+        SchemeShape {
+            lgs: plan.n_lgs(),
+            flgs: plan.n_flgs(),
+            tiles: plan.tiles.len(),
+            dram_tensors: plan.dram_tensors.len(),
+        }
+    }
+}
+
+/// Summary statistics of a found scheme (for the paper's Sec. VI-B
+/// aggregate analysis).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SchemeShape {
+    /// Number of layer-fusion groups (LGs).
+    pub lgs: usize,
+    /// Number of fine-grained layer-fusion groups (FLGs).
+    pub flgs: usize,
+    /// Total computing tiles.
+    pub tiles: usize,
+    /// Total DRAM tensors.
+    pub dram_tensors: usize,
 }
 
 /// Objective function bound to one network + hardware pair, owning the
@@ -113,13 +143,14 @@ impl<'a> Objective<'a> {
         CompiledPlan::compile(self.net, plan, self.hw, &mut self.model)
     }
 
-    /// The penalised objective from its raw parts. This is the single
-    /// float pipeline behind both [`cost_of`](Self::cost_of) and the
-    /// engine fast path, so compiled and naive costs are bit-identical:
-    /// schemes whose peak occupancy exceeds `buffer_limit` are steeply
-    /// penalised (the paper deems them invalid; the penalty keeps the
-    /// annealer's gradient alive when even the initial solution
-    /// overflows).
+    /// The paper's objective `Energy^n x Delay^m` (Sec. V-A) from its
+    /// raw parts: energy in joules, delay in seconds at the hardware's
+    /// clock. This is the single float pipeline behind both the full
+    /// reports and the engine fast path, so compiled and naive costs are
+    /// bit-identical. Schemes whose peak occupancy exceeds `buffer_limit`
+    /// are steeply penalised (the paper deems them invalid; the penalty
+    /// keeps the annealer's gradient alive when even the initial solution
+    /// overflows); a `buffer_limit` of 0 sets no budget.
     pub fn cost_of_parts(
         &self,
         latency_cycles: u64,
@@ -138,16 +169,6 @@ impl<'a> Objective<'a> {
         cost
     }
 
-    /// Penalised objective for a report under a buffer budget.
-    pub fn cost_of(&self, report: &EvalReport, buffer_limit: u64) -> f64 {
-        self.cost_of_parts(
-            report.latency_cycles,
-            report.energy.total_pj(),
-            report.peak_buffer,
-            buffer_limit,
-        )
-    }
-
     /// Evaluates a plan + DLSA pair (full report). Returns `None` for
     /// deadlocked DRAM tensor orders (invalid schemes).
     pub fn eval_parts(
@@ -161,7 +182,12 @@ impl<'a> Objective<'a> {
             return None;
         };
         self.evals += 1;
-        let cost = self.cost_of(&report, buffer_limit);
+        let cost = self.cost_of_parts(
+            report.latency_cycles,
+            report.energy.total_pj(),
+            report.peak_buffer,
+            buffer_limit,
+        );
         Some((cost, report))
     }
 
@@ -265,11 +291,28 @@ mod tests {
         let hw = HardwareConfig::edge();
         let mut obj = Objective::new(&net, &hw, CostWeights::default());
         let lfa = Lfa::fully_fused(&net, 4);
-        let (_, _, _, report) = obj.eval_lfa(&lfa, hw.buffer_bytes).unwrap();
-        let free = obj.cost_of(&report, u64::MAX);
-        let squeezed = obj.cost_of(&report, report.peak_buffer / 2);
+        let (_, _, _, r) = obj.eval_lfa(&lfa, hw.buffer_bytes).unwrap();
+        let energy = r.energy.total_pj();
+        let free = obj.cost_of_parts(r.latency_cycles, energy, r.peak_buffer, u64::MAX);
+        let squeezed =
+            obj.cost_of_parts(r.latency_cycles, energy, r.peak_buffer, r.peak_buffer / 2);
         assert!(squeezed > free * 100.0);
-        assert!(report.peak_buffer <= hw.buffer_bytes);
+        assert!(r.peak_buffer <= hw.buffer_bytes);
+    }
+
+    #[test]
+    fn cost_is_monotone_in_exponents() {
+        let net = zoo::fig2(1);
+        let hw = HardwareConfig::edge();
+        let weights = |energy_exp, delay_exp| CostWeights { energy_exp, delay_exp };
+        let mut obj = Objective::new(&net, &hw, weights(1.0, 1.0));
+        let (_, _, _, r) = obj.eval_lfa(&Lfa::unfused(&net, 4), 0).unwrap();
+        let energy = r.energy.total_pj();
+        assert!(obj.cost_of_parts(r.latency_cycles, energy, r.peak_buffer, 0) > 0.0);
+        // Pure-delay objective equals the delay.
+        let delay = Objective::new(&net, &hw, weights(0.0, 1.0));
+        let d = delay.cost_of_parts(r.latency_cycles, energy, r.peak_buffer, 0);
+        assert!((d - hw.cycles_to_seconds(r.latency_cycles)).abs() < 1e-12);
     }
 
     #[test]

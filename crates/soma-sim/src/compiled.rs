@@ -2,7 +2,8 @@
 //! SA hot path.
 //!
 //! The annealers evaluate tens of thousands of DLSAs against one frozen
-//! [`ComputePlan`]. The naive path ([`simulate`](crate::simulate) +
+//! [`ComputePlan`] and read only a latency and an energy from each. The
+//! naive path ([`simulate`](crate::simulate) +
 //! [`evaluate_parts`](crate::evaluate_parts)) rebuilds the world on every
 //! call: per-tile costs through the memoised core-array model (a hash
 //! lookup per tile), per-tensor DRAM durations, a `Vec<Vec<u32>>` gate
@@ -18,8 +19,7 @@
 //! * the *load* gate table in flat CSR layout (loads gate the tile of
 //!   their first use, which is plan-fixed; store gates move with the DLSA
 //!   and live in the scratch);
-//! * the energy split, DRAM byte totals and busy sums, which do not
-//!   depend on the DLSA at all.
+//! * the plan's energy, which does not depend on the DLSA at all.
 //!
 //! One loop plays the two serial queues. It starts from a *checkpoint*
 //! `(di, ci)` — queue slots served, tiles run — and records end times by
@@ -32,10 +32,6 @@
 //!   returning only the end-to-end latency — the cost-only fast path for
 //!   annealers that combine it with an incrementally maintained
 //!   [`OccupancyProfile`](soma_core::OccupancyProfile) peak.
-//!   [`CompiledPlan::simulate_into`] is the same loop recording start
-//!   times too, and [`CompiledPlan::report`] the slow sibling that fills
-//!   a full [`EvalReport`], bit-identical to
-//!   [`evaluate_parts`](crate::evaluate_parts).
 //! * [`Replay`] keeps the loop's record of one DLSA and re-runs it from
 //!   the last checkpoint an edit cannot have changed, rewriting only the
 //!   suffix after it in place: keeping the edit needs nothing more, and
@@ -45,16 +41,17 @@
 //!   so a resumed latency or [`SimError`] equals a full replay's. Stage 2
 //!   evaluates every proposal this way.
 //!
-//! The differential suite in `tests/engine_equiv.rs` proves these claims
-//! on random mutation chains.
+//! Full reports (start times, utilisations, buffer statistics) come from
+//! the naive path alone. The differential suite in `tests/engine_equiv.rs`
+//! checks the engine's latencies, deadlocks and energy against it on
+//! random mutation chains.
 
 use soma_arch::HardwareConfig;
-use soma_core::{lifetime, ComputePlan, Dlsa, TileShape};
+use soma_core::{ComputePlan, Dlsa, TileShape};
 use soma_model::Network;
 
 use crate::core_array::{CoreArrayModel, TileCost};
-use crate::report::{EnergyBreakdown, EvalReport};
-use crate::timeline::{SimError, Timeline};
+use crate::timeline::SimError;
 
 /// What one queue replay records. Times are kept per queue *slot* (the
 /// position in the DLSA order) rather than per tensor, so the part a
@@ -64,15 +61,11 @@ use crate::timeline::{SimError, Timeline};
 struct Record {
     /// Store gates per tile: the stores whose living duration ends there.
     store_gates: Vec<Vec<u32>>,
-    /// Start cycle of each queue slot (full path only).
-    slot_start: Vec<u64>,
     /// End cycle of each queue slot.
     slot_end: Vec<u64>,
     /// Tiles run when each slot was served: the checkpoint "before
     /// serving slot `k`" is `(k, slot_ci[k])`.
     slot_ci: Vec<u32>,
-    /// Start cycle of each tile (full path only).
-    tile_start: Vec<u64>,
     /// End cycle of each tile.
     tile_end: Vec<u64>,
     /// Slots served when each tile ran: the checkpoint "before running
@@ -89,9 +82,6 @@ pub struct SimScratch {
     slots: Vec<u32>,
     /// Times, checkpoints and store gates of the last simulation.
     rec: Record,
-    /// Whether the last simulation recorded start times (guards
-    /// [`CompiledPlan::timeline`] against reading a cost-only run).
-    full_times: bool,
     /// Difference-array scratch for peak-occupancy queries.
     pub(crate) diff: Vec<i64>,
 }
@@ -102,8 +92,8 @@ impl SimScratch {
         Self::default()
     }
 
-    /// Scratch for [`lifetime::peak_buffer_into`] calls that share this
-    /// workspace.
+    /// Scratch for [`soma_core::lifetime::peak_buffer_into`] calls that
+    /// share this workspace.
     pub fn diff_mut(&mut self) -> &mut Vec<i64> {
         &mut self.diff
     }
@@ -113,9 +103,8 @@ impl SimScratch {
     /// [`crate::simulate`]) and its per-tile store gates. Times are not
     /// cleared: a replay from `(0, 0)` writes every entry before reading
     /// it.
-    fn index(&mut self, plan: &CompiledPlan, dlsa: &Dlsa, full: bool) {
+    fn index(&mut self, plan: &CompiledPlan, dlsa: &Dlsa) {
         let (n_tiles, n_tensors) = (plan.n_tiles, plan.n_tensors);
-        self.full_times = full;
         self.slots.clear();
         self.slots.resize(n_tensors, u32::MAX);
         for (k, &ti) in dlsa.order.iter().enumerate() {
@@ -126,10 +115,6 @@ impl SimScratch {
         rec.slot_ci.resize(n_tensors, 0);
         rec.tile_end.resize(n_tiles, 0);
         rec.tile_di.resize(n_tiles, 0);
-        if full {
-            rec.slot_start.resize(n_tensors, 0);
-            rec.tile_start.resize(n_tiles, 0);
-        }
         if rec.store_gates.len() < n_tiles {
             rec.store_gates.resize_with(n_tiles, Vec::new);
         }
@@ -247,7 +232,7 @@ impl Replay {
         self.saved_tile_di.clear();
         self.saved_tile_di.extend_from_slice(&rec.tile_di[ci..]);
         self.saved_at = (di, ci);
-        plan.run_queues::<false>(dlsa, slots, &mut self.rec, di, ci)
+        plan.run_queues(dlsa, slots, &mut self.rec, di, ci)
     }
 
     /// Rolls the last [`resume`](Self::resume) back: the kept replay is
@@ -286,20 +271,8 @@ pub struct CompiledPlan {
     load_gate_off: Vec<u32>,
     /// Load tensors gating each tile (its own loads), CSR values.
     load_gate_idx: Vec<u32>,
-    /// Core-array energy of the whole plan in picojoules.
-    core_pj: f64,
-    /// DRAM access energy of the whole plan in picojoules.
-    dram_pj: f64,
-    /// Total DRAM bytes loaded.
-    dram_read: u64,
-    /// Total DRAM bytes stored.
-    dram_write: u64,
-    /// Sum of tile compute durations.
-    compute_busy: u64,
-    /// Sum of DRAM transfer durations.
-    dram_busy: u64,
-    /// Peak MAC throughput of the hardware, ops/cycle.
-    peak_ops_per_cycle: u64,
+    /// Core-array plus DRAM energy of the whole plan in picojoules.
+    energy_pj: f64,
 }
 
 impl CompiledPlan {
@@ -370,49 +343,27 @@ impl CompiledPlan {
         Self {
             n_tiles,
             n_tensors,
-            compute_busy: tile_cost.iter().sum(),
-            dram_busy: tensor_dur.iter().sum(),
             tile_cost,
             tensor_dur,
             tensor_is_load: plan.dram_tensors.iter().map(|t| t.is_load).collect(),
             tensor_anchor: plan.dram_tensors.iter().map(|t| t.anchor).collect(),
             load_gate_off,
             load_gate_idx,
-            core_pj,
-            dram_pj,
-            dram_read,
-            dram_write,
-            peak_ops_per_cycle: hw.peak_ops_per_cycle(),
+            energy_pj: core_pj + dram_pj,
         }
-    }
-
-    /// Number of tiles in the compiled plan.
-    pub fn n_tiles(&self) -> usize {
-        self.n_tiles
-    }
-
-    /// Number of DRAM tensors in the compiled plan.
-    pub fn n_tensors(&self) -> usize {
-        self.n_tensors
     }
 
     /// Total energy (core + DRAM) of any schedule of this plan, in
     /// picojoules — energy does not depend on the DLSA.
     pub fn energy_total_pj(&self) -> f64 {
-        self.core_pj + self.dram_pj
-    }
-
-    /// Total DRAM bytes moved.
-    pub fn dram_bytes(&self) -> u64 {
-        self.dram_read + self.dram_write
+        self.energy_pj
     }
 
     /// The one queue replay: plays the two serial queues from checkpoint
     /// `(di, ci)` — `di` queue slots served, `ci` tiles run, everything
     /// before them already in `rec` — with zero heap allocation, recording
-    /// end times and checkpoints (and, with `FULL`, start times). `slots`
-    /// is the inverse of `dlsa.order`.
-    fn run_queues<const FULL: bool>(
+    /// end times and checkpoints. `slots` is the inverse of `dlsa.order`.
+    fn run_queues(
         &self,
         dlsa: &Dlsa,
         slots: &[u32],
@@ -447,9 +398,6 @@ impl CompiledPlan {
                     Some(_) => break, // gating tile not yet executed
                 };
                 let start = prev_tensor_end.max(gate_time);
-                if FULL {
-                    rec.slot_start[di] = start;
-                }
                 prev_tensor_end = start + self.tensor_dur[ti];
                 rec.slot_end[di] = prev_tensor_end;
                 rec.slot_ci[di] = ci as u32;
@@ -475,9 +423,6 @@ impl CompiledPlan {
                 if blocked {
                     break;
                 }
-                if FULL {
-                    rec.tile_start[ci] = ready;
-                }
                 prev_tile_end = ready + self.tile_cost[ci];
                 rec.tile_end[ci] = prev_tile_end;
                 rec.tile_di[ci] = di as u32;
@@ -498,111 +443,16 @@ impl CompiledPlan {
     /// ([`energy_total_pj`](Self::energy_total_pj)) and the buffer peak
     /// comes from an incrementally maintained
     /// [`OccupancyProfile`](soma_core::OccupancyProfile) (or
-    /// [`lifetime::peak_buffer_into`] against the same scratch), so this
-    /// is everything a `(cost, peak_buffer)` evaluation needs.
+    /// [`soma_core::lifetime::peak_buffer_into`] against the same
+    /// scratch), so this is everything a `(cost, peak_buffer)` evaluation
+    /// needs.
     ///
     /// # Errors
     ///
     /// [`SimError::Deadlock`] exactly when [`crate::simulate`] deadlocks.
     pub fn simulate_cost(&self, dlsa: &Dlsa, scratch: &mut SimScratch) -> Result<u64, SimError> {
-        scratch.index(self, dlsa, false);
-        self.run_queues::<false>(dlsa, &scratch.slots, &mut scratch.rec, 0, 0)
-    }
-
-    /// The full simulation into the scratch (start *and* end times).
-    /// Combine with [`timeline`](Self::timeline) to materialise a
-    /// [`Timeline`]; the split lets callers run many full simulations
-    /// against one scratch and copy out only the winners.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Deadlock`] exactly when [`crate::simulate`] deadlocks.
-    pub fn simulate_into(&self, dlsa: &Dlsa, scratch: &mut SimScratch) -> Result<u64, SimError> {
-        scratch.index(self, dlsa, true);
-        self.run_queues::<true>(dlsa, &scratch.slots, &mut scratch.rec, 0, 0)
-    }
-
-    /// Copies the last [`simulate_into`](Self::simulate_into) result out
-    /// of the scratch as an owned [`Timeline`], identical to what
-    /// [`crate::simulate`] returns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scratch's last simulation was the cost-only
-    /// [`simulate_cost`](Self::simulate_cost), which records no start
-    /// times — the timeline would silently mix stale data otherwise.
-    pub fn timeline(&self, latency: u64, scratch: &SimScratch) -> Timeline {
-        assert!(
-            scratch.full_times,
-            "timeline() needs simulate_into(); the scratch's last run was cost-only"
-        );
-        let rec = &scratch.rec;
-        let by_tensor = |by_slot: &[u64]| -> Vec<u64> {
-            scratch.slots[..self.n_tensors].iter().map(|&k| by_slot[k as usize]).collect()
-        };
-        Timeline {
-            tensor_start: by_tensor(&rec.slot_start),
-            tensor_end: by_tensor(&rec.slot_end),
-            tile_start: rec.tile_start[..self.n_tiles].to_vec(),
-            tile_end: rec.tile_end[..self.n_tiles].to_vec(),
-            latency,
-            dram_busy: self.dram_busy,
-            compute_busy: self.compute_busy,
-        }
-    }
-
-    /// Full evaluation through the compiled engine: bit-identical to
-    /// [`evaluate_parts`](crate::evaluate_parts) on the same inputs (the
-    /// cold path for initial/final schemes; annealers use
-    /// [`simulate_cost`](Self::simulate_cost)). `net` and `plan` are the
-    /// ones the plan was compiled from.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] for deadlocked DRAM tensor orders.
-    pub fn report(
-        &self,
-        net: &Network,
-        plan: &ComputePlan,
-        dlsa: &Dlsa,
-        scratch: &mut SimScratch,
-    ) -> Result<EvalReport, SimError> {
-        let latency = self.simulate_into(dlsa, scratch)?;
-        let tl = self.timeline(latency, scratch);
-
-        let net_ops = net.total_ops();
-        let peak = self.peak_ops_per_cycle as f64;
-        let util = |cycles: u64| -> f64 {
-            if cycles == 0 {
-                0.0
-            } else {
-                net_ops as f64 / (peak * cycles as f64)
-            }
-        };
-        let bound = tl.compute_busy.max(tl.dram_busy);
-
-        let profile = lifetime::buffer_profile(plan, dlsa);
-        let peak_buffer = profile.iter().copied().max().unwrap_or(0);
-        let mut weighted = 0u128;
-        let mut total_time = 0u128;
-        for (i, &usage) in profile.iter().enumerate() {
-            let dur = (tl.tile_end[i] - tl.tile_start[i]) as u128;
-            weighted += usage as u128 * dur;
-            total_time += dur;
-        }
-        let avg_buffer = weighted.checked_div(total_time).unwrap_or(0) as u64;
-
-        Ok(EvalReport {
-            latency_cycles: tl.latency,
-            energy: EnergyBreakdown { core_pj: self.core_pj, dram_pj: self.dram_pj },
-            compute_util: util(tl.latency),
-            dram_util: if tl.latency == 0 { 0.0 } else { tl.dram_busy as f64 / tl.latency as f64 },
-            theoretical_max_util: util(bound),
-            peak_buffer,
-            avg_buffer,
-            dram_bytes: self.dram_read + self.dram_write,
-            timeline: tl,
-        })
+        scratch.index(self, dlsa);
+        self.run_queues(dlsa, &scratch.slots, &mut scratch.rec, 0, 0)
     }
 }
 
@@ -623,7 +473,7 @@ mod tests {
     }
 
     #[test]
-    fn compiled_timeline_matches_naive_simulate() {
+    fn compiled_latency_matches_naive_simulate() {
         for (tiling, fused) in [(1, false), (4, false), (4, true), (8, true)] {
             let (_, plan, dlsa) = setup(tiling, fused);
             let hw = HardwareConfig::edge();
@@ -631,23 +481,9 @@ mod tests {
             let naive = simulate(&plan, &dlsa, &hw, &mut m).unwrap();
             let cp = CompiledPlan::compile(&zoo::fig2(1), &plan, &hw, &mut m);
             let mut scratch = SimScratch::new();
-            let latency = cp.simulate_into(&dlsa, &mut scratch).unwrap();
-            assert_eq!(cp.timeline(latency, &scratch), naive, "tiling {tiling} fused {fused}");
-            assert_eq!(cp.simulate_cost(&dlsa, &mut scratch).unwrap(), naive.latency);
+            let latency = cp.simulate_cost(&dlsa, &mut scratch).unwrap();
+            assert_eq!(latency, naive.latency, "tiling {tiling} fused {fused}");
         }
-    }
-
-    #[test]
-    fn compiled_report_matches_naive_report() {
-        let (net, plan, dlsa) = setup(4, true);
-        let hw = HardwareConfig::edge();
-        let mut m = CoreArrayModel::new(&hw);
-        let naive = evaluate_parts(&net, &plan, &dlsa, &hw, &mut m).unwrap();
-        let cp = CompiledPlan::compile(&net, &plan, &hw, &mut m);
-        let mut scratch = SimScratch::new();
-        let compiled = cp.report(&net, &plan, &dlsa, &mut scratch).unwrap();
-        assert_eq!(compiled, naive);
-        assert_eq!(compiled.energy.total_pj().to_bits(), naive.energy.total_pj().to_bits());
     }
 
     #[test]
@@ -693,8 +529,5 @@ mod tests {
         let naive = evaluate_parts(&net, &plan, &dlsa, &hw, &mut m).unwrap();
         let cp = CompiledPlan::compile(&net, &plan, &hw, &mut m);
         assert_eq!(cp.energy_total_pj().to_bits(), naive.energy.total_pj().to_bits());
-        assert_eq!(cp.dram_bytes(), naive.dram_bytes);
-        assert_eq!(cp.n_tiles(), plan.tiles.len());
-        assert_eq!(cp.n_tensors(), plan.dram_tensors.len());
     }
 }

@@ -14,17 +14,18 @@
 //!    quantities Fig. 6 plots (energy split, utilisations, buffer usage,
 //!    theoretical maximum utilisation).
 //!
-//! For search loops that evaluate thousands of DLSAs against one frozen
-//! plan, [`compiled`] hoists every plan-invariant quantity out of the
-//! loop: [`CompiledPlan`] precomputes tile costs, tensor durations, the
-//! load-gate CSR table and the energy split once, and
+//! Search loops evaluate thousands of DLSAs against one frozen plan and
+//! need only each one's latency and the plan's energy. [`compiled`] is
+//! that evaluator: [`CompiledPlan`] precomputes tile costs, tensor
+//! durations, the load-gate CSR table and the plan's energy once, and
 //! [`CompiledPlan::simulate_cost`] replays the queues with zero heap
 //! allocation against a re-usable [`SimScratch`]. A [`Replay`] keeps one
 //! DLSA's replay and re-simulates an edit of it from the last checkpoint
 //! the edit leaves unchanged — the two queues' state after some slots
 //! served and some tiles run — rewriting only the suffix after it, which
 //! the caller keeps or restores. Its latency and deadlock verdict are a
-//! full replay's.
+//! full replay's. Full reports come only from [`evaluate_parts`], the
+//! reference the engine is tested against.
 //!
 //! ```
 //! use soma_arch::HardwareConfig;
@@ -49,6 +50,6 @@ pub mod timeline;
 pub use compiled::{CompiledPlan, Replay, SimScratch};
 pub use core_array::{CoreArrayModel, TileCost};
 pub use gantt::render_gantt;
-pub use report::{evaluate, evaluate_parts, evaluate_with_model, EnergyBreakdown, EvalReport};
+pub use report::{evaluate, evaluate_parts, EnergyBreakdown, EvalReport};
 pub use stall::{attribute_stalls, summarize, Stall, StallCause, StallSummary};
 pub use timeline::{simulate, SimError, Timeline};

@@ -53,16 +53,6 @@ pub struct EvalReport {
     pub timeline: Timeline,
 }
 
-impl EvalReport {
-    /// The paper's optimisation objective `Energy^n x Delay^m`
-    /// (Sec. V-A). Energy in joules, delay in seconds at `hw`'s clock.
-    pub fn cost(&self, hw: &HardwareConfig, n: f64, m: f64) -> f64 {
-        let energy_j = self.energy.total_pj() * 1e-12;
-        let delay_s = hw.cycles_to_seconds(self.latency_cycles);
-        energy_j.powf(n) * delay_s.powf(m)
-    }
-}
-
 /// Evaluates a plan + DLSA pair, reusing a caller-provided (memoised)
 /// core-array model — the fast path for search loops, which mutate the
 /// DLSA thousands of times against one plan.
@@ -129,21 +119,6 @@ pub fn evaluate_parts(
     })
 }
 
-/// Evaluates a parsed schedule, reusing a caller-provided (memoised)
-/// core-array model.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] for deadlocked DRAM tensor orders.
-pub fn evaluate_with_model(
-    net: &Network,
-    sched: &ParsedSchedule,
-    hw: &HardwareConfig,
-    model: &mut CoreArrayModel<'_>,
-) -> Result<EvalReport, SimError> {
-    evaluate_parts(net, &sched.plan, &sched.dlsa, hw, model)
-}
-
 /// Evaluates a parsed schedule with a fresh core-array model.
 ///
 /// # Errors
@@ -155,7 +130,7 @@ pub fn evaluate(
     hw: &HardwareConfig,
 ) -> Result<EvalReport, SimError> {
     let mut model = CoreArrayModel::new(hw);
-    evaluate_with_model(net, sched, hw, &mut model)
+    evaluate_parts(net, &sched.plan, &sched.dlsa, hw, &mut model)
 }
 
 #[cfg(test)]
@@ -187,17 +162,6 @@ mod tests {
         let (_, fused) = report(4, true);
         assert!(fused.dram_bytes < unfused.dram_bytes);
         assert!(fused.energy.dram_pj < unfused.energy.dram_pj);
-    }
-
-    #[test]
-    fn cost_is_monotone_in_exponents() {
-        let (_, r) = report(4, false);
-        let hw = HardwareConfig::edge();
-        let ed = r.cost(&hw, 1.0, 1.0);
-        assert!(ed > 0.0);
-        // Pure-delay objective equals the delay.
-        let d = r.cost(&hw, 0.0, 1.0);
-        assert!((d - hw.cycles_to_seconds(r.latency_cycles)).abs() < 1e-12);
     }
 
     #[test]

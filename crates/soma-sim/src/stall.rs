@@ -10,7 +10,7 @@
 use serde::{Deserialize, Serialize};
 use soma_core::{ComputePlan, Dlsa, DramKind};
 
-use crate::timeline::Timeline;
+use crate::timeline::{gate_table, Timeline};
 
 /// What a compute gap was waiting on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -63,20 +63,7 @@ impl StallSummary {
 /// Attributes every compute gap in `tl` to the gating DRAM tensor that
 /// finished last before the tile started.
 pub fn attribute_stalls(plan: &ComputePlan, dlsa: &Dlsa, tl: &Timeline) -> Vec<Stall> {
-    let n_tiles = plan.tiles.len();
-    // Gating tensors per tile, as in the simulator.
-    let mut gates: Vec<Vec<u32>> = vec![Vec::new(); n_tiles];
-    for (i, t) in plan.dram_tensors.iter().enumerate() {
-        if t.is_load {
-            gates[t.anchor as usize].push(i as u32);
-        } else {
-            let end = dlsa.end[i] as usize;
-            if end < n_tiles {
-                gates[end].push(i as u32);
-            }
-        }
-    }
-
+    let gates = gate_table(plan, dlsa);
     let mut out = Vec::new();
     let mut prev_end = 0u64;
     for (tile, tile_gates) in gates.iter().enumerate() {

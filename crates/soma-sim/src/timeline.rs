@@ -72,6 +72,24 @@ impl Timeline {
     }
 }
 
+/// The DRAM tensors gating each tile, in ascending tensor index: its own
+/// loads, and the stores whose living-duration `End` is that tile.
+pub(crate) fn gate_table(plan: &ComputePlan, dlsa: &Dlsa) -> Vec<Vec<u32>> {
+    let n_tiles = plan.tiles.len();
+    let mut gates: Vec<Vec<u32>> = vec![Vec::new(); n_tiles];
+    for (i, t) in plan.dram_tensors.iter().enumerate() {
+        if t.is_load {
+            gates[t.anchor as usize].push(i as u32);
+        } else {
+            let end = dlsa.end[i] as usize;
+            if end < n_tiles {
+                gates[end].push(i as u32);
+            }
+        }
+    }
+    gates
+}
+
 /// Plays the two queues forward. `costs` gives each tile's duration.
 ///
 /// # Errors
@@ -91,18 +109,7 @@ pub fn simulate(
     let tensor_dur: Vec<u64> =
         plan.dram_tensors.iter().map(|t| hw.dram_cycles(t.bytes).max(1)).collect();
 
-    // Gating tensors per tile: its own loads + stores with End == tile.
-    let mut gates: Vec<Vec<u32>> = vec![Vec::new(); n_tiles];
-    for (i, t) in plan.dram_tensors.iter().enumerate() {
-        if t.is_load {
-            gates[t.anchor as usize].push(i as u32);
-        } else {
-            let end = dlsa.end[i] as usize;
-            if end < n_tiles {
-                gates[end].push(i as u32);
-            }
-        }
-    }
+    let gates = gate_table(plan, dlsa);
     // Queue position of each tensor, to know whether a gate has been
     // simulated yet.
     let mut queue_pos = vec![usize::MAX; n_tensors];

@@ -40,7 +40,7 @@ fn main() {
     let hw = HardwareConfig::edge();
     let cfg = SearchConfig { effort: 0.4, ..SearchConfig::default() };
     let out = Scheduler::new(&net, &hw).config(cfg).seeds([77, 78, 79, 80]).run();
-    let shape = out.shape(&net);
+    let shape = out.best.shape(&net);
 
     println!(
         "best scheme: {} LGs / {} FLGs / {} tiles, latency {} cycles ({:.3} ms), \

@@ -46,7 +46,7 @@ fn main() {
         );
     }
 
-    let shape = soma.shape(&net);
+    let shape = soma.best.shape(&net);
     println!(
         "\nSoMa best scheme: {} LGs, {} FLGs, {} tiles, {} DRAM tensors",
         shape.lgs, shape.flgs, shape.tiles, shape.dram_tensors

@@ -27,7 +27,8 @@ fn ci_smoke() {
 
 /// Correctness gate for the compiled evaluation engine (cheap, no
 /// timing, cannot flake): on fig2 the compiled cost-only path and the
-/// naive full-report path must produce bit-identical costs and reports.
+/// naive full-report path must produce bit-identical costs, latencies
+/// and energies.
 #[test]
 fn ci_smoke_compiled_engine_matches_naive_on_fig2() {
     use soma::search::{CostWeights, Objective};
@@ -42,14 +43,22 @@ fn ci_smoke_compiled_engine_matches_naive_on_fig2() {
         let fast_cost = obj.eval_lfa_cost(&lfa, hw.buffer_bytes).unwrap();
         assert_eq!(full_cost.to_bits(), fast_cost.to_bits(), "{label}: cost");
 
-        // Engine level: compiled report vs naive report, field for field.
+        // Engine level: compiled latency and energy vs the naive report.
         let mut model = CoreArrayModel::new(&hw);
         let compiled = soma::sim::CompiledPlan::compile(&net, &plan, &hw, &mut model);
         let mut scratch = SimScratch::new();
-        let engine_report = compiled.report(&net, &plan, &dlsa, &mut scratch).unwrap();
         let naive_report = evaluate_parts(&net, &plan, &dlsa, &hw, &mut model).unwrap();
-        assert_eq!(engine_report, naive_report, "{label}: report");
-        assert_eq!(engine_report, report, "{label}: objective report");
+        assert_eq!(naive_report, report, "{label}: objective report");
+        assert_eq!(
+            compiled.simulate_cost(&dlsa, &mut scratch),
+            Ok(naive_report.latency_cycles),
+            "{label}: latency"
+        );
+        assert_eq!(
+            compiled.energy_total_pj().to_bits(),
+            naive_report.energy.total_pj().to_bits(),
+            "{label}: energy"
+        );
     }
 }
 

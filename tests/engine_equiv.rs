@@ -1,12 +1,12 @@
 //! Differential suite for the compiled evaluation engine: on random DLSA
 //! mutation chains over the zoo networks, the compiled fast paths must
-//! match the naive rebuild-everything paths **field for field** —
-//! `CompiledPlan::simulate_into` vs a fresh `simulate()`, stage 2's
-//! resumed `Replay` vs a fresh `simulate()`, the incrementally maintained
-//! `OccupancyProfile` vs a fresh `buffer_profile()`, the engine's
-//! cost-only evaluation vs the full report path, and deadlock detection
-//! vs deadlock detection. One level up, the in-place stage-2 annealer
-//! must follow the naive clone-per-proposal annealer's exact trajectory.
+//! match the naive rebuild-everything paths exactly —
+//! `CompiledPlan::simulate_cost` and stage 2's resumed `Replay` vs the
+//! latency of a fresh `simulate()`, the compiled energy vs the bits of
+//! the naive report's, the incrementally maintained `OccupancyProfile`
+//! vs a fresh `buffer_profile()`, and deadlock detection vs deadlock
+//! detection. One level up, the in-place stage-2 annealer must follow
+//! the naive clone-per-proposal annealer's exact trajectory.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -18,7 +18,7 @@ use soma::model::Network;
 use soma::prelude::*;
 use soma::search::dlsa_stage::{mutate_dlsa, run_stage2};
 use soma::search::{anneal, DlsaEditor, DlsaMove, Objective, SaSchedule, SizeWeightedPicker};
-use soma::sim::{evaluate_parts, simulate, CompiledPlan, CoreArrayModel, Replay, SimScratch};
+use soma::sim::{evaluate_parts, CompiledPlan, CoreArrayModel, Replay, SimScratch};
 
 /// Rolls one resumed proposal back the way stage 2 does: the replay's
 /// rewritten suffix, the store gate, then the editor.
@@ -34,9 +34,9 @@ fn roll_back(replay: &mut Replay, editor: &mut DlsaEditor<'_>, mv: DlsaMove) {
 /// through both the naive clone path (`mutate_dlsa` + fresh
 /// `simulate`/`buffer_profile`) and the engine path (`DlsaEditor` +
 /// `CompiledPlan` + maintained `OccupancyProfile` + stage 2's resumed
-/// `Replay`), asserting field-for-field equality at every step. A seeded
-/// coin keeps or rolls back each proposal that simulates, so the replay
-/// both keeps and restores rewritten suffixes.
+/// `Replay`), asserting equality at every step. A seeded coin keeps or
+/// rolls back each proposal that simulates, so the replay both keeps and
+/// restores rewritten suffixes.
 fn check_chain(net: &Network, lfa: &Lfa, seed: u64, steps: usize) {
     let hw = HardwareConfig::edge();
     let plan = parse_lfa(net, lfa).expect("valid LFA");
@@ -86,30 +86,23 @@ fn check_chain(net: &Network, lfa: &Lfa, seed: u64, steps: usize) {
         let (slot, tile) = editor.first_affected(mv);
         let resumed = replay.resume(&compiled, editor.dlsa(), editor.slots(), slot, tile);
 
-        // Compiled simulation == naive simulation, timeline field for
-        // field — including agreeing on deadlocks.
-        let naive_sim = simulate(&plan, &cand, &hw, &mut model);
+        // Compiled latency and energy == the naive report's, including
+        // agreeing on deadlocks.
+        let naive_report = evaluate_parts(net, &plan, &cand, &hw, &mut model);
         let engine_sim = editor.dlsa().clone();
-        match naive_sim {
-            Ok(tl) => {
-                let latency = compiled
-                    .simulate_into(&engine_sim, &mut scratch)
-                    .expect("naive simulated; engine must too");
-                assert_eq!(compiled.timeline(latency, &scratch), tl, "step {step}: timeline");
+        match naive_report {
+            Ok(report) => {
                 assert_eq!(
-                    compiled.simulate_cost(&engine_sim, &mut scratch).unwrap(),
-                    tl.latency,
+                    compiled.simulate_cost(&engine_sim, &mut scratch),
+                    Ok(report.latency_cycles),
                     "step {step}: cost-only latency"
                 );
-                assert_eq!(resumed, Ok(tl.latency), "step {step}: resumed latency");
-
-                // Full-report parity (floats compared by bits via
-                // PartialEq on the report).
-                let naive_report =
-                    evaluate_parts(net, &plan, &cand, &hw, &mut model).expect("simulated");
-                let engine_report =
-                    compiled.report(net, &plan, &engine_sim, &mut scratch).expect("simulated");
-                assert_eq!(engine_report, naive_report, "step {step}: report");
+                assert_eq!(
+                    compiled.energy_total_pj().to_bits(),
+                    report.energy.total_pj().to_bits(),
+                    "step {step}: energy"
+                );
+                assert_eq!(resumed, Ok(report.latency_cycles), "step {step}: resumed latency");
 
                 if coin.gen_bool(0.5) {
                     naive = cand;

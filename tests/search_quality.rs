@@ -37,7 +37,7 @@ fn soma_fuses_fusion_friendly_chains() {
     let net = zoo::chain(1, 32, 56, 10);
     let hw = HardwareConfig::edge();
     let out = Scheduler::new(&net, &hw).config(cfg(23, 0.5)).run();
-    let shape = out.shape(&net);
+    let shape = out.best.shape(&net);
     assert!(shape.lgs < net.len() / 2, "{} LGs for {} layers", shape.lgs, net.len());
 }
 
