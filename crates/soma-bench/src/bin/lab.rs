@@ -173,14 +173,7 @@ fn main() -> ExitCode {
                 elapsed_s: Some(elapsed_s),
             }),
         );
-        if let Some(dir) = out.parent() {
-            if !dir.as_os_str().is_empty() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-        }
-        let mut text = campaign.to_string_stable();
-        text.push('\n');
-        if let Err(e) = std::fs::write(out, text) {
+        if let Err(e) = campaign.write(out) {
             eprintln!("lab: cannot write summary {}: {e}", out.display());
             return ExitCode::from(2);
         }

@@ -54,18 +54,15 @@ fn stat(path: &Path) -> ExitCode {
     let h = ledger.health();
     // Decode every row: an index-backed load trusts the index, so only
     // a decode can tell a payload damaged after the index was synced.
-    let undecodable: Vec<_> = ledger.rows().iter().filter(|r| r.outcome().is_none()).collect();
-    let shadowed = undecodable
-        .iter()
-        .filter(|r| !ledger.lookup(&r.hash).is_some_and(|newest| std::ptr::eq(newest, **r)))
-        .count();
+    let undecodable = ledger.rows().iter().filter(|r| r.outcome().is_none()).count();
+    let shadowed = undecodable - ledger.live_rows().filter(|r| r.outcome().is_none()).count();
     println!("ledger:      {}", path.display());
     println!("rows:        {}", ledger.len());
     println!(
         "health:      {} kept, {} quarantined, truncated: {}, {} duplicate(s)",
         h.kept, h.quarantined, h.truncated, h.duplicates
     );
-    println!("undecodable: {} ({shadowed} shadowed by a newer row)", undecodable.len());
+    println!("undecodable: {undecodable} ({shadowed} shadowed by a newer row)");
     for (shard, sh) in ledger.shard_healths().iter().enumerate() {
         if sh.kept == 0 && sh.quarantined == 0 && !sh.truncated {
             continue;

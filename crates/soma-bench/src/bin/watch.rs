@@ -167,15 +167,6 @@ fn drill(ledger: &Ledger, query: &str, width: usize) -> Result<String, String> {
     }
 }
 
-fn write_summary(path: &Path, summary: &CampaignSummary) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    std::fs::write(path, format!("{}\n", summary.to_string_stable()))
-}
-
 /// Loads, parses and trend-checks a baseline summary; returns the
 /// violation lines (empty = pass).
 fn check_baseline(
@@ -261,7 +252,7 @@ fn replay(flags: &Flags, spec: Option<&soma_spec::ExperimentSpec>, name: &str) -
     // (specs/SUMMARY.md) — same cells the frame showed.
     let summary = CampaignSummary::from_ledger(name, &ledger);
     if let Some(path) = &flags.summary {
-        if let Err(e) = write_summary(path, &summary) {
+        if let Err(e) = summary.write(path) {
             eprintln!("watch: {}: {e}", path.display());
             return ExitCode::from(2);
         }
@@ -304,13 +295,6 @@ fn follow(flags: &Flags, spec: Option<&soma_spec::ExperimentSpec>) -> ExitCode {
         }
     });
 
-    let expected = spec.map(|s| {
-        let mut keys: Vec<String> =
-            s.cells().iter().map(|c| soma_bench::lab::cell_key(c, &s.config, &s.seeds)).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        keys.len()
-    });
     let mut last_frame = String::new();
     let mut notice = String::new();
     loop {
@@ -357,7 +341,9 @@ fn follow(flags: &Flags, spec: Option<&soma_spec::ExperimentSpec>) -> ExitCode {
             last_frame.clear(); // force repaint with the drill result
         }
 
-        let done = expected.is_some_and(|n| ledger.len() >= n);
+        // Done once none of the spec's cells is still queued: a ledger
+        // may hold other campaigns' rows, or a figure's Cocco twins.
+        let done = spec.is_some() && model.counts().0 == 0;
         if done || shutdown::stop_requested() {
             return finish(flags, &name, &ledger);
         }
@@ -369,7 +355,7 @@ fn follow(flags: &Flags, spec: Option<&soma_spec::ExperimentSpec>) -> ExitCode {
 fn finish(flags: &Flags, name: &str, ledger: &Ledger) -> ExitCode {
     if let Some(path) = &flags.summary {
         let summary = CampaignSummary::from_ledger(name, ledger);
-        if let Err(e) = write_summary(path, &summary) {
+        if let Err(e) = summary.write(path) {
             eprintln!("watch: {}: {e}", path.display());
             return ExitCode::from(2);
         }

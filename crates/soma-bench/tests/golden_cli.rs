@@ -1,8 +1,8 @@
 //! Golden-file tests for the `run` and `lab` binaries on committed
-//! `specs/*.soma`: stdout CSV and the JSON view of the lab run ledger
-//! (`ledger dump`) are compared **byte-for-byte** against snapshots
-//! under `tests/golden/`, and ledger shard bytes are compared across
-//! thread counts and replays.
+//! `specs/*.soma`: stdout CSV, the lab run ledger's directory (every
+//! binary v3 file) and its JSON view (`ledger dump`) are compared
+//! **byte-for-byte** against snapshots under `tests/golden/`, and ledger
+//! shard bytes are compared across thread counts and replays.
 //!
 //! Regenerate the snapshots after an intentional behaviour change with:
 //!
@@ -121,10 +121,34 @@ fn assert_golden(got: &[u8], golden: &str) {
     );
 }
 
+/// Compares every file of the ledger directory `dir` with the committed
+/// golden directory (or regenerates it under `SOMA_BLESS=1`): the
+/// binary v3 bytes themselves, not only their JSON view.
+fn assert_golden_dir(dir: &Path, golden: &str) {
+    let path = golden_path(golden);
+    let got = files(dir);
+    if bless() {
+        let _ = fs::remove_dir_all(&path);
+        fs::create_dir_all(&path).expect("mkdir golden dir");
+        for (name, bytes) in &got {
+            fs::write(path.join(name), bytes).expect("bless golden file");
+        }
+        eprintln!("[golden] blessed {}", path.display());
+        return;
+    }
+    assert!(path.is_dir(), "missing golden directory {}; regenerate with SOMA_BLESS=1", golden);
+    let want = files(&path);
+    let names = |f: &[(String, Vec<u8>)]| f.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+    assert_eq!(names(&got), names(&want), "{golden}: ledger file set drifted");
+    for ((name, got), (_, want)) in got.iter().zip(&want) {
+        assert!(got == want, "{golden}/{name} drifted from its committed bytes");
+    }
+}
+
 /// One spec through both binaries: `run` CSV matches the golden, `lab`
-/// cold CSV matches the *same* golden, the ledger's `dump` matches its
-/// golden, and a warm `lab` pass is 100 % hits with identical output
-/// and untouched ledger bytes.
+/// cold CSV matches the *same* golden, the ledger's bytes and its
+/// `dump` match their goldens, and a warm `lab` pass is 100 % hits with
+/// identical output and untouched ledger bytes.
 fn check_spec(spec_file: &str, csv_golden: &str, ledger_golden: &str) {
     let spec = repo_spec(spec_file);
     let spec = spec.to_str().expect("utf-8 path");
@@ -139,6 +163,7 @@ fn check_spec(spec_file: &str, csv_golden: &str, ledger_golden: &str) {
     assert!(ok, "lab (cold) failed on {spec_file}");
     assert_eq!(cold_csv, run_csv, "{spec_file}: lab CSV != run CSV");
     assert_golden(&dump(&ledger), ledger_golden);
+    assert_golden_dir(&ledger, ledger_golden.trim_end_matches(".jsonl"));
     let cold_files = files(&ledger);
 
     let (warm_csv, warm_err, ok) =
@@ -167,6 +192,28 @@ fn golden_fig2_edge() {
 #[test]
 fn golden_fig_pair_edge() {
     check_spec("fig_pair_edge.soma", "fig_pair_edge.csv", "fig_pair_edge.ledger.jsonl");
+}
+
+/// The committed binary ledgers read back as their committed JSON view
+/// both ways a load can go: index-backed (no frame read until a row
+/// decodes) and, from a copy without `index.bin`, by scanning frames.
+/// A reordered meta field or a changed frame layout fails here even
+/// when writer and reader change together.
+#[test]
+fn committed_ledger_bytes_dump_to_their_json_goldens() {
+    for name in ["fig2_edge.ledger", "fig_pair_edge.ledger"] {
+        let committed = golden_path(name);
+        let want = fs::read(golden_path(&format!("{name}.jsonl"))).expect("committed dump golden");
+        assert_eq!(dump(&committed), want, "{name}: index-backed dump");
+
+        let scan = tmp(&format!("golden-scan-{name}"));
+        fs::create_dir_all(&scan).expect("scratch dir");
+        for (file, bytes) in files(&committed).into_iter().filter(|(f, _)| f != "index.bin") {
+            fs::write(scan.join(file), bytes).expect("copy ledger file");
+        }
+        assert_eq!(dump(&scan), want, "{name}: scanned dump");
+        assert!(!scan.join("index.bin").exists(), "dump loads read-only");
+    }
 }
 
 /// `SOMA_WORKLOAD` narrows a `run` to the matching cells: the header

@@ -13,9 +13,11 @@
 //! ```
 
 use std::fs;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::sync::OnceLock;
+use std::time::Duration;
 
 use soma_arch::HardwareConfig;
 use soma_bench::lab::Ledger;
@@ -263,12 +265,37 @@ fn live_event_stream_matches_offline_replay() {
     }
 
     assert_eq!(live.render(60), replay.render(60), "live frame != replay frame");
-    assert_eq!(live.cell_outcomes(), replay.cell_outcomes());
-    // Only the hit-rate provenance differs (a cold live run has zero
-    // cached cells, as does a replay), so the summaries agree too.
-    let health = ledger.health();
-    assert_eq!(
-        live.summary("fig-pair-edge", health, None).to_string_stable(),
-        replay.summary("fig-pair-edge", health, None).to_string_stable(),
-    );
+    assert_eq!(live.slots(), replay.slots(), "live cells != replayed cells");
+}
+
+/// `watch --follow --spec` keeps following while one of the spec's
+/// cells is still queued, however many rows of other cells the ledger
+/// already holds, and exits 0 on `q`.
+#[test]
+fn follow_waits_for_the_spec_cells_not_the_row_count() {
+    let ledger = committed_ledger();
+    let spec = tmp("obs-watch-follow.soma");
+    fs::write(
+        &spec,
+        "soma-experiment v1\nname follow\nscenario fig2@edge/b1\nseeds 2025\neffort 0.02\nend\n",
+    )
+    .unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_watch"))
+        .args([ledger.to_str().unwrap(), "--follow", "--headless", "--spec"])
+        .arg(&spec)
+        .args(["--interval-ms", "20"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn watch");
+    std::thread::sleep(Duration::from_millis(500));
+    let early_exit = child.try_wait().expect("poll watch");
+    if early_exit.is_none() {
+        child.stdin.take().expect("piped stdin").write_all(b"q\n").expect("send q");
+    }
+    let out = child.wait_with_output().expect("watch exits");
+    assert_eq!(early_exit, None, "watch stopped with a spec cell still queued");
+    assert!(out.status.success(), "watch after q: {:?}", out.status);
+    let frame = String::from_utf8(out.stdout).unwrap();
+    assert!(frame.starts_with("cells 3: 1 queued, 0 running, 0 cached, 2 finished"), "{frame}");
 }

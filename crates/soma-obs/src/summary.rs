@@ -16,6 +16,9 @@
 //!   of the same campaign agree on everything except the `run` block.
 
 use std::collections::BTreeMap;
+use std::fs;
+use std::io;
+use std::path::Path;
 
 use serde::json::{self, Value};
 use soma_search::ENGINE_VERSION;
@@ -245,21 +248,11 @@ impl CampaignSummary {
     }
 
     /// Builds a summary offline from a loaded ledger (the byte-stable
-    /// path). Shadowed duplicate rows resolve last-write-wins, exactly
-    /// like ledger lookups; health comes from the load.
+    /// path) over its [`live_rows`](Ledger::live_rows), the rows ledger
+    /// lookups resolve to; health comes from the load.
     #[must_use]
     pub fn from_ledger(name: &str, ledger: &Ledger) -> Self {
-        // Last-write-wins over duplicate hashes, keeping file order of
-        // each hash's surviving (newest) row.
-        let rows = ledger.rows();
-        let mut last: BTreeMap<&str, usize> = BTreeMap::new();
-        for (i, row) in rows.iter().enumerate() {
-            last.insert(row.hash.as_str(), i);
-        }
-        let mut keep: Vec<usize> = last.into_values().collect();
-        keep.sort_unstable();
-        let cells: Vec<CellOutcome> =
-            keep.into_iter().map(|i| CellOutcome::from_row(&rows[i])).collect();
+        let cells: Vec<CellOutcome> = ledger.live_rows().map(CellOutcome::from_row).collect();
         Self::from_cells(name, &cells, ledger.health(), None)
     }
 
@@ -317,6 +310,19 @@ impl CampaignSummary {
     #[must_use]
     pub fn to_string_stable(&self) -> String {
         json::to_string(&self.to_json())
+    }
+
+    /// Writes the summary file: its one line plus a newline, creating
+    /// the parent directory first when it is missing.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors creating the directory or writing the file.
+    pub fn write(&self, path: &Path) -> io::Result<()> {
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            fs::create_dir_all(dir)?;
+        }
+        fs::write(path, format!("{}\n", self.to_string_stable()))
     }
 
     /// Parses a summary previously rendered by

@@ -9,11 +9,9 @@
 use std::collections::HashMap;
 
 use soma_spec::ledger::LedgerRow;
-use soma_spec::LedgerHealth;
 
 use crate::event::LabEvent;
 use crate::stats::sparkline;
-use crate::summary::{CampaignSummary, CellOutcome, RunCounts};
 
 /// Lifecycle state of one campaign cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +43,7 @@ impl CellState {
 }
 
 /// One cell's slot in the model.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellSlot {
     /// Scenario id.
     pub id: String,
@@ -173,37 +171,6 @@ impl WatchModel {
         } else {
             cached as f64 / resolved as f64
         }
-    }
-
-    /// The resolved cells as summary inputs (cached and finished alike;
-    /// cells without a known outcome are skipped).
-    #[must_use]
-    pub fn cell_outcomes(&self) -> Vec<CellOutcome> {
-        self.slots
-            .iter()
-            .filter_map(|s| {
-                Some(CellOutcome {
-                    scenario: s.id.clone(),
-                    cost: s.cost?,
-                    latency_cycles: s.latency_cycles?,
-                    evals: s.evals?,
-                })
-            })
-            .collect()
-    }
-
-    /// Builds the campaign summary of the model's current state. Pass
-    /// `run` when the model watched a live run; replay summaries pass
-    /// `None` and are byte-identical to
-    /// [`CampaignSummary::from_ledger`] over the same ledger.
-    #[must_use]
-    pub fn summary(
-        &self,
-        name: &str,
-        health: LedgerHealth,
-        run: Option<RunCounts>,
-    ) -> CampaignSummary {
-        CampaignSummary::from_cells(name, &self.cell_outcomes(), health, run)
     }
 
     /// Renders the cell grid, wrapped to at most `width` glyphs per

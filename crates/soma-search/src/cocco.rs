@@ -14,11 +14,10 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use soma_arch::HardwareConfig;
 use soma_core::Lfa;
-use soma_model::{LayerId, Network, Src};
+use soma_model::{LayerId, Network};
 
-use crate::lfa_stage::{min_granularity_tiling, Stage1Result};
+use crate::lfa_stage::{anneal_lfa, min_granularity_tiling, move_layer, Stage1Result};
 use crate::objective::Objective;
-use crate::sa::{anneal, SaSchedule};
 use crate::SearchConfig;
 
 /// Cocco's heuristic tiling number for a group of layers: the finest
@@ -51,36 +50,8 @@ pub fn mutate_cocco(
 ) -> Option<Lfa> {
     let n = lfa.order.len();
     let mut out = match rng.gen_range(0..3u8) {
-        // Change computing order (same as SoMa's operator).
-        0 => {
-            let layer = lfa.order[rng.gen_range(0..n)];
-            let cur = lfa.order.iter().position(|&l| l == layer).expect("present");
-            let mut lo = 0usize;
-            let mut hi = n - 1;
-            for (p, &other) in lfa.order.iter().enumerate() {
-                if other == layer {
-                    continue;
-                }
-                let pr = if p > cur { p - 1 } else { p };
-                if net.layer(layer).inputs.contains(&Src::Layer(other)) {
-                    lo = lo.max(pr + 1);
-                }
-                if net.layer(other).inputs.contains(&Src::Layer(layer)) {
-                    hi = hi.min(pr);
-                }
-            }
-            if lo > hi {
-                return None;
-            }
-            let q = rng.gen_range(lo..=hi);
-            let mut order = lfa.order.clone();
-            order.remove(cur);
-            order.insert(q, layer);
-            if order == lfa.order {
-                return None;
-            }
-            Lfa { order, ..lfa.clone() }
-        }
+        // Change computing order: SoMa's operator.
+        0 => Lfa { order: move_layer(net, &lfa.order, rng)?, ..lfa.clone() },
         // Add a group cut (both sets).
         1 => {
             let candidates: Vec<usize> = (1..n).filter(|p| !lfa.flc.contains(p)).collect();
@@ -127,31 +98,10 @@ pub fn run_cocco(
     rng: &mut StdRng,
     buffer_limit: u64,
 ) -> Stage1Result {
-    let net = obj.network();
-    let hw = obj.hardware();
-
-    let init = initial_cocco(net, hw);
-    let (init_cost, ..) =
-        obj.eval_lfa(&init, buffer_limit).expect("Cocco's unfused initial solution must parse");
-
-    let iters = cfg.stage1_iters(net.len());
-    let schedule = SaSchedule {
-        t0: cfg.t0,
-        alpha: cfg.alpha,
-        iters,
-        greedy_tail: iters / 10,
-        time_budget: cfg.stage_time_budget(),
-    };
-    // Cost-only engine fast path; bit-identical to `eval_lfa`'s cost.
-    let result = anneal(&schedule, rng, init, init_cost, |lfa, rng| {
-        let cand = mutate_cocco(net, hw, lfa, rng)?;
-        let cost = obj.eval_lfa_cost(&cand, buffer_limit)?;
-        Some((cand, cost))
-    });
-
-    let (cost, plan, dlsa, report) =
-        obj.eval_lfa(&result.best, buffer_limit).expect("best Cocco solution must re-evaluate");
-    Stage1Result { lfa: result.best, plan, dlsa, report, cost }
+    let (net, hw) = (obj.network(), obj.hardware());
+    anneal_lfa(obj, cfg, rng, buffer_limit, initial_cocco(net, hw), |lfa, rng| {
+        mutate_cocco(net, hw, lfa, rng)
+    })
 }
 
 #[cfg(test)]

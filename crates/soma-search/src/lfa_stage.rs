@@ -68,6 +68,28 @@ fn move_range(net: &Network, order: &[LayerId], layer: LayerId) -> (usize, usize
     (lo, hi)
 }
 
+/// The *Change Computing Order* operator, shared by SoMa's and Cocco's
+/// mutators: draws a layer, then a slot in its legal window, and moves
+/// the layer there. `None` when the window is empty or the move leaves
+/// the order as it was.
+pub(crate) fn move_layer(
+    net: &Network,
+    order: &[LayerId],
+    rng: &mut StdRng,
+) -> Option<Vec<LayerId>> {
+    let layer = order[rng.gen_range(0..order.len())];
+    let (lo, hi) = move_range(net, order, layer);
+    if lo > hi {
+        return None;
+    }
+    let q = rng.gen_range(lo..=hi);
+    let mut moved = order.to_vec();
+    let cur = moved.iter().position(|&l| l == layer).expect("present");
+    moved.remove(cur);
+    moved.insert(q, layer);
+    (moved != order).then_some(moved)
+}
+
 /// FLG index containing order position `p`.
 fn group_of(lfa: &Lfa, p: usize) -> usize {
     lfa.flc.iter().filter(|&&c| c <= p).count()
@@ -84,22 +106,7 @@ pub fn mutate_lfa(net: &Network, lfa: &Lfa, rng: &mut StdRng, link_cuts: bool) -
     let op = if link_cuts { rng.gen_range(0..4u8) } else { rng.gen_range(0..6u8) };
     match op {
         // Change Computing Order.
-        0 => {
-            let layer = lfa.order[rng.gen_range(0..n)];
-            let (lo, hi) = move_range(net, &lfa.order, layer);
-            if lo > hi {
-                return None;
-            }
-            let q = rng.gen_range(lo..=hi);
-            let mut order = lfa.order.clone();
-            let cur = order.iter().position(|&l| l == layer).expect("present");
-            order.remove(cur);
-            order.insert(q, layer);
-            if order == lfa.order {
-                return None;
-            }
-            Some(Lfa { order, ..lfa.clone() })
-        }
+        0 => Some(Lfa { order: move_layer(net, &lfa.order, rng)?, ..lfa.clone() }),
         // Change Tiling Number (x2 or /2).
         1 => {
             let g = rng.gen_range(0..lfa.tiling.len());
@@ -221,10 +228,30 @@ pub fn run_stage1(
 ) -> Stage1Result {
     let net = obj.network();
     let init = initial_lfa(net, obj.hardware());
-    let (init_cost, ..) =
-        obj.eval_lfa(&init, buffer_limit).expect("the unfused initial solution must always parse");
+    anneal_lfa(obj, cfg, rng, buffer_limit, init, |lfa, rng| {
+        mutate_lfa(net, lfa, rng, cfg.link_cuts)
+    })
+}
 
-    let iters = cfg.stage1_iters(net.len());
+/// The one LFA annealing loop, behind SoMa's stage 1 and the Cocco
+/// baseline: SA from `init` over the proposals `mutate` draws, each
+/// evaluated under the double-buffer DLSA and `buffer_limit`.
+///
+/// # Panics
+///
+/// Panics if `init` fails to parse.
+pub(crate) fn anneal_lfa(
+    obj: &mut Objective<'_>,
+    cfg: &SearchConfig,
+    rng: &mut StdRng,
+    buffer_limit: u64,
+    init: Lfa,
+    mut mutate: impl FnMut(&Lfa, &mut StdRng) -> Option<Lfa>,
+) -> Stage1Result {
+    let (init_cost, ..) =
+        obj.eval_lfa(&init, buffer_limit).expect("the initial solution must parse");
+
+    let iters = cfg.stage1_iters(obj.network().len());
     let schedule = SaSchedule {
         t0: cfg.t0,
         alpha: cfg.alpha,
@@ -235,13 +262,13 @@ pub fn run_stage1(
     // The SA inner loop takes the engine's cost-only fast path (same
     // cost bits as `eval_lfa`, no report/timeline construction).
     let result = anneal(&schedule, rng, init, init_cost, |lfa, rng| {
-        let cand = mutate_lfa(net, lfa, rng, cfg.link_cuts)?;
+        let cand = mutate(lfa, rng)?;
         let cost = obj.eval_lfa_cost(&cand, buffer_limit)?;
         Some((cand, cost))
     });
 
     let (cost, plan, dlsa, report) =
-        obj.eval_lfa(&result.best, buffer_limit).expect("best stage-1 solution must re-evaluate");
+        obj.eval_lfa(&result.best, buffer_limit).expect("the best solution must re-evaluate");
     Stage1Result { lfa: result.best, plan, dlsa, report, cost }
 }
 

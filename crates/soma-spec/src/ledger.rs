@@ -7,7 +7,9 @@
 //! cell hash so concurrent writers never contend on one file), each
 //! holding length-prefixed, checksummed frames, plus a disposable
 //! `index.bin` sidecar carrying every row's metadata and frame
-//! location. A load that finds the index in sync with the shard files
+//! location. A frame and an index entry carry the same metadata block,
+//! written by one function and read back into a [`LedgerRow`] by
+//! another. A load that finds the index in sync with the shard files
 //! builds the whole lookup table **without reading a single frame** —
 //! outcomes decode lazily on first access — which is what makes resume
 //! and cache lookup O(cells-missing) instead of O(cells-done).
@@ -35,12 +37,15 @@
 //!   a whole-shard rewrite.
 //! * A corrupt frame anywhere else quarantines: the damaged region is
 //!   recorded in the `quarantine.jsonl` sidecar inside the ledger
-//!   directory and the damaged shard is compacted crash-safely (write
-//!   temp + rename). Every valid frame survives; [`Ledger::health`]
-//!   reports exactly what happened.
+//!   directory and the damaged shard is rewritten crash-safely (write
+//!   temp + fsync + rename) — by the same shard rewriter
+//!   [`Ledger::compact`] uses. Every valid frame survives;
+//!   [`Ledger::health`] reports exactly what happened.
 //! * Duplicate-hash rows are **last-write-wins**: all copies stay (the
 //!   ledger is append-only history), lookups resolve to the newest, and
 //!   [`LedgerHealth::duplicates`] counts the shadowed ones.
+//!   [`Ledger::live_rows`] lists the rows lookups resolve to; compaction
+//!   and campaign summaries read the rule from there.
 //!
 //! Observers (`watch`, summary builders, replay probes) must use
 //! [`Ledger::load_readonly`], which tolerates torn tails and corrupt
@@ -55,7 +60,7 @@
 //! rewrite ticks the [`fault::site::LEDGER_COMPACT`] counter so tests
 //! can assert which repair path ran.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fs;
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -140,7 +145,7 @@ enum LazySource {
     Payload(Vec<u8>),
     /// A whole frame on disk (magic + length + body), read and
     /// re-verified on demand against the row's `seq`.
-    Disk { shard: PathBuf, offset: u64, len: u32, seq: u64 },
+    Disk { shard: PathBuf, loc: FrameLoc, seq: u64 },
 }
 
 impl LazySource {
@@ -148,9 +153,7 @@ impl LazySource {
     fn payload(&self) -> io::Result<Vec<u8>> {
         match self {
             LazySource::Payload(bytes) => Ok(bytes.clone()),
-            LazySource::Disk { shard, offset, len, seq } => {
-                read_payload(shard, *offset, *len, *seq)
-            }
+            LazySource::Disk { shard, loc, seq } => read_payload(shard, *loc, *seq),
         }
     }
 }
@@ -198,18 +201,20 @@ fn read_exact_at(path: &Path, offset: u64, len: u32) -> io::Result<Vec<u8>> {
 /// (damage shifted the bytes in a way the index could not see), the
 /// shard is scanned for the row's intact frame instead, so a lying index
 /// never loses a frame.
-fn read_payload(shard: &Path, offset: u64, len: u32, seq: u64) -> io::Result<Vec<u8>> {
-    let at_index = read_exact_at(shard, offset, len).ok().and_then(|frame| {
+fn read_payload(shard: &Path, loc: FrameLoc, seq: u64) -> io::Result<Vec<u8>> {
+    let at_index = read_exact_at(shard, loc.offset, loc.len).ok().and_then(|frame| {
         let body_len = u32::from_le_bytes(frame.get(4..8)?.try_into().ok()?) as usize;
         let whole = frame.starts_with(FRAME_MAGIC) && frame.len() == 8 + body_len;
-        decode_frame_body(frame.get(8..).filter(|_| whole)?).ok().filter(|m| m.seq == seq)
+        let body = frame.get(8..).filter(|_| whole)?;
+        decode_frame_body(body, loc, &Arc::default()).ok().filter(|row| row.seq == seq)
     });
-    if let Some(meta) = at_index {
-        return Ok(meta.payload);
+    if let Some(row) = at_index {
+        return row.payload_bytes();
     }
     let buf = fs::read(shard)?;
     let start = if buf.starts_with(SHARD_MAGIC) { SHARD_MAGIC.len() } else { 0 };
-    match scan_shard(&buf, start, 0, &Arc::default()).rows.into_iter().find(|r| r.seq == seq) {
+    let scan = scan_shard(&buf, start, loc.shard, &Arc::default());
+    match scan.rows.into_iter().find(|r| r.seq == seq) {
         Some(row) => row.payload_bytes(),
         None => Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -395,39 +400,64 @@ impl LedgerRow {
                 .to_string())
         };
         let batch = v.get("batch").and_then(Value::as_u64).ok_or("missing `batch`")?;
+        let batch = u32::try_from(batch).map_err(|_| "batch exceeds u32".to_string())?;
         let outcome = outcome_from_json(v.get("outcome").ok_or("missing `outcome`")?)
             .map_err(|e| e.to_string())?;
-        Ok(Self {
-            hash: text("hash")?,
-            cell: text("cell")?,
-            workload: text("workload")?,
-            platform: text("platform")?,
-            batch: u32::try_from(batch).map_err(|_| "batch exceeds u32".to_string())?,
-            engine: String::new(),
-            best_cost: outcome.best.cost,
-            latency_cycles: outcome.best.report.latency_cycles,
-            evals: outcome.evals,
-            seq: 0,
-            loc: None,
-            payload: Payload::Resident(Arc::new(outcome)),
-        })
+        let (hash, cell) = (text("hash")?, text("cell")?);
+        let (workload, platform) = (text("workload")?, text("platform")?);
+        let mut row = Self::from_parts(&hash, &cell, &workload, &platform, batch, outcome);
+        row.engine.clear();
+        Ok(row)
     }
 }
 
-/// A frame's decoded metadata — everything but the outcome, which
-/// stays encoded in `payload` until someone asks for it.
-struct FrameMeta {
+/// Writes a row's metadata block: the fields a frame and an index entry
+/// both carry, in `specs/LEDGER.md` order.
+fn put_meta(buf: &mut Vec<u8>, row: &LedgerRow) {
+    wire::put_str(buf, &row.hash);
+    wire::put_str(buf, &row.cell);
+    wire::put_str(buf, &row.workload);
+    wire::put_str(buf, &row.platform);
+    wire::put_varint(buf, u64::from(row.batch));
+    wire::put_str(buf, &row.engine);
+    wire::put_f64(buf, row.best_cost);
+    wire::put_varint(buf, row.latency_cycles);
+    wire::put_varint(buf, row.evals);
+}
+
+/// Reads a metadata block into the row stored at `loc`. Its outcome
+/// decodes lazily: from the payload that follows the block in a frame
+/// body (`shard` is `None`), or from the frame at `loc` in the `shard`
+/// file an index entry names.
+fn read_row(
+    r: &mut Reader<'_>,
     seq: u64,
-    hash: String,
-    cell: String,
-    workload: String,
-    platform: String,
-    batch: u32,
-    engine: String,
-    best_cost: f64,
-    latency_cycles: u64,
-    evals: u64,
-    payload: Vec<u8>,
+    loc: FrameLoc,
+    shard: Option<PathBuf>,
+    decodes: &Arc<AtomicU64>,
+) -> Result<LedgerRow, wire::WireError> {
+    // Fields evaluate in the order written: the block's byte order.
+    Ok(LedgerRow {
+        hash: r.str()?.to_string(),
+        cell: r.str()?.to_string(),
+        workload: r.str()?.to_string(),
+        platform: r.str()?.to_string(),
+        batch: u32::try_from(r.varint()?).map_err(|_| wire::WireError::new("batch exceeds u32"))?,
+        engine: r.str()?.to_string(),
+        best_cost: r.f64()?,
+        latency_cycles: r.varint()?,
+        evals: r.varint()?,
+        seq,
+        loc: Some(loc),
+        payload: Payload::Lazy(Arc::new(LazyOutcome {
+            source: match shard {
+                None => LazySource::Payload(r.bytes()?.to_vec()),
+                Some(shard) => LazySource::Disk { shard, loc, seq },
+            },
+            slot: OnceLock::new(),
+            decodes: Arc::clone(decodes),
+        })),
+    })
 }
 
 /// Encodes one row as a complete frame: `FRM3` magic, `u32` LE body
@@ -437,15 +467,7 @@ fn encode_frame(row: &LedgerRow, payload: &[u8]) -> Vec<u8> {
     let mut rest = Vec::with_capacity(payload.len() + 128);
     wire::put_varint(&mut rest, LEDGER_VERSION);
     wire::put_varint(&mut rest, row.seq);
-    wire::put_str(&mut rest, &row.hash);
-    wire::put_str(&mut rest, &row.cell);
-    wire::put_str(&mut rest, &row.workload);
-    wire::put_str(&mut rest, &row.platform);
-    wire::put_varint(&mut rest, u64::from(row.batch));
-    wire::put_str(&mut rest, &row.engine);
-    wire::put_f64(&mut rest, row.best_cost);
-    wire::put_varint(&mut rest, row.latency_cycles);
-    wire::put_varint(&mut rest, row.evals);
+    put_meta(&mut rest, row);
     wire::put_bytes(&mut rest, payload);
     let crc = fnv1a(rest.iter().copied());
     let body_len = u32::try_from(rest.len() + 8).expect("frame body fits in u32");
@@ -458,8 +480,13 @@ fn encode_frame(row: &LedgerRow, payload: &[u8]) -> Vec<u8> {
 }
 
 /// Decodes and **verifies** one frame body (the bytes after magic +
-/// length): checksum first, then version, then fields.
-fn decode_frame_body(body: &[u8]) -> Result<FrameMeta, String> {
+/// length) of the frame at `loc`: checksum first, then version, then
+/// fields. The row keeps its payload in memory.
+fn decode_frame_body(
+    body: &[u8],
+    loc: FrameLoc,
+    decodes: &Arc<AtomicU64>,
+) -> Result<LedgerRow, String> {
     if body.len() < 8 {
         return Err("frame body shorter than its checksum".into());
     }
@@ -472,29 +499,17 @@ fn decode_frame_body(body: &[u8]) -> Result<FrameMeta, String> {
         ));
     }
     let mut r = Reader::new(rest);
-    let parse = |r: &mut Reader<'_>| -> Result<FrameMeta, wire::WireError> {
+    let parse = |r: &mut Reader<'_>| -> Result<LedgerRow, wire::WireError> {
         let version = r.varint()?;
         if version != LEDGER_VERSION {
             return Err(wire::WireError::new(format!("unsupported ledger version {version}")));
         }
-        Ok(FrameMeta {
-            seq: r.varint()?,
-            hash: r.str()?.to_string(),
-            cell: r.str()?.to_string(),
-            workload: r.str()?.to_string(),
-            platform: r.str()?.to_string(),
-            batch: u32::try_from(r.varint()?)
-                .map_err(|_| wire::WireError::new("batch exceeds u32"))?,
-            engine: r.str()?.to_string(),
-            best_cost: r.f64()?,
-            latency_cycles: r.varint()?,
-            evals: r.varint()?,
-            payload: r.bytes()?.to_vec(),
-        })
+        let seq = r.varint()?;
+        read_row(r, seq, loc, None, decodes)
     };
-    let meta = parse(&mut r).map_err(|e| e.msg)?;
+    let row = parse(&mut r).map_err(|e| e.msg)?;
     r.finish().map_err(|e| e.msg)?;
-    Ok(meta)
+    Ok(row)
 }
 
 /// What a load found and repaired — the ledger's self-report. A
@@ -527,37 +542,22 @@ pub fn quarantine_path(ledger: &Path) -> PathBuf {
     ledger.join(QUARANTINE_FILE)
 }
 
-/// One index sidecar entry: a row's metadata plus its frame location.
-struct IndexEntry {
-    seq: u64,
-    shard: u8,
-    offset: u64,
-    len: u32,
-    hash: String,
-    cell: String,
-    workload: String,
-    platform: String,
-    batch: u32,
-    engine: String,
-    best_cost: f64,
-    latency_cycles: u64,
-    evals: u64,
-}
-
 /// A parsed index sidecar: the next append sequence number, how many
-/// bytes of each shard the entries cover, and the entries grouped by
-/// shard.
+/// bytes of each shard the entries cover, and the entries' rows grouped
+/// by shard.
 struct IndexData {
     next_seq: u64,
     covered: [u64; SHARDS],
-    by_shard: Vec<Vec<IndexEntry>>,
+    by_shard: Vec<Vec<LedgerRow>>,
 }
 
-/// Reads and verifies the index sidecar. The index is a disposable
-/// cache: any damage (bad magic, checksum mismatch, truncation) reads
-/// as "no index" and the shards get scanned instead.
-fn read_index(path: &Path) -> Option<IndexData> {
-    let bytes = fs::read(path).ok()?;
+/// Reads and verifies the index sidecar of ledger directory `dir`. Its
+/// rows decode lazily from their frames — building them reads no frame.
+/// The index is a disposable cache: any damage (bad magic, checksum
+/// mismatch, truncation) reads as "no index" and the shards get scanned
+/// instead.
+fn read_index(dir: &Path, decodes: &Arc<AtomicU64>) -> Option<IndexData> {
+    let bytes = fs::read(dir.join(INDEX_FILE)).ok()?;
     if bytes.len() < 16 || &bytes[..8] != INDEX_MAGIC {
         return None;
     }
@@ -575,29 +575,21 @@ fn read_index(path: &Path) -> Option<IndexData> {
         }
         let n = usize::try_from(r.varint()?)
             .map_err(|_| wire::WireError::new("entry count overflow"))?;
-        let mut by_shard: Vec<Vec<IndexEntry>> = (0..SHARDS).map(|_| Vec::new()).collect();
+        let mut by_shard: Vec<Vec<LedgerRow>> = (0..SHARDS).map(|_| Vec::new()).collect();
         for _ in 0..n {
-            let e = IndexEntry {
-                seq: r.varint()?,
-                shard: r.u8()?,
+            let seq = r.varint()?;
+            let shard = r.u8()?;
+            if usize::from(shard) >= SHARDS {
+                return Err(wire::WireError::new("shard id out of range"));
+            }
+            let loc = FrameLoc {
+                shard,
                 offset: r.varint()?,
                 len: u32::try_from(r.varint()?)
                     .map_err(|_| wire::WireError::new("frame length exceeds u32"))?,
-                hash: r.str()?.to_string(),
-                cell: r.str()?.to_string(),
-                workload: r.str()?.to_string(),
-                platform: r.str()?.to_string(),
-                batch: u32::try_from(r.varint()?)
-                    .map_err(|_| wire::WireError::new("batch exceeds u32"))?,
-                engine: r.str()?.to_string(),
-                best_cost: r.f64()?,
-                latency_cycles: r.varint()?,
-                evals: r.varint()?,
             };
-            if usize::from(e.shard) >= SHARDS {
-                return Err(wire::WireError::new("shard id out of range"));
-            }
-            by_shard[usize::from(e.shard)].push(e);
+            let path = shard_path(dir, usize::from(shard));
+            by_shard[usize::from(shard)].push(read_row(&mut r, seq, loc, Some(path), decodes)?);
         }
         r.finish()?;
         Ok(IndexData { next_seq, covered, by_shard })
@@ -605,40 +597,11 @@ fn read_index(path: &Path) -> Option<IndexData> {
     parse().ok()
 }
 
-/// Builds a lazily loaded row from one index entry — zero frame I/O.
-fn row_from_entry(e: IndexEntry, dir: &Path, decodes: &Arc<AtomicU64>) -> LedgerRow {
-    LedgerRow {
-        hash: e.hash,
-        cell: e.cell,
-        workload: e.workload,
-        platform: e.platform,
-        batch: e.batch,
-        engine: e.engine,
-        best_cost: e.best_cost,
-        latency_cycles: e.latency_cycles,
-        evals: e.evals,
-        seq: e.seq,
-        loc: Some(FrameLoc { shard: e.shard, offset: e.offset, len: e.len }),
-        payload: Payload::Lazy(Arc::new(LazyOutcome {
-            source: LazySource::Disk {
-                shard: shard_path(dir, usize::from(e.shard)),
-                offset: e.offset,
-                len: e.len,
-                seq: e.seq,
-            },
-            slot: OnceLock::new(),
-            decodes: Arc::clone(decodes),
-        })),
-    }
-}
-
 /// What one shard scan found.
 struct ShardScan {
     /// Valid rows, in frame order, with in-memory (already read)
     /// payloads.
     rows: Vec<LedgerRow>,
-    /// Byte ranges of the valid frames (for a quarantine rewrite).
-    kept_ranges: Vec<(usize, usize)>,
     /// Damaged byte regions `(offset, len)` — corrupt frames, garbage
     /// between frames, a broken shard header.
     damage: Vec<(u64, u64)>,
@@ -659,70 +622,31 @@ fn find_magic(buf: &[u8], from: usize) -> Option<usize> {
 /// after damage — corruption costs the damaged region, never a valid
 /// later frame.
 fn scan_shard(buf: &[u8], start: usize, shard: u8, decodes: &Arc<AtomicU64>) -> ShardScan {
-    let mut scan = ShardScan {
-        rows: Vec::new(),
-        kept_ranges: Vec::new(),
-        damage: Vec::new(),
-        torn_tail: None,
-    };
+    let mut scan = ShardScan { rows: Vec::new(), damage: Vec::new(), torn_tail: None };
     let mut pos = start;
     while pos < buf.len() {
-        let frame_here = buf[pos..].starts_with(FRAME_MAGIC);
-        if frame_here {
+        if buf[pos..].starts_with(FRAME_MAGIC) {
             let header_end = pos + FRAME_MAGIC.len() + 4;
-            if header_end <= buf.len() {
-                let body_len =
-                    u32::from_le_bytes(buf[pos + 4..header_end].try_into().expect("4-byte slice"))
-                        as usize;
-                let frame_end = header_end + body_len;
-                if frame_end <= buf.len() {
-                    match decode_frame_body(&buf[header_end..frame_end]) {
-                        Ok(meta) => {
-                            scan.rows.push(LedgerRow {
-                                hash: meta.hash,
-                                cell: meta.cell,
-                                workload: meta.workload,
-                                platform: meta.platform,
-                                batch: meta.batch,
-                                engine: meta.engine,
-                                best_cost: meta.best_cost,
-                                latency_cycles: meta.latency_cycles,
-                                evals: meta.evals,
-                                seq: meta.seq,
-                                loc: Some(FrameLoc {
-                                    shard,
-                                    offset: pos as u64,
-                                    len: (frame_end - pos) as u32,
-                                }),
-                                payload: Payload::Lazy(Arc::new(LazyOutcome {
-                                    source: LazySource::Payload(meta.payload),
-                                    slot: OnceLock::new(),
-                                    decodes: Arc::clone(decodes),
-                                })),
-                            });
-                            scan.kept_ranges.push((pos, frame_end));
-                            pos = frame_end;
-                            continue;
-                        }
-                        Err(_) => {
-                            // Fall through to damage handling below.
-                        }
-                    }
-                } else {
-                    // The frame claims to extend past EOF. If no later
-                    // magic exists, this is a torn trailing append;
-                    // otherwise the length itself is damaged.
-                    if find_magic(buf, pos + 1).is_none() {
-                        scan.torn_tail = Some(pos as u64);
-                        return scan;
+            let frame_end = buf.get(pos + 4..header_end).map(|len| {
+                header_end + u32::from_le_bytes(len.try_into().expect("4-byte slice")) as usize
+            });
+            match frame_end {
+                Some(end) if end <= buf.len() => {
+                    let loc = FrameLoc { shard, offset: pos as u64, len: (end - pos) as u32 };
+                    if let Ok(row) = decode_frame_body(&buf[header_end..end], loc, decodes) {
+                        scan.rows.push(row);
+                        pos = end;
+                        continue;
                     }
                 }
-            } else {
-                // Not even a complete header at EOF.
-                if find_magic(buf, pos + 1).is_none() {
+                // The header or the frame it announces runs past EOF. If
+                // no later magic exists, this is a torn trailing append;
+                // otherwise the length itself is damaged.
+                _ if find_magic(buf, pos + 1).is_none() => {
                     scan.torn_tail = Some(pos as u64);
                     return scan;
                 }
+                _ => {}
             }
         }
         // Damage at `pos`: skip to the next frame magic (or EOF).
@@ -877,7 +801,7 @@ impl Ledger {
 
     fn load_shards(&mut self) -> io::Result<()> {
         let dir = self.path.clone();
-        let mut idx = read_index(&dir.join(INDEX_FILE));
+        let mut idx = read_index(&dir, &self.decodes);
         let next_seq_floor = idx.as_ref().map_or(0, |i| i.next_seq);
         let mut index_stale = idx.is_none();
         let mut all_rows: Vec<LedgerRow> = Vec::new();
@@ -885,12 +809,12 @@ impl Ledger {
         for s in 0..SHARDS {
             let spath = shard_path(&dir, s);
             let size = fs::metadata(&spath).map(|m| m.len()).unwrap_or(0);
-            let (covered, entries) = match idx.as_mut() {
+            let (covered, indexed) = match idx.as_mut() {
                 Some(i) => (i.covered[s], std::mem::take(&mut i.by_shard[s])),
                 None => (0, Vec::new()),
             };
             if size == 0 {
-                if covered > 0 || !entries.is_empty() {
+                if covered > 0 || !indexed.is_empty() {
                     index_stale = true;
                 }
                 continue;
@@ -898,9 +822,8 @@ impl Ledger {
             if idx.is_some() && covered == size {
                 // The index covers the whole shard: trust it and build
                 // every row without reading a single frame.
-                self.shard_health[s].kept = entries.len();
-                all_rows
-                    .extend(entries.into_iter().map(|e| row_from_entry(e, &dir, &self.decodes)));
+                self.shard_health[s].kept = indexed.len();
+                all_rows.extend(indexed);
                 continue;
             }
             index_stale = true;
@@ -911,8 +834,7 @@ impl Ledger {
             if idx.is_some() && covered >= SHARD_MAGIC.len() as u64 && covered < size {
                 // Stale-but-consistent index: trust the covered prefix,
                 // scan only the appended tail.
-                trusted =
-                    entries.into_iter().map(|e| row_from_entry(e, &dir, &self.decodes)).collect();
+                trusted = indexed;
                 scan = scan_shard(&buf, covered as usize, s as u8, &self.decodes);
                 if !scan.damage.is_empty() {
                     // Damage in the tail: distrust the index for this
@@ -951,23 +873,17 @@ impl Ledger {
                         q.write_all(b"\n")?;
                     }
                     q.flush()?;
-                    let tmp = spath.with_extension("bin.tmp");
-                    {
-                        let mut f = fs::File::create(&tmp)?;
-                        f.write_all(SHARD_MAGIC)?;
-                        let mut off = SHARD_MAGIC.len() as u64;
-                        for (&(a, b), row) in scan.kept_ranges.iter().zip(scan.rows.iter_mut()) {
-                            f.write_all(&buf[a..b])?;
-                            row.loc =
-                                Some(FrameLoc { shard: s as u8, offset: off, len: (b - a) as u32 });
-                            off += (b - a) as u64;
-                        }
-                        f.flush()?;
-                        f.sync_all()?;
-                    }
-                    fs::rename(&tmp, &spath)?;
-                    if let Some(plan) = &self.faults {
-                        plan.observe(fault::site::LEDGER_COMPACT);
+                    let frames: Vec<&[u8]> = scan
+                        .rows
+                        .iter()
+                        .map(|row| {
+                            let loc = row.loc.expect("a scanned row knows its frame");
+                            &buf[loc.offset as usize..][..loc.len as usize]
+                        })
+                        .collect();
+                    let locs = self.rewrite_shard(s, &frames)?;
+                    for (row, loc) in scan.rows.iter_mut().zip(locs) {
+                        row.loc = Some(loc);
                     }
                 } else if let Some(ts) = scan.torn_tail {
                     // Only a torn tail: truncate the shard in place.
@@ -1055,6 +971,14 @@ impl Ledger {
         self.index.get(hash).map(|&i| &self.rows[i])
     }
 
+    /// The rows [`lookup`](Self::lookup) resolves to — each hash's
+    /// newest row, in append order. This is the one last-write-wins
+    /// rule: compaction keeps these rows and summaries count them.
+    pub fn live_rows(&self) -> impl Iterator<Item = &LedgerRow> {
+        let live = |&(i, row): &(usize, &LedgerRow)| self.index.get(&row.hash) == Some(&i);
+        self.rows.iter().enumerate().filter(live).map(|(_, row)| row)
+    }
+
     /// Creates the ledger directory and its human-readable marker on
     /// first use.
     fn ensure_dir(&self) -> io::Result<()> {
@@ -1066,6 +990,46 @@ impl Ledger {
             fs::write(&marker, "soma ledger v3: binary sharded format. See specs/LEDGER.md.\n")?;
         }
         Ok(())
+    }
+
+    /// Opens shard `s` for appending, creating it with its magic when it
+    /// is new. Returns the file and its length: the next frame's offset,
+    /// wherever the file currently ends — robust to dead bytes left by
+    /// an earlier torn append.
+    fn open_shard(&self, s: u8) -> io::Result<(fs::File, u64)> {
+        let spath = shard_path(&self.path, usize::from(s));
+        let fresh = !spath.exists();
+        let mut f = fs::OpenOptions::new().create(true).append(true).open(&spath)?;
+        if fresh {
+            f.write_all(SHARD_MAGIC)?;
+        }
+        let len = f.metadata()?.len();
+        Ok((f, len))
+    }
+
+    /// Replaces shard `s` with the magic and `frames`, crash-safely:
+    /// write a temp file, fsync it, rename it over the shard. Ticks
+    /// [`fault::site::LEDGER_COMPACT`] once. Returns where each frame
+    /// now sits.
+    fn rewrite_shard(&self, s: usize, frames: &[&[u8]]) -> io::Result<Vec<FrameLoc>> {
+        let spath = shard_path(&self.path, s);
+        let tmp = spath.with_extension("bin.tmp");
+        let mut f = fs::File::create(&tmp)?;
+        f.write_all(SHARD_MAGIC)?;
+        let mut offset = SHARD_MAGIC.len() as u64;
+        let mut locs = Vec::with_capacity(frames.len());
+        for frame in frames {
+            f.write_all(frame)?;
+            locs.push(FrameLoc { shard: s as u8, offset, len: frame.len() as u32 });
+            offset += frame.len() as u64;
+        }
+        f.sync_all()?;
+        drop(f);
+        fs::rename(&tmp, &spath)?;
+        if let Some(plan) = &self.faults {
+            plan.observe(fault::site::LEDGER_COMPACT);
+        }
+        Ok(locs)
     }
 
     /// Appends one row, creating the directory and shard file on first
@@ -1089,16 +1053,7 @@ impl Ledger {
         row.seq = self.next_seq;
         let frame = encode_frame(&row, &payload);
         let shard = shard_of(&row.hash);
-        let spath = shard_path(&self.path, usize::from(shard));
-        let fresh = !spath.exists();
-        let mut f = fs::OpenOptions::new().create(true).append(true).open(&spath)?;
-        if fresh {
-            f.write_all(SHARD_MAGIC)?;
-        }
-        // The frame's offset is wherever the file currently ends —
-        // robust to dead bytes left by an earlier torn append.
-        let offset = f.metadata()?.len();
-
+        let (mut f, offset) = self.open_shard(shard)?;
         match self.faults.as_ref().and_then(|p| p.next(fault::site::LEDGER_APPEND)) {
             Some(Fault::TornWrite { keep_per_mille }) => {
                 // Persist only a prefix, then "crash" the append.
@@ -1152,17 +1107,10 @@ impl Ledger {
             self.next_seq += 1;
             let frame = encode_frame(&row, &payload);
             let shard = shard_of(&row.hash);
-            if let std::collections::hash_map::Entry::Vacant(e) = files.entry(shard) {
-                let spath = shard_path(&self.path, usize::from(shard));
-                let fresh = !spath.exists();
-                let mut f = fs::OpenOptions::new().create(true).append(true).open(&spath)?;
-                if fresh {
-                    f.write_all(SHARD_MAGIC)?;
-                }
-                let len = f.metadata()?.len();
-                e.insert((f, len));
-            }
-            let (f, off) = files.get_mut(&shard).expect("just inserted");
+            let (f, off) = match files.entry(shard) {
+                Entry::Occupied(open) => open.into_mut(),
+                Entry::Vacant(slot) => slot.insert(self.open_shard(shard)?),
+            };
             f.write_all(&frame)?;
             row.loc = Some(FrameLoc { shard, offset: *off, len: frame.len() as u32 });
             *off += frame.len() as u64;
@@ -1202,23 +1150,15 @@ impl Ledger {
             let len = fs::metadata(shard_path(&self.path, s)).map(|m| m.len()).unwrap_or(0);
             wire::put_varint(&mut rest, len);
         }
-        let indexed: Vec<&LedgerRow> = self.rows.iter().filter(|r| r.loc.is_some()).collect();
+        let indexed: Vec<(&LedgerRow, FrameLoc)> =
+            self.rows.iter().filter_map(|r| Some((r, r.loc?))).collect();
         wire::put_varint(&mut rest, indexed.len() as u64);
-        for row in indexed {
-            let loc = row.loc.expect("filtered on loc");
+        for (row, loc) in indexed {
             wire::put_varint(&mut rest, row.seq);
             rest.push(loc.shard);
             wire::put_varint(&mut rest, loc.offset);
             wire::put_varint(&mut rest, u64::from(loc.len));
-            wire::put_str(&mut rest, &row.hash);
-            wire::put_str(&mut rest, &row.cell);
-            wire::put_str(&mut rest, &row.workload);
-            wire::put_str(&mut rest, &row.platform);
-            wire::put_varint(&mut rest, u64::from(row.batch));
-            wire::put_str(&mut rest, &row.engine);
-            wire::put_f64(&mut rest, row.best_cost);
-            wire::put_varint(&mut rest, row.latency_cycles);
-            wire::put_varint(&mut rest, row.evals);
+            put_meta(&mut rest, row);
         }
         let crc = fnv1a(rest.iter().copied());
         let tmp = self.path.join("index.bin.tmp");
@@ -1246,55 +1186,34 @@ impl Ledger {
         if self.readonly {
             return Err(Self::readonly_err());
         }
-        let mut last: HashMap<&str, usize> = HashMap::new();
-        for (i, row) in self.rows.iter().enumerate() {
-            last.insert(row.hash.as_str(), i);
-        }
-        let mut stats = CompactStats { kept: 0, dropped_duplicates: 0, dropped_stale_engine: 0 };
-        let mut keep: Vec<LedgerRow> = Vec::new();
-        for (i, row) in self.rows.iter().enumerate() {
-            if last[row.hash.as_str()] != i {
-                stats.dropped_duplicates += 1;
-                continue;
-            }
-            if !row.engine.is_empty() && row.engine != ENGINE_VERSION {
-                stats.dropped_stale_engine += 1;
-                continue;
-            }
-            keep.push(row.clone());
-        }
-        stats.kept = keep.len();
+        let live: Vec<LedgerRow> = self.live_rows().cloned().collect();
+        let live_len = live.len();
+        let mut keep: Vec<LedgerRow> = live
+            .into_iter()
+            .filter(|row| row.engine.is_empty() || row.engine == ENGINE_VERSION)
+            .collect();
+        let stats = CompactStats {
+            kept: keep.len(),
+            dropped_duplicates: self.rows.len() - live_len,
+            dropped_stale_engine: live_len - keep.len(),
+        };
 
         self.ensure_dir()?;
-        // Materialise payloads before any rewrite: disk-lazy rows still
+        // Encode every frame before any rewrite: disk-lazy rows still
         // point at the files we are replacing.
-        let payloads: Vec<Vec<u8>> =
-            keep.iter().map(|r| r.payload_bytes()).collect::<io::Result<_>>()?;
+        let encoded: Vec<Vec<u8>> = keep
+            .iter()
+            .map(|row| row.payload_bytes().map(|payload| encode_frame(row, &payload)))
+            .collect::<io::Result<_>>()?;
         for s in 0..SHARDS {
-            let spath = shard_path(&self.path, s);
             let mine: Vec<usize> =
                 (0..keep.len()).filter(|&i| usize::from(shard_of(&keep[i].hash)) == s).collect();
-            if mine.is_empty() && !spath.exists() {
+            if mine.is_empty() && !shard_path(&self.path, s).exists() {
                 continue;
             }
-            let tmp = spath.with_extension("bin.tmp");
-            {
-                let mut f = fs::File::create(&tmp)?;
-                f.write_all(SHARD_MAGIC)?;
-                let mut off = SHARD_MAGIC.len() as u64;
-                for &i in &mine {
-                    let frame = encode_frame(&keep[i], &payloads[i]);
-                    f.write_all(&frame)?;
-                    keep[i].loc =
-                        Some(FrameLoc { shard: s as u8, offset: off, len: frame.len() as u32 });
-                    off += frame.len() as u64;
-                }
-                f.flush()?;
-                f.sync_all()?;
-            }
-            fs::rename(&tmp, &spath)?;
-            if let Some(plan) = &self.faults {
-                plan.observe(fault::site::LEDGER_COMPACT);
+            let frames: Vec<&[u8]> = mine.iter().map(|&i| encoded[i].as_slice()).collect();
+            for (&i, loc) in mine.iter().zip(self.rewrite_shard(s, &frames)?) {
+                keep[i].loc = Some(loc);
             }
         }
 
@@ -1708,6 +1627,8 @@ mod tests {
         ledger.append(stale).unwrap();
         ledger.append(synth_row(4)).unwrap();
         assert_eq!(ledger.len(), 4);
+        let live: Vec<&str> = ledger.live_rows().map(|r| r.cell.as_str()).collect();
+        assert_eq!(live, ["cell-2", "cell-3", "cell-4"], "newest row per hash, append order");
 
         let stats = ledger.compact().unwrap();
         assert_eq!(stats, CompactStats { kept: 2, dropped_duplicates: 1, dropped_stale_engine: 1 });
