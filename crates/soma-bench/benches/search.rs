@@ -1,6 +1,6 @@
 //! Criterion benches for the search stack: one full stage-1 objective
-//! evaluation, one stage-2 objective evaluation, and small end-to-end
-//! schedules (SoMa and Cocco).
+//! evaluation, one stage-1 proposal, one stage-2 objective evaluation,
+//! and small end-to-end schedules (SoMa and Cocco).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use soma_arch::HardwareConfig;
@@ -17,6 +17,20 @@ fn bench_objective(c: &mut Criterion) {
         b.iter(|| obj.eval_lfa(&lfa, hw.buffer_bytes).unwrap().0)
     });
 
+    // A stage-1 proposal: the objective re-evaluates from the first tile
+    // an LFA changes against the one it evaluated last, so alternate two
+    // that differ in one FLG (a middle layer's tiling) rather than repeat
+    // one, which would re-emit nothing.
+    let mut retiled = lfa.clone();
+    retiled.tiling[net.len() / 2] = 4;
+    let mut flip = false;
+    c.bench_function("objective/eval_lfa_cost_resnet50", |b| {
+        b.iter(|| {
+            flip = !flip;
+            obj.eval_lfa_cost(if flip { &retiled } else { &lfa }, hw.buffer_bytes).unwrap()
+        })
+    });
+
     let plan = parse_lfa(&net, &lfa).unwrap();
     let dlsa = Dlsa::double_buffer(&plan);
     c.bench_function("objective/eval_dlsa_resnet50", |b| {
@@ -24,8 +38,8 @@ fn bench_objective(c: &mut Criterion) {
     });
 
     // The compiled-engine fast path: an allocation-free queue replay
-    // from the start + maintained peak (what a stage-1 proposal runs, and
-    // the most a resumed stage-2 replay can cost).
+    // from the start + maintained peak (the most a resumed stage-1 or
+    // stage-2 replay can cost).
     let compiled = obj.compile(&plan);
     let peak = soma_core::lifetime::peak_buffer(&plan, &dlsa);
     c.bench_function("objective/eval_dlsa_compiled_resnet50", |b| {

@@ -261,8 +261,9 @@ fn main() {
             rows.push(row);
             aggregates.entry((scenario.clone(), "dlsa")).or_default().fold(&naive, &engine);
 
-            // Stage 1: dominated by parsing either way; the engine only
-            // drops the report build.
+            // Stage 1: the naive walk parses each proposal one-shot and
+            // builds its full report; the engine rewrites its last
+            // evaluation from the first tile the proposal changes.
             let naive = stage1_walk(net, &hw, seed, s1_proposals, false);
             let engine = stage1_walk(net, &hw, seed, s1_proposals, true);
             assert_eq!(

@@ -19,7 +19,7 @@ use crate::plan::ComputePlan;
 ///   is the schedulable knob — the tile with global index `end` may not
 ///   begin until the store completes. `end == n_tiles` is the `END`
 ///   sentinel (no compute tile waits on it).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Dlsa {
     /// Execution order: `order[k]` is the canonical tensor index that the
     /// DRAM engine serves `k`-th.
@@ -36,19 +36,36 @@ impl Dlsa {
     /// during the tile after its producer. This is the implicit DLSA of
     /// SoMa's first stage and of the Cocco baseline.
     pub fn double_buffer(plan: &ComputePlan) -> Self {
+        let mut dlsa = Self::default();
+        dlsa.double_buffer_from(plan, 0);
+        dlsa
+    }
+
+    /// Rewrites this double-buffer DLSA of an earlier plan into `plan`'s,
+    /// where the two plans agree on every tile before `tile` and every
+    /// DRAM tensor anchored before it. A store's `End` is clamped to the
+    /// tile count, so the stores of the last two kept tiles can move:
+    /// entries are rewritten from the first tensor anchored at or after
+    /// `tile - 2`, and its index — the first queue slot that may differ —
+    /// is returned. From tile 0 this builds the DLSA of any plan.
+    pub fn double_buffer_from(&mut self, plan: &ComputePlan, tile: usize) -> usize {
         let n_tiles = plan.n_tiles();
-        let mut start = Vec::with_capacity(plan.dram_tensors.len());
-        let mut end = Vec::with_capacity(plan.dram_tensors.len());
-        for t in &plan.dram_tensors {
+        let from =
+            plan.dram_tensors.partition_point(|t| (t.anchor as usize) < tile.saturating_sub(2));
+        self.order.truncate(from);
+        self.start.truncate(from);
+        self.end.truncate(from);
+        for (i, t) in plan.dram_tensors.iter().enumerate().skip(from) {
+            self.order.push(i as u32);
             if t.is_load {
-                start.push(t.anchor.saturating_sub(1));
-                end.push(t.last_use + 1);
+                self.start.push(t.anchor.saturating_sub(1));
+                self.end.push(t.last_use + 1);
             } else {
-                start.push(t.anchor);
-                end.push((t.anchor + 2).min(n_tiles));
+                self.start.push(t.anchor);
+                self.end.push((t.anchor + 2).min(n_tiles));
             }
         }
-        Self { order: (0..plan.dram_tensors.len() as u32).collect(), start, end }
+        from
     }
 
     /// Checks this DLSA against the plan it is meant for.
@@ -118,6 +135,22 @@ mod tests {
             } else {
                 assert_eq!(d.end[i], (t.anchor + 2).min(p.n_tiles()));
             }
+        }
+    }
+
+    #[test]
+    fn resumed_double_buffer_moves_the_clamped_stores() {
+        // A plan and its first four tiles: the stores of tiles 2 and 3
+        // clamp their `End` at different tile counts.
+        let full = plan();
+        let mut cut = full.clone();
+        cut.tiles.truncate(4);
+        cut.dram_tensors.retain(|t| t.anchor < 4);
+        for (from, to) in [(&full, &cut), (&cut, &full)] {
+            let mut d = Dlsa::double_buffer(from);
+            let slot = d.double_buffer_from(to, 4);
+            assert_eq!(d, Dlsa::double_buffer(to));
+            assert_eq!(slot, to.dram_tensors.iter().position(|t| t.anchor >= 2).unwrap());
         }
     }
 

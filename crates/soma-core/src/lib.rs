@@ -16,7 +16,9 @@
 //!    sequence (the COMPUTE row of Fig. 4), every tensor requiring DRAM
 //!    interaction, and the on-chip buffer residency of fused feature maps.
 //!    A [`SegmentMemo`] gives the same plans while re-using each fusion
-//!    group's tiles across parses (the stage-1 search path).
+//!    group's tiles across parses (the stage-1 search path): it keeps
+//!    the last plan and rewrites it from the first group a new LFA can
+//!    change, reporting that group's first tile.
 //! 2. A [`Dlsa`] assigns each DRAM tensor its queue position and living
 //!    duration; [`lifetime::buffer_profile`] then yields per-tile buffer
 //!    occupancy and the simulator in `soma-sim` derives exact timing.

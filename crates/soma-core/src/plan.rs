@@ -4,15 +4,20 @@
 //! layer's tile prototype (ops, shape, in/out bytes) and every input's
 //! per-tile bytes — depends only on the FLG's layers (a slice of the
 //! computing order) and its tiling number. Everything else depends on
-//! neighbouring groups and is derived on every parse: FLG and LG indices,
-//! tile positions, which inputs cross an LG, which ofmaps are stored, and
-//! the on-chip intervals.
+//! neighbouring groups: FLG and LG indices, tile positions, which inputs
+//! cross an LG, which ofmaps are stored, and the on-chip intervals.
 //!
-//! [`parse_lfa`] builds every segment afresh. A [`SegmentMemo`] keeps
-//! segments across parses, so a stage-1 proposal, which changes one or
-//! two FLGs, builds only those. Both run the same validation and the
-//! same assembly, so they return identical plans and identical errors
-//! (`tests/segment_equiv.rs` checks this on random mutation chains).
+//! One assembler concatenates segments into a plan. It keeps the plan it
+//! assembled last and rewrites it from the first FLG the new LFA can
+//! change: the tiles before that FLG, and the DRAM tensors anchored
+//! before them, stay, and the first tile that may differ is reported.
+//! [`parse_lfa`] is that assembler with nothing kept. A [`SegmentMemo`]
+//! keeps segments and the last plan across parses, so a stage-1
+//! proposal, which changes one or two FLGs, builds only those and
+//! re-emits the plan only from the first of them. Both run the same
+//! validation and the same assembly, so they return identical plans and
+//! identical errors (`tests/segment_equiv.rs` checks this, and the kept
+//! prefixes, on random mutation chains).
 
 use std::collections::HashMap;
 
@@ -113,7 +118,7 @@ pub struct OnchipInterval {
 
 /// The result of stage-1 parsing: tile sequence, DRAM tensor set (in
 /// canonical need-order), on-chip buffer residency and group membership.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ComputePlan {
     /// All computing tiles, in execution order.
     pub tiles: Vec<Tile>,
@@ -159,8 +164,9 @@ impl ComputePlan {
 /// Parses the layer-fusion-related attributes into a [`ComputePlan`]
 /// (the paper's first parsing stage, Sec. IV-A1).
 ///
-/// Builds every FLG's segment afresh; [`SegmentMemo::parse`] returns the
-/// same plan while re-using the segments of earlier parses.
+/// Builds every FLG's segment and assembles the plan from its first
+/// tile; [`SegmentMemo::parse`] returns the same plan while re-using the
+/// segments and the plan of earlier parses.
 ///
 /// # Errors
 ///
@@ -175,23 +181,28 @@ pub fn parse_lfa(net: &Network, lfa: &Lfa) -> Result<ComputePlan, ParseError> {
         .zip(&lfa.tiling)
         .map(|(&(start, end), &tiling)| Segment::build(net, &lfa.order[start..end], tiling))
         .collect();
-    Ok(assemble(net, lfa, groups, |g| &segments[g]))
+    let ids: Vec<u32> = (0..segments.len() as u32).collect();
+    let mut fresh = Assembly::default();
+    fresh.assemble(net, lfa, groups, &segments, &ids);
+    Ok(fresh.plan)
 }
 
 /// Entry cap of a [`SegmentMemo`]. A stage-1 search holds a few hundred
 /// segments per network.
 const SEGMENT_MEMO_CAP: usize = 4096;
 
-/// Stage-1 parsing with segment re-use, bound to one network.
+/// Stage-1 parsing with segment and plan re-use, bound to one network.
 ///
 /// A stage-1 proposal changes one or two FLGs of the current LFA, so
 /// nearly every (layers, tiling) pair it parses was parsed before. The
 /// memo keeps each pair's segment — the tile prototypes and per-input
-/// tile bytes, which depend on nothing else — and builds only new ones;
-/// everything that depends on neighbouring groups is derived afresh on
-/// every parse, exactly as [`parse_lfa`] does, so both return identical
-/// plans and identical errors. The memo is cleared before a parse that
-/// would take it past its entry cap.
+/// tile bytes, which depend on nothing else — and builds only new ones.
+/// It also keeps the plan it parsed last and rewrites it from the first
+/// FLG the new LFA can change, reporting that FLG's first tile; the plan
+/// equals [`parse_lfa`]'s field for field, and so do the errors. A
+/// parse that fails leaves the kept plan as it was. The memo is cleared,
+/// kept plan included, before a parse that would take it past its entry
+/// cap.
 #[derive(Debug)]
 pub struct SegmentMemo<'n> {
     net: &'n Network,
@@ -203,6 +214,8 @@ pub struct SegmentMemo<'n> {
     key: (Vec<LayerId>, u32),
     /// Segment of each FLG of the parse under way.
     picked: Vec<u32>,
+    /// The last plan parsed.
+    kept: Assembly,
 }
 
 impl<'n> SegmentMemo<'n> {
@@ -219,40 +232,62 @@ impl<'n> SegmentMemo<'n> {
             segments: Vec::new(),
             key: (Vec::new(), 0),
             picked: Vec::new(),
+            kept: Assembly::default(),
         }
     }
 
     /// Parses `lfa` like [`parse_lfa`], building only the segments this
-    /// memo has not seen.
+    /// memo has not seen, and returns the kept plan, now `lfa`'s, with
+    /// the first tile that may differ from the plan kept before. Every
+    /// tile before it, and every DRAM tensor anchored before it, is
+    /// unchanged; a parse of the kept LFA reports the tile count.
     ///
     /// # Errors
     ///
     /// Exactly the [`ParseError`] [`parse_lfa`] returns for `lfa`.
-    pub fn parse(&mut self, lfa: &Lfa) -> Result<ComputePlan, ParseError> {
+    pub fn parse(&mut self, lfa: &Lfa) -> Result<(&ComputePlan, usize), ParseError> {
         let groups = validate(self.net, lfa)?;
         if self.segments.len() + groups.ranges.len() > self.cap {
+            // Segment ids are reassigned, so the kept plan goes too.
             self.index.clear();
             self.segments.clear();
+            self.kept = Assembly::default();
         }
         self.picked.clear();
+        // An FLG equal to a kept one (same range, tiling and layers)
+        // reuses its segment without hashing its layers. Both range lists
+        // are sorted: walk them in step, so FLGs shifted by an added or
+        // deleted FLC still match.
+        let mut k = 0;
         for (&(start, end), &tiling) in groups.ranges.iter().zip(&lfa.tiling) {
             let layers = &lfa.order[start..end];
-            self.key.0.clear();
-            self.key.0.extend_from_slice(layers);
-            self.key.1 = tiling;
-            let id = match self.index.get(&self.key) {
-                Some(&id) => id,
-                None => {
-                    let id = self.segments.len() as u32;
-                    self.segments.push(Segment::build(self.net, layers, tiling));
-                    self.index.insert(self.key.clone(), id);
-                    id
-                }
-            };
+            let kept = &self.kept;
+            while kept.ranges.get(k).is_some_and(|r| r.0 < start) {
+                k += 1;
+            }
+            let same = kept.ranges.get(k) == Some(&(start, end))
+                && kept.tiling[k] == tiling
+                && kept.order[start..end] == *layers;
+            let id = if same { kept.segments[k] } else { self.lookup(layers, tiling) };
             self.picked.push(id);
         }
-        let (segments, picked) = (&self.segments, &self.picked);
-        Ok(assemble(self.net, lfa, groups, |g| &segments[picked[g] as usize]))
+        let tile = self.kept.assemble(self.net, lfa, groups, &self.segments, &self.picked);
+        Ok((&self.kept.plan, tile))
+    }
+
+    /// The id of the segment of `layers` tiled `tiling` times, built if
+    /// this memo has not seen it.
+    fn lookup(&mut self, layers: &[LayerId], tiling: u32) -> u32 {
+        self.key.0.clear();
+        self.key.0.extend_from_slice(layers);
+        self.key.1 = tiling;
+        if let Some(&id) = self.index.get(&self.key) {
+            return id;
+        }
+        let id = self.segments.len() as u32;
+        self.segments.push(Segment::build(self.net, layers, tiling));
+        self.index.insert(self.key.clone(), id);
+        id
     }
 }
 
@@ -398,144 +433,210 @@ impl Segment {
     }
 }
 
-/// Concatenates the segments of a validated LFA into its plan and derives
-/// everything that depends on neighbouring groups: FLG and LG indices,
-/// tile positions, which inputs cross an LG, which ofmaps are stored, and
-/// the on-chip intervals. `segment(g)` is FLG `g`'s segment.
-fn assemble<'s>(
-    net: &Network,
-    lfa: &Lfa,
-    groups: Groups,
-    segment: impl Fn(usize) -> &'s Segment,
-) -> ComputePlan {
-    let Groups { ranges, flg_of, lg_of_flg } = groups;
-    let n = net.len();
-    let lg_of = |id: LayerId| lg_of_flg[flg_of[id.index()] as usize];
+/// The assembler's state: the plan it assembled last, with its LFA's
+/// order, FLG ranges and tilings, the segment each FLG came from, and per
+/// layer its LG-crossing inputs and whether its ofmap is stored.
+#[derive(Debug, Default)]
+struct Assembly {
+    plan: ComputePlan,
+    order: Vec<LayerId>,
+    ranges: Vec<(usize, usize)>,
+    tiling: Vec<u32>,
+    /// Segment id of each FLG.
+    segments: Vec<u32>,
+    /// Layer `i`'s LG-crossing inputs, as (input index, per-tile load
+    /// bytes), are `crossing[cross_off[i]..cross_off[i + 1]]`.
+    crossing: Vec<(u32, u64)>,
+    cross_off: Vec<usize>,
+    /// Whether each layer's ofmap is stored to DRAM.
+    stores: Vec<bool>,
+}
 
-    // --- Tiles: each FLG's prototypes, interleaved tile by tile. ---
-    // A tile's position is arithmetic: FLG base + tile index x group
-    // size + position in the group.
-    let mut flg_base = Vec::with_capacity(ranges.len());
-    let mut in_group = vec![0u32; n];
-    let n_tiles: usize =
-        ranges.iter().zip(&lfa.tiling).map(|(&(s, e), &t)| (e - s) * t as usize).sum();
-    let mut tiles = Vec::with_capacity(n_tiles);
-    for (g, &(start, end)) in ranges.iter().enumerate() {
-        flg_base.push(tiles.len() as u32);
-        for (j, &id) in lfa.order[start..end].iter().enumerate() {
-            in_group[id.index()] = j as u32;
-        }
-        let (flg, lg) = (g as u32, lg_of_flg[g]);
-        for tile_idx in 0..lfa.tiling[g] {
-            tiles.extend(segment(g).protos.iter().map(|p| Tile { tile_idx, flg, lg, ..*p }));
-        }
-    }
-    let group_size = |g: usize| (ranges[g].1 - ranges[g].0) as u32;
-    let row = |g: usize, tile_idx: u32| flg_base[g] + tile_idx * group_size(g);
-    let pos = |id: LayerId, tile_idx: u32| {
-        row(flg_of[id.index()] as usize, tile_idx) + in_group[id.index()]
-    };
-    let last_pos = |id: LayerId| pos(id, lfa.tiling[flg_of[id.index()] as usize] - 1);
+impl Assembly {
+    /// Rewrites the kept plan into the plan of the validated `lfa`, whose
+    /// FLG `g` is `segments[ids[g]]`, and returns the first tile that may
+    /// differ.
+    ///
+    /// The first FLG that can differ is the first whose segment or LG
+    /// index differs from the kept plan's, or an earlier one holding a
+    /// layer whose crossing inputs or store flag changed (a new DRAM cut
+    /// can make an early producer store its ofmap). Tiles before that
+    /// FLG, and the DRAM tensors anchored before them, stay; the rest is
+    /// re-emitted. On-chip intervals span groups, so they are derived
+    /// afresh.
+    fn assemble(
+        &mut self,
+        net: &Network,
+        lfa: &Lfa,
+        groups: Groups,
+        segments: &[Segment],
+        ids: &[u32],
+    ) -> usize {
+        let Groups { ranges, flg_of, lg_of_flg } = groups;
+        let n = net.len();
+        let segment = |g: usize| &segments[ids[g] as usize];
+        let lg_of = |id: LayerId| lg_of_flg[flg_of[id.index()] as usize];
 
-    // --- DRAM tensors in canonical need-order, plus on-chip intervals. ---
-    // Pre-derive, per layer: which inputs cross an LG boundary (with their
-    // per-tile load bytes; layer `i`'s run is `crossing[cross_off[i]..
-    // cross_off[i + 1]]`) and whether its ofmap must be stored.
-    let mut crossing: Vec<(u32, u64)> = Vec::new();
-    let mut cross_off = Vec::with_capacity(n + 1);
-    let mut stores = Vec::with_capacity(n);
-    let mut n_tensors = 0usize;
-    cross_off.push(0);
-    for (id, layer) in net.iter() {
-        let g = flg_of[id.index()] as usize;
-        let seg = segment(g);
-        let bytes = &seg.input_bytes[seg.input_off[in_group[id.index()] as usize] as usize..];
-        for (idx, &src) in layer.inputs.iter().enumerate() {
-            let crosses = match src {
-                Src::External(_) => true,
-                Src::Layer(p) => lg_of(p) != lg_of(id),
-            };
-            if crosses {
-                crossing.push((idx as u32, bytes[idx]));
+        // Equal segments behind an equal prefix sit at equal order
+        // positions with equal tilings: a segment and an LG index decide.
+        let mut first = (0..ranges.len())
+            .find(|&g| {
+                self.segments.get(g) != Some(&ids[g])
+                    || self.plan.lg_of_flg.get(g) != Some(&lg_of_flg[g])
+            })
+            .unwrap_or(ranges.len());
+
+        // A tile's position is arithmetic: FLG base + tile index x group
+        // size + position in the group.
+        let mut flg_base = Vec::with_capacity(ranges.len());
+        let mut in_group = vec![0u32; n];
+        let mut n_tiles = 0u32;
+        for (&(start, end), &tiling) in ranges.iter().zip(&lfa.tiling) {
+            flg_base.push(n_tiles);
+            for (j, &id) in lfa.order[start..end].iter().enumerate() {
+                in_group[id.index()] = j as u32;
+            }
+            n_tiles += (end - start) as u32 * tiling;
+        }
+        let group_size = |g: usize| (ranges[g].1 - ranges[g].0) as u32;
+        let row = |g: usize, tile_idx: u32| flg_base[g] + tile_idx * group_size(g);
+        let pos = |id: LayerId, tile_idx: u32| {
+            row(flg_of[id.index()] as usize, tile_idx) + in_group[id.index()]
+        };
+        let last_pos = |id: LayerId| pos(id, lfa.tiling[flg_of[id.index()] as usize] - 1);
+
+        // Per layer: which inputs cross an LG boundary (with their
+        // per-tile load bytes) and whether its ofmap must be stored.
+        let mut crossing: Vec<(u32, u64)> = Vec::new();
+        let mut cross_off = Vec::with_capacity(n + 1);
+        let mut stores = Vec::with_capacity(n);
+        let mut n_tensors = 0usize;
+        cross_off.push(0);
+        for (id, layer) in net.iter() {
+            let (i, g) = (id.index(), flg_of[id.index()] as usize);
+            let seg = segment(g);
+            let bytes = &seg.input_bytes[seg.input_off[in_group[i] as usize] as usize..];
+            for (idx, &src) in layer.inputs.iter().enumerate() {
+                let crosses = match src {
+                    Src::External(_) => true,
+                    Src::Layer(p) => lg_of(p) != lg_of(id),
+                };
+                if crosses {
+                    crossing.push((idx as u32, bytes[idx]));
+                }
+            }
+            let store =
+                net.is_output(id) || net.consumers(id).iter().any(|&c| lg_of(c) != lg_of(id));
+            if g < first
+                && (self.stores[i] != store
+                    || self.crossing[self.cross_off[i]..self.cross_off[i + 1]]
+                        != crossing[cross_off[i]..])
+            {
+                first = g;
+            }
+            let per_tile = crossing.len() - cross_off[i] + usize::from(store);
+            n_tensors += usize::from(layer.weight_bytes > 0) + per_tile * lfa.tiling[g] as usize;
+            cross_off.push(crossing.len());
+            stores.push(store);
+        }
+
+        // --- Tiles: each FLG's prototypes, interleaved tile by tile. ---
+        let tile0 = flg_base.get(first).copied().unwrap_or(n_tiles);
+        let tiles = &mut self.plan.tiles;
+        tiles.truncate(tile0 as usize);
+        tiles.reserve((n_tiles - tile0) as usize);
+        for (g, (&lg, &tiling)) in lg_of_flg.iter().zip(&lfa.tiling).enumerate().skip(first) {
+            let flg = g as u32;
+            for tile_idx in 0..tiling {
+                tiles.extend(segment(g).protos.iter().map(|p| Tile { tile_idx, flg, lg, ..*p }));
             }
         }
-        let store = net.is_output(id) || net.consumers(id).iter().any(|&c| lg_of(c) != lg_of(id));
-        let per_tile = crossing.len() - cross_off[id.index()] + usize::from(store);
-        n_tensors += usize::from(layer.weight_bytes > 0) + per_tile * lfa.tiling[g] as usize;
-        cross_off.push(crossing.len());
-        stores.push(store);
-    }
-    let mut dram_tensors = Vec::with_capacity(n_tensors);
-    for (at, tile) in tiles.iter().enumerate() {
-        let at = at as u32;
-        let id = tile.layer;
-        // Weights load at the layer's first tile.
-        if tile.tile_idx == 0 && tile.weight_bytes > 0 {
-            dram_tensors.push(DramTensor {
-                kind: DramKind::Weight(id),
-                bytes: tile.weight_bytes,
-                is_load: true,
-                anchor: at,
-                last_use: last_pos(id),
-            });
-        }
-        // Ifmap loads for LG-crossing or external inputs.
-        for &(idx, bytes) in &crossing[cross_off[id.index()]..cross_off[id.index() + 1]] {
-            dram_tensors.push(DramTensor {
-                kind: DramKind::Ifmap { layer: id, tile: tile.tile_idx, input: idx },
-                bytes,
-                is_load: true,
-                anchor: at,
-                last_use: at,
-            });
-        }
-        // Ofmap store if the output leaves the LG (or the network).
-        if stores[id.index()] {
-            dram_tensors.push(DramTensor {
-                kind: DramKind::Ofmap { layer: id, tile: tile.tile_idx },
-                bytes: tile.out_bytes_nom,
-                is_load: false,
-                anchor: at,
-                last_use: at,
-            });
-        }
-    }
 
-    // On-chip residency, from the producer side: over the consumers in
-    // the producer's LG, whether all share its FLG, the furthest
-    // in-group position and the latest last tile.
-    let mut onchip = Vec::new();
-    for (pid, _) in net.iter() {
-        let g = flg_of[pid.index()] as usize;
-        let (mut any, mut same_flg, mut reach, mut to) = (false, true, 0, 0);
-        for &c in net.consumers(pid) {
-            if lg_of(c) == lg_of(pid) {
-                any = true;
-                same_flg &= flg_of[c.index()] as usize == g;
-                reach = reach.max(in_group[c.index()]);
-                to = to.max(last_pos(c));
+        // --- DRAM tensors in canonical need-order. ---
+        let dram_tensors = &mut self.plan.dram_tensors;
+        let tensor0 = dram_tensors.partition_point(|t| t.anchor < tile0);
+        dram_tensors.truncate(tensor0);
+        dram_tensors.reserve(n_tensors - tensor0);
+        for (at, tile) in tiles.iter().enumerate().skip(tile0 as usize) {
+            let at = at as u32;
+            let id = tile.layer;
+            // Weights load at the layer's first tile.
+            if tile.tile_idx == 0 && tile.weight_bytes > 0 {
+                dram_tensors.push(DramTensor {
+                    kind: DramKind::Weight(id),
+                    bytes: tile.weight_bytes,
+                    is_load: true,
+                    anchor: at,
+                    last_use: last_pos(id),
+                });
+            }
+            // Ifmap loads for LG-crossing or external inputs.
+            for &(idx, bytes) in &crossing[cross_off[id.index()]..cross_off[id.index() + 1]] {
+                dram_tensors.push(DramTensor {
+                    kind: DramKind::Ifmap { layer: id, tile: tile.tile_idx, input: idx },
+                    bytes,
+                    is_load: true,
+                    anchor: at,
+                    last_use: at,
+                });
+            }
+            // Ofmap store if the output leaves the LG (or the network).
+            if stores[id.index()] {
+                dram_tensors.push(DramTensor {
+                    kind: DramKind::Ofmap { layer: id, tile: tile.tile_idx },
+                    bytes: tile.out_bytes_nom,
+                    is_load: false,
+                    anchor: at,
+                    last_use: at,
+                });
             }
         }
-        if !any {
-            continue;
-        }
-        if same_flg {
-            // Tile-wise hand-off within the FLG (Fig. 2 style): tile i of
-            // every consumer sits in the producer's row i.
-            let j = in_group[pid.index()];
-            let bytes = segment(g).protos[j as usize].out_bytes;
-            for tile_idx in 0..lfa.tiling[g] {
-                let base = row(g, tile_idx);
-                onchip.push(OnchipInterval { from: base + j, to: base + reach, bytes });
-            }
-        } else {
-            // The full ofmap accumulates across an FLC (paper: the
-            // producing FLG must aggregate before the consuming FLG runs).
-            onchip.push(OnchipInterval { from: pos(pid, 0), to, bytes: net.ofmap_bytes(pid) });
-        }
-    }
 
-    ComputePlan { tiles, dram_tensors, onchip, flg_of, lg_of_flg }
+        // On-chip residency, from the producer side: over the consumers in
+        // the producer's LG, whether all share its FLG, the furthest
+        // in-group position and the latest last tile.
+        let onchip = &mut self.plan.onchip;
+        onchip.clear();
+        for (pid, _) in net.iter() {
+            let g = flg_of[pid.index()] as usize;
+            let (mut any, mut same_flg, mut reach, mut to) = (false, true, 0, 0);
+            for &c in net.consumers(pid) {
+                if lg_of(c) == lg_of(pid) {
+                    any = true;
+                    same_flg &= flg_of[c.index()] as usize == g;
+                    reach = reach.max(in_group[c.index()]);
+                    to = to.max(last_pos(c));
+                }
+            }
+            if !any {
+                continue;
+            }
+            if same_flg {
+                // Tile-wise hand-off within the FLG (Fig. 2 style): tile i of
+                // every consumer sits in the producer's row i.
+                let j = in_group[pid.index()];
+                let bytes = segment(g).protos[j as usize].out_bytes;
+                for tile_idx in 0..lfa.tiling[g] {
+                    let base = row(g, tile_idx);
+                    onchip.push(OnchipInterval { from: base + j, to: base + reach, bytes });
+                }
+            } else {
+                // The full ofmap accumulates across an FLC (paper: the
+                // producing FLG must aggregate before the consuming FLG runs).
+                onchip.push(OnchipInterval { from: pos(pid, 0), to, bytes: net.ofmap_bytes(pid) });
+            }
+        }
+
+        self.plan.flg_of = flg_of;
+        self.plan.lg_of_flg = lg_of_flg;
+        self.order.clone_from(&lfa.order);
+        self.ranges = ranges;
+        self.tiling.clone_from(&lfa.tiling);
+        self.segments.clear();
+        self.segments.extend_from_slice(ids);
+        (self.crossing, self.cross_off, self.stores) = (crossing, cross_off, stores);
+        tile0 as usize
+    }
 }
 
 #[cfg(test)]
@@ -655,15 +756,28 @@ mod tests {
                 lfa.flc = (1..n).filter(|p| mask & (1 << (p - 1)) != 0).collect();
                 lfa.dram_cuts = lfa.flc.iter().copied().filter(|p| (p + mask) % 3 == 0).collect();
                 lfa.tiling = (0..lfa.flg_count()).map(|g| 1 << ((mask + g) % 4)).collect();
-                let before = memo.segments.len();
-                let got = memo.parse(&lfa).unwrap();
                 let want = parse_lfa(&net, &lfa).unwrap();
-                assert_eq!(got.tiles, want.tiles, "cap {cap} mask {mask}");
-                assert_eq!(got.dram_tensors, want.dram_tensors, "cap {cap} mask {mask}");
-                assert_eq!(got.onchip, want.onchip, "cap {cap} mask {mask}");
-                assert_eq!(got.flg_of, want.flg_of, "cap {cap} mask {mask}");
-                assert_eq!(got.lg_of_flg, want.lg_of_flg, "cap {cap} mask {mask}");
-                clears += usize::from(memo.segments.len() < before);
+                for again in [false, true] {
+                    let before = memo.segments.len();
+                    let at_cap = before + lfa.flg_count() > cap;
+                    let (got, tile) = memo.parse(&lfa).unwrap();
+                    assert_eq!(got.tiles, want.tiles, "cap {cap} mask {mask}");
+                    assert_eq!(got.dram_tensors, want.dram_tensors, "cap {cap} mask {mask}");
+                    assert_eq!(got.onchip, want.onchip, "cap {cap} mask {mask}");
+                    assert_eq!(got.flg_of, want.flg_of, "cap {cap} mask {mask}");
+                    assert_eq!(got.lg_of_flg, want.lg_of_flg, "cap {cap} mask {mask}");
+                    if memo.segments.len() < before {
+                        // A clear drops the kept plan: the parse keeps no tile.
+                        assert_eq!(tile, 0, "cap {cap} mask {mask}");
+                        clears += 1;
+                    }
+                    if again {
+                        // A re-parse of the same LFA keeps every tile,
+                        // unless the memo clears, which drops the plan.
+                        let kept = if at_cap { 0 } else { want.tiles.len() };
+                        assert_eq!(tile, kept, "cap {cap} mask {mask}: re-parse");
+                    }
+                }
             }
             assert!(clears > 0, "cap {cap} was never reached");
         }

@@ -333,7 +333,8 @@ impl AnnealState<StdRng> for Stage2Anneal<'_, '_, '_> {
         let (slot, tile) = self.editor.first_affected(mv);
         let latency =
             self.replay.resume(self.engine, self.editor.dlsa(), self.editor.slots(), slot, tile);
-        match self.obj.eval_latency(self.engine, latency, self.editor.peak(), self.buffer_limit) {
+        let energy_pj = self.engine.energy_total_pj();
+        match self.obj.eval_latency(energy_pj, latency, self.editor.peak(), self.buffer_limit) {
             Some(cost) => {
                 self.pending = Some(mv);
                 Some(cost)

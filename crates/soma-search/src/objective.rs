@@ -1,18 +1,27 @@
 //! The optimisation objective: `Energy^n x Delay^m` with buffer-budget
 //! penalties.
 //!
-//! The objective owns the evaluation engine's shared state — the stage-1
-//! [`SegmentMemo`], the memoised core-array model and the [`SimScratch`]
-//! workspace — and exposes two families of entry points:
+//! The objective owns the evaluation engine's shared state — the
+//! memoised core-array model, the [`SimScratch`] workspace and stage 1's
+//! evaluation state — and exposes two families of entry points:
 //!
 //! * **Full evaluations** ([`eval_parts`](Objective::eval_parts),
-//!   [`eval_lfa`](Objective::eval_lfa)) build a complete [`EvalReport`];
-//!   stages use them for initial and final schemes.
+//!   [`eval_lfa`](Objective::eval_lfa)) build a complete [`EvalReport`]
+//!   through the naive path; stages use them for initial and final
+//!   schemes.
 //! * **Cost-only evaluations** ([`eval_lfa_cost`](Objective::eval_lfa_cost),
 //!   [`eval_compiled_with_peak`](Objective::eval_compiled_with_peak),
 //!   and `eval_latency` for stage 2's resumed replays) run the compiled
 //!   engine's allocation-free latency path and return just the penalised
 //!   objective value — the SA inner loop's diet.
+//!
+//! Stage 1's evaluation state is the [`SegmentMemo`]'s kept plan plus its
+//! double-buffer DLSA, [`CompiledPlan`] and replay, all four of the LFA
+//! [`eval_lfa_cost`](Objective::eval_lfa_cost) evaluated last. Each call
+//! rewrites them from the first tile the new LFA can change, as the memo
+//! reports it: the DLSA from the first tensor anchored two tiles earlier
+//! (a store's `End` clamps at the tile count), the compiled plan from
+//! that tile, and the replay from its last checkpoint before both.
 //!
 //! [`cost_of_parts`](Objective::cost_of_parts) is the one spelling of
 //! the objective. Both families feed it the same latency, energy and
@@ -81,15 +90,20 @@ pub struct SchemeShape {
 }
 
 /// Objective function bound to one network + hardware pair, owning the
-/// stage-1 segment memo, the memoised core-array model and the engine
-/// scratch. One objective serves one search seed; nothing in it is
-/// shared.
+/// memoised core-array model, the engine scratch and stage 1's
+/// evaluation state. One objective serves one search seed; nothing in it
+/// is shared.
 #[derive(Debug)]
 pub struct Objective<'a> {
     net: &'a Network,
     hw: &'a HardwareConfig,
     weights: CostWeights,
+    /// Stage 1's segments and kept plan, and that plan's double-buffer
+    /// DLSA, compiled plan and replay.
     segments: SegmentMemo<'a>,
+    lfa_dlsa: Dlsa,
+    lfa_compiled: CompiledPlan,
+    lfa_replay: SimScratch,
     model: CoreArrayModel<'a>,
     scratch: SimScratch,
     evals: u64,
@@ -104,6 +118,9 @@ impl<'a> Objective<'a> {
             hw,
             weights,
             segments: SegmentMemo::new(net),
+            lfa_dlsa: Dlsa::default(),
+            lfa_compiled: CompiledPlan::default(),
+            lfa_replay: SimScratch::new(),
             model: CoreArrayModel::new(hw),
             scratch: SimScratch::new(),
             evals: 0,
@@ -191,50 +208,42 @@ impl<'a> Objective<'a> {
         Some((cost, report))
     }
 
-    /// Parses an LFA through the segment memo (only FLGs this objective
-    /// has not parsed before are built), counting a structurally invalid
-    /// LFA as rejected.
-    fn parse(&mut self, lfa: &Lfa) -> Option<ComputePlan> {
-        let plan = self.segments.parse(lfa).ok();
-        if plan.is_none() {
-            self.rejected += 1;
-        }
-        plan
-    }
-
     /// Parses and evaluates an LFA under the double-buffer DLSA (the
     /// stage-1 view), full report. Returns `None` for structurally
-    /// invalid LFAs.
+    /// invalid LFAs. A one-shot parse: stage 1's kept state is left as it
+    /// was.
     pub fn eval_lfa(
         &mut self,
         lfa: &Lfa,
         buffer_limit: u64,
     ) -> Option<(f64, ComputePlan, Dlsa, EvalReport)> {
-        let plan = self.parse(lfa)?;
+        let Ok(plan) = parse_lfa(self.net, lfa) else {
+            self.rejected += 1;
+            return None;
+        };
         let dlsa = Dlsa::double_buffer(&plan);
         let (cost, report) = self.eval_parts(&plan, &dlsa, buffer_limit)?;
         Some((cost, plan, dlsa, report))
     }
 
-    /// Cost-only stage-1 evaluation: parse, compile, simulate the
-    /// double-buffer DLSA through the engine fast path, fuse the buffer
-    /// peak from the shared scratch. Bit-identical to
-    /// [`eval_lfa`](Self::eval_lfa)'s cost, without building the report.
+    /// Cost-only stage-1 evaluation under the double-buffer DLSA,
+    /// bit-identical to [`eval_lfa`](Self::eval_lfa)'s cost without
+    /// building the report. It rewrites the kept plan, DLSA, compiled
+    /// plan and replay of the LFA evaluated last only from where `lfa`
+    /// can first differ, and fuses the buffer peak from the replay's
+    /// scratch.
     pub fn eval_lfa_cost(&mut self, lfa: &Lfa, buffer_limit: u64) -> Option<f64> {
-        let plan = self.parse(lfa)?;
-        let dlsa = Dlsa::double_buffer(&plan);
-        let compiled = self.compile(&plan);
-        match compiled.simulate_cost(&dlsa, &mut self.scratch) {
-            Err(_) => {
-                self.rejected += 1;
-                None
-            }
-            Ok(latency) => {
-                self.evals += 1;
-                let peak = lifetime::peak_buffer_into(&plan, &dlsa, self.scratch.diff_mut());
-                Some(self.cost_of_parts(latency, compiled.energy_total_pj(), peak, buffer_limit))
-            }
-        }
+        let Ok((plan, tile)) = self.segments.parse(lfa) else {
+            self.rejected += 1;
+            return None;
+        };
+        let slot = self.lfa_dlsa.double_buffer_from(plan, tile);
+        let compiled = &mut self.lfa_compiled;
+        compiled.recompile(self.net, plan, self.hw, &mut self.model, tile);
+        let latency = compiled.simulate_cost_from(&self.lfa_dlsa, &mut self.lfa_replay, slot, tile);
+        let peak = lifetime::peak_buffer_into(plan, &self.lfa_dlsa, self.lfa_replay.diff_mut());
+        let energy_pj = compiled.energy_total_pj();
+        self.eval_latency(energy_pj, latency, peak, buffer_limit)
     }
 
     /// Cost-only evaluation of a DLSA against a compiled plan whose peak
@@ -248,16 +257,17 @@ impl<'a> Objective<'a> {
         buffer_limit: u64,
     ) -> Option<f64> {
         let latency = compiled.simulate_cost(dlsa, &mut self.scratch);
-        self.eval_latency(compiled, latency, peak_buffer, buffer_limit)
+        self.eval_latency(compiled.energy_total_pj(), latency, peak_buffer, buffer_limit)
     }
 
     /// Counts and costs one cost-only simulation of a DLSA against a
-    /// compiled plan — a replay from the start or stage 2's resumed
+    /// compiled plan of energy `energy_pj` — a replay from the start,
+    /// stage 1's resumed replay or stage 2's resumed
     /// [`Replay`](soma_sim::Replay). A deadlock counts as rejected and
     /// yields `None`.
     pub(crate) fn eval_latency(
         &mut self,
-        compiled: &CompiledPlan,
+        energy_pj: f64,
         latency: Result<u64, SimError>,
         peak_buffer: u64,
         buffer_limit: u64,
@@ -269,12 +279,7 @@ impl<'a> Objective<'a> {
             }
             Ok(latency) => {
                 self.evals += 1;
-                Some(self.cost_of_parts(
-                    latency,
-                    compiled.energy_total_pj(),
-                    peak_buffer,
-                    buffer_limit,
-                ))
+                Some(self.cost_of_parts(latency, energy_pj, peak_buffer, buffer_limit))
             }
         }
     }

@@ -13,24 +13,37 @@
 //! [`CompiledPlan::compile`] hoists the invariants out once:
 //!
 //! * `tile_cost` / `tensor_dur` — flat arrays, no hashing on the hot path.
-//!   Compiling asks the memoised core-array model once per layer, not
-//!   once per tile (every tile of a layer shares one shape), because
-//!   stage 1 compiles a fresh plan for every proposal;
+//!   Compiling asks the memoised core-array model once per layer shape,
+//!   not once per tile (every tile of a layer shares one shape);
 //! * the *load* gate table in flat CSR layout (loads gate the tile of
 //!   their first use, which is plan-fixed; store gates move with the DLSA
 //!   and live in the scratch);
 //! * the plan's energy, which does not depend on the DLSA at all.
 //!
+//! Stage 1 evaluates a new plan for every proposal, but one that keeps
+//! the previous plan's tiles and DRAM tensors up to the first tile the
+//! proposal changes. [`CompiledPlan::recompile`] rewrites a compiled plan
+//! from that tile and the first DRAM tensor anchored there on; `compile`
+//! is the case that starts at 0.
+//! The core energy is kept summed before each tile and the per-layer
+//! cost memo lives across recompiles, so a recompile equals a fresh
+//! compile, energy bits included.
+//!
 //! One loop plays the two serial queues. It starts from a *checkpoint*
 //! `(di, ci)` — queue slots served, tiles run — and records end times by
 //! queue slot and by tile, plus, per slot, the tiles run when it was
 //! served and, per tile, the slots served when it ran: every state it
-//! passes is a checkpoint a later replay can start from.
+//! passes is a checkpoint a later replay can start from. One function
+//! picks the last checkpoint before a given slot and tile.
 //!
-//! * [`CompiledPlan::simulate_cost`] is that loop from `(0, 0)` with
-//!   **zero heap allocation** against a caller-owned [`SimScratch`],
-//!   returning only the end-to-end latency — the cost-only fast path for
-//!   annealers that combine it with an incrementally maintained
+//! * [`CompiledPlan::simulate_cost_from`] resumes a caller-owned
+//!   [`SimScratch`]'s last replay at its last checkpoint before the first
+//!   queue slot and tile a new plan or DLSA can change — stage 1's
+//!   evaluator — re-indexing the inverse order and the store gates only
+//!   from there, with **zero heap allocation**, and returns only the
+//!   end-to-end latency. [`CompiledPlan::simulate_cost`] is the case
+//!   that starts at `(0, 0)`: the cost-only fast path for annealers that
+//!   combine it with an incrementally maintained
 //!   [`OccupancyProfile`](soma_core::OccupancyProfile) peak.
 //! * [`Replay`] keeps the loop's record of one DLSA and re-runs it from
 //!   the last checkpoint an edit cannot have changed, rewriting only the
@@ -73,15 +86,37 @@ struct Record {
     tile_di: Vec<u32>,
 }
 
+impl Record {
+    /// The last checkpoint of this replay before both serving queue slot
+    /// `slot` and running tile `tile` (a slot or tile past the end stands
+    /// for the end). Both are states of one replay, whose every step
+    /// serves one slot or runs one tile: the earlier one is the one with
+    /// fewer steps behind it.
+    fn checkpoint(&self, slot: usize, tile: usize) -> (usize, usize) {
+        let end = (self.slot_end.len(), self.tile_end.len());
+        let by_slot = self.slot_ci.get(slot).map_or(end, |&c| (slot, c as usize));
+        let by_tile = self.tile_di.get(tile).map_or(end, |&d| (d as usize, tile));
+        if by_slot.0 + by_slot.1 <= by_tile.0 + by_tile.1 {
+            by_slot
+        } else {
+            by_tile
+        }
+    }
+}
+
 /// Re-usable workspace for [`CompiledPlan`] simulations. One scratch
 /// serves plans of any size (vectors grow to the high-water mark and are
-/// then re-used allocation-free).
+/// then re-used allocation-free), and keeps its last replay for
+/// [`CompiledPlan::simulate_cost_from`] to resume.
 #[derive(Debug, Default)]
 pub struct SimScratch {
     /// Queue slot of each tensor: the inverse of the DLSA order.
     slots: Vec<u32>,
     /// Times, checkpoints and store gates of the last simulation.
     rec: Record,
+    /// Whether the last simulation ran to the end: only then are its
+    /// checkpoints resume points.
+    complete: bool,
     /// Difference-array scratch for peak-occupancy queries.
     pub(crate) diff: Vec<i64>,
 }
@@ -98,16 +133,20 @@ impl SimScratch {
         &mut self.diff
     }
 
-    /// Sizes the scratch for `plan` and indexes `dlsa`: its inverse order
-    /// (a tensor missing from the order is never served, as in
-    /// [`crate::simulate`]) and its per-tile store gates. Times are not
-    /// cleared: a replay from `(0, 0)` writes every entry before reading
-    /// it.
-    fn index(&mut self, plan: &CompiledPlan, dlsa: &Dlsa) {
+    /// Sizes the scratch for `plan` and indexes `dlsa` for a replay from
+    /// checkpoint `(di, ci)`: its inverse order from slot `di` on and its
+    /// per-tile store gates from tile `ci` on, keeping the entries before
+    /// them. From `(0, 0)` every tensor starts out never served, so one
+    /// missing from the order is never served, as in [`crate::simulate`].
+    /// Times are not cleared: a replay writes every entry after its
+    /// checkpoint before reading it.
+    fn index(&mut self, plan: &CompiledPlan, dlsa: &Dlsa, di: usize, ci: usize) {
         let (n_tiles, n_tensors) = (plan.n_tiles, plan.n_tensors);
-        self.slots.clear();
+        if di == 0 {
+            self.slots.clear();
+        }
         self.slots.resize(n_tensors, u32::MAX);
-        for (k, &ti) in dlsa.order.iter().enumerate() {
+        for (k, &ti) in dlsa.order.iter().enumerate().skip(di) {
             self.slots[ti as usize] = k as u32;
         }
         let rec = &mut self.rec;
@@ -118,11 +157,11 @@ impl SimScratch {
         if rec.store_gates.len() < n_tiles {
             rec.store_gates.resize_with(n_tiles, Vec::new);
         }
-        for g in rec.store_gates.iter_mut().take(n_tiles) {
+        for g in rec.store_gates.iter_mut().take(n_tiles).skip(ci) {
             g.clear();
         }
         for (i, &end) in dlsa.end.iter().enumerate() {
-            if !plan.tensor_is_load[i] && (end as usize) < n_tiles {
+            if !plan.tensor_is_load[i] && (ci..n_tiles).contains(&(end as usize)) {
                 rec.store_gates[end as usize].push(i as u32);
             }
         }
@@ -214,15 +253,7 @@ impl Replay {
         tile: usize,
     ) -> Result<u64, SimError> {
         let rec = &self.rec;
-        let end = (plan.n_tensors, plan.n_tiles);
-        // Both checkpoints are states of one replay, whose every step
-        // serves one slot or runs one tile: the earlier one is the one
-        // with fewer steps behind it.
-        let by_slot = rec.slot_ci.get(slot).map_or(end, |&c| (slot, c as usize));
-        let by_tile = rec.tile_di.get(tile).map_or(end, |&d| (d as usize, tile));
-        let (di, ci) =
-            if by_slot.0 + by_slot.1 <= by_tile.0 + by_tile.1 { by_slot } else { by_tile };
-
+        let (di, ci) = rec.checkpoint(slot, tile);
         self.saved_slot_end.clear();
         self.saved_slot_end.extend_from_slice(&rec.slot_end[di..]);
         self.saved_slot_ci.clear();
@@ -255,12 +286,15 @@ impl Replay {
 
 /// A [`ComputePlan`] compiled against one hardware configuration: every
 /// DLSA-invariant quantity the evaluator needs, precomputed once.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CompiledPlan {
     n_tiles: usize,
     n_tensors: usize,
     /// Cycles of each tile (global index).
     tile_cost: Vec<u64>,
+    /// Core-array energy of the tiles up to each one, summed in plan
+    /// order, in picojoules.
+    core_pj: Vec<f64>,
     /// DRAM transfer cycles of each tensor (canonical index).
     tensor_dur: Vec<u64>,
     /// `is_load` of each tensor.
@@ -271,66 +305,97 @@ pub struct CompiledPlan {
     load_gate_off: Vec<u32>,
     /// Load tensors gating each tile (its own loads), CSR values.
     load_gate_idx: Vec<u32>,
+    /// Each layer's last tile shape and its cost: every tile of a layer
+    /// shares one shape, and a recompile mostly keeps it.
+    by_layer: Vec<Option<(TileShape, TileCost)>>,
     /// Core-array plus DRAM energy of the whole plan in picojoules.
     energy_pj: f64,
 }
 
 impl CompiledPlan {
-    /// Precomputes every plan-invariant quantity. The memoised
-    /// `model` is consulted once per layer; subsequent evaluations never
-    /// touch it.
+    /// Precomputes every plan-invariant quantity: a
+    /// [`recompile`](Self::recompile) from tile and tensor 0. The
+    /// memoised `model` is consulted once per layer; subsequent
+    /// evaluations never touch it.
     pub fn compile(
         net: &Network,
         plan: &ComputePlan,
         hw: &HardwareConfig,
         model: &mut CoreArrayModel<'_>,
     ) -> Self {
-        let n_tiles = plan.tiles.len();
-        let n_tensors = plan.dram_tensors.len();
+        let mut compiled = Self::default();
+        compiled.recompile(net, plan, hw, model, 0);
+        compiled
+    }
 
-        // Every tile of a layer shares one shape, so the model (a hash
-        // lookup) is asked once per layer; the local memo is keyed on
-        // (layer, shape) like the model's own, so it holds for any plan.
-        // The costs feed both the cost array and the energy sum (summed
-        // tile by tile in plan order as in `evaluate_parts`, so the float
-        // total is bit-identical).
-        let mut by_layer: Vec<Option<(TileShape, TileCost)>> = vec![None; net.len()];
-        let mut tile_cost = Vec::with_capacity(n_tiles);
-        let mut core_pj = 0.0;
-        for t in &plan.tiles {
-            let c = match &mut by_layer[t.layer.index()] {
+    /// Recompiles for `plan`, which agrees with the plan this was last
+    /// compiled for on every tile before `tile` and every DRAM tensor
+    /// anchored before it (the tile a
+    /// [`SegmentMemo`](soma_core::SegmentMemo) parse reports). Only the
+    /// rest is recomputed, and the core energy adds the same terms in the
+    /// same order as a fresh [`compile`](Self::compile), so the result
+    /// equals one, energy bits included.
+    pub fn recompile(
+        &mut self,
+        net: &Network,
+        plan: &ComputePlan,
+        hw: &HardwareConfig,
+        model: &mut CoreArrayModel<'_>,
+        tile: usize,
+    ) {
+        // The model (a hash lookup) is asked once per layer shape; the
+        // local memo is keyed on (layer, shape) like the model's own, so
+        // it holds for any plan. The costs feed both the cost array and
+        // the energy sum, summed tile by tile in plan order as in
+        // `evaluate_parts`, so the float total is bit-identical.
+        self.by_layer.resize(net.len(), None);
+        self.tile_cost.truncate(tile);
+        self.core_pj.truncate(tile);
+        self.tile_cost.reserve(plan.tiles.len() - tile);
+        self.core_pj.reserve(plan.tiles.len() - tile);
+        let mut core_pj = self.core_pj.last().copied().unwrap_or(0.0);
+        for t in &plan.tiles[tile..] {
+            let c = match &mut self.by_layer[t.layer.index()] {
                 Some((shape, c)) if *shape == t.shape => *c,
                 slot => slot.insert((t.shape, model.cost(t))).1,
             };
-            tile_cost.push(c.cycles);
+            self.tile_cost.push(c.cycles);
             core_pj += c.energy_pj;
-        }
-        let tensor_dur: Vec<u64> =
-            plan.dram_tensors.iter().map(|t| hw.dram_cycles(t.bytes).max(1)).collect();
-
-        // Load gates in CSR layout: count, prefix, fill (ascending tensor
-        // index within each tile, matching the naive gate-table order).
-        let mut load_gate_off = vec![0u32; n_tiles + 1];
-        for t in &plan.dram_tensors {
-            if t.is_load {
-                load_gate_off[t.anchor as usize + 1] += 1;
-            }
-        }
-        for i in 0..n_tiles {
-            load_gate_off[i + 1] += load_gate_off[i];
-        }
-        let mut load_gate_idx = vec![0u32; *load_gate_off.last().unwrap_or(&0) as usize];
-        let mut cursor = load_gate_off.clone();
-        for (i, t) in plan.dram_tensors.iter().enumerate() {
-            if t.is_load {
-                let slot = &mut cursor[t.anchor as usize];
-                load_gate_idx[*slot as usize] = i as u32;
-                *slot += 1;
-            }
+            self.core_pj.push(core_pj);
         }
 
-        let mut dram_read = 0u64;
-        let mut dram_write = 0u64;
+        let tensor = plan.dram_tensors.partition_point(|t| (t.anchor as usize) < tile);
+        let fresh = &plan.dram_tensors[tensor..];
+        self.tensor_dur.truncate(tensor);
+        self.tensor_dur.extend(fresh.iter().map(|t| hw.dram_cycles(t.bytes).max(1)));
+        self.tensor_is_load.truncate(tensor);
+        self.tensor_is_load.extend(fresh.iter().map(|t| t.is_load));
+        self.tensor_anchor.truncate(tensor);
+        self.tensor_anchor.extend(fresh.iter().map(|t| t.anchor));
+
+        // Load gates in CSR layout, in ascending tensor index within each
+        // tile (the naive gate-table order). Anchors never decrease along
+        // the need-order, so one pass fills the rows from `tile` on.
+        if self.load_gate_off.is_empty() {
+            self.load_gate_off.push(0);
+        }
+        self.load_gate_off.truncate(tile + 1);
+        self.load_gate_idx.truncate(self.load_gate_off[tile] as usize);
+        self.load_gate_off.reserve(plan.tiles.len() - tile);
+        self.load_gate_idx.reserve(fresh.len());
+        for (i, t) in fresh.iter().enumerate() {
+            let row = t.anchor as usize;
+            debug_assert!(row + 1 >= self.load_gate_off.len(), "tensors in need-order");
+            while self.load_gate_off.len() <= row {
+                self.load_gate_off.push(self.load_gate_idx.len() as u32);
+            }
+            if t.is_load {
+                self.load_gate_idx.push((tensor + i) as u32);
+            }
+        }
+        self.load_gate_off.resize(plan.tiles.len() + 1, self.load_gate_idx.len() as u32);
+
+        let (mut dram_read, mut dram_write) = (0u64, 0u64);
         for t in &plan.dram_tensors {
             if t.is_load {
                 dram_read += t.bytes;
@@ -338,19 +403,9 @@ impl CompiledPlan {
                 dram_write += t.bytes;
             }
         }
-        let dram_pj = hw.energy.dram(dram_read, dram_write);
-
-        Self {
-            n_tiles,
-            n_tensors,
-            tile_cost,
-            tensor_dur,
-            tensor_is_load: plan.dram_tensors.iter().map(|t| t.is_load).collect(),
-            tensor_anchor: plan.dram_tensors.iter().map(|t| t.anchor).collect(),
-            load_gate_off,
-            load_gate_idx,
-            energy_pj: core_pj + dram_pj,
-        }
+        self.energy_pj = core_pj + hw.energy.dram(dram_read, dram_write);
+        self.n_tiles = plan.tiles.len();
+        self.n_tensors = plan.dram_tensors.len();
     }
 
     /// Total energy (core + DRAM) of any schedule of this plan, in
@@ -451,8 +506,33 @@ impl CompiledPlan {
     ///
     /// [`SimError::Deadlock`] exactly when [`crate::simulate`] deadlocks.
     pub fn simulate_cost(&self, dlsa: &Dlsa, scratch: &mut SimScratch) -> Result<u64, SimError> {
-        scratch.index(self, dlsa);
-        self.run_queues(dlsa, &scratch.slots, &mut scratch.rec, 0, 0)
+        self.simulate_cost_from(dlsa, scratch, 0, 0)
+    }
+
+    /// [`simulate_cost`](Self::simulate_cost) of a plan and DLSA that
+    /// agree with `scratch`'s last replay on every queue slot before
+    /// `slot` (same tensor, duration and gate) and every tile before
+    /// `tile` (same cost and gates): the replay resumes at that replay's
+    /// last checkpoint before both, re-indexing only from there, so a
+    /// resume past slot 0 needs `dlsa.order` to name every tensor. A
+    /// scratch whose last replay deadlocked, or that never replayed,
+    /// starts at `(0, 0)`, as `(0, 0)` itself does.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Deadlock`] exactly when [`crate::simulate`] deadlocks.
+    pub fn simulate_cost_from(
+        &self,
+        dlsa: &Dlsa,
+        scratch: &mut SimScratch,
+        slot: usize,
+        tile: usize,
+    ) -> Result<u64, SimError> {
+        let (di, ci) = if scratch.complete { scratch.rec.checkpoint(slot, tile) } else { (0, 0) };
+        scratch.index(self, dlsa, di, ci);
+        let latency = self.run_queues(dlsa, &scratch.slots, &mut scratch.rec, di, ci);
+        scratch.complete = latency.is_ok();
+        latency
     }
 }
 
@@ -461,7 +541,7 @@ mod tests {
     use super::*;
     use crate::report::evaluate_parts;
     use crate::timeline::simulate;
-    use soma_core::{parse_lfa, Lfa};
+    use soma_core::{parse_lfa, Lfa, SegmentMemo};
     use soma_model::zoo;
 
     fn setup(tiling: u32, fused: bool) -> (soma_model::Network, ComputePlan, Dlsa) {
@@ -518,6 +598,74 @@ mod tests {
             let naive = simulate(&plan, &dlsa, &hw, &mut m).unwrap();
             let cp = CompiledPlan::compile(&net, &plan, &hw, &mut m);
             assert_eq!(cp.simulate_cost(&dlsa, &mut scratch).unwrap(), naive.latency);
+        }
+    }
+
+    #[test]
+    fn recompile_from_a_shared_prefix_matches_a_fresh_compile() {
+        let net = zoo::chain(1, 16, 28, 6);
+        let hw = HardwareConfig::edge();
+        let mut m = CoreArrayModel::new(&hw);
+        let mut memo = SegmentMemo::new(&net);
+        let first = Lfa::unfused(&net, 2);
+        let (plan, _) = memo.parse(&first).unwrap();
+        let mut dlsa = Dlsa::double_buffer(plan);
+        let mut compiled = CompiledPlan::compile(&net, plan, &hw, &mut m);
+        let mut scratch = SimScratch::new();
+        compiled.simulate_cost(&dlsa, &mut scratch).unwrap();
+        // Fuse the last two layers, re-tile that group (its stores see a
+        // new tile count), then merge two middle LGs (an earlier layer
+        // stops storing its ofmap): each plan shares a prefix with the
+        // one before.
+        let mut fused = first.clone();
+        fused.flc.remove(&5);
+        fused.dram_cuts.remove(&5);
+        fused.tiling.pop();
+        let mut retiled = fused.clone();
+        retiled.tiling[4] = 8;
+        let mut split = retiled.clone();
+        split.dram_cuts.remove(&3);
+        for lfa in [fused, retiled, split] {
+            let (plan, tile) = memo.parse(&lfa).unwrap();
+            let kept = plan.dram_tensors.first().is_some_and(|t| (t.anchor as usize) < tile);
+            assert!(kept, "tile {tile} keeps no DRAM tensor");
+            let slot = dlsa.double_buffer_from(plan, tile);
+            compiled.recompile(&net, plan, &hw, &mut m, tile);
+            let fresh = CompiledPlan::compile(&net, plan, &hw, &mut m);
+            let fresh_dlsa = Dlsa::double_buffer(plan);
+            assert_eq!(dlsa, fresh_dlsa);
+            assert_eq!(compiled, fresh);
+            assert_eq!(compiled.energy_total_pj().to_bits(), fresh.energy_total_pj().to_bits());
+            let naive = simulate(plan, &fresh_dlsa, &hw, &mut m).unwrap();
+            let resumed = compiled.simulate_cost_from(&dlsa, &mut scratch, slot, tile);
+            assert_eq!(resumed, Ok(naive.latency));
+        }
+    }
+
+    #[test]
+    fn a_replay_after_a_deadlock_resumes_from_zero() {
+        // A finer plan's replay, then one of a coarser plan that deadlocks
+        // at the queue slot it moved the last store to: past that point
+        // the scratch still holds the finer plan's record. The coarser
+        // plan's double buffer agrees with the deadlocked DLSA on every
+        // slot before that one, yet must replay from (0, 0).
+        let hw = HardwareConfig::edge();
+        let mut m = CoreArrayModel::new(&hw);
+        let (net, fine, fine_dlsa) = setup(8, false);
+        let (_, plan, dlsa) = setup(2, false);
+        let cp_fine = CompiledPlan::compile(&net, &fine, &hw, &mut m);
+        let cp = CompiledPlan::compile(&net, &plan, &hw, &mut m);
+        let want = Ok(simulate(&plan, &dlsa, &hw, &mut m).unwrap().latency);
+        let last_store = plan.dram_tensors.iter().rposition(|t| !t.is_load).unwrap() as u32;
+        let mut scratch = SimScratch::new();
+        for slot in 0..plan.dram_tensors.len() - 1 {
+            let mut stuck = dlsa.clone();
+            stuck.order.retain(|&o| o != last_store);
+            stuck.order.insert(slot, last_store);
+            cp_fine.simulate_cost(&fine_dlsa, &mut scratch).unwrap();
+            assert!(cp.simulate_cost(&stuck, &mut scratch).is_err(), "slot {slot}");
+            let resumed = cp.simulate_cost_from(&dlsa, &mut scratch, slot, plan.tiles.len());
+            assert_eq!(resumed, want, "slot {slot}");
         }
     }
 

@@ -19,7 +19,11 @@
 //! that evaluator: [`CompiledPlan`] precomputes tile costs, tensor
 //! durations, the load-gate CSR table and the plan's energy once, and
 //! [`CompiledPlan::simulate_cost`] replays the queues with zero heap
-//! allocation against a re-usable [`SimScratch`]. A [`Replay`] keeps one
+//! allocation against a re-usable [`SimScratch`]. Stage 1 evaluates a new
+//! plan per proposal, one that keeps a prefix of the last: it
+//! [recompiles](CompiledPlan::recompile) from the first tile the proposal
+//! changes and [resumes](CompiledPlan::simulate_cost_from) the scratch's
+//! last replay before it. A [`Replay`] keeps one
 //! DLSA's replay and re-simulates an edit of it from the last checkpoint
 //! the edit leaves unchanged — the two queues' state after some slots
 //! served and some tiles run — rewriting only the suffix after it, which

@@ -62,6 +62,45 @@ fn ci_smoke_compiled_engine_matches_naive_on_fig2() {
     }
 }
 
+/// Correctness gate for stage 1's resumed evaluation (cheap, no timing,
+/// cannot flake): along a short `mutate_lfa` chain on fig4 and on
+/// ResNet-50 at edge/b1, one long-lived objective's `eval_lfa_cost`,
+/// which rewrites its last evaluation from the first tile a proposal
+/// changes, must give the one-shot parse + compile + replay + peak cost
+/// bit for bit at every step.
+#[test]
+fn ci_smoke_stage1_resume_matches_one_shot() {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use soma::core::lifetime::peak_buffer;
+    use soma::search::lfa_stage::{initial_lfa, mutate_lfa};
+    use soma::search::{CostWeights, Objective};
+    use soma::sim::{CompiledPlan, CoreArrayModel, SimScratch};
+
+    let hw = HardwareConfig::edge();
+    let limit = hw.buffer_bytes;
+    for net in [zoo::fig4(1), zoo::resnet50(1)] {
+        let mut obj = Objective::new(&net, &hw, CostWeights::default());
+        let mut model = CoreArrayModel::new(&hw);
+        let mut rng = StdRng::seed_from_u64(2025);
+        let mut cur = initial_lfa(&net, &hw);
+        for step in 0..60 {
+            let Some(cand) = mutate_lfa(&net, &cur, &mut rng, false) else { continue };
+            let one_shot = parse_lfa(&net, &cand).ok().map(|plan| {
+                let dlsa = Dlsa::double_buffer(&plan);
+                let compiled = CompiledPlan::compile(&net, &plan, &hw, &mut model);
+                let latency = compiled.simulate_cost(&dlsa, &mut SimScratch::new()).unwrap();
+                let peak = peak_buffer(&plan, &dlsa);
+                obj.cost_of_parts(latency, compiled.energy_total_pj(), peak, limit).to_bits()
+            });
+            let resumed = obj.eval_lfa_cost(&cand, limit).map(f64::to_bits);
+            assert_eq!(resumed, one_shot, "{} step {step}", net.name());
+            if resumed.is_some() && rng.gen_bool(0.5) {
+                cur = cand;
+            }
+        }
+    }
+}
+
 /// The declarative-spec gate: running the committed `specs/fig2_edge.soma`
 /// experiment file through the ledgerless cell executor (what
 /// `soma-bench --bin run` does) reproduces the equivalent hand-written

@@ -5,18 +5,25 @@
 //! latency of a fresh `simulate()`, the compiled energy vs the bits of
 //! the naive report's, the incrementally maintained `OccupancyProfile`
 //! vs a fresh `buffer_profile()`, and deadlock detection vs deadlock
-//! detection. One level up, the in-place stage-2 annealer must follow
-//! the naive clone-per-proposal annealer's exact trajectory.
+//! detection. On random LFA mutation chains, one long-lived
+//! `Objective`'s resumed stage-1 evaluation must equal the one-shot
+//! parse, compile, replay and peak, bit for bit. One level up, the
+//! in-place stage-2 annealer, and the stage-1 and Cocco annealers on
+//! resumed evaluations, must follow the naive annealers' exact
+//! trajectories.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use soma::core::lifetime::{buffer_profile, peak_buffer};
+use soma::core::plan::MAX_TILING;
 use soma::core::{parse_lfa, Dlsa, Lfa};
 use soma::model::zoo;
 use soma::model::Network;
 use soma::prelude::*;
+use soma::search::cocco::{initial_cocco, mutate_cocco, run_cocco};
 use soma::search::dlsa_stage::{mutate_dlsa, run_stage2};
+use soma::search::lfa_stage::{initial_lfa, mutate_lfa, run_stage1};
 use soma::search::{anneal, DlsaEditor, DlsaMove, Objective, SaSchedule, SizeWeightedPicker};
 use soma::sim::{evaluate_parts, CompiledPlan, CoreArrayModel, Replay, SimScratch};
 
@@ -182,6 +189,148 @@ fn check_stage2(net: &Network, lfa: &Lfa, seed: u64, effort: f64) {
     assert_eq!(rng_engine.next_u64(), rng_naive.next_u64(), "RNG draws");
 }
 
+/// Which LFA proposal generator drives a stage-1 chain or annealer.
+#[derive(Debug, Clone, Copy)]
+enum LfaMutator {
+    /// SoMa's stage-1 operators, with or without linked cut sets.
+    Soma { link_cuts: bool },
+    /// Cocco's restricted operators.
+    Cocco,
+}
+
+impl LfaMutator {
+    fn initial(self, net: &Network, hw: &HardwareConfig) -> Lfa {
+        match self {
+            Self::Soma { .. } => initial_lfa(net, hw),
+            Self::Cocco => initial_cocco(net, hw),
+        }
+    }
+
+    fn mutate(
+        self,
+        net: &Network,
+        hw: &HardwareConfig,
+        lfa: &Lfa,
+        rng: &mut StdRng,
+    ) -> Option<Lfa> {
+        match self {
+            Self::Soma { link_cuts } => mutate_lfa(net, lfa, rng, link_cuts),
+            Self::Cocco => mutate_cocco(net, hw, lfa, rng),
+        }
+    }
+}
+
+/// The one-shot stage-1 cost of `lfa`: `parse_lfa`, the double-buffer
+/// DLSA, a fresh compile, a replay from the start and the buffer peak.
+fn one_shot_cost(
+    obj: &Objective<'_>,
+    model: &mut CoreArrayModel<'_>,
+    lfa: &Lfa,
+    limit: u64,
+) -> Option<f64> {
+    let net = obj.network();
+    let plan = parse_lfa(net, lfa).ok()?;
+    let dlsa = Dlsa::double_buffer(&plan);
+    let compiled = CompiledPlan::compile(net, &plan, obj.hardware(), model);
+    let latency = compiled.simulate_cost(&dlsa, &mut SimScratch::new()).ok()?;
+    let peak = peak_buffer(&plan, &dlsa);
+    Some(obj.cost_of_parts(latency, compiled.energy_total_pj(), peak, limit))
+}
+
+/// `lfa` with only its last FLG re-tiled: the plan keeps every earlier
+/// tile, and the stores of the last two kept tiles see a new tile count.
+fn retile_last(lfa: &Lfa, rng: &mut StdRng) -> Option<Lfa> {
+    let mut out = lfa.clone();
+    let t = out.tiling.last_mut().expect("an LFA has an FLG");
+    *t = if rng.gen_bool(0.5) { (*t * 2).min(MAX_TILING) } else { (*t / 2).max(1) };
+    (out != *lfa).then_some(out)
+}
+
+/// The stage-1 differential: drives `steps` random LFA proposals through
+/// one long-lived `Objective::eval_lfa_cost` and asserts its cost equals
+/// the one-shot cost bit for bit at every step, kept or not. One step in
+/// ten re-tiles only the last FLG, and one in twenty also asks
+/// `eval_lfa` for the full report, whose cost must agree too.
+fn check_stage1_chain(net: &Network, mutator: LfaMutator, seed: u64, steps: usize) {
+    let hw = HardwareConfig::edge();
+    let limit = hw.buffer_bytes;
+    let mut obj = Objective::new(net, &hw, CostWeights::default());
+    let mut model = CoreArrayModel::new(&hw);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut coin = StdRng::seed_from_u64(!seed);
+    let mut cur = mutator.initial(net, &hw);
+    let mut evaluated = 0;
+    for step in 0..=steps {
+        let cand = if step == 0 {
+            Some(cur.clone())
+        } else if coin.gen_bool(0.1) {
+            retile_last(&cur, &mut coin)
+        } else {
+            mutator.mutate(net, &hw, &cur, &mut rng)
+        };
+        let Some(cand) = cand else { continue };
+        let want = one_shot_cost(&obj, &mut model, &cand, limit).map(f64::to_bits);
+        let got = obj.eval_lfa_cost(&cand, limit).map(f64::to_bits);
+        assert_eq!(got, want, "{} step {step}: resumed against one-shot cost", net.name());
+        if coin.gen_bool(0.05) {
+            let full = obj.eval_lfa(&cand, limit).map(|(cost, ..)| cost.to_bits());
+            assert_eq!(full, want, "{} step {step}: full report's cost", net.name());
+        }
+        if got.is_some() {
+            evaluated += 1;
+            if coin.gen_bool(0.5) {
+                cur = cand;
+            }
+        }
+    }
+    assert!(evaluated > steps / 4, "{}: only {evaluated} proposals evaluated", net.name());
+}
+
+/// The annealer-level stage-1 differential: `run_stage1` or `run_cocco`
+/// (resumed cost-only evaluations) against `sa::anneal` over the same
+/// mutator with one-shot `Objective::eval_lfa` costs, at the same seed.
+fn check_stage1_anneal(net: &Network, mutator: LfaMutator, seed: u64, effort: f64) {
+    let hw = HardwareConfig::edge();
+    let link_cuts = matches!(mutator, LfaMutator::Soma { link_cuts: true });
+    let cfg = SearchConfig { effort, link_cuts, ..SearchConfig::default() };
+    let limit = hw.buffer_bytes;
+
+    let mut obj = Objective::new(net, &hw, cfg.weights);
+    let mut rng_engine = StdRng::seed_from_u64(seed);
+    let engine = match mutator {
+        LfaMutator::Soma { .. } => run_stage1(&mut obj, &cfg, &mut rng_engine, limit),
+        LfaMutator::Cocco => run_cocco(&mut obj, &cfg, &mut rng_engine, limit),
+    };
+
+    let mut naive_obj = Objective::new(net, &hw, cfg.weights);
+    let mut rng_naive = StdRng::seed_from_u64(seed);
+    let init = mutator.initial(net, &hw);
+    let (init_cost, ..) = naive_obj.eval_lfa(&init, limit).expect("initial LFA parses");
+    let iters = cfg.stage1_iters(net.len());
+    let schedule = SaSchedule {
+        t0: cfg.t0,
+        alpha: cfg.alpha,
+        iters,
+        greedy_tail: iters / 10,
+        time_budget: None,
+    };
+    let naive = anneal(&schedule, &mut rng_naive, init, init_cost, |cur, rng| {
+        let cand = mutator.mutate(net, &hw, cur, rng)?;
+        let (cost, ..) = naive_obj.eval_lfa(&cand, limit)?;
+        Some((cand, cost))
+    });
+    let (cost, ..) = naive_obj.eval_lfa(&naive.best, limit).expect("best LFA parses");
+
+    assert_eq!(engine.lfa, naive.best, "best LFA");
+    assert_eq!(engine.cost.to_bits(), cost.to_bits(), "best cost");
+    assert_eq!(
+        (obj.evals(), obj.rejected()),
+        (naive_obj.evals(), naive_obj.rejected()),
+        "evals / rejected"
+    );
+    assert_eq!(rng_engine.next_u64(), rng_naive.next_u64(), "RNG draws");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -257,6 +406,74 @@ proptest! {
         let net = zoo::fig4(1);
         check_stage2(&net, &Lfa::unfused(&net, 1 << tiling_pow), seed, f64::from(effort_milli) / 1000.0);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Resumed stage-1 evaluation on the demo networks under every
+    /// generator.
+    #[test]
+    fn stage1_resume_matches_one_shot_on_demo_chains(
+        seed in any::<u64>(),
+        fig4 in any::<bool>(),
+        link_cuts in any::<bool>(),
+        cocco in any::<bool>(),
+    ) {
+        let net = if fig4 { zoo::fig4(1) } else { zoo::fig2(1) };
+        let mutator = if cocco { LfaMutator::Cocco } else { LfaMutator::Soma { link_cuts } };
+        check_stage1_chain(&net, mutator, seed, 120);
+    }
+
+    /// Resumed stage-1 evaluation on deep conv chains.
+    #[test]
+    fn stage1_resume_matches_one_shot_on_chains(
+        seed in any::<u64>(),
+        depth in 3u32..9,
+        cocco in any::<bool>(),
+    ) {
+        let net = zoo::chain(1, 16, 28, depth);
+        let mutator = if cocco { LfaMutator::Cocco } else { LfaMutator::Soma { link_cuts: false } };
+        check_stage1_chain(&net, mutator, seed, 120);
+    }
+
+    /// `run_stage1` and `run_cocco` on fig2 and fig4 follow the one-shot
+    /// annealer.
+    #[test]
+    fn stage1_matches_naive_anneal_on_demo_nets(
+        seed in any::<u64>(),
+        fig4 in any::<bool>(),
+        cocco in any::<bool>(),
+        effort_milli in 50u32..400,
+    ) {
+        let net = if fig4 { zoo::fig4(1) } else { zoo::fig2(1) };
+        let mutator = if cocco { LfaMutator::Cocco } else { LfaMutator::Soma { link_cuts: false } };
+        check_stage1_anneal(&net, mutator, seed, f64::from(effort_milli) / 1000.0);
+    }
+}
+
+/// Resumed stage-1 evaluation on the campaign networks, one deterministic
+/// chain per generator to bound suite runtime.
+#[test]
+fn stage1_resume_matches_one_shot_on_resnet50_and_randwire() {
+    for net in [zoo::resnet50(1), zoo::by_name("randwire").expect("zoo network")] {
+        for (seed, mutator) in [
+            (21, LfaMutator::Soma { link_cuts: false }),
+            (22, LfaMutator::Soma { link_cuts: true }),
+            (23, LfaMutator::Cocco),
+        ] {
+            check_stage1_chain(&net, mutator, seed, 150);
+        }
+    }
+}
+
+/// `run_stage1` and `run_cocco` on ResNet-50 follow the one-shot
+/// annealer.
+#[test]
+fn stage1_matches_naive_anneal_on_resnet50() {
+    let net = zoo::resnet50(1);
+    check_stage1_anneal(&net, LfaMutator::Soma { link_cuts: false }, 2025, 0.05);
+    check_stage1_anneal(&net, LfaMutator::Cocco, 2026, 0.05);
 }
 
 /// Stage 2 on ResNet-50's stage-1-style initial plan, one deterministic
