@@ -22,8 +22,11 @@
 //! cargo run --release -p soma-bench --bin ledger -- compact target/lab/fig2.ledger
 //! ```
 //!
+//! `stat`, `dump` and `compact` refuse a path that does not exist
+//! rather than read it as an empty ledger, and create nothing there.
+//!
 //! Exit codes: `0` ok, `1` `dump` skipped rows that do not decode, `2`
-//! usage or I/O error.
+//! usage or I/O error, or a missing ledger path.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -160,6 +163,13 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     match args.iter().map(String::as_str).collect::<Vec<_>>().as_slice() {
+        // `Ledger::load` reads a missing path as an empty ledger (and
+        // `compact` would create it), so a mistyped path would pass for
+        // an empty campaign.
+        ["stat" | "dump" | "compact", path] if !Path::new(path).exists() => {
+            eprintln!("ledger: {path}: no such ledger directory");
+            ExitCode::from(2)
+        }
         ["stat", path] => stat(Path::new(path)),
         ["dump", path] => dump(Path::new(path)),
         ["migrate", src, dst] => migrate(Path::new(src), Path::new(dst)),

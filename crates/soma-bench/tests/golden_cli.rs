@@ -454,6 +454,22 @@ fn undecodable_row_is_re_searched_not_a_silent_hit() {
     assert_eq!(csv, cold_csv);
 }
 
+/// A mistyped path is not an empty ledger: `ledger stat`, `dump` and
+/// `compact` on a path that does not exist exit 2 naming the path, and
+/// leave nothing behind (`compact` used to create the directory).
+#[test]
+fn ledger_tool_refuses_a_missing_path() {
+    let missing = tmp("golden-missing.ledger");
+    let arg = missing.to_str().expect("utf-8 path");
+    for sub in ["stat", "dump", "compact"] {
+        let (out, err, code) = run_bin_code(env!("CARGO_BIN_EXE_ledger"), &[sub, arg]);
+        assert_eq!(code, Some(2), "ledger {sub}: {err}");
+        assert!(out.is_empty(), "ledger {sub} printed: {out}");
+        assert!(err.contains(arg), "ledger {sub} must name the path: {err}");
+        assert!(!missing.exists(), "ledger {sub} created {arg}");
+    }
+}
+
 /// The `loadgen` client against an in-process daemon, as CI's
 /// `serve-smoke` and `chaos-smoke` drive it: a cold submit searches, its
 /// repeat is served from the ledger (`--expect-cached` exits 0), and

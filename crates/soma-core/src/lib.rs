@@ -38,20 +38,15 @@
 pub mod dlsa;
 pub mod encoding;
 pub mod error;
-pub mod ir;
-pub mod isa;
 pub mod lifetime;
 pub mod plan;
-pub mod scheme;
 pub mod tiles;
 
 pub use dlsa::Dlsa;
 pub use encoding::{Encoding, Lfa};
 pub use error::ParseError;
-pub use ir::{lower, Instr, Program};
 pub use lifetime::OccupancyProfile;
 pub use plan::{parse_lfa, ComputePlan, DramKind, DramTensor, OnchipInterval, SegmentMemo, Tile};
-pub use scheme::{read_scheme, write_scheme, SchemeError};
 pub use tiles::{TileGrid, TileShape};
 
 /// A fully parsed schedule: the compute plan plus a validated DLSA.

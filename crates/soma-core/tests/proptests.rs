@@ -1,10 +1,8 @@
-//! Property tests for the notation internals: tile grids, halo shapes,
-//! scheme round-trips and binary program round-trips.
+//! Property tests for the notation internals: tile grids and
+//! halo-enlarged tile shapes.
 
 use proptest::prelude::*;
-use soma_core::{
-    isa, lower, parse_lfa, read_scheme, write_scheme, Encoding, Lfa, ParsedSchedule, TileGrid,
-};
+use soma_core::{parse_lfa, Lfa, TileGrid};
 use soma_model::zoo;
 
 proptest! {
@@ -36,43 +34,6 @@ proptest! {
         let g = TileGrid::choose(t, 1, h, 1);
         prop_assert_eq!(g.tw, 1);
         prop_assert_eq!(g.th, t);
-    }
-
-    /// Scheme text round-trips for arbitrary valid chain encodings.
-    #[test]
-    fn scheme_round_trip(depth in 2u32..7, seed in any::<u64>()) {
-        let net = zoo::chain(1, 16, 16, depth);
-        let n = net.len();
-        let mut s = seed;
-        let mut next = move || {
-            s = s.wrapping_mul(0x5DEECE66D).wrapping_add(11);
-            (s >> 20) as u32
-        };
-        let mut lfa = Lfa::fully_fused(&net, 1);
-        for p in 1..n {
-            if next() % 2 == 0 {
-                lfa.flc.insert(p);
-                if next() % 2 == 0 {
-                    lfa.dram_cuts.insert(p);
-                }
-            }
-        }
-        lfa.tiling = (0..lfa.flg_count()).map(|_| 1 << (next() % 4)).collect();
-        let sched = ParsedSchedule::new(&net, &Encoding::from_lfa(lfa.clone())).unwrap();
-        let enc = Encoding { lfa, dlsa: Some(sched.dlsa) };
-        let text = write_scheme(&net, &enc);
-        prop_assert_eq!(read_scheme(&net, &text).unwrap(), enc);
-    }
-
-    /// Binary programs round-trip for arbitrary valid chain encodings.
-    #[test]
-    fn isa_round_trip(depth in 2u32..6, tiling_pow in 0u32..4) {
-        let net = zoo::chain(1, 8, 16, depth);
-        let lfa = Lfa::unfused(&net, 1 << tiling_pow);
-        let sched = ParsedSchedule::new(&net, &Encoding::from_lfa(lfa)).unwrap();
-        let prog = lower(&sched);
-        let bytes = isa::encode(&prog);
-        prop_assert_eq!(isa::decode(&bytes).unwrap(), prog);
     }
 
     /// Halo-enlarged tiles never shrink below nominal and never exceed

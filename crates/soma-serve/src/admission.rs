@@ -8,7 +8,7 @@
 //! Permits release on drop, so every exit path — success, search panic
 //! unwinding, connection teardown — returns its slot.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use soma_search::SearchConfig;
 
@@ -34,7 +34,6 @@ pub struct Admission {
     max_inflight: usize,
     max_evals: u64,
     inflight: AtomicUsize,
-    rejected: AtomicU64,
 }
 
 impl Admission {
@@ -42,22 +41,12 @@ impl Admission {
     /// at most `max_evals` estimated evaluations each (`0` = unlimited
     /// budget).
     pub fn new(max_inflight: usize, max_evals: u64) -> Self {
-        Self {
-            max_inflight: max_inflight.max(1),
-            max_evals,
-            inflight: AtomicUsize::new(0),
-            rejected: AtomicU64::new(0),
-        }
+        Self { max_inflight: max_inflight.max(1), max_evals, inflight: AtomicUsize::new(0) }
     }
 
     /// Submits currently holding a permit.
     pub fn inflight(&self) -> usize {
         self.inflight.load(Ordering::SeqCst)
-    }
-
-    /// Total admissions refused so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::SeqCst)
     }
 
     /// The per-request evaluation ceiling (`0` = unlimited).
@@ -74,14 +63,12 @@ impl Admission {
     /// in-flight slot is taken.
     pub fn admit(&self, estimated_evals: u64) -> Result<Permit<'_>, RejectReason> {
         if self.max_evals > 0 && estimated_evals > self.max_evals {
-            self.rejected.fetch_add(1, Ordering::SeqCst);
             return Err(RejectReason::BudgetExceeded);
         }
         // Optimistically take a slot; back out if it overshot the cap.
         let prev = self.inflight.fetch_add(1, Ordering::SeqCst);
         if prev >= self.max_inflight {
             self.inflight.fetch_sub(1, Ordering::SeqCst);
-            self.rejected.fetch_add(1, Ordering::SeqCst);
             return Err(RejectReason::QueueFull);
         }
         Ok(Permit { admission: self })
@@ -111,7 +98,6 @@ mod tests {
         let b = adm.admit(1).unwrap();
         assert_eq!(adm.inflight(), 2);
         assert_eq!(adm.admit(1).unwrap_err(), RejectReason::QueueFull);
-        assert_eq!(adm.rejected(), 1);
         drop(a);
         let c = adm.admit(1).unwrap();
         assert_eq!(adm.inflight(), 2);

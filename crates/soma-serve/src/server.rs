@@ -87,6 +87,8 @@ struct Shared {
     admission: Admission,
     served: AtomicU64,
     cache_hits: AtomicU64,
+    /// Submits refused with a `rejected` frame, whatever the reason.
+    rejected: AtomicU64,
     cancelled: AtomicU64,
     panics: AtomicU64,
     /// Corrupt rows quarantined when the ledger loaded (fixed at start).
@@ -121,7 +123,7 @@ impl Shared {
             inflight: self.admission.inflight() as u64,
             served: self.served.load(Ordering::SeqCst),
             cache_hits: self.cache_hits.load(Ordering::SeqCst),
-            rejected: self.admission.rejected(),
+            rejected: self.rejected.load(Ordering::SeqCst),
             ledger_rows: self.ledger.lock().expect("ledger lock poisoned").len() as u64,
             cancelled: self.cancelled.load(Ordering::SeqCst),
             panics: self.panics.load(Ordering::SeqCst),
@@ -211,6 +213,7 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         admission: Admission::new(config.max_inflight, config.max_evals),
         served: AtomicU64::new(0),
         cache_hits: AtomicU64::new(0),
+        rejected: AtomicU64::new(0),
         cancelled: AtomicU64::new(0),
         panics: AtomicU64::new(0),
         quarantined: health.quarantined as u64,
@@ -362,6 +365,7 @@ fn handle_submit(writer: &mut Stream, shared: &Shared, submit: SubmitRequest) ->
     // The deadline clock starts at frame receipt, before any work.
     let deadline = submit.deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
     let reject = |writer: &mut Stream, reason: RejectReason, detail: String| {
+        shared.rejected.fetch_add(1, Ordering::SeqCst);
         send(writer, shared, &Response::Rejected { id: submit.id.clone(), reason, detail })
     };
 

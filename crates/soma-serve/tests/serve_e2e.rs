@@ -1,14 +1,16 @@
 //! End-to-end tests of the serve daemon over real sockets: concurrent
 //! submits, streamed progress, the ledger-backed warm path, typed
-//! admission rejects, inline specs, and graceful shutdown.
+//! rejects and their count, inline specs, and graceful shutdown.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use soma_model::zoo;
 use soma_search::record::{outcome_to_string, ENGINE_VERSION};
-use soma_search::SearchEvent;
+use soma_search::{SearchConfig, SearchEvent};
 use soma_serve::{
-    start, Client, Listen, RejectReason, ServerConfig, SubmitRequest, Target, PROTOCOL_VERSION,
+    estimate_evals, start, Client, Listen, RejectReason, ServerConfig, SubmitRequest, Target,
+    PROTOCOL_VERSION,
 };
 use soma_spec::ledger::Ledger;
 
@@ -170,6 +172,52 @@ fn saturated_server_refuses_with_queue_full() {
     assert!(detail.contains("in flight"), "{detail}");
 
     assert!(occupant.join().unwrap().succeeded());
+    handle.shutdown();
+}
+
+/// `stats.rejected` counts every `rejected` frame, whatever its reason:
+/// a queue-full, an over-budget and a bad request, and a submit while
+/// draining are four.
+#[test]
+fn stats_count_every_rejected_frame() {
+    // One slot, and a budget that admits the occupant's search but not
+    // the same search over two seeds.
+    let occupant_cfg = SearchConfig { effort: 1.0, ..SearchConfig::default() };
+    let budget = estimate_evals(&occupant_cfg, zoo::fig2(1).len(), 1);
+    let ledger_path = fresh_ledger("rejects");
+    let handle = start(ServerConfig {
+        max_inflight: 1,
+        max_evals: budget,
+        ..ServerConfig::new(unix_listen("rejects"), &ledger_path)
+    })
+    .unwrap();
+    let listen = handle.listen().clone();
+    let occupant = {
+        let listen = listen.clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(&listen).unwrap();
+            let req = SubmitRequest { effort: Some(1.0), ..quick("slow", "fig2@edge/b1", 7) };
+            client.submit(req).unwrap()
+        })
+    };
+    let mut client = Client::connect(&listen).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while client.stats().unwrap().inflight == 0 {
+        assert!(Instant::now() < deadline, "occupant search never started");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let mut reject = |req: SubmitRequest| client.submit(req).unwrap().rejection.unwrap().0;
+    assert_eq!(reject(quick("bounced", "fig2@edge/b1", 8)), RejectReason::QueueFull);
+    let big =
+        SubmitRequest { effort: Some(1.0), seeds: vec![1, 2], ..quick("big", "fig2@edge/b1", 1) };
+    assert_eq!(reject(big), RejectReason::BudgetExceeded);
+    assert_eq!(reject(quick("nope", "made-up@edge/b1", 1)), RejectReason::BadRequest);
+    assert!(occupant.join().unwrap().succeeded());
+    handle.drain();
+    assert_eq!(reject(quick("late", "fig2@edge/b1", 9)), RejectReason::ShuttingDown);
+
+    assert_eq!(handle.stats().rejected, 4);
     handle.shutdown();
 }
 

@@ -6,10 +6,9 @@
 //! this crate turns every point of that matrix (and any custom point)
 //! into **data**: a scheduling request becomes a textual artifact that
 //! can be committed, diffed and replayed, instead of a recompile. All
-//! three formats are hand-rolled line-oriented text in the style of
-//! `soma_core`'s scheme format — no external parser dependencies — and
-//! every parse error carries the 1-based line and column of the
-//! offending token ([`SpecError`]).
+//! three formats are hand-rolled line-oriented text — no external
+//! parser dependencies — and every parse error carries the 1-based
+//! line and column of the offending token ([`SpecError`]).
 //!
 //! # The three formats
 //!

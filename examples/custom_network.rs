@@ -1,11 +1,10 @@
 //! Bring your own model: build a custom DNN with [`NetworkBuilder`],
 //! schedule it with SoMa, and inspect what the scheduler decided — the
-//! downstream-user workflow (model description in, scheme + reports out,
+//! downstream-user workflow (model description in, schedule report out,
 //! paper Sec. V-A).
 //!
 //! Run with: `cargo run --release --example custom_network`
 
-use soma::core::write_scheme;
 use soma::model::{EltOp, VecOp};
 use soma::prelude::*;
 
@@ -53,6 +52,4 @@ fn main() {
         out.best.report.energy.total_pj() / 1e9,
         out.best.report.peak_buffer as f64 / (1 << 20) as f64
     );
-    println!("\n--- scheme (save this next to your model) ---");
-    println!("{}", write_scheme(&net, &out.best.encoding));
 }

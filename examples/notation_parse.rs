@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example notation_parse`
 
-use soma::core::{lifetime, lower, parse_lfa, Dlsa, Lfa};
+use soma::core::{lifetime, parse_lfa, Dlsa, Lfa};
 use soma::model::zoo;
 
 fn main() {
@@ -51,11 +51,4 @@ fn main() {
     for (pos, b) in profile.iter().enumerate() {
         println!("  tile {pos:>2}: {b:>8} B");
     }
-
-    let prog = lower(&soma::core::ParsedSchedule { plan, dlsa });
-    println!(
-        "\nlowered program: {} DRAM instructions, {} compute instructions",
-        prog.dram_queue.len(),
-        prog.compute_queue.len()
-    );
 }

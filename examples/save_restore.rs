@@ -1,22 +1,22 @@
-//! Persist and reload scheduling artefacts: the scheme text format, the
-//! textual instruction listing, and the binary instruction encoding —
-//! the outputs a compiler backend would archive (paper Sec. V-A/V-F).
+//! Persist and reload a search result through the run ledger, the one
+//! on-disk form of a schedule (`specs/LEDGER.md`): append the outcome
+//! under its cell's content hash, reload the ledger read-only, and check
+//! that the row replays bit for bit and its best scheme re-evaluates to
+//! the same latency.
 //!
 //! Run with: `cargo run --release --example save_restore`
 
-use soma::core::{isa, lower, read_scheme, write_scheme, ParsedSchedule};
-use soma::model::zoo;
 use soma::prelude::*;
+use soma::search::record::outcome_to_bytes;
+use soma::spec::{cell_key, registry, Ledger, LedgerRow};
 
-fn main() {
-    let net = zoo::fig4(1);
-    let hw = HardwareConfig::edge();
+fn main() -> std::io::Result<()> {
+    let cell = registry::lookup("fig4@edge/b1").expect("a registry scenario").cell();
     let cfg = SearchConfig { effort: 0.3, seed: 11, ..SearchConfig::default() };
 
-    // Search, reporting each allocator round that finds a new best, then
-    // serialise the best scheme.
-    let outcome = Scheduler::new(&net, &hw)
-        .config(cfg)
+    // Search, reporting each allocator round that finds a new best.
+    let outcome = Scheduler::new(&cell.net, &cell.hw)
+        .config(cfg.clone())
         .observer(|ev| {
             if let SearchEvent::NewBest { round, cost, latency_cycles } = ev {
                 eprintln!(
@@ -25,28 +25,28 @@ fn main() {
             }
         })
         .run();
-    let scheme_text = write_scheme(&net, &outcome.best.encoding);
-    println!("--- scheme file ---\n{scheme_text}");
 
-    // Reload it and verify it reproduces the exact same evaluation.
-    let reloaded = read_scheme(&net, &scheme_text).expect("scheme round-trips");
-    let sched = ParsedSchedule::new(&net, &reloaded).expect("reloaded scheme parses");
-    let report = evaluate(&net, &sched, &hw).expect("reloaded scheme simulates");
+    // Save: one row keyed by the cell's content hash, the key `lab` and
+    // `serve` look results up by.
+    let dir = std::env::temp_dir().join(format!("soma-save-restore-{}.ledger", std::process::id()));
+    let hash = cell_key(&cell, &cfg, &[cfg.seed]);
+    let mut ledger = Ledger::load(&dir)?;
+    ledger.append(LedgerRow::new(&cell, &hash, outcome.clone()))?;
+    ledger.sync_index()?;
+
+    // Restore: a read-only load finds the row by hash, and its payload
+    // decodes to the same bytes.
+    let reloaded = Ledger::load_readonly(&dir)?;
+    let row = reloaded.lookup(&hash).expect("the appended row");
+    let restored = row.outcome().expect("the payload decodes");
+    assert_eq!(outcome_to_bytes(restored), outcome_to_bytes(&outcome));
+
+    // The restored best scheme reproduces the exact same evaluation.
+    let sched = ParsedSchedule::new(&cell.net, &restored.best.encoding).expect("scheme parses");
+    let report = evaluate(&cell.net, &sched, &cell.hw).expect("scheme simulates");
     assert_eq!(report.latency_cycles, outcome.best.report.latency_cycles);
-    println!("reloaded scheme reproduces latency: {} cycles\n", report.latency_cycles);
+    println!("row {hash} reproduces latency: {} cycles", report.latency_cycles);
+    println!("--- ledger dump ---\n{}", row.to_line().expect("the row decodes"));
 
-    // Lower to instructions; show the listing and the binary round trip.
-    let prog = lower(&sched);
-    println!("--- instruction listing (first 12 lines) ---");
-    for line in prog.to_text().lines().take(12) {
-        println!("{line}");
-    }
-    let bytes = isa::encode(&prog);
-    let back = isa::decode(&bytes).expect("binary round-trips");
-    assert_eq!(back, prog);
-    println!(
-        "\nbinary program: {} bytes for {} instructions (round-trip verified)",
-        bytes.len(),
-        prog.len()
-    );
+    std::fs::remove_dir_all(&dir)
 }

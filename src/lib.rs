@@ -20,7 +20,7 @@
 //!   protocol, admission control, the daemon with its ledger-backed
 //!   result cache, and a reference client.
 //! * [`obs`] — campaign observability: the streaming stats engine
-//!   (percentiles, histograms, per-stage breakdowns), the
+//!   (min/max/mean, exact and P² percentiles, sparklines), the
 //!   machine-readable [`CampaignSummary`](obs::CampaignSummary) CI
 //!   artifact, and the render model behind the `watch` TUI.
 //!

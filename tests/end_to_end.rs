@@ -144,12 +144,10 @@ fn full_pipeline_on_fig2() {
     let net = zoo::fig2(1);
     let hw = HardwareConfig::edge();
     let out = Scheduler::new(&net, &hw).config(quick(1)).run();
-    // Best scheme parses, re-evaluates to identical numbers, and lowers.
+    // Best scheme parses and re-evaluates to identical numbers.
     let sched = ParsedSchedule::new(&net, &out.best.encoding).unwrap();
     let report = evaluate(&net, &sched, &hw).unwrap();
     assert_eq!(report.latency_cycles, out.best.report.latency_cycles);
-    let prog = soma::core::lower(&sched);
-    assert_eq!(prog.compute_queue.len(), sched.plan.tiles.len());
 }
 
 #[test]

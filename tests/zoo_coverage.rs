@@ -1,8 +1,8 @@
-//! Broad smoke coverage: every zoo network must parse, simulate and
-//! lower under a handful of canonical encodings — no search involved, so
-//! this stays fast while touching every operator kind the zoo uses.
+//! Broad smoke coverage: every zoo network must parse and simulate
+//! under a handful of canonical encodings — no search involved, so this
+//! stays fast while touching every operator kind the zoo uses.
 
-use soma::core::{lower, parse_lfa, Dlsa, Lfa, ParsedSchedule};
+use soma::core::{parse_lfa, Dlsa, Lfa, ParsedSchedule};
 use soma::model::zoo;
 use soma::prelude::*;
 
@@ -17,10 +17,6 @@ fn every_zoo_network_parses_and_simulates_unfused() {
         let report = evaluate(&net, &sched, &hw).unwrap_or_else(|e| panic!("{}: {e}", net.name()));
         assert!(report.latency_cycles > 0, "{}", net.name());
         assert!(report.energy.total_pj() > 0.0, "{}", net.name());
-        // Lowering covers every tensor and tile exactly once.
-        let prog = lower(&sched);
-        assert_eq!(prog.dram_queue.len(), sched.plan.dram_tensors.len());
-        assert_eq!(prog.compute_queue.len(), sched.plan.tiles.len());
     }
 }
 
