@@ -22,11 +22,12 @@
 //! cargo run --release -p soma-bench --bin ledger -- compact target/lab/fig2.ledger
 //! ```
 //!
-//! `stat`, `dump` and `compact` refuse a path that does not exist
-//! rather than read it as an empty ledger, and create nothing there.
+//! `stat`, `dump` and `compact` refuse a path that does not exist, and
+//! a non-empty directory holding no ledger files, rather than read it
+//! as an empty ledger, and write nothing there.
 //!
 //! Exit codes: `0` ok, `1` `dump` skipped rows that do not decode, `2`
-//! usage or I/O error, or a missing ledger path.
+//! usage or I/O error, or a missing or foreign ledger path.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -163,11 +164,17 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     match args.iter().map(String::as_str).collect::<Vec<_>>().as_slice() {
-        // `Ledger::load` reads a missing path as an empty ledger (and
-        // `compact` would create it), so a mistyped path would pass for
-        // an empty campaign.
+        // `Ledger::load` reads a missing path, or a directory of other
+        // files, as an empty ledger (and `compact` would write one
+        // there), so a mistyped path would pass for an empty campaign.
         ["stat" | "dump" | "compact", path] if !Path::new(path).exists() => {
             eprintln!("ledger: {path}: no such ledger directory");
+            ExitCode::from(2)
+        }
+        ["stat" | "dump" | "compact", path]
+            if soma_spec::ledger::is_foreign_dir(Path::new(path)) =>
+        {
+            eprintln!("ledger: {path}: not a ledger directory");
             ExitCode::from(2)
         }
         ["stat", path] => stat(Path::new(path)),

@@ -470,6 +470,34 @@ fn ledger_tool_refuses_a_missing_path() {
     }
 }
 
+/// A directory of other files is not an empty ledger either: `ledger
+/// stat`, `dump` and `compact` on a directory holding one text file exit
+/// 2 naming it, and leave its listing as it was (`compact` used to write
+/// `LEDGER` and `index.bin` beside the file). An empty directory still
+/// reads as an empty ledger.
+#[test]
+fn ledger_tool_refuses_a_directory_that_is_not_a_ledger() {
+    let dir = tmp("golden-foreign");
+    fs::create_dir_all(&dir).expect("scratch dir");
+    fs::write(dir.join("notes.txt"), "not a ledger\n").expect("text file");
+    let before = files(&dir);
+    let arg = dir.to_str().expect("utf-8 path");
+    for sub in ["stat", "dump", "compact"] {
+        let (out, err, code) = run_bin_code(env!("CARGO_BIN_EXE_ledger"), &[sub, arg]);
+        assert_eq!(code, Some(2), "ledger {sub}: {err}");
+        assert!(out.is_empty(), "ledger {sub} printed: {out}");
+        assert!(err.contains(&format!("{arg}: not a ledger directory")), "ledger {sub}: {err}");
+        assert_eq!(files(&dir), before, "ledger {sub} wrote into {arg}");
+    }
+
+    let empty = tmp("golden-empty.ledger");
+    fs::create_dir_all(&empty).expect("scratch dir");
+    let (out, err, code) =
+        run_bin_code(env!("CARGO_BIN_EXE_ledger"), &["stat", empty.to_str().expect("utf-8")]);
+    assert_eq!(code, Some(0), "{err}");
+    assert!(out.contains("rows:        0"), "{out}");
+}
+
 /// The `loadgen` client against an in-process daemon, as CI's
 /// `serve-smoke` and `chaos-smoke` drive it: a cold submit searches, its
 /// repeat is served from the ledger (`--expect-cached` exits 0), and

@@ -128,13 +128,15 @@ impl Client {
         Ok(())
     }
 
-    /// Sends one request frame.
+    /// Sends one request frame, line and terminator in one write.
     ///
     /// # Errors
     ///
     /// Socket write errors.
     pub fn send(&mut self, req: &Request) -> Result<(), ClientError> {
-        writeln!(self.writer, "{}", to_line(&req.to_json()))?;
+        let mut line = to_line(&req.to_json());
+        line.push('\n');
+        self.writer.write_all(line.as_bytes())?;
         self.writer.flush()?;
         Ok(())
     }

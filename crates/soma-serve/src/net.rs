@@ -99,10 +99,11 @@ impl Listener {
     }
 
     /// Accepts one connection, returned in blocking mode (accepted
-    /// sockets must not inherit the listener's nonblocking flag).
+    /// sockets must not inherit the listener's nonblocking flag), with
+    /// Nagle's algorithm off on TCP.
     pub fn accept(&self) -> io::Result<Stream> {
         let stream = match self {
-            Listener::Tcp(l) => Stream::Tcp(l.accept()?.0),
+            Listener::Tcp(l) => Stream::Tcp(nodelay(l.accept()?.0)?),
             #[cfg(unix)]
             Listener::Unix(l) => Stream::Unix(l.accept()?.0),
         };
@@ -118,10 +119,19 @@ pub(crate) enum Stream {
     Unix(UnixStream),
 }
 
+/// Turns Nagle's algorithm off: frames are whole lines written at once,
+/// and a small frame held back for the peer's delayed ACK costs a
+/// request tens of milliseconds.
+fn nodelay(stream: TcpStream) -> io::Result<TcpStream> {
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
 impl Stream {
+    /// Connects to `listen`, with Nagle's algorithm off on TCP.
     pub fn connect(listen: &Listen) -> io::Result<Self> {
         match listen {
-            Listen::Tcp(addr) => Ok(Stream::Tcp(TcpStream::connect(addr.as_str())?)),
+            Listen::Tcp(addr) => Ok(Stream::Tcp(nodelay(TcpStream::connect(addr.as_str())?)?)),
             #[cfg(unix)]
             Listen::Unix(path) => Ok(Stream::Unix(UnixStream::connect(path)?)),
             #[cfg(not(unix))]

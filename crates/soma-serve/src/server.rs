@@ -275,8 +275,11 @@ fn read_line_polling(
     }
 }
 
+/// Sends one frame in a single write: with the terminator written
+/// separately, a TCP peer's delayed ACK would hold back the second
+/// segment (see `specs/PROTOCOL.md`).
 fn send(writer: &mut Stream, shared: &Shared, resp: &Response) -> io::Result<()> {
-    let line = to_line(&resp.to_json());
+    let mut line = to_line(&resp.to_json());
     if let Some(Fault::DropConnection) =
         shared.faults.as_ref().and_then(|p| p.next(fault::site::SERVE_SEND))
     {
@@ -287,7 +290,8 @@ fn send(writer: &mut Stream, shared: &Shared, resp: &Response) -> io::Result<()>
         let _ = writer.flush();
         return Err(io::Error::other("injected fault: connection dropped mid-frame"));
     }
-    writeln!(writer, "{line}")?;
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
     writer.flush()
 }
 

@@ -120,6 +120,32 @@ fn ping_reports_engine_and_protocol_versions() {
     handle.shutdown();
 }
 
+/// A cached hit over loopback TCP is a fraction of a millisecond of
+/// work. A frame that leaves in two writes, or a socket with Nagle's
+/// algorithm on, stalls on the peer's delayed ACK (about 40 ms, twice
+/// per request), which the 20 ms bound on the median catches.
+#[test]
+fn tcp_cache_hits_answer_without_delayed_ack_stalls() {
+    let ledger_path = fresh_ledger("tcp-hits");
+    let handle = start(ServerConfig::new(Listen::Tcp("127.0.0.1:0".into()), &ledger_path)).unwrap();
+    let mut client = Client::connect(handle.listen()).unwrap();
+    let cold = client.submit(quick("miss", "fig2@edge/b1", 1)).unwrap();
+    assert!(cold.succeeded() && !cold.cached, "{:?}", cold.rejection);
+
+    let mut times: Vec<Duration> = (0..10)
+        .map(|i| {
+            let t = Instant::now();
+            let warm = client.submit(quick(&format!("hit-{i}"), "fig2@edge/b1", 1)).unwrap();
+            assert!(warm.cached, "repeat {i} must be served from the ledger");
+            t.elapsed()
+        })
+        .collect();
+    times.sort();
+    let median = times[times.len() / 2];
+    assert!(median < Duration::from_millis(20), "median TCP hit {median:?}: {times:?}");
+    handle.shutdown();
+}
+
 #[test]
 fn oversized_requests_get_a_typed_budget_reject() {
     let ledger_path = fresh_ledger("budget");

@@ -542,6 +542,28 @@ pub fn quarantine_path(ledger: &Path) -> PathBuf {
     ledger.join(QUARANTINE_FILE)
 }
 
+/// Whether `dir` is a directory holding files but none of a ledger's
+/// own (the `LEDGER` marker, `index.bin`, a `shard-*.bin`): something
+/// other than a ledger, which [`Ledger::load`] would read as an empty
+/// one. A missing path, a regular file and an empty directory are not
+/// foreign.
+pub fn is_foreign_dir(dir: &Path) -> bool {
+    let Ok(entries) = fs::read_dir(dir) else { return false };
+    let mut holds_files = false;
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if name == MARKER_FILE
+            || name == INDEX_FILE
+            || (name.starts_with("shard-") && name.ends_with(".bin"))
+        {
+            return false;
+        }
+        holds_files = true;
+    }
+    holds_files
+}
+
 /// A parsed index sidecar: the next append sequence number, how many
 /// bytes of each shard the entries cover, and the entries' rows grouped
 /// by shard.
@@ -1396,6 +1418,24 @@ mod tests {
         // The sidecar's bytes are untouched by the refused loads.
         assert_eq!(fs::read_to_string(&path).unwrap(), "garbage\n");
         wipe(path.parent().unwrap());
+    }
+
+    #[test]
+    fn only_a_directory_of_other_files_is_foreign() {
+        let dir = tmp("foreign");
+        wipe(&dir);
+        assert!(!is_foreign_dir(&dir), "a missing path");
+        fs::create_dir_all(&dir).unwrap();
+        assert!(!is_foreign_dir(&dir), "an empty directory");
+        fs::write(dir.join("notes.txt"), "x").unwrap();
+        assert!(is_foreign_dir(&dir));
+        assert!(!is_foreign_dir(&dir.join("notes.txt")), "a regular file");
+        for own in [MARKER_FILE, INDEX_FILE, "shard-3.bin"] {
+            fs::write(dir.join(own), "").unwrap();
+            assert!(!is_foreign_dir(&dir), "{own} marks a ledger");
+            fs::remove_file(dir.join(own)).unwrap();
+        }
+        wipe(&dir);
     }
 
     #[test]
