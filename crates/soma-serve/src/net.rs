@@ -103,7 +103,7 @@ impl Listener {
     /// Nagle's algorithm off on TCP.
     pub fn accept(&self) -> io::Result<Stream> {
         let stream = match self {
-            Listener::Tcp(l) => Stream::Tcp(nodelay(l.accept()?.0)?),
+            Listener::Tcp(l) => Stream::Tcp(nodelay(l.accept()?.0)),
             #[cfg(unix)]
             Listener::Unix(l) => Stream::Unix(l.accept()?.0),
         };
@@ -121,17 +121,19 @@ pub(crate) enum Stream {
 
 /// Turns Nagle's algorithm off: frames are whole lines written at once,
 /// and a small frame held back for the peer's delayed ACK costs a
-/// request tens of milliseconds.
-fn nodelay(stream: TcpStream) -> io::Result<TcpStream> {
-    stream.set_nodelay(true)?;
-    Ok(stream)
+/// request tens of milliseconds. Best effort: a socket that refuses the
+/// option (some platforms do once the peer has reset it) still carries
+/// frames, so the refusal must not fail the accept loop or a connect.
+fn nodelay(stream: TcpStream) -> TcpStream {
+    let _ = stream.set_nodelay(true);
+    stream
 }
 
 impl Stream {
     /// Connects to `listen`, with Nagle's algorithm off on TCP.
     pub fn connect(listen: &Listen) -> io::Result<Self> {
         match listen {
-            Listen::Tcp(addr) => Ok(Stream::Tcp(nodelay(TcpStream::connect(addr.as_str())?)?)),
+            Listen::Tcp(addr) => Ok(Stream::Tcp(nodelay(TcpStream::connect(addr.as_str())?))),
             #[cfg(unix)]
             Listen::Unix(path) => Ok(Stream::Unix(UnixStream::connect(path)?)),
             #[cfg(not(unix))]
@@ -211,6 +213,24 @@ mod tests {
 
         // Bare host:port is TCP shorthand.
         assert_eq!("127.0.0.1:0".parse::<Listen>().unwrap(), Listen::Tcp("127.0.0.1:0".into()));
+    }
+
+    /// A socket that refuses `TCP_NODELAY` (here a unix socket behind
+    /// the `TcpStream` type) comes back from `nodelay` and still carries
+    /// bytes, so `Listener::accept` cannot fail on the option.
+    #[cfg(unix)]
+    #[test]
+    fn a_refused_nodelay_keeps_the_connection() {
+        use std::os::fd::OwnedFd;
+
+        let (ours, mut peer) = UnixStream::pair().unwrap();
+        let ours = TcpStream::from(OwnedFd::from(ours));
+        assert!(ours.set_nodelay(true).is_err(), "the option must be refused for this test");
+        let mut ours = nodelay(ours);
+        ours.write_all(b"frame\n").unwrap();
+        let mut got = [0u8; 6];
+        peer.read_exact(&mut got).unwrap();
+        assert_eq!(&got, b"frame\n");
     }
 
     #[test]
