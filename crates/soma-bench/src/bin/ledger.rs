@@ -164,17 +164,12 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     match args.iter().map(String::as_str).collect::<Vec<_>>().as_slice() {
-        // `Ledger::load` reads a missing path, or a directory of other
-        // files, as an empty ledger (and `compact` would write one
-        // there), so a mistyped path would pass for an empty campaign.
+        // `Ledger::load` reads a missing path as an empty ledger (and
+        // `compact` would write one there), so a mistyped path would
+        // pass for an empty campaign. A directory of other files is
+        // refused by the load itself.
         ["stat" | "dump" | "compact", path] if !Path::new(path).exists() => {
             eprintln!("ledger: {path}: no such ledger directory");
-            ExitCode::from(2)
-        }
-        ["stat" | "dump" | "compact", path]
-            if soma_spec::ledger::is_foreign_dir(Path::new(path)) =>
-        {
-            eprintln!("ledger: {path}: not a ledger directory");
             ExitCode::from(2)
         }
         ["stat", path] => stat(Path::new(path)),

@@ -498,6 +498,36 @@ fn ledger_tool_refuses_a_directory_that_is_not_a_ledger() {
     assert!(out.contains("rows:        0"), "{out}");
 }
 
+/// `lab` refuses a directory of other files as its ledger, as the
+/// `ledger` tool does: exit 2 naming the directory, and its listing
+/// left as it was (it used to start a ledger beside the file). A
+/// missing path and an empty directory still get a fresh ledger.
+#[test]
+fn lab_refuses_a_directory_that_is_not_a_ledger() {
+    let spec = repo_spec("fig2_edge.soma");
+    let spec = spec.to_str().expect("utf-8 path");
+    let dir = tmp("golden-lab-foreign");
+    fs::create_dir_all(&dir).expect("scratch dir");
+    fs::write(dir.join("notes.txt"), "not a ledger\n").expect("text file");
+    let before = files(&dir);
+    let arg = dir.to_str().expect("utf-8 path");
+    let (out, err, code) = run_bin_code(env!("CARGO_BIN_EXE_lab"), &[spec, "--ledger", arg]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(out.is_empty(), "lab printed: {out}");
+    assert!(err.contains(&format!("{arg}: not a ledger directory")), "{err}");
+    assert_eq!(files(&dir), before, "lab wrote into {arg}");
+
+    let missing = tmp("golden-lab-missing.ledger");
+    let empty = tmp("golden-lab-empty.ledger");
+    fs::create_dir_all(&empty).expect("scratch dir");
+    for fresh in [missing, empty] {
+        let arg = fresh.to_str().expect("utf-8 path");
+        let (_, err, code) = run_bin_code(env!("CARGO_BIN_EXE_lab"), &[spec, "--ledger", arg]);
+        assert_eq!(code, Some(0), "{err}");
+        assert!(fresh.join("LEDGER").is_file() && fresh.join("index.bin").is_file(), "{arg}");
+    }
+}
+
 /// The `loadgen` client against an in-process daemon, as CI's
 /// `serve-smoke` and `chaos-smoke` drive it: a cold submit searches, its
 /// repeat is served from the ledger (`--expect-cached` exits 0), and

@@ -98,6 +98,24 @@ impl Listener {
         }
     }
 
+    /// Waits until a connection is pending or `timeout` has passed,
+    /// whichever comes first, so a nonblocking accept loop takes each
+    /// connection as it arrives. Targets without `poll(2)` sleep the
+    /// whole `timeout`.
+    pub fn wait(&self, timeout: Duration) {
+        #[cfg(unix)]
+        {
+            use std::os::fd::AsRawFd;
+            let fd = match self {
+                Listener::Tcp(l) => l.as_raw_fd(),
+                Listener::Unix(l) => l.as_raw_fd(),
+            };
+            crate::shutdown::wait_readable(fd, timeout);
+        }
+        #[cfg(not(unix))]
+        std::thread::sleep(timeout);
+    }
+
     /// Accepts one connection, returned in blocking mode (accepted
     /// sockets must not inherit the listener's nonblocking flag), with
     /// Nagle's algorithm off on TCP.

@@ -312,6 +312,9 @@ pub struct StatsSnapshot {
     /// Ledger hits whose stored payload did not decode: the request
     /// was searched afresh and its new row supersedes the damaged one.
     pub decode_failed: u64,
+    /// Accepts that failed (e.g. the daemon ran out of file
+    /// descriptors); the accept loop counts each, waits and retries.
+    pub accept_failed: u64,
     /// Milliseconds since the daemon started accepting connections
     /// (gauge — monotonically increasing, resets on restart).
     pub uptime_ms: u64,
@@ -419,6 +422,7 @@ impl Response {
                 o.push("quarantined", s.quarantined.into());
                 o.push("append_failed", s.append_failed.into());
                 o.push("decode_failed", s.decode_failed.into());
+                o.push("accept_failed", s.accept_failed.into());
                 o.push("uptime_ms", s.uptime_ms.into());
             }
             Response::Error { detail } => {
@@ -492,6 +496,7 @@ impl Response {
                 quarantined: v.get("quarantined").and_then(Value::as_u64).unwrap_or(0),
                 append_failed: v.get("append_failed").and_then(Value::as_u64).unwrap_or(0),
                 decode_failed: v.get("decode_failed").and_then(Value::as_u64).unwrap_or(0),
+                accept_failed: v.get("accept_failed").and_then(Value::as_u64).unwrap_or(0),
                 uptime_ms: v.get("uptime_ms").and_then(Value::as_u64).unwrap_or(0),
             })),
             "error" => Ok(Response::Error { detail: get_str(v, "detail")? }),
@@ -572,6 +577,7 @@ mod tests {
                 quarantined: 7,
                 append_failed: 9,
                 decode_failed: 10,
+                accept_failed: 11,
                 uptime_ms: 8,
             }),
             Response::Error { detail: "bad json".into() },
@@ -632,9 +638,10 @@ mod tests {
             panic!("expected stats");
         };
         assert_eq!(
-            (s.cancelled, s.panics, s.quarantined, s.append_failed, s.decode_failed, s.uptime_ms),
-            (0, 0, 0, 0, 0, 0)
+            (s.cancelled, s.panics, s.quarantined, s.append_failed, s.decode_failed),
+            (0, 0, 0, 0, 0)
         );
+        assert_eq!((s.accept_failed, s.uptime_ms), (0, 0));
         assert_eq!(s.served, 9);
     }
 }

@@ -1,7 +1,8 @@
 //! The daemon: accept loop, per-connection request handling, and the
 //! ledger-backed result cache.
 //!
-//! One thread accepts connections (nonblocking, polling the stop flag);
+//! One thread accepts connections (nonblocking, waiting on the listener
+//! between accepts and re-checking the stop flag at least every `POLL`);
 //! each connection gets its own handler thread reading one request
 //! frame per line. A `submit` either hits the shared [`Ledger`] — the
 //! result streams back immediately, bit-identical to the original run,
@@ -39,7 +40,8 @@ use crate::protocol::{
 };
 use crate::{shutdown, PROTOCOL_VERSION};
 
-/// How often blocked accepts/reads re-check the stop flag.
+/// How often waiting accepts/reads re-check the stop flag, and how long
+/// the accept loop backs off after a failed accept.
 const POLL: Duration = Duration::from_millis(25);
 
 /// Everything a daemon needs to start.
@@ -97,6 +99,8 @@ struct Shared {
     append_failed: AtomicU64,
     /// Ledger hits whose payload did not decode (re-searched).
     decode_failed: AtomicU64,
+    /// Accepts that failed (e.g. `EMFILE`), each retried after `POLL`.
+    accept_failed: AtomicU64,
     /// When the daemon started accepting connections — the `uptime_ms`
     /// gauge in stats frames measures from here.
     started: Instant,
@@ -130,6 +134,7 @@ impl Shared {
             quarantined: self.quarantined,
             append_failed: self.append_failed.load(Ordering::SeqCst),
             decode_failed: self.decode_failed.load(Ordering::SeqCst),
+            accept_failed: self.accept_failed.load(Ordering::SeqCst),
             uptime_ms: self.started.elapsed().as_millis() as u64,
         }
     }
@@ -219,6 +224,7 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         quarantined: health.quarantined as u64,
         append_failed: AtomicU64::new(0),
         decode_failed: AtomicU64::new(0),
+        accept_failed: AtomicU64::new(0),
         started: Instant::now(),
         stop: AtomicBool::new(false),
         draining: AtomicBool::new(false),
@@ -230,16 +236,24 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     let accept_thread = std::thread::spawn(move || {
         let mut connections: Vec<JoinHandle<()>> = Vec::new();
         while !accept_shared.stopping() {
-            match listener.accept() {
-                Ok(stream) => {
+            // A connection needs two descriptors, its reader and its
+            // writer; running out of either is a failed accept.
+            match listener.accept().and_then(|s| Ok((s.try_clone()?, s))) {
+                Ok((reader, writer)) => {
                     let conn_shared = Arc::clone(&accept_shared);
-                    connections
-                        .push(std::thread::spawn(move || handle_connection(stream, &conn_shared)));
+                    connections.push(std::thread::spawn(move || {
+                        handle_connection(reader, writer, &conn_shared)
+                    }));
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-                // A failed accept (e.g. the socket vanished) ends the
-                // loop; connections already open keep draining below.
-                Err(_) => break,
+                // Nothing pending: wait for the next connection.
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => listener.wait(POLL),
+                // A failed accept (e.g. `EMFILE` while every descriptor
+                // is in use) is counted and retried after a pause; the
+                // kernel keeps queueing connections meanwhile.
+                Err(_) => {
+                    accept_shared.accept_failed.fetch_add(1, Ordering::SeqCst);
+                    std::thread::sleep(POLL);
+                }
             }
             connections.retain(|c| !c.is_finished());
         }
@@ -295,11 +309,11 @@ fn send(writer: &mut Stream, shared: &Shared, resp: &Response) -> io::Result<()>
     writer.flush()
 }
 
-fn handle_connection(stream: Stream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(POLL));
-    let Ok(clone) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(clone);
-    let mut writer = stream;
+/// Serves one connection: `reader` and `writer` are the two handles of
+/// its socket.
+fn handle_connection(reader: Stream, mut writer: Stream, shared: &Shared) {
+    let _ = reader.set_read_timeout(Some(POLL));
+    let mut reader = BufReader::new(reader);
     let mut line = String::new();
 
     loop {

@@ -144,8 +144,9 @@ enum LazySource {
     /// The frame's outcome payload, already in memory (and verified).
     Payload(Vec<u8>),
     /// A whole frame on disk (magic + length + body), read and
-    /// re-verified on demand against the row's `seq`.
-    Disk { shard: PathBuf, loc: FrameLoc, seq: u64 },
+    /// re-verified on demand against the row's `seq`. Every row of a
+    /// shard shares one path.
+    Disk { shard: Arc<Path>, loc: FrameLoc, seq: u64 },
 }
 
 impl LazySource {
@@ -433,7 +434,7 @@ fn read_row(
     r: &mut Reader<'_>,
     seq: u64,
     loc: FrameLoc,
-    shard: Option<PathBuf>,
+    shard: Option<&Arc<Path>>,
     decodes: &Arc<AtomicU64>,
 ) -> Result<LedgerRow, wire::WireError> {
     // Fields evaluate in the order written: the block's byte order.
@@ -452,7 +453,7 @@ fn read_row(
         payload: Payload::Lazy(Arc::new(LazyOutcome {
             source: match shard {
                 None => LazySource::Payload(r.bytes()?.to_vec()),
-                Some(shard) => LazySource::Disk { shard, loc, seq },
+                Some(shard) => LazySource::Disk { shard: Arc::clone(shard), loc, seq },
             },
             slot: OnceLock::new(),
             decodes: Arc::clone(decodes),
@@ -544,10 +545,10 @@ pub fn quarantine_path(ledger: &Path) -> PathBuf {
 
 /// Whether `dir` is a directory holding files but none of a ledger's
 /// own (the `LEDGER` marker, `index.bin`, a `shard-*.bin`): something
-/// other than a ledger, which [`Ledger::load`] would read as an empty
-/// one. A missing path, a regular file and an empty directory are not
-/// foreign.
-pub fn is_foreign_dir(dir: &Path) -> bool {
+/// other than a ledger, which every load refuses rather than start a
+/// ledger inside it. A missing path, a regular file and an empty
+/// directory are not foreign.
+fn is_foreign_dir(dir: &Path) -> bool {
     let Ok(entries) = fs::read_dir(dir) else { return false };
     let mut holds_files = false;
     for entry in entries.flatten() {
@@ -565,16 +566,18 @@ pub fn is_foreign_dir(dir: &Path) -> bool {
 }
 
 /// A parsed index sidecar: the next append sequence number, how many
-/// bytes of each shard the entries cover, and the entries' rows grouped
-/// by shard.
+/// bytes of each shard the entries cover, the entries' rows in index
+/// order, and how many of those rows each shard holds.
 struct IndexData {
     next_seq: u64,
     covered: [u64; SHARDS],
-    by_shard: Vec<Vec<LedgerRow>>,
+    rows: Vec<LedgerRow>,
+    per_shard: [usize; SHARDS],
 }
 
 /// Reads and verifies the index sidecar of ledger directory `dir`. Its
-/// rows decode lazily from their frames — building them reads no frame.
+/// rows decode lazily from their frames — building them reads no frame
+/// — and every row of a shard shares the shard's path.
 /// The index is a disposable cache: any damage (bad magic, checksum
 /// mismatch, truncation) reads as "no index" and the shards get scanned
 /// instead.
@@ -588,6 +591,7 @@ fn read_index(dir: &Path, decodes: &Arc<AtomicU64>) -> Option<IndexData> {
     if crc != fnv1a(rest.iter().copied()) {
         return None;
     }
+    let paths: [Arc<Path>; SHARDS] = std::array::from_fn(|s| Arc::from(shard_path(dir, s)));
     let parse = || -> Result<IndexData, wire::WireError> {
         let mut r = Reader::new(rest);
         let next_seq = r.varint()?;
@@ -597,24 +601,27 @@ fn read_index(dir: &Path, decodes: &Arc<AtomicU64>) -> Option<IndexData> {
         }
         let n = usize::try_from(r.varint()?)
             .map_err(|_| wire::WireError::new("entry count overflow"))?;
-        let mut by_shard: Vec<Vec<LedgerRow>> = (0..SHARDS).map(|_| Vec::new()).collect();
+        // Every entry takes more than one byte, so a count the bytes
+        // cannot hold reserves no more than they could.
+        let mut rows = Vec::with_capacity(n.min(rest.len()));
+        let mut per_shard = [0usize; SHARDS];
         for _ in 0..n {
             let seq = r.varint()?;
             let shard = r.u8()?;
-            if usize::from(shard) >= SHARDS {
-                return Err(wire::WireError::new("shard id out of range"));
-            }
+            let path = paths
+                .get(usize::from(shard))
+                .ok_or_else(|| wire::WireError::new("shard id out of range"))?;
             let loc = FrameLoc {
                 shard,
                 offset: r.varint()?,
                 len: u32::try_from(r.varint()?)
                     .map_err(|_| wire::WireError::new("frame length exceeds u32"))?,
             };
-            let path = shard_path(dir, usize::from(shard));
-            by_shard[usize::from(shard)].push(read_row(&mut r, seq, loc, Some(path), decodes)?);
+            rows.push(read_row(&mut r, seq, loc, Some(path), decodes)?);
+            per_shard[usize::from(shard)] += 1;
         }
         r.finish()?;
-        Ok(IndexData { next_seq, covered, by_shard })
+        Ok(IndexData { next_seq, covered, rows, per_shard })
     };
     parse().ok()
 }
@@ -746,8 +753,9 @@ impl Ledger {
     ///
     /// Real I/O errors, or [`io::ErrorKind::InvalidInput`] when `path`
     /// is an existing regular file (a JSONL ledger from an older
-    /// version, or a quarantine sidecar) — corruption is repaired, not
-    /// fatal.
+    /// version, or a quarantine sidecar) or a non-empty directory
+    /// holding no ledger files (the message starts with "not a ledger
+    /// directory") — corruption is repaired, not fatal.
     pub fn load(path: &Path) -> io::Result<Self> {
         Self::load_impl(path, None, false)
     }
@@ -796,6 +804,15 @@ impl Ledger {
                 ),
             ));
         }
+        if is_foreign_dir(path) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "not a ledger directory (it holds files, but no `{MARKER_FILE}`, \
+                     `{INDEX_FILE}` or `shard-*.bin`)"
+                ),
+            ));
+        }
         let mut ledger = Self {
             path: path.to_path_buf(),
             rows: Vec::new(),
@@ -823,20 +840,21 @@ impl Ledger {
 
     fn load_shards(&mut self) -> io::Result<()> {
         let dir = self.path.clone();
-        let mut idx = read_index(&dir, &self.decodes);
-        let next_seq_floor = idx.as_ref().map_or(0, |i| i.next_seq);
+        let idx = read_index(&dir, &self.decodes);
         let mut index_stale = idx.is_none();
-        let mut all_rows: Vec<LedgerRow> = Vec::new();
+        // Per shard, whether the index rows of that shard are kept: the
+        // index covers the whole shard, or a prefix whose appended tail
+        // scans clean. Rows of every other shard come from a scan.
+        let mut keep_indexed = [false; SHARDS];
+        let mut scanned: Vec<LedgerRow> = Vec::new();
 
-        for s in 0..SHARDS {
+        for (s, keep) in keep_indexed.iter_mut().enumerate() {
             let spath = shard_path(&dir, s);
             let size = fs::metadata(&spath).map(|m| m.len()).unwrap_or(0);
-            let (covered, indexed) = match idx.as_mut() {
-                Some(i) => (i.covered[s], std::mem::take(&mut i.by_shard[s])),
-                None => (0, Vec::new()),
-            };
+            let (covered, indexed) =
+                idx.as_ref().map_or((0, 0), |i| (i.covered[s], i.per_shard[s]));
             if size == 0 {
-                if covered > 0 || !indexed.is_empty() {
+                if covered > 0 || indexed > 0 {
                     index_stale = true;
                 }
                 continue;
@@ -844,25 +862,24 @@ impl Ledger {
             if idx.is_some() && covered == size {
                 // The index covers the whole shard: trust it and build
                 // every row without reading a single frame.
-                self.shard_health[s].kept = indexed.len();
-                all_rows.extend(indexed);
+                *keep = true;
+                self.shard_health[s].kept = indexed;
                 continue;
             }
             index_stale = true;
             let buf = fs::read(&spath)?;
             let full_start = if buf.starts_with(SHARD_MAGIC) { SHARD_MAGIC.len() } else { 0 };
-            let mut trusted: Vec<LedgerRow> = Vec::new();
             let mut scan;
             if idx.is_some() && covered >= SHARD_MAGIC.len() as u64 && covered < size {
                 // Stale-but-consistent index: trust the covered prefix,
                 // scan only the appended tail.
-                trusted = indexed;
+                *keep = true;
                 scan = scan_shard(&buf, covered as usize, s as u8, &self.decodes);
                 if !scan.damage.is_empty() {
                     // Damage in the tail: distrust the index for this
                     // shard and rescan everything, so the repair
                     // rewrite sees every valid frame.
-                    trusted.clear();
+                    *keep = false;
                     scan = scan_shard(&buf, full_start, s as u8, &self.decodes);
                 }
             } else {
@@ -870,7 +887,7 @@ impl Ledger {
             }
 
             let sh = &mut self.shard_health[s];
-            sh.kept = trusted.len() + scan.rows.len();
+            sh.kept = if *keep { indexed } else { 0 } + scan.rows.len();
             sh.quarantined = scan.damage.len();
             sh.truncated = scan.torn_tail.is_some();
 
@@ -914,21 +931,39 @@ impl Ledger {
                     f.sync_all()?;
                 }
             }
-            all_rows.extend(trusted);
-            all_rows.extend(scan.rows);
+            scanned.extend(scan.rows);
         }
 
-        // Merge shards back into global append order: `seq` is the
-        // campaign's write order, so observers see rows in the order
-        // the campaign wrote them (summary byte-stability).
-        all_rows.sort_by_key(|r| r.seq);
-        for row in all_rows {
-            self.index_row(row);
+        let dropped = idx
+            .as_ref()
+            .is_some_and(|i| (0..SHARDS).any(|s| !keep_indexed[s] && i.per_shard[s] > 0));
+        let (next_seq_floor, mut rows) = idx.map_or((0, Vec::new()), |i| (i.next_seq, i.rows));
+        if dropped {
+            rows.retain(|row| row.loc.is_some_and(|l| keep_indexed[usize::from(l.shard)]));
         }
+        // Global append order: `seq` is the campaign's write order, so
+        // observers see rows in the order the campaign wrote them
+        // (summary byte-stability); equal `seq`s, which only concurrent
+        // writers leave, go by shard. The index lists its entries in
+        // that order already, so only a merge with scanned rows, or an
+        // index that breaks the order, needs a sort.
+        let order = |row: &LedgerRow| (row.seq, row.loc.map(|l| l.shard));
+        let merged = !scanned.is_empty();
+        rows.append(&mut scanned);
+        if merged || !rows.windows(2).all(|w| order(&w[0]) <= order(&w[1])) {
+            rows.sort_by_key(order);
+        }
+        self.index = HashMap::with_capacity(rows.len());
+        for (i, row) in rows.iter().enumerate() {
+            if self.index.insert(row.hash.clone(), i).is_some() {
+                self.health.duplicates += 1;
+            }
+        }
+        self.rows = rows;
         self.health.kept = self.rows.len();
         self.health.quarantined = self.shard_health.iter().map(|h| h.quarantined).sum();
         self.health.truncated = self.shard_health.iter().any(|h| h.truncated);
-        self.next_seq = self.rows.iter().map(|r| r.seq + 1).max().unwrap_or(0).max(next_seq_floor);
+        self.next_seq = self.rows.last().map_or(0, |r| r.seq + 1).max(next_seq_floor);
         if index_stale && !self.readonly {
             self.write_index()?;
         }
@@ -1501,6 +1536,39 @@ mod tests {
                 outcome_to_bytes(row.outcome().unwrap())
             );
         }
+        wipe(&dir);
+    }
+
+    #[test]
+    fn an_index_out_of_seq_order_still_loads_in_seq_order() {
+        let dir = tmp("unordered.ledger");
+        wipe(&dir);
+        // Rows spread over four shards by their first hex digit.
+        let rows: Vec<LedgerRow> = (0..12u64)
+            .map(|i| {
+                let mut row = synth_row(i);
+                row.hash = format!("{:x}{i:015x}", i % 4);
+                row
+            })
+            .collect();
+        let mut ledger = Ledger::load(&dir).unwrap();
+        ledger.append_all(rows.clone()).unwrap();
+        // Entries newest first. The shards are untouched, so the index
+        // still covers them and the load trusts it.
+        ledger.rows.reverse();
+        ledger.write_index().unwrap();
+
+        let loaded = Ledger::load_readonly(&dir).unwrap();
+        assert_eq!(loaded.outcome_decodes(), 0);
+        assert!(loaded.health().is_clean());
+        let seqs: Vec<u64> = loaded.rows().iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, (0..12).collect::<Vec<_>>());
+        let order: Vec<&str> = loaded.rows().iter().map(|r| r.hash.as_str()).collect();
+        assert_eq!(order, rows.iter().map(|r| r.hash.as_str()).collect::<Vec<_>>());
+        for (i, row) in rows.iter().enumerate() {
+            assert!(std::ptr::eq(loaded.lookup(&row.hash).unwrap(), &loaded.rows()[i]));
+        }
+        assert_eq!(loaded.next_seq, 12);
         wipe(&dir);
     }
 

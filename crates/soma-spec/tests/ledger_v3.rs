@@ -19,7 +19,12 @@
 //! * the **migration round trip** (proptest): v2 JSONL text -> `migrate`
 //!   -> `dump` is a byte identity for any synthetic campaign, so moving
 //!   an old ledger onto the binary store can never lose or reorder a
-//!   row, and the JSON view reproduces what the JSONL writer wrote.
+//!   row, and the JSON view reproduces what the JSONL writer wrote;
+//! * the **index-or-scan pin**: in every state an index can be in
+//!   (synced, stale behind appended tails, missing, failing its
+//!   checksum, or behind a damaged shard), an index-backed load and a
+//!   load of the same shards without `index.bin` see the same ledger —
+//!   so trusting the index is only ever a shortcut.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -28,6 +33,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
+use soma_search::record::outcome_to_bytes;
 use soma_search::synthetic_outcome;
 use soma_spec::ledger::{Ledger, LedgerRow, SHARDS};
 
@@ -183,6 +189,166 @@ fn resume_of_100k_cells_decodes_only_whats_missing() {
     assert!(spot.outcome().is_some());
     assert_eq!(ledger.outcome_decodes(), 1, "one explicit decode costs exactly one");
     wipe(&dir);
+}
+
+/// A ledger over several shards, with shadowed duplicates: `n` rows
+/// from `seed`, every seventh repeating the hash of an earlier row.
+fn seeded_rows(seed: u64, n: u64) -> Vec<LedgerRow> {
+    (0..n)
+        .map(|i| {
+            let mut row = synth_row(seed.wrapping_mul(1_000_003).wrapping_add(i));
+            if i % 7 == 6 {
+                row.hash = synth_row(seed.wrapping_mul(1_000_003).wrapping_add(i / 2)).hash;
+            }
+            row
+        })
+        .collect()
+}
+
+/// Copies every file of ledger directory `from` to a fresh `to`, but
+/// `skip`.
+fn copy_dir(from: &Path, to: &Path, skip: Option<&str>) {
+    wipe(to);
+    fs::create_dir_all(to).expect("copy target");
+    for entry in fs::read_dir(from).expect("ledger dir") {
+        let entry = entry.expect("dir entry");
+        if Some(entry.file_name().to_str().expect("utf-8 name")) != skip {
+            fs::copy(entry.path(), to.join(entry.file_name())).expect("copy file");
+        }
+    }
+}
+
+/// Every file of a directory with its bytes, sorted by name.
+fn dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
+        .expect("ledger dir")
+        .map(|e| {
+            let e = e.expect("dir entry");
+            (e.file_name().into_string().expect("utf-8"), fs::read(e.path()).expect("file"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A row's identity and metadata, everything but its outcome.
+fn meta(row: &LedgerRow) -> (String, String, String, String, u32, String, u64, u64, u64) {
+    (
+        row.hash.clone(),
+        row.cell.clone(),
+        row.workload.clone(),
+        row.platform.clone(),
+        row.batch,
+        row.engine.clone(),
+        row.best_cost.to_bits(),
+        row.latency_cycles,
+        row.evals,
+    )
+}
+
+/// Asserts that two loads see the same ledger: rows and their order,
+/// health overall and per shard, what every hash looks up, and every
+/// decoded outcome.
+fn assert_same_ledger(state: &str, indexed: &Ledger, scanned: &Ledger) {
+    let rows = |l: &Ledger| l.rows().iter().map(meta).collect::<Vec<_>>();
+    assert_eq!(rows(indexed), rows(scanned), "{state}: rows");
+    assert_eq!(indexed.health(), scanned.health(), "{state}: health");
+    assert_eq!(indexed.shard_healths(), scanned.shard_healths(), "{state}: shard health");
+    let position = |l: &Ledger, hash: &str| {
+        let row = l.lookup(hash).expect("every row's hash looks up");
+        l.rows().iter().position(|r| std::ptr::eq(r, row))
+    };
+    for row in indexed.rows() {
+        assert_eq!(
+            position(indexed, &row.hash),
+            position(scanned, &row.hash),
+            "{state}: lookup of {}",
+            row.hash
+        );
+    }
+    let outcomes =
+        |l: &Ledger| l.rows().iter().map(|r| r.outcome().map(outcome_to_bytes)).collect::<Vec<_>>();
+    assert_eq!(outcomes(indexed), outcomes(scanned), "{state}: decoded outcomes");
+}
+
+/// Puts ledger `dir` (already synced) into `state`.
+fn damage(dir: &Path, state: &str, seed: u64) {
+    let shard = |s: usize| dir.join(format!("shard-{s:x}.bin"));
+    match state {
+        "synced" => {}
+        "stale" => {
+            // Tails on some shards, appended after the index was synced.
+            let mut ledger = Ledger::load(dir).expect("writer load");
+            for row in seeded_rows(seed ^ 0x5a5a, 40).into_iter().filter(|r| r.hash.as_str() < "6")
+            {
+                ledger.append(row).expect("tail append");
+            }
+        }
+        "no-index" => fs::remove_file(dir.join("index.bin")).expect("drop index"),
+        "bad-checksum" => {
+            let index = dir.join("index.bin");
+            let mut bytes = fs::read(&index).expect("index bytes");
+            bytes[8] ^= 0x01;
+            fs::write(&index, bytes).expect("break the checksum");
+        }
+        "damaged-shard" => {
+            // Garbage inside one shard, and a torn frame after another
+            // shard's last frame.
+            let victims: Vec<usize> = (0..SHARDS).filter(|&s| shard(s).exists()).take(2).collect();
+            let mut bytes = fs::read(shard(victims[0])).expect("shard bytes");
+            let at = bytes.len() / 2;
+            bytes.splice(at..at, *b"garbage");
+            fs::write(shard(victims[0]), bytes).expect("garbage");
+            let mut bytes = fs::read(shard(victims[1])).expect("shard bytes");
+            bytes.extend_from_slice(b"FRM3\xff\x00\x00\x00torn");
+            fs::write(shard(victims[1]), bytes).expect("torn tail");
+        }
+        other => unreachable!("unknown state {other}"),
+    }
+}
+
+/// In every state an index can be in, a load through `index.bin` and a
+/// load of a copy without it agree on everything a reader can see, and
+/// the index-backed load decodes nothing. Repairing loads of two more
+/// copies then append the same row and sync: the directories must come
+/// out byte for byte the same, which pins each row's `seq` and frame
+/// location and the next `seq`.
+#[test]
+fn an_index_backed_load_matches_a_scan_in_every_index_state() {
+    for seed in [1u64, 2] {
+        for state in ["synced", "stale", "no-index", "bad-checksum", "damaged-shard"] {
+            let dir = tmp(&format!("states-{seed}-{state}.ledger"));
+            let bare = tmp(&format!("states-{seed}-{state}-bare.ledger"));
+            wipe(&dir);
+            let mut ledger = Ledger::load(&dir).expect("campaign load");
+            ledger.append_all(seeded_rows(seed, 120)).expect("bulk append");
+            ledger.sync_index().expect("index sync");
+            drop(ledger);
+            damage(&dir, state, seed);
+            copy_dir(&dir, &bare, Some("index.bin"));
+
+            let indexed = Ledger::load_readonly(&dir).expect("index-backed load");
+            assert_eq!(indexed.outcome_decodes(), 0, "{state}: the load decoded a payload");
+            let scanned = Ledger::load_readonly(&bare).expect("scan load");
+            assert!(indexed.shard_healths().iter().filter(|h| h.kept > 0).count() > 4);
+            assert_same_ledger(state, &indexed, &scanned);
+
+            let (dir2, bare2) = (tmp("states-w.ledger"), tmp("states-w-bare.ledger"));
+            copy_dir(&dir, &dir2, None);
+            copy_dir(&bare, &bare2, None);
+            let mut indexed = Ledger::load(&dir2).expect("repairing index-backed load");
+            let mut scanned = Ledger::load(&bare2).expect("repairing scan load");
+            assert_same_ledger(state, &indexed, &scanned);
+            for ledger in [&mut indexed, &mut scanned] {
+                ledger.append(synth_row(u64::MAX - seed)).expect("append");
+                ledger.sync_index().expect("index sync");
+            }
+            assert_eq!(dir_bytes(&dir2), dir_bytes(&bare2), "{state}: ledger bytes");
+            for path in [&dir, &bare, &dir2, &bare2] {
+                wipe(path);
+            }
+        }
+    }
 }
 
 proptest! {
