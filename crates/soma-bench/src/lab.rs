@@ -155,11 +155,12 @@ enum CellDone {
 /// In-order flusher: completed cells park in `ready` until every
 /// earlier miss has been resolved, so the ledger is an in-cell-order
 /// prefix at every instant (the resume guarantee) no matter which order
-/// the pool finishes in. The observer lives here too: `Started` events
-/// are forwarded live as jobs begin, and each cell's `Finished` event is
-/// emitted on its turn in cell order — the moment its row lands in the
-/// ledger, when there is one. Worker threads report through the shared
-/// mutex around this state, which is why the observer must be `Send`.
+/// the worker threads finish in. The observer lives here too: `Started`
+/// events are forwarded live as jobs begin, and each cell's `Finished`
+/// event is emitted on its turn in cell order — the moment its row lands
+/// in the ledger, when there is one. Worker threads report through the
+/// shared mutex around this state, which is why the observer must be
+/// `Send`.
 struct InOrderFlush<'l, 'o> {
     ledger: Option<&'l mut Ledger>,
     observer: &'o mut (dyn FnMut(&LabEvent) + Send),
@@ -303,11 +304,12 @@ pub fn run_cells(
     }
     let hits = cells.len() - misses.len();
 
-    if let Some(path) = ledger_path.filter(|_| !misses.is_empty()) {
-        // There is work to append, so this run is a writer: reload in
-        // repairing mode (fixing any damage the probe tolerated)
-        // before the first append.
-        let mut writer = Ledger::load(path)?;
+    if let Some(probe) = ledger.take_if(|_| !misses.is_empty()) {
+        // There is work to append, so this run is a writer: repair any
+        // damage the probe tolerated (a reload in repairing mode; a
+        // clean, indexed probe is kept as it is) before the first
+        // append.
+        let mut writer = probe.into_writer()?;
         if let Some(plan) = &faults {
             writer.inject_faults(Arc::clone(plan));
         }

@@ -10,7 +10,7 @@
 //! finished, new best, budget exhausted. [`Scheduler::cocco`] runs the
 //! baseline's one restricted stage in a single round. With several
 //! [`Scheduler::seeds`], [`Scheduler::run`] races one search per seed
-//! via `rayon` and returns the envelope best.
+//! on scoped threads ([`Parallelism`]) and returns the envelope best.
 //!
 //! ```
 //! use soma_arch::HardwareConfig;

@@ -23,15 +23,14 @@ use serde::{Deserialize, Serialize};
 /// Thread-count policy for a parallel region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum Parallelism {
-    /// Use the current thread pool if the caller already runs on one,
-    /// else the global pool (sized by
-    /// [`std::thread::available_parallelism`]). The default.
+    /// Use the threads the enclosing parallel region gave this one,
+    /// else [`std::thread::available_parallelism`]. The default.
     #[default]
     Auto,
-    /// Run on a dedicated scoped pool with exactly `n` worker threads,
-    /// built for the call and torn down after it. `Fixed(1)` still
-    /// hops onto one worker thread; use [`Sequential`](Self::Sequential)
-    /// for a truly threadless run.
+    /// Use up to `n` scoped threads for the call (the calling thread
+    /// among them), started for it and joined before it returns.
+    /// `Fixed(1)` runs inline, as [`Sequential`](Self::Sequential)
+    /// does.
     Fixed(usize),
     /// Run inline on the calling thread — no pool, no worker threads.
     Sequential,
@@ -39,8 +38,8 @@ pub enum Parallelism {
 
 impl Parallelism {
     /// The worker count this policy resolves to right now: `n` for
-    /// `Fixed(n)`, 1 for `Sequential`, and the current/global pool size
-    /// for `Auto`.
+    /// `Fixed(n)`, 1 for `Sequential`, and for `Auto` the threads the
+    /// enclosing region left, else the host's available parallelism.
     #[cfg(test)]
     fn resolved_threads(self) -> usize {
         match self {
@@ -54,9 +53,9 @@ impl Parallelism {
     /// portfolio inside a lab fan-out) should inherit from this outer
     /// one. `Sequential` stays sequential — `--threads 1` means no
     /// threads anywhere. `Fixed(n)` maps to `Auto`: the inner region
-    /// already runs *on* the scoped pool's workers, so `Auto` lets its
-    /// `join`s split across that same pool instead of stacking a second
-    /// dedicated pool per cell.
+    /// runs on one of the outer region's threads, and `Auto` gives it
+    /// that thread's share of the `n` (all of it when the outer region
+    /// has one item) instead of `n` more threads per cell.
     pub fn nested(self) -> Parallelism {
         match self {
             Parallelism::Sequential => Parallelism::Sequential,
@@ -65,8 +64,9 @@ impl Parallelism {
     }
 
     /// Maps `f` over `items` under this policy and collects results
-    /// **in input order** (the pool reassembles by slot, so the output
-    /// is identical across all variants — only wall-clock differs).
+    /// **in input order** (each result is kept under its item's index,
+    /// so the output is identical across all variants — only
+    /// wall-clock differs).
     pub fn map_collect<T, R, F>(self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -102,7 +102,8 @@ impl FromStr for Parallelism {
 
     /// Parses `auto`, `seq`/`sequential`, or a thread count. `1` means
     /// [`Sequential`](Parallelism::Sequential) (no threads at all), any
-    /// larger count a [`Fixed`](Parallelism::Fixed) pool of that size.
+    /// larger count [`Fixed`](Parallelism::Fixed) threads of that
+    /// number.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim() {
             "auto" => Ok(Parallelism::Auto),

@@ -5,7 +5,7 @@
 //!
 //! This holds by construction (seed results merge in seed-list order
 //! and every seed owns its RNG stream), so any divergence here means a
-//! real bug in the work-stealing pool or the portfolio merge — not an
+//! real bug in the parallel map or the portfolio merge — not an
 //! acceptable scheduling wobble.
 
 use proptest::prelude::*;
@@ -66,8 +66,9 @@ proptest! {
     }
 }
 
-/// `Auto` (global pool) obeys the same contract as `Fixed(n)` — one
-/// plain test, since the global pool's size is machine-dependent.
+/// `Auto` (the host's available parallelism, outside any region) obeys
+/// the same contract as `Fixed(n)` — one plain test, since that thread
+/// count is machine-dependent.
 #[test]
 fn auto_portfolio_equals_sequential() {
     let seeds = [11, 7, 2025];

@@ -35,6 +35,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use crate::hash::fnv1a;
+
 /// The instrumented sites a [`FaultPlan`] can target. Site names are
 /// part of the plan's identity: a scripted plan addresses them by
 /// string, and the seeded roll hashes them.
@@ -133,17 +135,6 @@ impl FaultConfig {
     };
 }
 
-/// FNV-1a 64 over a byte stream — the plan's only source of
-/// "randomness", so decisions are identical on every platform.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// A deterministic schedule of injected failures.
 ///
 /// Cheap to share: consumers hold an `Arc<FaultPlan>` and call
@@ -231,6 +222,8 @@ impl FaultPlan {
         if let Some((_, _, fault)) = self.script.iter().find(|(s, i, _)| s == site && *i == index) {
             return Some(*fault);
         }
+        // FNV-1a is the plan's only source of "randomness", so decisions
+        // are identical on every platform.
         let h = fnv1a(
             self.seed
                 .to_le_bytes()

@@ -20,8 +20,9 @@ use std::fmt::Write as _;
 use soma_arch::HardwareConfig;
 use soma_search::SearchConfig;
 
-/// FNV-1a 64-bit over a byte string.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+/// FNV-1a 64-bit over a byte string: the cell and inline-spec hash,
+/// the ledger's frame and index checksum and the fault plans' roll.
+pub(crate) fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for b in bytes {
         h ^= u64::from(b);

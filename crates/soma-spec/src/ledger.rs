@@ -75,7 +75,7 @@ use soma_search::wire::{self, Reader};
 use soma_search::{SearchConfig, SearchOutcome};
 
 use crate::fault::{self, Fault, FaultPlan};
-use crate::hash::cell_hash;
+use crate::hash::{cell_hash, fnv1a};
 use crate::ExperimentCell;
 
 /// Ledger **format generation**: v3 is the binary sharded format. The
@@ -103,16 +103,6 @@ const INDEX_FILE: &str = "index.bin";
 const MARKER_FILE: &str = "LEDGER";
 /// Quarantine sidecar inside a ledger directory.
 const QUARANTINE_FILE: &str = "quarantine.jsonl";
-
-/// FNV-1a 64 over a byte stream — the row/frame/index checksum.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// Which shard a cell hash lives in: its first hex digit (cell hashes
 /// are 16 lowercase hex digits; anything else falls back to a hash).
@@ -723,6 +713,10 @@ pub struct Ledger {
     decodes: Arc<AtomicU64>,
     next_seq: u64,
     readonly: bool,
+    /// Whether a read-only load left work for a repairing one: shards
+    /// its index did not cover (only a scan finds damage, and a
+    /// repairing load rewrites such an index).
+    needs_repair: bool,
 }
 
 impl Ledger {
@@ -823,6 +817,7 @@ impl Ledger {
             decodes: Arc::new(AtomicU64::new(0)),
             next_seq: 0,
             readonly,
+            needs_repair: false,
         };
         if path.exists() {
             ledger.load_shards()?;
@@ -964,6 +959,7 @@ impl Ledger {
         self.health.quarantined = self.shard_health.iter().map(|h| h.quarantined).sum();
         self.health.truncated = self.shard_health.iter().any(|h| h.truncated);
         self.next_seq = self.rows.last().map_or(0, |r| r.seq + 1).max(next_seq_floor);
+        self.needs_repair = index_stale && self.readonly;
         if index_stale && !self.readonly {
             self.write_index()?;
         }
@@ -974,6 +970,24 @@ impl Ledger {
 impl Ledger {
     fn readonly_err() -> io::Error {
         io::Error::new(io::ErrorKind::PermissionDenied, "ledger was loaded read-only")
+    }
+
+    /// Turns a [read-only](Self::load_readonly) load into a writer. When
+    /// that load found its index covering every shard, a repairing load
+    /// would find nothing to truncate, quarantine or re-index, so this
+    /// only allows writes; otherwise it reloads in repairing mode,
+    /// exactly as [`load`](Self::load) does. A writer comes back as it
+    /// is.
+    ///
+    /// # Errors
+    ///
+    /// As [`load`](Self::load), when it reloads.
+    pub fn into_writer(mut self) -> io::Result<Ledger> {
+        if self.needs_repair {
+            return Self::load_impl(&self.path, self.faults.take(), false);
+        }
+        self.readonly = false;
+        Ok(self)
     }
 
     /// Attaches a deterministic fault plan: subsequent appends consult

@@ -291,6 +291,13 @@ fn damage(dir: &Path, state: &str, seed: u64) {
             bytes[8] ^= 0x01;
             fs::write(&index, bytes).expect("break the checksum");
         }
+        "torn-tail" => {
+            // A kill mid-append: half a frame after one shard's last one.
+            let victim = (0..SHARDS).find(|&s| shard(s).exists()).expect("a shard");
+            let mut bytes = fs::read(shard(victim)).expect("shard bytes");
+            bytes.extend_from_slice(b"FRM3\xff\x00\x00\x00torn");
+            fs::write(shard(victim), bytes).expect("torn tail");
+        }
         "damaged-shard" => {
             // Garbage inside one shard, and a torn frame after another
             // shard's last frame.
@@ -348,6 +355,43 @@ fn an_index_backed_load_matches_a_scan_in_every_index_state() {
                 wipe(path);
             }
         }
+    }
+}
+
+/// A read-only probe turned into a writer ends where a repairing load
+/// does: after one append and an index sync, the directory (quarantine
+/// sidecar included) is byte for byte the same, and so is `health()`.
+/// Only a probe of a synced ledger is kept as it is (its decode count
+/// survives); any other state reloads.
+#[test]
+fn a_probe_turned_writer_matches_a_repairing_load() {
+    for state in ["synced", "stale", "torn-tail", "damaged-shard"] {
+        let (a, b) =
+            (tmp(&format!("writer-{state}.ledger")), tmp(&format!("writer-{state}-b.ledger")));
+        wipe(&a);
+        let mut ledger = Ledger::load(&a).expect("campaign load");
+        ledger.append_all(seeded_rows(3, 120)).expect("bulk append");
+        ledger.sync_index().expect("index sync");
+        drop(ledger);
+        damage(&a, state, 3);
+        copy_dir(&a, &b, None);
+
+        let probe = Ledger::load_readonly(&a).expect("read-only probe");
+        assert!(probe.rows()[0].outcome().is_some(), "{state}: first row decodes");
+        let mut writer = probe.into_writer().expect("into_writer");
+        let kept = u64::from(state == "synced");
+        assert_eq!(writer.outcome_decodes(), kept, "{state}: probe kept or reloaded");
+        let mut reference = Ledger::load(&b).expect("repairing load");
+        assert_eq!(writer.health(), reference.health(), "{state}: health");
+        for ledger in [&mut writer, &mut reference] {
+            assert!(!ledger.readonly());
+            ledger.append(synth_row(u64::MAX)).expect("append");
+            ledger.sync_index().expect("index sync");
+        }
+        assert_eq!(writer.health(), reference.health(), "{state}: health after the append");
+        assert_eq!(dir_bytes(&a), dir_bytes(&b), "{state}: ledger bytes");
+        wipe(&a);
+        wipe(&b);
     }
 }
 
