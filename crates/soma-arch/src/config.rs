@@ -1,7 +1,5 @@
 //! Hardware configuration of the accelerator template.
 
-use serde::{Deserialize, Serialize};
-
 use crate::energy::EnergyModel;
 
 /// Complete description of one accelerator instance.
@@ -18,7 +16,7 @@ use crate::energy::EnergyModel;
 /// let big = HardwareConfig::builder().like(&hw).buffer_mib(32).build();
 /// assert_eq!(big.buffer_bytes, 32 << 20);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareConfig {
     /// Configuration name (for reports).
     pub name: String,

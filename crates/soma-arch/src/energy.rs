@@ -6,10 +6,8 @@
 //! paper reports *normalised* energy, and all compared schemes share these
 //! constants, so ratios are preserved (see DESIGN.md, substitutions).
 
-use serde::{Deserialize, Serialize};
-
 /// Energy cost per unit of work, in picojoules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// One INT8 multiply-accumulate (PE array).
     pub mac_pj: f64,

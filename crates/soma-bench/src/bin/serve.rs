@@ -17,27 +17,18 @@
 //! daemon gracefully: in-flight searches finish and flush, new submits
 //! are refused with `shutting-down`, and the process exits 0 with a
 //! clean, replayable ledger.
-//!
-//! `--chaos <seed>` arms the deterministic fault plan
-//! ([`soma_spec::fault::FaultConfig::CHAOS`]) behind the ledger writer
-//! and the response stream: torn/corrupted appends, dropped
-//! connections mid-frame, injected search panics and slow cells — all
-//! reproducible from the seed. Never the default; it exists for the CI
-//! chaos gate and for soak-testing clients.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 use soma_search::Parallelism;
 use soma_serve::{shutdown, start, Listen, ServerConfig};
-use soma_spec::fault::{FaultConfig, FaultPlan};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: serve --listen <unix:PATH|tcp:HOST:PORT> [--ledger <dir>] \
-         [--max-inflight N] [--budget N] [--threads <auto|seq|N>] [--chaos <seed>] [--version]"
+         [--max-inflight N] [--budget N] [--threads <auto|seq|N>] [--version]"
     );
     ExitCode::from(2)
 }
@@ -53,7 +44,6 @@ fn main() -> ExitCode {
     let mut max_inflight = 8usize;
     let mut budget = 0u64;
     let mut parallelism = Parallelism::Auto;
-    let mut chaos: Option<u64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let value = |args: &mut dyn Iterator<Item = String>| args.next();
@@ -86,10 +76,6 @@ fn main() -> ExitCode {
                 }
                 None => return usage(),
             },
-            "--chaos" => match value(&mut args).map(|v| v.parse()) {
-                Some(Ok(seed)) => chaos = Some(seed),
-                _ => return usage(),
-            },
             _ => return usage(),
         }
     }
@@ -102,7 +88,6 @@ fn main() -> ExitCode {
         max_inflight,
         max_evals: budget,
         parallelism,
-        faults: chaos.map(|seed| Arc::new(FaultPlan::seeded(seed, FaultConfig::CHAOS))),
         ..ServerConfig::new(listen, &ledger)
     };
     let handle = match start(config) {
@@ -131,10 +116,6 @@ fn main() -> ExitCode {
             soma_spec::quarantine_path(&ledger).display()
         );
     }
-    if let Some(seed) = chaos {
-        eprintln!("[serve] CHAOS MODE: injecting deterministic faults (seed {seed})");
-    }
-
     // The accept loop runs on its own thread; this one just waits for a
     // signal. Polling (not parking) because the handler may only flip
     // an atomic.

@@ -175,7 +175,7 @@ fn check_baseline(
     tolerance: f64,
 ) -> Result<Vec<String>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let value = serde::json::parse(text.trim())
+    let value = soma_search::json::parse(text.trim())
         .map_err(|e| format!("{}: not valid JSON: {e}", path.display()))?;
     let baseline =
         CampaignSummary::from_json(&value).map_err(|e| format!("{}: {e}", path.display()))?;

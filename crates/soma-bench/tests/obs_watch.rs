@@ -162,7 +162,7 @@ fn regex_free_scale_costs(text: &str) -> String {
             *f /= 10.0;
         }
     }
-    let v = serde::json::parse(text.trim()).expect("summary parses");
+    let v = soma_search::json::parse(text.trim()).expect("summary parses");
     let mut s = soma_obs::CampaignSummary::from_json(&v).expect("summary round-trips");
     scale(&mut s.best_cost);
     for scenario in &mut s.scenarios {

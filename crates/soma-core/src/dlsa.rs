@@ -1,8 +1,6 @@
 //! DRAM-load-and-store-related attributes (DLSA): the DRAM Tensor Order
 //! and per-tensor Living Durations (paper Sec. IV-A2).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ParseError;
 use crate::plan::ComputePlan;
 
@@ -19,7 +17,7 @@ use crate::plan::ComputePlan;
 ///   is the schedulable knob — the tile with global index `end` may not
 ///   begin until the store completes. `end == n_tiles` is the `END`
 ///   sentinel (no compute tile waits on it).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Dlsa {
     /// Execution order: `order[k]` is the canonical tensor index that the
     /// DRAM engine serves `k`-th.

@@ -2,7 +2,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
 use soma_model::{LayerId, Network};
 
 use crate::dlsa::Dlsa;
@@ -13,7 +12,7 @@ use crate::dlsa::Dlsa;
 /// Cut positions are indices into the computing order: a cut at position
 /// `p` separates `order[p-1]` from `order[p]`. Positions `0` and
 /// `order.len()` are implicit group boundaries and are not stored.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lfa {
     /// Coarse-grained serial execution order of all layers.
     pub order: Vec<LayerId>,
@@ -67,7 +66,7 @@ impl Lfa {
 /// When `dlsa` is `None`, parsing substitutes the classical double-buffer
 /// strategy — exactly what SoMa's first exploration stage does while it
 /// varies the LFA (paper Sec. V-C1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Encoding {
     /// Layer-fusion-related attributes.
     pub lfa: Lfa,

@@ -21,7 +21,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use soma_model::{LayerId, Network, Src};
 
 use crate::encoding::Lfa;
@@ -34,7 +33,7 @@ pub const MAX_TILING: u32 = 4096;
 
 /// One computing tile: the unit of the COMPUTE row in the paper's
 /// DRAM-COMPUTE diagrams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tile {
     /// The layer this tile belongs to.
     pub layer: LayerId,
@@ -62,7 +61,7 @@ pub struct Tile {
 }
 
 /// What a DRAM tensor is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DramKind {
     /// A layer's weights (or DRAM-resident KV cache): loaded once, used by
     /// every tile of the layer.
@@ -86,7 +85,7 @@ pub enum DramKind {
 }
 
 /// A tensor that must move between DRAM and the GBUF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramTensor {
     /// What the tensor is.
     pub kind: DramKind,
@@ -106,7 +105,7 @@ pub struct DramTensor {
 
 /// On-chip residency of a fused feature map (not a DRAM tensor): buffer is
 /// occupied from tile `from` through tile `to`, inclusive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OnchipInterval {
     /// First global tile index during which the bytes are resident.
     pub from: u32,
@@ -118,7 +117,7 @@ pub struct OnchipInterval {
 
 /// The result of stage-1 parsing: tile sequence, DRAM tensor set (in
 /// canonical need-order), on-chip buffer residency and group membership.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ComputePlan {
     /// All computing tiles, in execution order.
     pub tiles: Vec<Tile>,

@@ -1,7 +1,6 @@
 //! Tile-grid selection and halo accumulation inside an FLG
 //! (paper Sec. IV-A1).
 
-use serde::{Deserialize, Serialize};
 use soma_model::halo::{back_extend, in_extent, tile_extent};
 use soma_model::{LayerId, Network};
 
@@ -11,7 +10,7 @@ use soma_model::{LayerId, Network};
 /// height and width "keeping them as equal as possible to reduce overlap";
 /// the channel dimension is never split so downstream layers keep access to
 /// all channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileGrid {
     /// Parts along batch.
     pub tb: u32,
@@ -52,7 +51,7 @@ impl TileGrid {
 }
 
 /// Per-tile output extents of one layer inside an FLG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TileShape {
     /// Batch elements per tile.
     pub n: u32,

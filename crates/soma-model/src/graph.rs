@@ -1,7 +1,5 @@
 //! The network DAG and derived queries.
 
-use serde::{Deserialize, Serialize};
-
 use crate::layer::{ExtId, Layer, LayerId, LayerKind, Src, VecOp};
 use crate::shape::FmapShape;
 
@@ -56,7 +54,7 @@ impl std::error::Error for NetworkError {}
 /// assert_eq!(net.len(), 3);
 /// assert_eq!(net.consumers(soma_model::LayerId(0)), &[soma_model::LayerId(1)]);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Network {
     pub(crate) name: String,
     /// Bytes per element (1 = INT8, the paper's default precision).

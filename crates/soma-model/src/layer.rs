@@ -1,11 +1,9 @@
 //! Layers: the operator vocabulary of the accelerator template.
 
-use serde::{Deserialize, Serialize};
-
 use crate::shape::FmapShape;
 
 /// Identifier of a layer inside a [`crate::Network`] (its topological index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LayerId(pub u32);
 
 impl LayerId {
@@ -22,11 +20,11 @@ impl std::fmt::Display for LayerId {
 }
 
 /// Identifier of a network external input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ExtId(pub u32);
 
 /// Source of a layer input: another layer's ofmap or a network input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Src {
     /// The output feature map of an earlier layer.
     Layer(LayerId),
@@ -35,7 +33,7 @@ pub enum Src {
 }
 
 /// Element-wise binary/n-ary operations handled by the vector unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EltOp {
     /// Element-wise addition (residual connections, RandWire aggregation).
     Add,
@@ -44,7 +42,7 @@ pub enum EltOp {
 }
 
 /// Unary vector-unit operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VecOp {
     /// Rectified linear unit.
     Relu,
@@ -64,7 +62,7 @@ pub enum VecOp {
 /// implicitly concatenate their inputs along the channel dimension, which is
 /// how Inception-style concatenations are represented (concatenation itself
 /// is free via addressing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// 2-D convolution with (possibly rectangular) kernel and same-padding.
     Conv {
@@ -154,7 +152,7 @@ impl LayerKind {
 }
 
 /// One layer of a network.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Layer {
     /// Human-readable name (unique within a network by construction).
     pub name: String,
@@ -167,13 +165,6 @@ pub struct Layer {
     /// Bytes of DRAM-resident read-only data attached to this layer:
     /// weights for Conv/Linear, the KV cache for decode-phase Matmul.
     pub weight_bytes: u64,
-}
-
-impl Layer {
-    /// Whether this layer has DRAM-resident weights to load.
-    pub fn has_weights(&self) -> bool {
-        self.weight_bytes > 0
-    }
 }
 
 #[cfg(test)]

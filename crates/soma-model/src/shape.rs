@@ -1,7 +1,5 @@
 //! Feature-map shapes.
 
-use serde::{Deserialize, Serialize};
-
 /// Shape of a feature map in `NCHW` layout.
 ///
 /// Convolutional networks use the natural mapping. Transformer workloads map
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.elems(), 64 * 56 * 56);
 /// assert_eq!(s.bytes(1), 64 * 56 * 56); // INT8
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FmapShape {
     /// Batch size.
     pub n: u32,

@@ -1,14 +1,12 @@
 //! Per-layer workload statistics (paper Fig. 3a/3b).
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::Network;
 use crate::layer::LayerId;
 
 /// Operations and layer-by-layer DRAM traffic of one layer, assuming the
 /// unfused baseline execution the paper's Fig. 3(a)/(b) depicts: every layer
 /// reads its ifmaps and weights from DRAM and writes its ofmap back.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerStat {
     /// Layer id.
     pub layer: LayerId,
@@ -31,7 +29,7 @@ pub fn layer_stats(net: &Network) -> Vec<LayerStat> {
 
 /// A point of the Fig. 3 scatter plots: per-item DRAM access and operation
 /// count, each normalised by the maximum over all items.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScatterPoint {
     /// Normalised DRAM access in `[0, 1]`.
     pub dram: f64,

@@ -7,8 +7,6 @@
 //! have to depend on the orchestrator: `soma-obs` defines the
 //! vocabulary, `soma-bench` speaks it.
 
-use serde::{Deserialize, Serialize};
-
 /// A typed progress event of the experiment orchestrator, mirroring the
 /// per-search [`SearchEvent`](soma_search::SearchEvent) one level up:
 /// events carry plain strings and numbers, serialise cheaply, and arrive
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// parallel parallelism policy, cell order under sequential), and
 /// `Finished`/`Failed` in cell order, each emitted on the cell's turn —
 /// with a ledger, the moment the cell's row lands in it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LabEvent {
     /// A cell entered the work queue.
     Queued {

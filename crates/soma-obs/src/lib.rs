@@ -28,8 +28,8 @@
 //! `soma-bench`, so observers never need to depend on the machinery
 //! that produces the events.
 //!
-//! Zero third-party dependencies beyond the workspace's vendored
-//! `serde`, like every other crate in the workspace.
+//! Its JSON (the summary file, baselines) goes through
+//! [`soma_search::json`], the workspace's one JSON model.
 
 pub mod drill;
 pub mod event;

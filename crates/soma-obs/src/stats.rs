@@ -2,7 +2,7 @@
 //! metrics every observability consumer needs, plus one exact sample
 //! type for when the data fits in memory.
 //!
-//! * [`StreamingStats`] — min/max/mean/sum in O(1) space, mergeable.
+//! * [`StreamingStats`] — min/max/mean/sum in O(1) space.
 //! * [`Sample`] — an exact sample with nearest-rank percentiles (the
 //!   single implementation behind the campaign summary distributions).
 //! * [`P2Quantile`] — the P² (Jain & Chlamtac) streaming quantile
@@ -24,9 +24,7 @@ fn percentile_nearest_rank(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
 }
 
-/// Constant-space running min/max/mean/sum. Two aggregators over
-/// disjoint halves of a stream [`merge`](Self::merge) into exactly the
-/// aggregator of the whole stream.
+/// Constant-space running min/max/mean/sum.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamingStats {
     count: u64,
@@ -54,14 +52,6 @@ impl StreamingStats {
         self.min = self.min.min(x);
         self.max = self.max.max(x);
         self.sum += x;
-    }
-
-    /// Folds another aggregator in (stream concatenation).
-    pub fn merge(&mut self, other: &Self) {
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.sum += other.sum;
     }
 
     /// Observations folded so far.
@@ -335,14 +325,6 @@ mod tests {
             a.observe(x);
         }
         assert_eq!((a.min(), a.max(), a.sum(), a.mean()), (1.0, 3.0, 6.0, 2.0));
-
-        let mut b = StreamingStats::new();
-        b.observe(10.0);
-        a.merge(&b);
-        assert_eq!((a.min(), a.max(), a.count()), (1.0, 10.0, 4));
-        // Merging an empty aggregator is the identity.
-        a.merge(&StreamingStats::new());
-        assert_eq!((a.min(), a.max(), a.count()), (1.0, 10.0, 4));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use serde::json::{self, Value};
+use soma_search::json::{self, Value};
 use soma_search::ENGINE_VERSION;
 use soma_spec::ledger::{Ledger, LedgerRow, LEDGER_VERSION};
 use soma_spec::LedgerHealth;
@@ -105,17 +105,14 @@ impl Dist {
     }
 
     fn from_json(v: &Value) -> Result<Self, String> {
-        let num = |key: &str| -> Result<f64, String> {
-            v.get(key).and_then(Value::as_f64).ok_or_else(|| format!("missing `{key}`"))
-        };
         Ok(Self {
-            count: v.get("count").and_then(Value::as_u64).ok_or("missing `count`")? as usize,
-            min: num("min")?,
-            max: num("max")?,
-            mean: num("mean")?,
-            p50: num("p50")?,
-            p90: num("p90")?,
-            p99: num("p99")?,
+            count: v.field("count", Value::as_u64)? as usize,
+            min: v.field("min", Value::as_f64)?,
+            max: v.field("max", Value::as_f64)?,
+            mean: v.field("mean", Value::as_f64)?,
+            p50: v.field("p50", Value::as_f64)?,
+            p90: v.field("p90", Value::as_f64)?,
+            p99: v.field("p99", Value::as_f64)?,
         })
     }
 }
@@ -329,87 +326,57 @@ impl CampaignSummary {
     /// [`to_json`](Self::to_json) — the baseline side of a trend check.
     /// The `run` block and `evals_per_sec` are optional (additive
     /// fields follow the same evolution rule as the serve protocol:
-    /// unknown fields are ignored, absent optional fields default).
+    /// unknown fields are ignored, absent optional fields default, and
+    /// a present field of the wrong type is an error).
     ///
     /// # Errors
     ///
     /// A human-readable description of the first missing or mistyped
     /// field, or an unsupported schema version.
     pub fn from_json(v: &Value) -> Result<Self, String> {
-        let version = v.get("v").and_then(Value::as_u64).ok_or("missing `v`")?;
+        let version = v.field("v", Value::as_u64)?;
         if version != SUMMARY_VERSION {
             return Err(format!("unsupported summary version {version}"));
         }
-        let text = |key: &str| -> Result<String, String> {
-            Ok(v.get(key)
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("missing `{key}`"))?
-                .to_string())
-        };
-        let scenarios = match v.get("scenarios") {
-            Some(Value::Arr(items)) => items
-                .iter()
-                .map(|s| {
-                    Ok(ScenarioSummary {
-                        scenario: s
-                            .get("scenario")
-                            .and_then(Value::as_str)
-                            .ok_or("missing `scenario`")?
-                            .to_string(),
-                        cells: s.get("cells").and_then(Value::as_u64).ok_or("missing `cells`")?
-                            as usize,
-                        best_cost: Dist::from_json(
-                            s.get("best_cost").ok_or("missing `best_cost`")?,
-                        )?,
-                        latency_cycles: Dist::from_json(
-                            s.get("latency_cycles").ok_or("missing `latency_cycles`")?,
-                        )?,
-                        evals: Dist::from_json(s.get("evals").ok_or("missing `evals`")?)?,
-                        total_evals: s
-                            .get("total_evals")
-                            .and_then(Value::as_u64)
-                            .ok_or("missing `total_evals`")?,
-                    })
+        let scenarios = v
+            .field("scenarios", Value::as_arr)?
+            .iter()
+            .map(|s| {
+                Ok(ScenarioSummary {
+                    scenario: s.field("scenario", Value::as_str)?.to_string(),
+                    cells: s.field("cells", Value::as_u64)? as usize,
+                    best_cost: Dist::from_json(s.field("best_cost", Some)?)?,
+                    latency_cycles: Dist::from_json(s.field("latency_cycles", Some)?)?,
+                    evals: Dist::from_json(s.field("evals", Some)?)?,
+                    total_evals: s.field("total_evals", Value::as_u64)?,
                 })
-                .collect::<Result<Vec<_>, String>>()?,
-            _ => return Err("missing `scenarios` array".into()),
-        };
-        let h = v.get("health").ok_or("missing `health`")?;
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let h = v.field("health", Some)?;
         let health = LedgerHealth {
-            kept: h.get("kept").and_then(Value::as_u64).ok_or("missing `kept`")? as usize,
-            quarantined: h
-                .get("quarantined")
-                .and_then(Value::as_u64)
-                .ok_or("missing `quarantined`")? as usize,
-            truncated: h.get("truncated").and_then(Value::as_bool).ok_or("missing `truncated`")?,
-            duplicates: h.get("duplicates").and_then(Value::as_u64).ok_or("missing `duplicates`")?
-                as usize,
+            kept: h.field("kept", Value::as_u64)? as usize,
+            quarantined: h.field("quarantined", Value::as_u64)? as usize,
+            truncated: h.field("truncated", Value::as_bool)?,
+            duplicates: h.field("duplicates", Value::as_u64)? as usize,
         };
-        let run = match v.get("run") {
+        let run = match v.opt_field("run", Some)? {
             Some(r) => Some(RunCounts {
-                hits: r.get("hits").and_then(Value::as_u64).ok_or("missing `hits`")? as usize,
-                searched: r.get("searched").and_then(Value::as_u64).ok_or("missing `searched`")?
-                    as usize,
-                failed: r.get("failed").and_then(Value::as_u64).ok_or("missing `failed`")? as usize,
-                stopped: r.get("stopped").and_then(Value::as_bool).unwrap_or(false),
-                elapsed_s: r.get("elapsed_s").and_then(Value::as_f64),
+                hits: r.field("hits", Value::as_u64)? as usize,
+                searched: r.field("searched", Value::as_u64)? as usize,
+                failed: r.field("failed", Value::as_u64)? as usize,
+                stopped: r.opt_field("stopped", Value::as_bool)?.unwrap_or(false),
+                elapsed_s: r.opt_field("elapsed_s", Value::as_f64)?,
             }),
             None => None,
         };
         Ok(Self {
-            name: text("name")?,
-            engine: text("engine")?,
-            ledger_version: v
-                .get("ledger_version")
-                .and_then(Value::as_u64)
-                .ok_or("missing `ledger_version`")?,
-            cells: v.get("cells").and_then(Value::as_u64).ok_or("missing `cells`")? as usize,
+            name: v.field("name", Value::as_str)?.to_string(),
+            engine: v.field("engine", Value::as_str)?.to_string(),
+            ledger_version: v.field("ledger_version", Value::as_u64)?,
+            cells: v.field("cells", Value::as_u64)? as usize,
             scenarios,
-            best_cost: Dist::from_json(v.get("best_cost").ok_or("missing `best_cost`")?)?,
-            total_evals: v
-                .get("total_evals")
-                .and_then(Value::as_u64)
-                .ok_or("missing `total_evals`")?,
+            best_cost: Dist::from_json(v.field("best_cost", Some)?)?,
+            total_evals: v.field("total_evals", Value::as_u64)?,
             health,
             run,
         })
@@ -520,5 +487,14 @@ mod tests {
     fn version_gate_rejects_foreign_summaries() {
         let err = CampaignSummary::from_json(&json::parse("{\"v\":99}").unwrap()).unwrap_err();
         assert!(err.contains("unsupported summary version"), "{err}");
+    }
+
+    #[test]
+    fn a_mistyped_field_is_named() {
+        let line = CampaignSummary::from_cells("t", &cells(), LedgerHealth::default(), None)
+            .to_string_stable()
+            .replacen("\"cells\":3", "\"cells\":\"3\"", 1);
+        let err = CampaignSummary::from_json(&json::parse(&line).unwrap()).unwrap_err();
+        assert_eq!(err, "`cells` has the wrong type");
     }
 }

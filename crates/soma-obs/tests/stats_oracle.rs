@@ -54,32 +54,6 @@ proptest! {
         prop_assert!((s.mean() - sum / len as f64).abs() <= 1e-9 * sum.abs().max(1.0));
     }
 
-    /// Splitting a stream at any point and merging the two aggregators
-    /// reproduces the whole-stream aggregator exactly.
-    #[test]
-    fn merge_is_stream_concatenation(seed in 0u64..1_000_000, len in 2usize..300, cut_pm in 0u32..1000) {
-        let values = sample_values(seed, len);
-        let cut = (len * cut_pm as usize) / 1000;
-        let (mut whole, mut left, mut right) =
-            (StreamingStats::new(), StreamingStats::new(), StreamingStats::new());
-        for &x in &values {
-            whole.observe(x);
-        }
-        for &x in &values[..cut] {
-            left.observe(x);
-        }
-        for &x in &values[cut..] {
-            right.observe(x);
-        }
-        left.merge(&right);
-        // min/max/count are exact; the sum may differ by float
-        // re-association (merge adds the two partial sums).
-        prop_assert_eq!(left.count(), whole.count());
-        prop_assert_eq!(left.min(), whole.min());
-        prop_assert_eq!(left.max(), whole.max());
-        prop_assert!((left.sum() - whole.sum()).abs() <= 1e-9 * whole.sum().abs().max(1.0));
-    }
-
     /// Exact-sample percentiles equal the sort-based oracle for every
     /// requested percentile, including the edges.
     #[test]

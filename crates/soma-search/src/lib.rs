@@ -56,12 +56,16 @@
 //! * [`record`] — lossless, deterministic [`SearchOutcome`] ⇄ JSON and
 //!   ⇄ binary conversion for the experiment run ledger, plus
 //!   [`ENGINE_VERSION`].
+//! * [`json`] — the JSON document model behind every JSON view in the
+//!   workspace (outcome records, `ledger dump`, `serve` frames, campaign
+//!   summaries), with its one typed field reader.
 //! * [`wire`] — the byte-level primitives (varints, bit-exact floats,
 //!   length-prefixed strings) under the binary ledger frames.
 
 pub mod allocator;
 pub mod cocco;
 pub mod dlsa_stage;
+pub mod json;
 pub mod lfa_stage;
 pub mod objective;
 pub mod parallelism;
@@ -76,16 +80,13 @@ pub use dlsa_stage::{DlsaEditor, DlsaMove, SizeWeightedPicker};
 pub use objective::{CostWeights, Evaluated, Objective};
 pub use parallelism::Parallelism;
 pub use record::{
-    outcome_from_bytes, outcome_from_str, outcome_to_bytes, outcome_to_string, synthetic_outcome,
-    RecordError, ENGINE_VERSION,
+    outcome_from_bytes, outcome_to_bytes, synthetic_outcome, RecordError, ENGINE_VERSION,
 };
 pub use sa::{anneal, anneal_inplace, AnnealState, SaResult, SaSchedule};
 pub use session::{Cancelled, Scheduler, SchedulerKind, SearchEvent};
 
-use serde::{Deserialize, Serialize};
-
 /// Knobs of the exploration framework (the paper's "framework configs").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchConfig {
     /// Objective exponents (`Energy^n x Delay^m`; paper default 1, 1).
     pub weights: CostWeights,

@@ -27,14 +27,13 @@
 //! the objective. Both families feed it the same latency, energy and
 //! peak, so their costs are bit-identical.
 
-use serde::{Deserialize, Serialize};
 use soma_arch::HardwareConfig;
 use soma_core::{lifetime, parse_lfa, ComputePlan, Dlsa, Encoding, Lfa, SegmentMemo};
 use soma_model::Network;
 use soma_sim::{evaluate_parts, CompiledPlan, CoreArrayModel, EvalReport, SimError, SimScratch};
 
 /// Exponents of the paper's objective `Energy^n x Delay^m` (Sec. V-A).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostWeights {
     /// Energy exponent `n`.
     pub energy_exp: f64,
@@ -77,7 +76,7 @@ impl Evaluated {
 
 /// Summary statistics of a found scheme (for the paper's Sec. VI-B
 /// aggregate analysis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchemeShape {
     /// Number of layer-fusion groups (LGs).
     pub lgs: usize,

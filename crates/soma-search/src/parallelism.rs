@@ -18,10 +18,9 @@ use std::str::FromStr;
 
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
-use serde::{Deserialize, Serialize};
 
 /// Thread-count policy for a parallel region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Parallelism {
     /// Use the threads the enclosing parallel region gave this one,
     /// else [`std::thread::available_parallelism`]. The default.

@@ -5,8 +5,8 @@
 //! Both conversions are **lossless and deterministic**: every field of
 //! the outcome — schemes, full evaluation reports including the exact
 //! timeline, and the `f64` cost/energy values bit-for-bit (via the
-//! vendored serde facade's round-trip-exact float rendering, and the
-//! raw IEEE-754 bit pattern on the binary side) — survives
+//! [`json`](crate::json) model's round-trip-exact float rendering, and
+//! the raw IEEE-754 bit pattern on the binary side) — survives
 //! `outcome_from_json(parse(to_string(outcome_to_json(o))))` and
 //! `outcome_from_bytes(&outcome_to_bytes(o))`, and equal outcomes
 //! always render byte-identically. That is what lets a ledger hit
@@ -19,12 +19,12 @@
 //! dump`, the serve protocol's result frames) and the legacy-migration
 //! input.
 
-use serde::json::{self, Value};
 use soma_core::{Dlsa, Encoding, Lfa};
 use soma_model::LayerId;
 use soma_sim::{EnergyBreakdown, EvalReport, Timeline};
 
 use crate::allocator::SearchOutcome;
+use crate::json::Value;
 use crate::objective::Evaluated;
 use crate::session::SearchEvent;
 use crate::wire::{self, Reader, WireError};
@@ -57,30 +57,14 @@ impl std::fmt::Display for RecordError {
 
 impl std::error::Error for RecordError {}
 
-fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, RecordError> {
-    v.get(key).ok_or_else(|| RecordError::new(format!("missing field `{key}`")))
-}
-
-fn get_u64(v: &Value, key: &str) -> Result<u64, RecordError> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| RecordError::new(format!("field `{key}` is not an unsigned integer")))
-}
-
-fn get_f64(v: &Value, key: &str) -> Result<f64, RecordError> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| RecordError::new(format!("field `{key}` is not a number")))
-}
-
-fn get_arr<'v>(v: &'v Value, key: &str) -> Result<&'v [Value], RecordError> {
-    field(v, key)?
-        .as_arr()
-        .ok_or_else(|| RecordError::new(format!("field `{key}` is not an array")))
+impl From<String> for RecordError {
+    fn from(msg: String) -> Self {
+        Self { msg }
+    }
 }
 
 fn u64_vec(v: &Value, key: &str) -> Result<Vec<u64>, RecordError> {
-    get_arr(v, key)?
+    v.field(key, Value::as_arr)?
         .iter()
         .map(|item| {
             item.as_u64()
@@ -143,8 +127,8 @@ fn encoding_to_json(enc: &Encoding) -> Value {
 }
 
 fn encoding_from_json(v: &Value) -> Result<Encoding, RecordError> {
-    let lfa = lfa_from_json(field(v, "lfa")?)?;
-    let dlsa_v = field(v, "dlsa")?;
+    let lfa = lfa_from_json(v.field("lfa", Some)?)?;
+    let dlsa_v = v.field("dlsa", Some)?;
     let dlsa = if dlsa_v.is_null() { None } else { Some(dlsa_from_json(dlsa_v)?) };
     Ok(Encoding { lfa, dlsa })
 }
@@ -167,9 +151,9 @@ fn timeline_from_json(v: &Value) -> Result<Timeline, RecordError> {
         tensor_end: u64_vec(v, "tensor_end")?,
         tile_start: u64_vec(v, "tile_start")?,
         tile_end: u64_vec(v, "tile_end")?,
-        latency: get_u64(v, "latency")?,
-        dram_busy: get_u64(v, "dram_busy")?,
-        compute_busy: get_u64(v, "compute_busy")?,
+        latency: v.field("latency", Value::as_u64)?,
+        dram_busy: v.field("dram_busy", Value::as_u64)?,
+        compute_busy: v.field("compute_busy", Value::as_u64)?,
     })
 }
 
@@ -191,20 +175,20 @@ fn report_to_json(r: &EvalReport) -> Value {
 }
 
 fn report_from_json(v: &Value) -> Result<EvalReport, RecordError> {
-    let energy_v = field(v, "energy")?;
+    let energy_v = v.field("energy", Some)?;
     Ok(EvalReport {
-        latency_cycles: get_u64(v, "latency_cycles")?,
+        latency_cycles: v.field("latency_cycles", Value::as_u64)?,
         energy: EnergyBreakdown {
-            core_pj: get_f64(energy_v, "core_pj")?,
-            dram_pj: get_f64(energy_v, "dram_pj")?,
+            core_pj: energy_v.field("core_pj", Value::as_f64)?,
+            dram_pj: energy_v.field("dram_pj", Value::as_f64)?,
         },
-        compute_util: get_f64(v, "compute_util")?,
-        dram_util: get_f64(v, "dram_util")?,
-        theoretical_max_util: get_f64(v, "theoretical_max_util")?,
-        peak_buffer: get_u64(v, "peak_buffer")?,
-        avg_buffer: get_u64(v, "avg_buffer")?,
-        dram_bytes: get_u64(v, "dram_bytes")?,
-        timeline: timeline_from_json(field(v, "timeline")?)?,
+        compute_util: v.field("compute_util", Value::as_f64)?,
+        dram_util: v.field("dram_util", Value::as_f64)?,
+        theoretical_max_util: v.field("theoretical_max_util", Value::as_f64)?,
+        peak_buffer: v.field("peak_buffer", Value::as_u64)?,
+        avg_buffer: v.field("avg_buffer", Value::as_u64)?,
+        dram_bytes: v.field("dram_bytes", Value::as_u64)?,
+        timeline: timeline_from_json(v.field("timeline", Some)?)?,
     })
 }
 
@@ -218,9 +202,9 @@ fn evaluated_to_json(e: &Evaluated) -> Value {
 
 fn evaluated_from_json(v: &Value) -> Result<Evaluated, RecordError> {
     Ok(Evaluated {
-        encoding: encoding_from_json(field(v, "encoding")?)?,
-        report: report_from_json(field(v, "report")?)?,
-        cost: get_f64(v, "cost")?,
+        encoding: encoding_from_json(v.field("encoding", Some)?)?,
+        report: report_from_json(v.field("report", Some)?)?,
+        cost: v.field("cost", Value::as_f64)?,
     })
 }
 
@@ -243,18 +227,12 @@ pub fn outcome_to_json(out: &SearchOutcome) -> Value {
 /// [`RecordError`] on any missing or mistyped field.
 pub fn outcome_from_json(v: &Value) -> Result<SearchOutcome, RecordError> {
     Ok(SearchOutcome {
-        stage1: evaluated_from_json(field(v, "stage1")?)?,
-        best: evaluated_from_json(field(v, "best")?)?,
-        allocator_iters: get_u64(v, "allocator_iters")? as usize,
-        evals: get_u64(v, "evals")?,
-        rejected: get_u64(v, "rejected")?,
+        stage1: evaluated_from_json(v.field("stage1", Some)?)?,
+        best: evaluated_from_json(v.field("best", Some)?)?,
+        allocator_iters: v.field("allocator_iters", Value::as_u64)? as usize,
+        evals: v.field("evals", Value::as_u64)?,
+        rejected: v.field("rejected", Value::as_u64)?,
     })
-}
-
-fn get_str<'v>(v: &'v Value, key: &str) -> Result<&'v str, RecordError> {
-    field(v, key)?
-        .as_str()
-        .ok_or_else(|| RecordError::new(format!("field `{key}` is not a string")))
 }
 
 /// Renders a [`SearchEvent`] as a snake_case-tagged JSON object — the
@@ -304,31 +282,31 @@ pub fn event_to_json(ev: &SearchEvent) -> Value {
 ///
 /// [`RecordError`] on an unknown tag or any missing/mistyped field.
 pub fn event_from_json(v: &Value) -> Result<SearchEvent, RecordError> {
-    match get_str(v, "event")? {
+    match v.field("event", Value::as_str)? {
         "round_started" => Ok(SearchEvent::RoundStarted {
-            round: get_u64(v, "round")? as usize,
-            stage1_budget: get_u64(v, "stage1_budget")?,
+            round: v.field("round", Value::as_u64)? as usize,
+            stage1_budget: v.field("stage1_budget", Value::as_u64)?,
         }),
         "stage_finished" => Ok(SearchEvent::StageFinished {
-            round: get_u64(v, "round")? as usize,
-            stage: get_str(v, "stage")?.to_string(),
-            cost: get_f64(v, "cost")?,
-            evals: get_u64(v, "evals")?,
+            round: v.field("round", Value::as_u64)? as usize,
+            stage: v.field("stage", Value::as_str)?.to_string(),
+            cost: v.field("cost", Value::as_f64)?,
+            evals: v.field("evals", Value::as_u64)?,
         }),
         "new_best" => Ok(SearchEvent::NewBest {
-            round: get_u64(v, "round")? as usize,
-            cost: get_f64(v, "cost")?,
-            latency_cycles: get_u64(v, "latency_cycles")?,
+            round: v.field("round", Value::as_u64)? as usize,
+            cost: v.field("cost", Value::as_f64)?,
+            latency_cycles: v.field("latency_cycles", Value::as_u64)?,
         }),
         "seed_finished" => Ok(SearchEvent::SeedFinished {
-            seed: get_u64(v, "seed")?,
-            cost: get_f64(v, "cost")?,
-            evals: get_u64(v, "evals")?,
-            rejected: get_u64(v, "rejected")?,
+            seed: v.field("seed", Value::as_u64)?,
+            cost: v.field("cost", Value::as_f64)?,
+            evals: v.field("evals", Value::as_u64)?,
+            rejected: v.field("rejected", Value::as_u64)?,
         }),
         "budget_exhausted" => Ok(SearchEvent::BudgetExhausted {
-            rounds: get_u64(v, "rounds")? as usize,
-            evals: get_u64(v, "evals")?,
+            rounds: v.field("rounds", Value::as_u64)? as usize,
+            evals: v.field("evals", Value::as_u64)?,
         }),
         other => Err(RecordError::new(format!("unknown event tag `{other}`"))),
     }
@@ -545,28 +523,22 @@ pub fn synthetic_outcome(seed: u64, tiles: usize) -> SearchOutcome {
     }
 }
 
-/// [`outcome_to_json`] straight to a compact single-line JSON string.
-pub fn outcome_to_string(out: &SearchOutcome) -> String {
-    json::to_string(&outcome_to_json(out))
-}
-
-/// Parses [`outcome_to_string`]'s rendering.
-///
-/// # Errors
-///
-/// [`RecordError`] on malformed JSON or schema drift.
-pub fn outcome_from_str(text: &str) -> Result<SearchOutcome, RecordError> {
-    let v = json::parse(text).map_err(|e| RecordError::new(e.to_string()))?;
-    outcome_from_json(&v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
     use crate::session::Scheduler;
     use crate::SearchConfig;
     use soma_arch::HardwareConfig;
     use soma_model::zoo;
+
+    fn outcome_to_string(out: &SearchOutcome) -> String {
+        json::to_string(&outcome_to_json(out))
+    }
+
+    fn outcome_from_str(text: &str) -> Result<SearchOutcome, RecordError> {
+        outcome_from_json(&json::parse(text).map_err(|e| RecordError::new(e.to_string()))?)
+    }
 
     fn assert_evaluated_eq(a: &Evaluated, b: &Evaluated) {
         assert_eq!(a.encoding, b.encoding);
@@ -699,5 +671,15 @@ mod tests {
         assert!(outcome_from_str("{\"stage1\":{},\"best\":{}}").is_err());
         let e = outcome_from_str("{\"best\":1}").unwrap_err();
         assert!(e.to_string().contains("stage1"), "{e}");
+    }
+
+    #[test]
+    fn a_mistyped_field_is_named() {
+        // A 4-tile synthetic outcome takes 4 * 10 + 9 cycles.
+        let text = outcome_to_string(&synthetic_outcome(7, 4));
+        let mistyped = text.replacen("\"latency_cycles\":49", "\"latency_cycles\":\"49\"", 1);
+        assert_ne!(mistyped, text);
+        let e = outcome_from_str(&mistyped).unwrap_err();
+        assert_eq!(e.to_string(), "bad outcome record: `latency_cycles` has the wrong type");
     }
 }

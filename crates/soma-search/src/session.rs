@@ -13,7 +13,6 @@
 //! RNG stream and results merge in seed-list order, the outcome is
 //! bit-identical across every [`Parallelism`] variant and thread count.
 
-use serde::{Deserialize, Serialize};
 use soma_arch::HardwareConfig;
 use soma_model::Network;
 
@@ -23,7 +22,7 @@ use crate::{Parallelism, SearchConfig};
 /// A typed progress event emitted by a search. Events carry plain
 /// numbers (no schemes), so logging them is cheap and they serialise
 /// for run records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SearchEvent {
     /// A Buffer Allocator round began with the given stage-1 budget.
     RoundStarted {

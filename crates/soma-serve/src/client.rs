@@ -274,17 +274,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy for tests and smoke scripts: quick, but persistent
-    /// enough to ride out a daemon restart.
-    pub fn fast() -> Self {
-        Self {
-            attempts: 8,
-            base_delay: Duration::from_millis(25),
-            max_delay: Duration::from_millis(400),
-            ..Self::default()
-        }
-    }
-
     /// The delay before retry number `retry` (1-based): exponential
     /// from [`base_delay`](Self::base_delay), capped at
     /// [`max_delay`](Self::max_delay), plus up to +50% deterministic

@@ -14,7 +14,7 @@
 //! `from_json` duals — the conversions are exact inverses, which the
 //! unit tests pin.
 
-use serde::json::{self, Value};
+use soma_search::json::{self, Value};
 use soma_search::record::{event_from_json, event_to_json, outcome_from_json, outcome_to_json};
 use soma_search::{SearchEvent, SearchOutcome};
 
@@ -42,25 +42,19 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-fn check_version(v: &Value) -> Result<(), FrameError> {
-    match v.get("v").and_then(Value::as_u64) {
-        Some(PROTOCOL_VERSION) => Ok(()),
-        Some(other) => Err(FrameError::new(format!(
-            "unsupported protocol version {other} (this peer speaks {PROTOCOL_VERSION})"
-        ))),
-        None => Err(FrameError::new("missing `v`")),
+impl From<String> for FrameError {
+    fn from(msg: String) -> Self {
+        Self { msg }
     }
 }
 
-fn get_str(v: &Value, key: &str) -> Result<String, FrameError> {
-    Ok(v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| FrameError::new(format!("missing or non-string `{key}`")))?
-        .to_string())
-}
-
-fn opt_str(v: &Value, key: &str) -> Option<String> {
-    v.get(key).and_then(Value::as_str).map(str::to_string)
+fn check_version(v: &Value) -> Result<(), FrameError> {
+    match v.field("v", Value::as_u64)? {
+        PROTOCOL_VERSION => Ok(()),
+        other => Err(FrameError::new(format!(
+            "unsupported protocol version {other} (this peer speaks {PROTOCOL_VERSION})"
+        ))),
+    }
 }
 
 /// What a submit request schedules: a registry scenario or an inline
@@ -171,28 +165,30 @@ impl Request {
     /// mistyped field.
     pub fn from_json(v: &Value) -> Result<Self, FrameError> {
         check_version(v)?;
-        match get_str(v, "type")?.as_str() {
+        match v.field("type", Value::as_str)? {
             "submit" => {
-                let id = get_str(v, "id")?;
-                let target = match (opt_str(v, "scenario"), opt_str(v, "network")) {
+                let id = v.field("id", Value::as_str)?.to_string();
+                let scenario = v.opt_field("scenario", Value::as_str)?;
+                let network = v.opt_field("network", Value::as_str)?;
+                let hardware = v.opt_field("hardware", Value::as_str)?;
+                let target = match (scenario, network) {
                     (Some(_), Some(_)) => {
                         return Err(FrameError::new(
                             "`scenario` and `network` are mutually exclusive",
                         ))
                     }
-                    (Some(sc), None) => Target::Scenario(sc),
-                    (None, Some(network)) => {
-                        Target::Inline { network, hardware: opt_str(v, "hardware") }
-                    }
+                    (Some(sc), None) => Target::Scenario(sc.to_string()),
+                    (None, Some(network)) => Target::Inline {
+                        network: network.to_string(),
+                        hardware: hardware.map(str::to_string),
+                    },
                     (None, None) => {
                         return Err(FrameError::new("submit needs `scenario` or `network`"))
                     }
                 };
-                let seeds = match v.get("seeds") {
+                let seeds = match v.opt_field("seeds", Value::as_arr)? {
                     None => Vec::new(),
-                    Some(s) => s
-                        .as_arr()
-                        .ok_or_else(|| FrameError::new("`seeds` is not an array"))?
+                    Some(items) => items
                         .iter()
                         .map(|n| {
                             n.as_u64()
@@ -200,32 +196,13 @@ impl Request {
                         })
                         .collect::<Result<_, _>>()?,
                 };
-                let effort = match v.get("effort") {
-                    None => None,
-                    Some(e) => Some(
-                        e.as_f64().ok_or_else(|| FrameError::new("`effort` is not a number"))?,
-                    ),
-                };
-                let progress = match v.get("progress") {
-                    None => true,
-                    Some(p) => {
-                        p.as_bool().ok_or_else(|| FrameError::new("`progress` is not a bool"))?
-                    }
-                };
-                let deadline_ms = match v.get("deadline_ms") {
-                    None => None,
-                    Some(d) => Some(
-                        d.as_u64()
-                            .ok_or_else(|| FrameError::new("`deadline_ms` is not an integer"))?,
-                    ),
-                };
                 Ok(Request::Submit(SubmitRequest {
                     id,
                     target,
                     seeds,
-                    effort,
-                    progress,
-                    deadline_ms,
+                    effort: v.opt_field("effort", Value::as_f64)?,
+                    progress: v.opt_field("progress", Value::as_bool)?.unwrap_or(true),
+                    deadline_ms: v.opt_field("deadline_ms", Value::as_u64)?,
                 }))
             }
             "ping" => Ok(Request::Ping),
@@ -441,65 +418,54 @@ impl Response {
     /// mistyped field.
     pub fn from_json(v: &Value) -> Result<Self, FrameError> {
         check_version(v)?;
-        let get_u64 = |key: &str| -> Result<u64, FrameError> {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| FrameError::new(format!("missing or non-integer `{key}`")))
-        };
-        let get_bool = |key: &str| -> Result<bool, FrameError> {
-            v.get(key)
-                .and_then(Value::as_bool)
-                .ok_or_else(|| FrameError::new(format!("missing or non-bool `{key}`")))
-        };
-        match get_str(v, "type")?.as_str() {
+        match v.field("type", Value::as_str)? {
             "accepted" => Ok(Response::Accepted {
-                id: get_str(v, "id")?,
-                hash: get_str(v, "hash")?,
-                cached: get_bool("cached")?,
+                id: v.field("id", Value::as_str)?.to_string(),
+                hash: v.field("hash", Value::as_str)?.to_string(),
+                cached: v.field("cached", Value::as_bool)?,
             }),
             "rejected" => Ok(Response::Rejected {
-                id: get_str(v, "id")?,
-                reason: RejectReason::parse(&get_str(v, "reason")?)?,
-                detail: get_str(v, "detail")?,
+                id: v.field("id", Value::as_str)?.to_string(),
+                reason: RejectReason::parse(v.field("reason", Value::as_str)?)?,
+                detail: v.field("detail", Value::as_str)?.to_string(),
             }),
             "progress" => Ok(Response::Progress {
-                id: get_str(v, "id")?,
-                event: event_from_json(
-                    v.get("event").ok_or_else(|| FrameError::new("missing `event`"))?,
-                )
-                .map_err(|e| FrameError::new(e.to_string()))?,
+                id: v.field("id", Value::as_str)?.to_string(),
+                event: event_from_json(v.field("event", Some)?)
+                    .map_err(|e| FrameError::new(e.to_string()))?,
             }),
             "result" => Ok(Response::Result {
-                id: get_str(v, "id")?,
-                hash: get_str(v, "hash")?,
-                cached: get_bool("cached")?,
+                id: v.field("id", Value::as_str)?.to_string(),
+                hash: v.field("hash", Value::as_str)?.to_string(),
+                cached: v.field("cached", Value::as_bool)?,
                 outcome: Box::new(
-                    outcome_from_json(
-                        v.get("outcome").ok_or_else(|| FrameError::new("missing `outcome`"))?,
-                    )
-                    .map_err(|e| FrameError::new(e.to_string()))?,
+                    outcome_from_json(v.field("outcome", Some)?)
+                        .map_err(|e| FrameError::new(e.to_string()))?,
                 ),
             }),
-            "pong" => {
-                Ok(Response::Pong { engine: get_str(v, "engine")?, protocol: get_u64("protocol")? })
-            }
+            "pong" => Ok(Response::Pong {
+                engine: v.field("engine", Value::as_str)?.to_string(),
+                protocol: v.field("protocol", Value::as_u64)?,
+            }),
             "stats" => Ok(Response::Stats(StatsSnapshot {
-                inflight: get_u64("inflight")?,
-                served: get_u64("served")?,
-                cache_hits: get_u64("cache_hits")?,
-                rejected: get_u64("rejected")?,
-                ledger_rows: get_u64("ledger_rows")?,
+                inflight: v.field("inflight", Value::as_u64)?,
+                served: v.field("served", Value::as_u64)?,
+                cache_hits: v.field("cache_hits", Value::as_u64)?,
+                rejected: v.field("rejected", Value::as_u64)?,
+                ledger_rows: v.field("ledger_rows", Value::as_u64)?,
                 // Additive v1 fields: absent when talking to an older
                 // daemon, so default rather than reject.
-                cancelled: v.get("cancelled").and_then(Value::as_u64).unwrap_or(0),
-                panics: v.get("panics").and_then(Value::as_u64).unwrap_or(0),
-                quarantined: v.get("quarantined").and_then(Value::as_u64).unwrap_or(0),
-                append_failed: v.get("append_failed").and_then(Value::as_u64).unwrap_or(0),
-                decode_failed: v.get("decode_failed").and_then(Value::as_u64).unwrap_or(0),
-                accept_failed: v.get("accept_failed").and_then(Value::as_u64).unwrap_or(0),
-                uptime_ms: v.get("uptime_ms").and_then(Value::as_u64).unwrap_or(0),
+                cancelled: v.opt_field("cancelled", Value::as_u64)?.unwrap_or(0),
+                panics: v.opt_field("panics", Value::as_u64)?.unwrap_or(0),
+                quarantined: v.opt_field("quarantined", Value::as_u64)?.unwrap_or(0),
+                append_failed: v.opt_field("append_failed", Value::as_u64)?.unwrap_or(0),
+                decode_failed: v.opt_field("decode_failed", Value::as_u64)?.unwrap_or(0),
+                accept_failed: v.opt_field("accept_failed", Value::as_u64)?.unwrap_or(0),
+                uptime_ms: v.opt_field("uptime_ms", Value::as_u64)?.unwrap_or(0),
             })),
-            "error" => Ok(Response::Error { detail: get_str(v, "detail")? }),
+            "error" => {
+                Ok(Response::Error { detail: v.field("detail", Value::as_str)?.to_string() })
+            }
             other => Err(FrameError::new(format!("unknown response type `{other}`"))),
         }
     }
@@ -643,5 +609,21 @@ mod tests {
         );
         assert_eq!((s.accept_failed, s.uptime_ms), (0, 0));
         assert_eq!(s.served, 9);
+    }
+
+    #[test]
+    fn a_mistyped_optional_submit_field_is_refused_not_defaulted() {
+        let line = "{\"v\":1,\"type\":\"submit\",\"id\":\"a\",\
+                    \"network\":\"soma-network v1\\nname x\\nend\\n\",\"hardware\":42}";
+        let e = Request::from_json(&parse_line(line).unwrap()).unwrap_err();
+        assert_eq!(e.to_string(), "bad frame: `hardware` has the wrong type");
+    }
+
+    #[test]
+    fn a_mistyped_stats_counter_is_refused_not_zeroed() {
+        let line = "{\"v\":1,\"type\":\"stats\",\"inflight\":0,\"served\":9,\
+                    \"cache_hits\":4,\"rejected\":1,\"ledger_rows\":5,\"cancelled\":\"3\"}";
+        let e = Response::from_json(&parse_line(line).unwrap()).unwrap_err();
+        assert_eq!(e.to_string(), "bad frame: `cancelled` has the wrong type");
     }
 }

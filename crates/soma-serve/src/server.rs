@@ -62,9 +62,10 @@ pub struct ServerConfig {
     /// Seed fan-out policy for each search (wall-clock only; results
     /// are bit-identical across policies).
     pub parallelism: Parallelism,
-    /// Deterministic fault injection for chaos testing (`--chaos`):
-    /// the plan is threaded behind the ledger writer, the frame writer
-    /// and the search runner. `None` in production.
+    /// Deterministic fault injection for chaos testing (the
+    /// `chaos_serve` suite): the plan is threaded behind the ledger
+    /// writer, the frame writer and the search runner. `None` in
+    /// production.
     pub faults: Option<Arc<FaultPlan>>,
 }
 

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use soma_search::record::outcome_to_string;
+use soma_search::outcome_to_bytes;
 use soma_serve::{
     start, Client, ClientError, Listen, RejectReason, RetryPolicy, ServerConfig, SubmitRequest,
     Target,
@@ -100,8 +100,8 @@ fn cache_hits_beat_any_deadline_but_cold_zero_deadlines_are_refused_up_front() {
     let warm = client.submit(quick("warm", 2, Some(0))).unwrap();
     assert!(warm.cached, "a cache hit beats any deadline");
     assert_eq!(
-        outcome_to_string(warm.outcome.as_ref().unwrap()),
-        outcome_to_string(cold.outcome.as_ref().unwrap()),
+        outcome_to_bytes(warm.outcome.as_ref().unwrap()),
+        outcome_to_bytes(cold.outcome.as_ref().unwrap()),
     );
     handle.shutdown();
 }
@@ -146,8 +146,8 @@ fn a_failed_ledger_append_still_answers_the_client_and_is_counted() {
     let again = client.submit(quick("again", 5, None)).unwrap();
     assert!(!again.cached);
     assert_eq!(
-        outcome_to_string(again.outcome.as_ref().unwrap()),
-        outcome_to_string(first.outcome.as_ref().unwrap()),
+        outcome_to_bytes(again.outcome.as_ref().unwrap()),
+        outcome_to_bytes(first.outcome.as_ref().unwrap()),
     );
     let warm = client.submit(quick("warm", 5, None)).unwrap();
     assert!(warm.cached);
@@ -166,7 +166,13 @@ fn dropped_connections_are_survivable_by_the_retrying_client_bit_identically() {
     let cfg = FaultConfig { drop_connection: 333, ..FaultConfig::NONE };
     let plan = Arc::new(FaultPlan::seeded(9, cfg));
     let (handle, _ledger) = server("drop", Some(Arc::clone(&plan)));
-    let policy = RetryPolicy::fast();
+    // Quick, but persistent enough to ride out the dropped frames.
+    let policy = RetryPolicy {
+        attempts: 8,
+        base_delay: Duration::from_millis(25),
+        max_delay: Duration::from_millis(400),
+        ..RetryPolicy::default()
+    };
 
     for seed in 0..6u64 {
         let req = quick(&format!("req-{seed}"), 100 + seed, None);
@@ -174,8 +180,8 @@ fn dropped_connections_are_survivable_by_the_retrying_client_bit_identically() {
         assert!(sub.succeeded(), "seed {seed}: {:?}", sub.rejection);
         let want = reference.submit(quick("ref", 100 + seed, None)).unwrap();
         assert_eq!(
-            outcome_to_string(sub.outcome.as_ref().unwrap()),
-            outcome_to_string(want.outcome.as_ref().unwrap()),
+            outcome_to_bytes(sub.outcome.as_ref().unwrap()),
+            outcome_to_bytes(want.outcome.as_ref().unwrap()),
             "seed {seed} drifted across injected drops"
         );
     }
@@ -234,8 +240,8 @@ fn corrupt_ledgers_are_quarantined_at_startup_and_the_survivors_replay() {
     let warm = client.submit(quick("warm", 4, None)).unwrap();
     assert!(warm.cached, "the surviving row must replay from cache");
     assert_eq!(
-        outcome_to_string(warm.outcome.as_ref().unwrap()),
-        outcome_to_string(cold.outcome.as_ref().unwrap()),
+        outcome_to_bytes(warm.outcome.as_ref().unwrap()),
+        outcome_to_bytes(cold.outcome.as_ref().unwrap()),
     );
     handle.shutdown();
 
@@ -277,8 +283,8 @@ fn an_undecodable_hit_is_re_searched_counted_and_cached_again() {
     assert!(again.succeeded(), "{:?}", again.rejection);
     assert!(!again.cached, "a payload that does not decode is never a hit");
     assert_eq!(
-        outcome_to_string(again.outcome.as_ref().unwrap()),
-        outcome_to_string(cold.outcome.as_ref().unwrap()),
+        outcome_to_bytes(again.outcome.as_ref().unwrap()),
+        outcome_to_bytes(cold.outcome.as_ref().unwrap()),
     );
     let stats = handle.stats();
     assert_eq!((stats.decode_failed, stats.ledger_rows), (1, 2), "superseding row appended");

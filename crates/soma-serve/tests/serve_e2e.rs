@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use soma_model::zoo;
-use soma_search::record::{outcome_to_string, ENGINE_VERSION};
+use soma_search::record::{outcome_to_bytes, ENGINE_VERSION};
 use soma_search::{SearchConfig, SearchEvent};
 use soma_serve::{
     estimate_evals, start, Client, Listen, RejectReason, ServerConfig, SubmitRequest, Target,
@@ -87,8 +87,8 @@ fn eight_concurrent_submits_then_bit_identical_cache_hits() {
     assert!(warm.progress.is_empty(), "a cache hit does no search work");
     assert_eq!(warm.hash, cold[3].hash, "same request, same cell key");
     assert_eq!(
-        outcome_to_string(warm.outcome.as_ref().unwrap()),
-        outcome_to_string(cold[3].outcome.as_ref().unwrap()),
+        outcome_to_bytes(warm.outcome.as_ref().unwrap()),
+        outcome_to_bytes(cold[3].outcome.as_ref().unwrap()),
         "cached outcome is bit-identical"
     );
 
@@ -368,8 +368,8 @@ fn shutdown_drains_and_the_ledger_replays_across_restarts() {
     let warm = client.submit(quick("r2", "fig4@edge/b1", 11)).unwrap();
     assert!(warm.cached, "restarted daemon must serve from the persisted cache");
     assert_eq!(
-        outcome_to_string(warm.outcome.as_ref().unwrap()),
-        outcome_to_string(cold.outcome.as_ref().unwrap()),
+        outcome_to_bytes(warm.outcome.as_ref().unwrap()),
+        outcome_to_bytes(cold.outcome.as_ref().unwrap()),
     );
     handle.shutdown();
 }

@@ -1,6 +1,5 @@
 //! Roll-up of a simulated schedule into the metrics the paper reports.
 
-use serde::{Deserialize, Serialize};
 use soma_arch::HardwareConfig;
 use soma_core::{lifetime, ParsedSchedule};
 use soma_model::Network;
@@ -9,7 +8,7 @@ use crate::core_array::CoreArrayModel;
 use crate::timeline::{simulate, SimError, Timeline};
 
 /// Energy decomposition in picojoules, matching Fig. 6's split.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// Core-array energy: MACs/vector ops, L0 and GBUF accesses.
     pub core_pj: f64,
@@ -27,7 +26,7 @@ impl EnergyBreakdown {
 /// Evaluation result for one schedule on one hardware configuration: the
 /// quantities of the paper's Fig. 6 plus the raw timeline for execution-
 /// graph rendering (Fig. 8).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalReport {
     /// End-to-end latency in cycles.
     pub latency_cycles: u64,

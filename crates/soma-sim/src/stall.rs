@@ -7,13 +7,12 @@
 //! completion released the tile (a load the tile consumes, or a store
 //! whose `End` gates it).
 
-use serde::{Deserialize, Serialize};
 use soma_core::{ComputePlan, Dlsa, DramKind};
 
 use crate::timeline::{gate_table, Timeline};
 
 /// What a compute gap was waiting on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StallCause {
     /// Waiting for a load (weights or ifmap) the tile consumes.
     Load {
@@ -32,7 +31,7 @@ pub enum StallCause {
 }
 
 /// One attributed compute stall.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stall {
     /// The tile whose start was delayed.
     pub tile: u32,
@@ -43,7 +42,7 @@ pub struct Stall {
 }
 
 /// Aggregate stall statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StallSummary {
     /// Total stalled cycles attributed to weight loads.
     pub weight_cycles: u64,

@@ -15,7 +15,6 @@
 //! a much later tile it itself gates) is reported as [`SimError::Deadlock`]
 //! — such DLSAs are invalid schemes.
 
-use serde::{Deserialize, Serialize};
 use soma_arch::HardwareConfig;
 use soma_core::{ComputePlan, Dlsa};
 
@@ -47,7 +46,7 @@ impl std::fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Exact start/end times of every tensor and tile, in cycles.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Timeline {
     /// Start cycle of each DRAM tensor (canonical index).
     pub tensor_start: Vec<u64>,

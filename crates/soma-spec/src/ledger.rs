@@ -54,9 +54,8 @@
 //! it.
 //!
 //! For chaos testing, a deterministic [`FaultPlan`](crate::fault) can be
-//! attached with [`Ledger::inject_faults`] (or at load time with
-//! [`Ledger::load_with_faults`]): appends then suffer seeded torn
-//! writes, silent bit-flips and fsync failures, and every compaction
+//! attached with [`Ledger::inject_faults`]: appends then suffer seeded
+//! torn writes, silent bit-flips and fsync failures, and every compaction
 //! rewrite ticks the [`fault::site::LEDGER_COMPACT`] counter so tests
 //! can assert which repair path ran.
 
@@ -67,7 +66,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use serde::json::{self, Value};
+use soma_search::json::{self, Value};
 use soma_search::record::{
     outcome_from_bytes, outcome_from_json, outcome_to_bytes, outcome_to_json, ENGINE_VERSION,
 };
@@ -343,26 +342,18 @@ impl LedgerRow {
     /// input: the embedded `crc` must match FNV-1a over the canonical
     /// rendering of the remaining fields, or the row is corrupt. Errors
     /// describe the first violation (bad JSON, missing/mismatched
-    /// checksum, unsupported version, missing field, malformed
+    /// checksum, unsupported version, missing or mistyped field, malformed
     /// outcome).
     fn from_line(line: &str) -> Result<Self, String> {
-        let v = json::parse(line).map_err(|e| e.to_string())?;
-        let Value::Obj(fields) = v else { return Err("row is not a JSON object".into()) };
-        let mut crc = None;
-        let mut payload = Value::obj();
-        for (k, val) in fields {
-            if k == "crc" {
-                crc = Some(val);
-            } else {
-                payload.push(k, val);
-            }
-        }
-        let crc = crc.and_then(|c| c.as_str().map(str::to_string)).ok_or("missing `crc`")?;
+        let mut payload = json::parse(line).map_err(|e| e.to_string())?;
+        let crc = payload.field("crc", Value::as_str)?.to_string();
+        let Value::Obj(fields) = &mut payload else { unreachable!("only objects have fields") };
+        fields.retain(|(k, _)| k != "crc");
         let computed = format!("{:016x}", fnv1a(json::to_string(&payload).bytes()));
         if crc != computed {
             return Err(format!("checksum mismatch: row says {crc}, content is {computed}"));
         }
-        let version = payload.get("v").and_then(Value::as_u64).ok_or("missing `v`")?;
+        let version = payload.field("v", Value::as_u64)?;
         if version != JSONL_VERSION {
             return Err(format!("unsupported ledger version {version}"));
         }
@@ -374,7 +365,7 @@ impl LedgerRow {
     /// an error.
     fn from_line_v1(line: &str) -> Result<Self, String> {
         let v = json::parse(line).map_err(|e| e.to_string())?;
-        let version = v.get("v").and_then(Value::as_u64).ok_or("missing `v`")?;
+        let version = v.field("v", Value::as_u64)?;
         if version != 1 {
             return Err(format!("not a v1 row (version {version})"));
         }
@@ -384,19 +375,17 @@ impl LedgerRow {
     /// Shared field extraction for JSON lines (v1 and v2 carry the same
     /// payload fields, and neither records an engine).
     fn from_json_fields(v: &Value) -> Result<Self, String> {
-        let text = |key: &str| -> Result<String, String> {
-            Ok(v.get(key)
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("missing `{key}`"))?
-                .to_string())
-        };
-        let batch = v.get("batch").and_then(Value::as_u64).ok_or("missing `batch`")?;
-        let batch = u32::try_from(batch).map_err(|_| "batch exceeds u32".to_string())?;
-        let outcome = outcome_from_json(v.get("outcome").ok_or("missing `outcome`")?)
-            .map_err(|e| e.to_string())?;
-        let (hash, cell) = (text("hash")?, text("cell")?);
-        let (workload, platform) = (text("workload")?, text("platform")?);
-        let mut row = Self::from_parts(&hash, &cell, &workload, &platform, batch, outcome);
+        let batch = u32::try_from(v.field("batch", Value::as_u64)?)
+            .map_err(|_| "batch exceeds u32".to_string())?;
+        let outcome = outcome_from_json(v.field("outcome", Some)?).map_err(|e| e.to_string())?;
+        let mut row = Self::from_parts(
+            v.field("hash", Value::as_str)?,
+            v.field("cell", Value::as_str)?,
+            v.field("workload", Value::as_str)?,
+            v.field("platform", Value::as_str)?,
+            batch,
+            outcome,
+        );
         row.engine.clear();
         Ok(row)
     }
@@ -773,19 +762,10 @@ impl Ledger {
         Self::load_impl(path, None, true)
     }
 
-    /// [`load`](Self::load) with a [`FaultPlan`] attached from the
-    /// start, so the load's own repair actions tick the plan's
-    /// counters (site [`fault::site::LEDGER_COMPACT`] on every
-    /// compaction rewrite — a torn-tail-only repair ticks nothing,
-    /// which is how tests pin the in-place truncation path).
-    ///
-    /// # Errors
-    ///
-    /// As [`load`](Self::load).
-    pub fn load_with_faults(path: &Path, plan: Arc<FaultPlan>) -> io::Result<Self> {
-        Self::load_impl(path, Some(plan), false)
-    }
-
+    /// A plan in `faults` is attached from the start, so the load's own
+    /// repair actions tick its counters (site
+    /// [`fault::site::LEDGER_COMPACT`] on every compaction rewrite; a
+    /// torn-tail-only repair ticks nothing).
     fn load_impl(path: &Path, faults: Option<Arc<FaultPlan>>, readonly: bool) -> io::Result<Self> {
         if path.is_file() {
             return Err(io::Error::new(
@@ -1606,7 +1586,7 @@ mod tests {
         fs::write(&victim, &torn).unwrap();
 
         let plan = Arc::new(FaultPlan::seeded(0, FaultConfig::NONE));
-        let ledger = Ledger::load_with_faults(&dir, Arc::clone(&plan)).unwrap();
+        let ledger = Ledger::load_impl(&dir, Some(Arc::clone(&plan)), false).unwrap();
         assert_eq!(ledger.len(), rows.len());
         assert!(ledger.health().truncated);
         assert_eq!(ledger.health().quarantined, 0);
@@ -1621,7 +1601,7 @@ mod tests {
         fs::write(&victim, &corrupt).unwrap();
         let _ = fs::remove_file(dir.join(INDEX_FILE));
         let plan2 = Arc::new(FaultPlan::seeded(0, FaultConfig::NONE));
-        let repaired = Ledger::load_with_faults(&dir, Arc::clone(&plan2)).unwrap();
+        let repaired = Ledger::load_impl(&dir, Some(Arc::clone(&plan2)), false).unwrap();
         assert!(repaired.health().quarantined >= 1);
         assert_eq!(plan2.invocations(fault::site::LEDGER_COMPACT), 1, "one shard rewritten");
         assert!(dir.join(QUARANTINE_FILE).exists());
@@ -1731,6 +1711,29 @@ mod tests {
         );
         // The JSON view of the migrated row is the v2 line.
         assert_eq!(dump(&ledger), row.to_line().unwrap() + "\n");
+        wipe(&src);
+        wipe(&dst);
+    }
+
+    #[test]
+    fn a_mistyped_batch_is_named_and_migration_skips_it() {
+        // A correctly checksummed v2 row whose `batch` is a string.
+        let row = synth_row(5);
+        let mut payload = row.json_payload(row.outcome().unwrap());
+        let Value::Obj(fields) = &mut payload else { unreachable!("payload is an object") };
+        fields.iter_mut().find(|(k, _)| k == "batch").unwrap().1 = row.batch.to_string().into();
+        let body = json::to_string(&payload);
+        let crc = format!("{:016x}", fnv1a(body.bytes()));
+        let line = format!("{{\"crc\":\"{crc}\",{}", &body[1..]);
+        assert_eq!(LedgerRow::from_line(&line).unwrap_err(), "`batch` has the wrong type");
+
+        let src = tmp("mistyped.jsonl");
+        let dst = tmp("mistyped.ledger");
+        wipe(&src);
+        wipe(&dst);
+        fs::write(&src, format!("{}\n{line}\n", synth_row(6).to_line().unwrap())).unwrap();
+        let stats = Ledger::migrate(&src, &dst).unwrap();
+        assert_eq!(stats, MigrateStats { rows: 1, skipped: 1 });
         wipe(&src);
         wipe(&dst);
     }

@@ -91,20 +91,6 @@ pub fn scenarios() -> Vec<Scenario> {
     out
 }
 
-/// The paper's per-platform evaluation suite at one batch size: the zoo
-/// entries flagged for `preset` ([`Preset::Custom`] gets the full zoo).
-pub fn suite(preset: Preset, batch: u32) -> Vec<Scenario> {
-    zoo::entries()
-        .iter()
-        .filter(|e| match preset {
-            Preset::Edge => e.edge,
-            Preset::Cloud => e.cloud,
-            Preset::Custom => true,
-        })
-        .map(|e| Scenario { workload: e.name.to_string(), preset, batch })
-        .collect()
-}
-
 /// Resolves a scenario id. Returns `None` if the workload is not a zoo
 /// entry, the preset is unknown, or the batch is malformed or zero.
 pub fn lookup(id: &str) -> Option<Scenario> {
@@ -170,16 +156,5 @@ mod tests {
         assert_eq!(net.name(), "resnet50");
         assert_eq!(net.externals()[0].n, 4);
         assert_eq!(sc.hardware(), HardwareConfig::cloud());
-    }
-
-    #[test]
-    fn suites_match_the_zoo_membership() {
-        let edge: Vec<_> = suite(Preset::Edge, 1).iter().map(|s| s.workload.clone()).collect();
-        let zoo_edge: Vec<_> = zoo::edge_suite(1).iter().map(|n| n.name().to_string()).collect();
-        assert_eq!(edge, zoo_edge);
-        let cloud: Vec<_> = suite(Preset::Cloud, 4).iter().map(|s| s.workload.clone()).collect();
-        let zoo_cloud: Vec<_> = zoo::cloud_suite(4).iter().map(|n| n.name().to_string()).collect();
-        assert_eq!(cloud, zoo_cloud);
-        assert_eq!(suite(Preset::Custom, 1).len(), zoo::entries().len());
     }
 }

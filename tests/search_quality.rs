@@ -68,7 +68,7 @@ fn double_buffer_matches_paper_semantics_in_gap_structure() {
     let sched = ParsedSchedule::new(&net, &Encoding::from_lfa(Lfa::unfused(&net, 2))).unwrap();
     let report = evaluate(&net, &sched, &hw).unwrap();
     let stalls = attribute_stalls(&sched.plan, &sched.dlsa, &report.timeline);
-    let weighted_layers = net.layers().iter().filter(|l| l.has_weights()).count();
+    let weighted_layers = net.layers().iter().filter(|l| l.weight_bytes > 0).count();
     let weight_stalls = stalls
         .iter()
         .filter(|s| {
