@@ -104,6 +104,40 @@ impl Dlsa {
     }
 }
 
+/// One edit of a [`Dlsa`]: stage 2's proposal, kept as its own undo
+/// token, and what a kept replay reads to re-simulate the edit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DlsaMove {
+    /// *Change DRAM Tensor Order:* the tensor moved from queue position
+    /// `from` to `to`.
+    Order {
+        /// Canonical tensor index.
+        tensor: u32,
+        /// Queue position before the move (after removing the tensor).
+        from: usize,
+        /// Queue position after the move.
+        to: usize,
+    },
+    /// *Change Living Duration* of a load: its `Start` changed.
+    LoadStart {
+        /// Canonical tensor index.
+        tensor: usize,
+        /// Previous start.
+        old: u32,
+        /// New start.
+        new: u32,
+    },
+    /// *Change Living Duration* of a store: its `End` changed.
+    StoreEnd {
+        /// Canonical tensor index.
+        tensor: usize,
+        /// Previous end.
+        old: u32,
+        /// New end.
+        new: u32,
+    },
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

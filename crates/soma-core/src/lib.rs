@@ -42,7 +42,7 @@ pub mod lifetime;
 pub mod plan;
 pub mod tiles;
 
-pub use dlsa::Dlsa;
+pub use dlsa::{Dlsa, DlsaMove};
 pub use encoding::{Encoding, Lfa};
 pub use error::ParseError;
 pub use lifetime::OccupancyProfile;

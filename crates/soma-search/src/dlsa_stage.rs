@@ -17,22 +17,27 @@
 //! (`O(log n)` per single-tensor move, never rebuilt).
 //!
 //! Evaluation re-simulates only what a proposal changed. Stage 2 keeps a
-//! [`Replay`] of the accepted DLSA; [`DlsaEditor::first_affected`] maps
-//! each [`DlsaMove`] to the first queue slot and tile it can change (a
-//! reordering: the nearer of its two slots; a load's `Start`: its slot; a
-//! store's `End`: the earlier of its two tiles), and the replay resumes
-//! from the last checkpoint before them, rewriting the suffix after it in
-//! place. An accepted proposal keeps that suffix; a rejected or
-//! deadlocked one restores it and moves the store gate back before the
-//! editor undoes the move. The resumed latency and deadlock verdict equal
-//! a full replay's, and the RNG draws mirror [`mutate_dlsa`] exactly, so
-//! the search trajectory — and therefore the same-seed outcome — is
+//! [`Replay`] of the accepted DLSA and hands it each [`DlsaMove`]. A
+//! reordering resumes it from the nearer of its two slots, a load's
+//! `Start` from its slot and a store's `End` from the earlier of its two
+//! tiles: the replay restarts at the last checkpoint before them and
+//! rewrites the suffix after it in place. A living-duration move that
+//! binds no gate — the load's new gate tile had run when it was served
+//! and leaves its start where it was, or the store ended before its old
+//! tile started and its new tile ran after it was served and started no
+//! earlier than it ended — is decided from a few recorded times and
+//! keeps the replay as it is, with no loop. An accepted
+//! proposal keeps the replay; a rejected or deadlocked one restores it
+//! (suffix and store gate) before the editor undoes the move. The
+//! resumed or kept latency and the deadlock verdict equal a full
+//! replay's, and the RNG draws mirror [`mutate_dlsa`] exactly, so the
+//! search trajectory — and therefore the same-seed outcome — is
 //! bit-identical to the naive clone-per-proposal loop
 //! (`tests/engine_equiv.rs` runs both).
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use soma_core::{ComputePlan, Dlsa, OccupancyProfile};
+use soma_core::{ComputePlan, Dlsa, DlsaMove, OccupancyProfile};
 use soma_sim::{CompiledPlan, EvalReport, Replay};
 
 use crate::objective::Objective;
@@ -124,38 +129,6 @@ pub fn mutate_dlsa(
         out.end[ti] = new_end;
         Some(out)
     }
-}
-
-/// Undo token for one applied [`DlsaEditor`] mutation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DlsaMove {
-    /// The tensor moved from queue position `from` to `to`.
-    Order {
-        /// Canonical tensor index.
-        tensor: u32,
-        /// Queue position before the move (after removing the tensor).
-        from: usize,
-        /// Queue position after the move.
-        to: usize,
-    },
-    /// A load's Living-Duration `Start` changed.
-    LoadStart {
-        /// Canonical tensor index.
-        tensor: usize,
-        /// Previous start.
-        old: u32,
-        /// New start.
-        new: u32,
-    },
-    /// A store's Living-Duration `End` changed.
-    StoreEnd {
-        /// Canonical tensor index.
-        tensor: usize,
-        /// Previous end.
-        old: u32,
-        /// New end.
-        new: u32,
-    },
 }
 
 /// In-place DLSA mutator for the stage-2 inner loop: owns the live
@@ -268,20 +241,6 @@ impl<'p> DlsaEditor<'p> {
         }
     }
 
-    /// The first queue slot and the first tile whose simulation the
-    /// applied move `mv` can change: a reordering changes the slots from
-    /// the nearer end on, a load's `Start` its own slot, a store's `End`
-    /// the store gates from the earlier tile on. `n_tensors` / `n_tiles`
-    /// stand for "none".
-    pub fn first_affected(&self, mv: DlsaMove) -> (usize, usize) {
-        let (n_tensors, n_tiles) = (self.slots.len(), self.plan.n_tiles() as usize);
-        match mv {
-            DlsaMove::Order { from, to, .. } => (from.min(to), n_tiles),
-            DlsaMove::LoadStart { tensor, .. } => (self.slots[tensor] as usize, n_tiles),
-            DlsaMove::StoreEnd { old, new, .. } => (n_tensors, old.min(new) as usize),
-        }
-    }
-
     /// Moves the tensor in queue slot `from` to slot `to`, shifting the
     /// ones between, and re-indexes the slots that changed.
     fn move_in_queue(&mut self, from: usize, to: usize) {
@@ -311,13 +270,9 @@ struct Stage2Anneal<'e, 'p, 'a> {
 }
 
 impl Stage2Anneal<'_, '_, '_> {
-    /// Rolls a resumed proposal back: the replay's suffix and store
-    /// gates, then the editor.
+    /// Rolls a resumed proposal back: the replay, then the editor.
     fn roll_back(&mut self, mv: DlsaMove) {
         self.replay.restore();
-        if let DlsaMove::StoreEnd { tensor, old, new } = mv {
-            self.replay.move_store_gate(tensor as u32, new, old);
-        }
         self.editor.undo(mv);
     }
 }
@@ -327,12 +282,7 @@ impl AnnealState<StdRng> for Stage2Anneal<'_, '_, '_> {
 
     fn propose(&mut self, rng: &mut StdRng) -> Option<f64> {
         let mv = self.editor.propose(self.picker, rng)?;
-        if let DlsaMove::StoreEnd { tensor, old, new } = mv {
-            self.replay.move_store_gate(tensor as u32, old, new);
-        }
-        let (slot, tile) = self.editor.first_affected(mv);
-        let latency =
-            self.replay.resume(self.engine, self.editor.dlsa(), self.editor.slots(), slot, tile);
+        let latency = self.replay.resume(self.engine, self.editor.dlsa(), self.editor.slots(), mv);
         let energy_pj = self.engine.energy_total_pj();
         match self.obj.eval_latency(energy_pj, latency, self.editor.peak(), self.buffer_limit) {
             Some(cost) => {
@@ -374,7 +324,7 @@ pub struct Stage2Result {
 /// (normally the double-buffer DLSA of the stage-1 winner). The plan is
 /// compiled and `init` replayed once; every proposal then edits the DLSA
 /// in place and resumes that replay from the move's first affected slot
-/// or tile.
+/// or tile, or keeps it when the move binds no gate.
 pub fn run_stage2(
     obj: &mut Objective<'_>,
     cfg: &SearchConfig,

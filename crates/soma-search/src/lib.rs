@@ -76,7 +76,7 @@ pub mod wire;
 
 pub use allocator::SearchOutcome;
 pub use cocco::cocco_tiling;
-pub use dlsa_stage::{DlsaEditor, DlsaMove, SizeWeightedPicker};
+pub use dlsa_stage::{DlsaEditor, SizeWeightedPicker};
 pub use objective::{CostWeights, Evaluated, Objective};
 pub use parallelism::Parallelism;
 pub use record::{

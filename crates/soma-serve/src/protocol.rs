@@ -177,6 +177,11 @@ impl Request {
                             "`scenario` and `network` are mutually exclusive",
                         ))
                     }
+                    (Some(_), None) if hardware.is_some() => {
+                        return Err(FrameError::new(
+                            "`hardware` goes with `network`: a `scenario` names its own preset",
+                        ))
+                    }
                     (Some(sc), None) => Target::Scenario(sc.to_string()),
                     (None, Some(network)) => Target::Inline {
                         network: network.to_string(),
@@ -617,6 +622,14 @@ mod tests {
                     \"network\":\"soma-network v1\\nname x\\nend\\n\",\"hardware\":42}";
         let e = Request::from_json(&parse_line(line).unwrap()).unwrap_err();
         assert_eq!(e.to_string(), "bad frame: `hardware` has the wrong type");
+    }
+
+    #[test]
+    fn a_scenario_with_hardware_is_refused_not_searched_on_its_preset() {
+        let line = "{\"v\":1,\"type\":\"submit\",\"id\":\"a\",\"scenario\":\"fig2@edge/b1\",\
+                    \"hardware\":\"soma-hardware v1\\npreset cloud\\nend\\n\"}";
+        let e = Request::from_json(&parse_line(line).unwrap()).unwrap_err();
+        assert!(e.to_string().contains("`hardware`"), "{e}");
     }
 
     #[test]

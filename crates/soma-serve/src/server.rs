@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 use soma_search::record::ENGINE_VERSION;
 use soma_search::{Cancelled, Parallelism, Scheduler, SearchConfig, SearchOutcome};
 use soma_spec::fault::{self, Fault, FaultPlan};
-use soma_spec::ledger::{cell_key, Ledger, LedgerRow};
-use soma_spec::registry;
+use soma_spec::ledger::{cell_key, key_for, Ledger, LedgerRow};
+use soma_spec::registry::{self, Scenario};
 use soma_spec::{inline_scenario_id, read_hardware, read_network, ExperimentCell, SchedulerKind};
 
 use crate::admission::{estimate_evals, Admission};
@@ -350,14 +350,40 @@ fn handle_connection(reader: Stream, mut writer: Stream, shared: &Shared) {
     }
 }
 
-/// Resolves a submit target into an executable cell. Inline networks
-/// get a content-addressed scenario id ([`inline_scenario_id`]) so
-/// identical inline requests share a ledger row; their batch is part of
-/// the network text itself and is recorded as 1.
-fn resolve_target(target: &Target) -> Result<ExperimentCell, String> {
+/// A submit target resolved as far as its ledger key needs: an inline
+/// network is parsed, so a bad spec is refused before the lookup, while
+/// a registry scenario's network is built only on a miss.
+enum Resolved {
+    Scenario(Scenario),
+    Inline(Box<ExperimentCell>),
+}
+
+impl Resolved {
+    /// The target's ledger key, which needs only its id and hardware.
+    fn key(&self, cfg: &SearchConfig, seeds: &[u64]) -> String {
+        match self {
+            Self::Scenario(sc) => key_for(&sc.id(), &sc.hardware(), cfg, seeds),
+            Self::Inline(cell) => cell_key(cell, cfg, seeds),
+        }
+    }
+
+    /// The executable cell.
+    fn into_cell(self) -> ExperimentCell {
+        match self {
+            Self::Scenario(sc) => sc.cell(),
+            Self::Inline(cell) => *cell,
+        }
+    }
+}
+
+/// Resolves a submit target. Inline networks get a content-addressed
+/// scenario id ([`inline_scenario_id`]) so identical inline requests
+/// share a ledger row; their batch is part of the network text itself
+/// and is recorded as 1.
+fn resolve_target(target: &Target) -> Result<Resolved, String> {
     match target {
         Target::Scenario(id) => registry::lookup(id)
-            .map(|sc| sc.cell())
+            .map(Resolved::Scenario)
             .ok_or_else(|| format!("unknown scenario `{id}`")),
         Target::Inline { network, hardware } => {
             let net = read_network(network).map_err(|e| format!("bad network spec: {e}"))?;
@@ -367,7 +393,7 @@ fn resolve_target(target: &Target) -> Result<ExperimentCell, String> {
                 }
                 None => soma_arch::HardwareConfig::edge(),
             };
-            Ok(ExperimentCell {
+            Ok(Resolved::Inline(Box::new(ExperimentCell {
                 id: inline_scenario_id(network, &hw),
                 workload: net.name().to_string(),
                 platform: hw.name.clone(),
@@ -375,7 +401,7 @@ fn resolve_target(target: &Target) -> Result<ExperimentCell, String> {
                 net,
                 hw,
                 scheduler: SchedulerKind::Soma,
-            })
+            })))
         }
     }
 }
@@ -391,8 +417,8 @@ fn handle_submit(writer: &mut Stream, shared: &Shared, submit: SubmitRequest) ->
     if shared.refusing() {
         return reject(writer, RejectReason::ShuttingDown, "server is draining".into());
     }
-    let cell = match resolve_target(&submit.target) {
-        Ok(cell) => cell,
+    let target = match resolve_target(&submit.target) {
+        Ok(target) => target,
         Err(detail) => return reject(writer, RejectReason::BadRequest, detail),
     };
 
@@ -408,7 +434,7 @@ fn handle_submit(writer: &mut Stream, shared: &Shared, submit: SubmitRequest) ->
         cfg.effort = effort;
     }
     let seeds = if submit.seeds.is_empty() { vec![cfg.seed] } else { submit.seeds.clone() };
-    let hash = cell_key(&cell, &cfg, &seeds);
+    let hash = target.key(&cfg, &seeds);
 
     // Warm path: answer straight from the ledger, no admission needed —
     // a cache hit costs no search work. A row whose payload does not
@@ -451,7 +477,8 @@ fn handle_submit(writer: &mut Stream, shared: &Shared, submit: SubmitRequest) ->
         );
     }
 
-    // Cold path: pass admission, search, flush, answer.
+    // Cold path: build the cell, pass admission, search, flush, answer.
+    let cell = target.into_cell();
     let estimate = estimate_evals(&cfg, cell.net.len(), seeds.len());
     let permit = match shared.admission.admit(estimate) {
         Ok(p) => p,
@@ -561,4 +588,27 @@ fn handle_submit(writer: &mut Stream, shared: &Shared, submit: SubmitRequest) ->
             outcome: Box::new(outcome),
         },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_target_is_keyed_as_the_cell_it_builds() {
+        let cfg = SearchConfig::default();
+        let inline = Target::Inline {
+            network: soma_spec::write_network(&soma_model::zoo::fig2(1)),
+            hardware: None,
+        };
+        for target in [
+            Target::Scenario("fig2@edge/b1".into()),
+            Target::Scenario("resnet50@cloud/b4".into()),
+            inline,
+        ] {
+            let resolved = resolve_target(&target).unwrap();
+            let key = resolved.key(&cfg, &[2025, 7]);
+            assert_eq!(key, cell_key(&resolved.into_cell(), &cfg, &[2025, 7]), "{target:?}");
+        }
+    }
 }

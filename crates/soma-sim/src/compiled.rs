@@ -45,14 +45,17 @@
 //!   that starts at `(0, 0)`: the cost-only fast path for annealers that
 //!   combine it with an incrementally maintained
 //!   [`OccupancyProfile`](soma_core::OccupancyProfile) peak.
-//! * [`Replay`] keeps the loop's record of one DLSA and re-runs it from
-//!   the last checkpoint an edit cannot have changed, rewriting only the
-//!   suffix after it in place: keeping the edit needs nothing more, and
+//! * [`Replay`] keeps the loop's record of one DLSA and takes each edit
+//!   as a [`DlsaMove`]. It re-runs the loop from the last checkpoint the
+//!   move cannot have changed, rewriting only the suffix after it in
+//!   place: keeping the edit needs nothing more, and
 //!   [`restore`](Replay::restore) puts the overwritten suffix back. End
 //!   times obey the same recurrence however the two queues interleave,
 //!   and the loop stops at the same state from any checkpoint it passed,
-//!   so a resumed latency or [`SimError`] equals a full replay's. Stage 2
-//!   evaluates every proposal this way.
+//!   so a resumed latency or [`SimError`] equals a full replay's. A
+//!   living-duration move that binds no gate (decided in `O(1)` from the
+//!   record) keeps the record as it is, with no loop and nothing saved.
+//!   Stage 2 evaluates every proposal this way.
 //!
 //! Full reports (start times, utilisations, buffer statistics) come from
 //! the naive path alone. The differential suite in `tests/engine_equiv.rs`
@@ -60,7 +63,7 @@
 //! random mutation chains.
 
 use soma_arch::HardwareConfig;
-use soma_core::{ComputePlan, Dlsa, TileShape};
+use soma_core::{ComputePlan, Dlsa, DlsaMove, TileShape};
 use soma_model::Network;
 
 use crate::core_array::{CoreArrayModel, TileCost};
@@ -183,25 +186,36 @@ impl SimScratch {
 /// it passed, so the latency and any [`SimError`] equal a full
 /// [`simulate_cost`](CompiledPlan::simulate_cost) of the edited DLSA.
 ///
-/// The contract: [`resume`](Self::resume) rewrites the suffix in place.
-/// To keep the edit, do nothing: the suffix now describes the edited
-/// DLSA, and its checkpoints are valid resume points for the next edit.
-/// To roll it back, [`restore`](Self::restore) the suffix the last
-/// resume overwrote. Store gates follow the DLSA through
-/// [`move_store_gate`](Self::move_store_gate), in both directions; the
+/// A living-duration edit that binds no gate is *kept* without a replay.
+/// A load's new gate tile that had run when its slot was served, and
+/// that leaves the slot's start where it was, changes no end time; so
+/// does a store's `End` moved off a tile that started strictly after the
+/// store ended, onto one that ran after the store was served and started
+/// no earlier than it ended. The recorded run then still steps through
+/// the edited DLSA's queues with every gate met, so each checkpoint stays
+/// a resume point, though a fresh replay may interleave the queues
+/// differently. Deciding this reads a few recorded times, once per edit.
+///
+/// The contract: [`resume`](Self::resume) rewrites the suffix in place
+/// (or keeps it) and moves a store's gate with its `End`. To keep the
+/// edit, do nothing: the record now describes the edited DLSA, and its
+/// checkpoints are valid resume points for the next edit. To roll it
+/// back, [`restore`](Self::restore) what the last resume changed. The
 /// inverse order is the caller's.
 #[derive(Debug)]
 pub struct Replay {
     /// The kept replay; a resume rewrites its suffix in place.
     rec: Record,
-    /// Resume point of the last resume.
-    saved_at: (usize, usize),
+    /// Resume point of the last resume, `None` when it kept the record.
+    saved_at: Option<(usize, usize)>,
     /// What the last resume overwrote: `slot_end`/`slot_ci` from its
     /// `di` on, `tile_end`/`tile_di` from its `ci` on.
     saved_slot_end: Vec<u64>,
     saved_slot_ci: Vec<u32>,
     saved_tile_end: Vec<u64>,
     saved_tile_di: Vec<u32>,
+    /// The store gate the last resume moved: `(tensor, old, new)`.
+    moved_gate: Option<(u32, u32, u32)>,
 }
 
 impl Replay {
@@ -215,30 +229,20 @@ impl Replay {
         plan.simulate_cost(dlsa, &mut scratch)?;
         Ok(Self {
             rec: scratch.rec,
-            saved_at: (0, 0),
+            saved_at: None,
             saved_slot_end: Vec::new(),
             saved_slot_ci: Vec::new(),
             saved_tile_end: Vec::new(),
             saved_tile_di: Vec::new(),
+            moved_gate: None,
         })
     }
 
-    /// Follows a store whose living-duration `End` moved from tile `old`
-    /// to tile `new` (`End == n_tiles` gates no tile).
-    pub fn move_store_gate(&mut self, tensor: u32, old: u32, new: u32) {
-        if let Some(gates) = self.rec.store_gates.get_mut(old as usize) {
-            let i = gates.iter().position(|&g| g == tensor).expect("the store gates its End");
-            gates.swap_remove(i);
-        }
-        if let Some(gates) = self.rec.store_gates.get_mut(new as usize) {
-            gates.push(tensor);
-        }
-    }
-
-    /// Re-simulates the edited `dlsa` (with `slots` its inverse order)
-    /// from the last checkpoint before both queue slot `slot` and tile
-    /// `tile`, the first ones the edit can change (`n_tensors` and
-    /// `n_tiles` mean "none"). Returns the edited DLSA's latency.
+    /// Re-simulates `dlsa`, the kept DLSA edited by `mv` (with `slots`
+    /// its inverse order), and returns its latency. A reordering resumes
+    /// from its nearer slot, a load's `Start` from its slot and a store's
+    /// `End` from the earlier of its two tiles, unless the edit binds no
+    /// gate and the record is kept as it is.
     ///
     /// # Errors
     ///
@@ -249,9 +253,28 @@ impl Replay {
         plan: &CompiledPlan,
         dlsa: &Dlsa,
         slots: &[u32],
-        slot: usize,
-        tile: usize,
+        mv: DlsaMove,
     ) -> Result<u64, SimError> {
+        let (n_tensors, n_tiles) = (self.rec.slot_end.len(), self.rec.tile_end.len());
+        self.moved_gate = None;
+        let (slot, tile) = match mv {
+            DlsaMove::Order { from, to, .. } => (from.min(to), n_tiles),
+            DlsaMove::LoadStart { tensor, old, new } => {
+                let k = slots[tensor] as usize;
+                if self.load_keeps(k, old, new) {
+                    return Ok(self.keep());
+                }
+                (k, n_tiles)
+            }
+            DlsaMove::StoreEnd { tensor, old, new } => {
+                self.move_store_gate(tensor as u32, old, new);
+                self.moved_gate = Some((tensor as u32, old, new));
+                if self.store_keeps(plan, slots[tensor] as usize, old as usize, new as usize) {
+                    return Ok(self.keep());
+                }
+                (n_tensors, old.min(new) as usize)
+            }
+        };
         let rec = &self.rec;
         let (di, ci) = rec.checkpoint(slot, tile);
         self.saved_slot_end.clear();
@@ -262,25 +285,78 @@ impl Replay {
         self.saved_tile_end.extend_from_slice(&rec.tile_end[ci..]);
         self.saved_tile_di.clear();
         self.saved_tile_di.extend_from_slice(&rec.tile_di[ci..]);
-        self.saved_at = (di, ci);
+        self.saved_at = Some((di, ci));
         plan.run_queues(dlsa, slots, &mut self.rec, di, ci)
     }
 
-    /// Rolls the last [`resume`](Self::resume) back: the kept replay is
-    /// the unedited DLSA's again (its store gates excepted; move them
-    /// back first or after).
+    /// Rolls the last [`resume`](Self::resume) back: the kept replay,
+    /// store gates included, is the unedited DLSA's again.
     pub fn restore(&mut self) {
-        let (di, ci) = self.saved_at;
-        let rec = &mut self.rec;
-        rec.slot_end[di..].copy_from_slice(&self.saved_slot_end);
-        rec.slot_ci[di..].copy_from_slice(&self.saved_slot_ci);
-        rec.tile_end[ci..].copy_from_slice(&self.saved_tile_end);
-        rec.tile_di[ci..].copy_from_slice(&self.saved_tile_di);
+        if let Some((di, ci)) = self.saved_at {
+            let rec = &mut self.rec;
+            rec.slot_end[di..].copy_from_slice(&self.saved_slot_end);
+            rec.slot_ci[di..].copy_from_slice(&self.saved_slot_ci);
+            rec.tile_end[ci..].copy_from_slice(&self.saved_tile_end);
+            rec.tile_di[ci..].copy_from_slice(&self.saved_tile_di);
+        }
+        if let Some((tensor, old, new)) = self.moved_gate.take() {
+            self.move_store_gate(tensor, new, old);
+        }
+    }
+
+    /// Whether the last [`resume`](Self::resume) kept the record without
+    /// replaying anything.
+    pub fn kept(&self) -> bool {
+        self.saved_at.is_none()
     }
 
     /// The kept end times: by queue slot, and by tile.
     pub fn end_times(&self) -> (&[u64], &[u64]) {
         (&self.rec.slot_end, &self.rec.tile_end)
+    }
+
+    /// Follows a store whose living-duration `End` moved from tile `old`
+    /// to tile `new` (`End == n_tiles` gates no tile).
+    fn move_store_gate(&mut self, tensor: u32, old: u32, new: u32) {
+        if let Some(gates) = self.rec.store_gates.get_mut(old as usize) {
+            let i = gates.iter().position(|&g| g == tensor).expect("the store gates its End");
+            gates.swap_remove(i);
+        }
+        if let Some(gates) = self.rec.store_gates.get_mut(new as usize) {
+            gates.push(tensor);
+        }
+    }
+
+    /// Whether moving the `Start` of the load in queue slot `k` from `old`
+    /// to `new` changes no end time: its new gate tile (`new - 1`, none
+    /// for 0) had run when the slot was served, and the slot starts at the
+    /// same cycle behind either gate.
+    fn load_keeps(&self, k: usize, old: u32, new: u32) -> bool {
+        let rec = &self.rec;
+        let gate_end = |start: u32| start.checked_sub(1).map_or(0, |g| rec.tile_end[g as usize]);
+        let prev = k.checked_sub(1).map_or(0, |j| rec.slot_end[j]);
+        new <= rec.slot_ci[k] && prev.max(gate_end(old)) == prev.max(gate_end(new))
+    }
+
+    /// Whether moving the `End` of the store in queue slot `k` from tile
+    /// `old` to tile `new` changes no end time: tile `new` ran after the
+    /// store was served and started no earlier than it ended, and tile
+    /// `old` started strictly after it ended (a tile past the last gates
+    /// nothing).
+    fn store_keeps(&self, plan: &CompiledPlan, k: usize, old: usize, new: usize) -> bool {
+        let rec = &self.rec;
+        let end = rec.slot_end[k];
+        let start = |c: usize| rec.tile_end[c] - plan.tile_cost[c];
+        let n_tiles = rec.tile_end.len();
+        (new >= n_tiles || (k < rec.tile_di[new] as usize && end <= start(new)))
+            && (old >= n_tiles || end < start(old))
+    }
+
+    /// Keeps the record as the edited DLSA's and returns its latency.
+    fn keep(&mut self) -> u64 {
+        self.saved_at = None;
+        let last = |ends: &[u64]| ends.last().copied().unwrap_or(0);
+        last(&self.rec.slot_end).max(last(&self.rec.tile_end))
     }
 }
 
@@ -667,6 +743,152 @@ mod tests {
             let resumed = cp.simulate_cost_from(&dlsa, &mut scratch, slot, plan.tiles.len());
             assert_eq!(resumed, want, "slot {slot}");
         }
+    }
+
+    /// A plan built by hand: tiles of the given costs and DRAM tensors
+    /// `(is_load, anchor, cycles)`; each load gates its anchor tile.
+    fn hand_plan(tile_cost: &[u64], tensors: &[(bool, u32, u64)]) -> CompiledPlan {
+        let mut cp = CompiledPlan {
+            n_tiles: tile_cost.len(),
+            n_tensors: tensors.len(),
+            tile_cost: tile_cost.to_vec(),
+            ..CompiledPlan::default()
+        };
+        for &(is_load, anchor, cycles) in tensors {
+            cp.tensor_is_load.push(is_load);
+            cp.tensor_anchor.push(anchor);
+            cp.tensor_dur.push(cycles);
+        }
+        for tile in 0..tile_cost.len() as u32 {
+            cp.load_gate_off.push(cp.load_gate_idx.len() as u32);
+            let gates = tensors.iter().enumerate().filter(|(_, t)| t.0 && t.1 == tile);
+            cp.load_gate_idx.extend(gates.map(|(i, _)| i as u32));
+        }
+        cp.load_gate_off.push(cp.load_gate_idx.len() as u32);
+        cp
+    }
+
+    /// Four 10-cycle tiles and six tensors, with a DLSA in need-order.
+    /// Its replay ends the slots at 10, 15, 24, 35, 40, 42 (served with
+    /// 0, 0, 2, 2, 2, 2 tiles run) and the tiles at 20, 30, 40, 52 (run
+    /// with 2, 2, 6, 6 slots served); store 5, ending at 42, starts tile 3.
+    fn four_tiles() -> (CompiledPlan, Dlsa) {
+        let tensors =
+            [(true, 0, 10), (true, 1, 5), (false, 0, 4), (true, 3, 5), (true, 3, 5), (false, 1, 2)];
+        let dlsa = Dlsa {
+            order: vec![0, 1, 2, 3, 4, 5],
+            start: vec![0, 0, 0, 2, 2, 1],
+            end: vec![1, 2, 2, 4, 4, 3],
+        };
+        (hand_plan(&[10; 4], &tensors), dlsa)
+    }
+
+    /// Resumes a kept replay of `base` through `mv`, twice (the second
+    /// time after a restore that must move a store gate back), and checks
+    /// whether it kept its record, its verdict against a full replay of
+    /// the edited DLSA, and that a restore gives the base replay back.
+    fn check_move(cp: &CompiledPlan, base: &Dlsa, mv: DlsaMove, kept: bool) {
+        let mut edited = base.clone();
+        match mv {
+            DlsaMove::LoadStart { tensor, new, .. } => edited.start[tensor] = new,
+            DlsaMove::StoreEnd { tensor, new, .. } => edited.end[tensor] = new,
+            DlsaMove::Order { .. } => unreachable!("living-duration moves only"),
+        }
+        let mut slots = vec![0; edited.order.len()];
+        for (k, &ti) in edited.order.iter().enumerate() {
+            slots[ti as usize] = k as u32;
+        }
+        let want = cp.simulate_cost(&edited, &mut SimScratch::new());
+        let base_replay = Replay::new(cp, base).unwrap();
+        let mut replay = Replay::new(cp, base).unwrap();
+        for _ in 0..2 {
+            assert_eq!(replay.resume(cp, &edited, &slots, mv), want, "{mv:?}");
+            assert_eq!(replay.kept(), kept, "{mv:?}");
+            if want.is_ok() {
+                let full = Replay::new(cp, &edited).unwrap();
+                assert_eq!(replay.end_times(), full.end_times(), "{mv:?}");
+            }
+            replay.restore();
+            assert_eq!(replay.end_times(), base_replay.end_times(), "{mv:?} restored");
+        }
+    }
+
+    #[test]
+    fn a_living_duration_move_that_binds_no_gate_keeps_the_replay() {
+        let (cp, base) = four_tiles();
+        assert_eq!(cp.simulate_cost(&base, &mut SimScratch::new()), Ok(52));
+        // Load 4 waits behind slot 3 (ends 35) whether gated on tile 1
+        // (ends 30), tile 0 or nothing.
+        for new in [1, 0] {
+            check_move(&cp, &base, DlsaMove::LoadStart { tensor: 4, old: 2, new }, true);
+        }
+        // Store 2 ends at 24, before tile 2 starts (30) and tile 3 (42),
+        // which ran after it was served.
+        for new in [3, 4] {
+            check_move(&cp, &base, DlsaMove::StoreEnd { tensor: 2, old: 2, new }, true);
+        }
+    }
+
+    #[test]
+    fn a_start_that_moves_its_slots_start_resumes() {
+        // Load 3 starts behind tile 1 (30), not slot 2 (24): tile 0 (20)
+        // moves it to 24.
+        let (cp, base) = four_tiles();
+        check_move(&cp, &base, DlsaMove::LoadStart { tensor: 3, old: 2, new: 1 }, false);
+    }
+
+    #[test]
+    fn a_gate_tile_not_run_when_the_slot_was_served_resumes() {
+        // Load 4 was served with tiles 0 and 1 run; tile 2 had not.
+        let (cp, base) = four_tiles();
+        check_move(&cp, &base, DlsaMove::LoadStart { tensor: 4, old: 2, new: 3 }, false);
+        // Load 2 waits behind load 1 (ends 52) whatever it is gated on,
+        // but it was served before tile 0 (ends 12) or tile 1 (22) ran:
+        // the end times hold, the recorded order of the queues does not.
+        let cp = hand_plan(&[10; 3], &[(true, 0, 2), (true, 2, 50), (true, 2, 5)]);
+        let base = Dlsa { order: vec![0, 1, 2], start: vec![0; 3], end: vec![1, 3, 3] };
+        for new in [1, 2] {
+            check_move(&cp, &base, DlsaMove::LoadStart { tensor: 2, old: 0, new }, false);
+        }
+    }
+
+    #[test]
+    fn a_store_end_on_a_tile_run_before_the_store_resumes() {
+        // Tile 1 ran before store 2 (slot 2) was served.
+        let (cp, base) = four_tiles();
+        check_move(&cp, &base, DlsaMove::StoreEnd { tensor: 2, old: 2, new: 1 }, false);
+        // Behind load 3, which waits for tile 1, the same move deadlocks.
+        let behind = Dlsa { order: vec![0, 1, 3, 2, 4, 5], ..base };
+        let mut edited = behind.clone();
+        edited.end[2] = 1;
+        assert!(cp.simulate_cost(&edited, &mut SimScratch::new()).is_err());
+        check_move(&cp, &behind, DlsaMove::StoreEnd { tensor: 2, old: 2, new: 1 }, false);
+        // The store ends at 15, long before tile 2 starts (42), but tile 2
+        // ran before it was served.
+        let cp = hand_plan(&[10, 30, 10], &[(true, 0, 2), (false, 0, 3)]);
+        let base = Dlsa { order: vec![0, 1], start: vec![0, 0], end: vec![1, 3] };
+        check_move(&cp, &base, DlsaMove::StoreEnd { tensor: 1, old: 3, new: 2 }, false);
+    }
+
+    #[test]
+    fn a_store_end_on_a_tile_that_starts_before_it_ends_resumes() {
+        // Store 2 (ends 39) was served before tiles 1 and 2 ran, but they
+        // start at 14 and 24.
+        let cp = hand_plan(&[10; 3], &[(true, 0, 2), (true, 1, 2), (false, 0, 25)]);
+        let base = Dlsa { order: vec![0, 1, 2], start: vec![0, 1, 0], end: vec![1, 2, 3] };
+        for new in [1, 2] {
+            check_move(&cp, &base, DlsaMove::StoreEnd { tensor: 2, old: 3, new }, false);
+        }
+    }
+
+    #[test]
+    fn a_store_that_bound_its_old_tile_resumes() {
+        // Store 5 ends at 42, the very cycle tile 3 starts.
+        let (cp, base) = four_tiles();
+        check_move(&cp, &base, DlsaMove::StoreEnd { tensor: 5, old: 3, new: 4 }, false);
+        let mut edited = base;
+        edited.end[5] = 4;
+        assert_eq!(cp.simulate_cost(&edited, &mut SimScratch::new()), Ok(50));
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //! DLSA's replay and re-simulates an edit of it from the last checkpoint
 //! the edit leaves unchanged — the two queues' state after some slots
 //! served and some tiles run — rewriting only the suffix after it, which
-//! the caller keeps or restores. Its latency and deadlock verdict are a
-//! full replay's. Full reports come only from [`evaluate_parts`], the
+//! the caller keeps or restores; an edit of a living duration that binds
+//! no gate keeps the replay as it is. Its latency and deadlock verdict
+//! are a full replay's. Full reports come only from [`evaluate_parts`], the
 //! reference the engine is tested against.
 //!
 //! ```

@@ -66,6 +66,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use soma_arch::HardwareConfig;
 use soma_search::json::{self, Value};
 use soma_search::record::{
     outcome_from_bytes, outcome_from_json, outcome_to_bytes, outcome_to_json, ENGINE_VERSION,
@@ -1328,7 +1329,13 @@ impl Ledger {
 /// and seed portfolio: its [`cell_hash`] at the current
 /// [`ENGINE_VERSION`], as 16 hex digits.
 pub fn cell_key(cell: &ExperimentCell, config: &SearchConfig, seeds: &[u64]) -> String {
-    format!("{:016x}", cell_hash(&cell.id, &cell.hw, config, seeds, ENGINE_VERSION))
+    key_for(&cell.id, &cell.hw, config, seeds)
+}
+
+/// [`cell_key`] from the cell's id and hardware alone, for a caller that
+/// looks a cell up before building its network.
+pub fn key_for(id: &str, hw: &HardwareConfig, config: &SearchConfig, seeds: &[u64]) -> String {
+    format!("{:016x}", cell_hash(id, hw, config, seeds, ENGINE_VERSION))
 }
 
 #[cfg(test)]

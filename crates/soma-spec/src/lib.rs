@@ -85,8 +85,8 @@ pub use fault::{Fault, FaultConfig, FaultPlan};
 pub use hardware::{read_hardware, write_hardware, HardwareSpec, HwField, Preset};
 pub use hash::{cell_hash, inline_scenario_id};
 pub use ledger::{
-    cell_key, quarantine_path, CompactStats, Ledger, LedgerHealth, LedgerRow, MigrateStats,
-    JSONL_VERSION, LEDGER_VERSION, SHARDS,
+    cell_key, key_for, quarantine_path, CompactStats, Ledger, LedgerHealth, LedgerRow,
+    MigrateStats, JSONL_VERSION, LEDGER_VERSION, SHARDS,
 };
 pub use network::{read_network, write_network};
 pub use registry::{scenario_id, scenarios, Scenario};

@@ -101,6 +101,45 @@ fn ci_smoke_stage1_resume_matches_one_shot() {
     }
 }
 
+/// Correctness gate for stage 2's resumed evaluation (cheap, no timing,
+/// cannot flake): along a seeded `DlsaEditor` chain on the initial plan
+/// of `resnet50@edge/b1`, the kept `Replay` that each proposal resumes,
+/// or keeps as it is when the move binds no gate, must give a fresh full
+/// replay's latency or deadlock at every step, and at least one move
+/// must be kept. A seeded coin accepts or rolls back each proposal that
+/// simulates, as the annealer would.
+#[test]
+fn ci_smoke_stage2_resume_matches_full_replay() {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use soma::search::lfa_stage::initial_lfa;
+    use soma::search::{DlsaEditor, SizeWeightedPicker};
+    use soma::sim::{CompiledPlan, CoreArrayModel, Replay, SimScratch};
+
+    let net = zoo::resnet50(1);
+    let hw = HardwareConfig::edge();
+    let plan = parse_lfa(&net, &initial_lfa(&net, &hw)).unwrap();
+    let compiled = CompiledPlan::compile(&net, &plan, &hw, &mut CoreArrayModel::new(&hw));
+    let picker = SizeWeightedPicker::new(&plan);
+    let init = Dlsa::double_buffer(&plan);
+    let mut replay = Replay::new(&compiled, &init).unwrap();
+    let mut editor = DlsaEditor::new(&plan, init);
+    let mut scratch = SimScratch::new();
+    let mut rng = StdRng::seed_from_u64(2025);
+    let mut kept = 0;
+    for step in 0..400 {
+        let Some(mv) = editor.propose(&picker, &mut rng) else { continue };
+        let resumed = replay.resume(&compiled, editor.dlsa(), editor.slots(), mv);
+        let full = compiled.simulate_cost(editor.dlsa(), &mut scratch);
+        assert_eq!(resumed, full, "step {step}: {mv:?}");
+        kept += usize::from(replay.kept());
+        if resumed.is_err() || rng.gen_bool(0.5) {
+            replay.restore();
+            editor.undo(mv);
+        }
+    }
+    assert!(kept > 0, "no move kept the replay");
+}
+
 /// The declarative-spec gate: running the committed `specs/fig2_edge.soma`
 /// experiment file through the ledgerless cell executor (what
 /// `soma-bench --bin run` does) reproduces the equivalent hand-written

@@ -17,23 +17,20 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use soma::core::lifetime::{buffer_profile, peak_buffer};
 use soma::core::plan::MAX_TILING;
-use soma::core::{parse_lfa, Dlsa, Lfa};
+use soma::core::{parse_lfa, Dlsa, DlsaMove, Lfa};
 use soma::model::zoo;
 use soma::model::Network;
 use soma::prelude::*;
 use soma::search::cocco::{initial_cocco, mutate_cocco, run_cocco};
 use soma::search::dlsa_stage::{mutate_dlsa, run_stage2};
 use soma::search::lfa_stage::{initial_lfa, mutate_lfa, run_stage1};
-use soma::search::{anneal, DlsaEditor, DlsaMove, Objective, SaSchedule, SizeWeightedPicker};
+use soma::search::{anneal, DlsaEditor, Objective, SaSchedule, SizeWeightedPicker};
 use soma::sim::{evaluate_parts, CompiledPlan, CoreArrayModel, Replay, SimScratch};
 
-/// Rolls one resumed proposal back the way stage 2 does: the replay's
-/// rewritten suffix, the store gate, then the editor.
+/// Rolls one resumed proposal back the way stage 2 does: the replay
+/// (suffix and store gate), then the editor.
 fn roll_back(replay: &mut Replay, editor: &mut DlsaEditor<'_>, mv: DlsaMove) {
     replay.restore();
-    if let DlsaMove::StoreEnd { tensor, old, new } = mv {
-        replay.move_store_gate(tensor as u32, new, old);
-    }
     editor.undo(mv);
 }
 
@@ -43,14 +40,18 @@ fn roll_back(replay: &mut Replay, editor: &mut DlsaEditor<'_>, mv: DlsaMove) {
 /// `CompiledPlan` + maintained `OccupancyProfile` + stage 2's resumed
 /// `Replay`), asserting equality at every step. A seeded coin keeps or
 /// rolls back each proposal that simulates, so the replay both keeps and
-/// restores rewritten suffixes.
-fn check_chain(net: &Network, lfa: &Lfa, seed: u64, steps: usize) {
+/// restores rewritten suffixes. After an accepted move that kept the
+/// record as it was, a few probe proposals from a separate stream resume
+/// the replay from the checkpoints they hit, each checked against a full
+/// replay and rolled back. Returns how many living-duration moves were
+/// evaluated and how many of those kept the record.
+fn check_chain(net: &Network, lfa: &Lfa, seed: u64, steps: usize) -> (usize, usize) {
     let hw = HardwareConfig::edge();
     let plan = parse_lfa(net, lfa).expect("valid LFA");
     let dlsa = Dlsa::double_buffer(&plan);
     let picker = SizeWeightedPicker::new(&plan);
     if picker.is_empty() {
-        return;
+        return (0, 0);
     }
 
     let mut model = CoreArrayModel::new(&hw);
@@ -61,9 +62,11 @@ fn check_chain(net: &Network, lfa: &Lfa, seed: u64, steps: usize) {
     let mut rng_naive = StdRng::seed_from_u64(seed);
     let mut rng_engine = StdRng::seed_from_u64(seed);
     let mut coin = StdRng::seed_from_u64(!seed);
+    let mut probe = StdRng::seed_from_u64(seed.rotate_left(32));
     let mut naive = dlsa.clone();
     let mut editor = DlsaEditor::new(&plan, dlsa);
     let (mut undone, mut kept, mut rolled_back) = (0usize, 0usize, 0usize);
+    let (mut living, mut no_replay) = (0usize, 0usize);
 
     for step in 0..steps {
         let cand = mutate_dlsa(&plan, &naive, &picker, &mut rng_naive);
@@ -87,11 +90,12 @@ fn check_chain(net: &Network, lfa: &Lfa, seed: u64, steps: usize) {
         assert_eq!(editor.peak(), peak_buffer(&plan, &cand), "step {step}: peak");
 
         // Stage 2's evaluation: resume the kept replay at the move.
-        if let DlsaMove::StoreEnd { tensor, old, new } = mv {
-            replay.move_store_gate(tensor as u32, old, new);
+        let resumed = replay.resume(&compiled, editor.dlsa(), editor.slots(), mv);
+        let was_kept = replay.kept();
+        if !matches!(mv, DlsaMove::Order { .. }) {
+            living += 1;
+            no_replay += usize::from(was_kept);
         }
-        let (slot, tile) = editor.first_affected(mv);
-        let resumed = replay.resume(&compiled, editor.dlsa(), editor.slots(), slot, tile);
 
         // Compiled latency and energy == the naive report's, including
         // agreeing on deadlocks.
@@ -114,6 +118,9 @@ fn check_chain(net: &Network, lfa: &Lfa, seed: u64, steps: usize) {
                 if coin.gen_bool(0.5) {
                     naive = cand;
                     kept += 1;
+                    if was_kept {
+                        probe_checkpoints(&compiled, &picker, &mut replay, &mut editor, &mut probe);
+                    }
                 } else {
                     roll_back(&mut replay, &mut editor, mv);
                     rolled_back += 1;
@@ -139,6 +146,28 @@ fn check_chain(net: &Network, lfa: &Lfa, seed: u64, steps: usize) {
     let walk = format!("{kept} kept, {rolled_back} rolled back, {undone} deadlocks");
     assert_eq!(editor.dlsa(), &naive, "final state ({walk})");
     assert_eq!(editor.peak(), peak_buffer(&plan, &naive));
+    (living, no_replay)
+}
+
+/// Resumes `replay`, just kept through a move that bound no gate, on four
+/// proposals drawn from `rng`: each resumes from the checkpoint its move
+/// reaches, must equal a full replay of the probed DLSA, and is rolled
+/// back.
+fn probe_checkpoints(
+    compiled: &CompiledPlan,
+    picker: &SizeWeightedPicker,
+    replay: &mut Replay,
+    editor: &mut DlsaEditor<'_>,
+    rng: &mut StdRng,
+) {
+    let mut scratch = SimScratch::new();
+    for _ in 0..4 {
+        let Some(mv) = editor.propose(picker, rng) else { continue };
+        let resumed = replay.resume(compiled, editor.dlsa(), editor.slots(), mv);
+        let full = compiled.simulate_cost(editor.dlsa(), &mut scratch);
+        assert_eq!(resumed, full, "probe {mv:?} after a kept move");
+        roll_back(replay, editor, mv);
+    }
 }
 
 /// The annealer-level differential: `run_stage2` (in-place editor,
@@ -485,12 +514,15 @@ fn stage2_matches_naive_anneal_on_resnet50() {
 }
 
 /// One long chain on a real CNN: ResNet-50's stage-1-style initial plan.
-/// Not a proptest (one deterministic case) to bound suite runtime.
+/// Not a proptest (one deterministic case) to bound suite runtime. Most
+/// of its living-duration moves bind no gate, so the probes after them
+/// run often.
 #[test]
 fn compiled_matches_naive_on_resnet50() {
     let net = zoo::resnet50(1);
     let lfa = Lfa::unfused(&net, 2);
-    check_chain(&net, &lfa, 2025, 60);
+    let (living, kept) = check_chain(&net, &lfa, 2025, 60);
+    assert!(kept * 10 >= living, "{kept} of {living} living-duration moves kept");
 }
 
 /// The engine-backed search still beats or ties its own stage-1 result
